@@ -1,9 +1,10 @@
 """The 64-feature vector computed from a small two-group corpus.
 
 The z-score features need group statistics and the perplexity features
-need trained language models, so extraction runs corpus-at-a-time: base
-features first, reference statistics and n-gram models second, full
-vectors third.  ``extract_cohort`` wraps those passes.
+need trained language models, so extraction runs corpus-at-a-time:
+``extract_cohort`` computes each child's base features once, derives the
+reference statistics from them, trains the n-gram models, and then adds
+each child's perplexities and z-scores to its base features.
 
 Run:  python demos/02_feature_extraction.py
 """

@@ -10,12 +10,10 @@ serial and parallel execution produce identical results.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import (
     DegenerateInput,
@@ -383,19 +381,51 @@ def ami(a, b) -> float:
     return (mi - emi) / denom
 
 
+def _max_assignment(C: np.ndarray) -> int:
+    """Largest ``sum(C[i, p(i)])`` over permutations ``p`` of a square
+    integer table: the O(k^3) Hungarian method with row and column
+    potentials, run on the costs ``C.max() - C``."""
+    k = C.shape[0]
+    cost = C.max() - C
+    u = np.zeros(k + 1, dtype=np.int64)       # row potentials, 1-based
+    v = np.zeros(k + 1, dtype=np.int64)       # column potentials, 1-based
+    row_of = np.zeros(k + 1, dtype=np.int64)  # column -> matched row, 0 = free
+    way = np.zeros(k + 1, dtype=np.int64)     # column -> previous column on the path
+    never = np.iinfo(np.int64).max
+    for i in range(1, k + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = np.full(k + 1, never, dtype=np.int64)
+        used = np.zeros(k + 1, dtype=bool)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            free = ~used
+            reduced = cost[i0 - 1] - u[i0] - v[1:]
+            better = free[1:] & (reduced < minv[1:])
+            minv[1:][better] = reduced[better]
+            way[1:][better] = j0
+            slack = np.where(free, minv, never)
+            j0 = int(np.argmin(slack))
+            delta = slack[j0]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[free] -= delta
+        while j0:
+            prev = way[j0]
+            row_of[j0] = row_of[prev]
+            j0 = prev
+    return int(C[row_of[1:] - 1, np.arange(k)].sum())
+
+
 def best_mapping_accuracy(a, b) -> float:
-    """Classification accuracy maximized over label permutations."""
+    """Classification accuracy maximized over one-to-one label maps."""
     a, b = _check_pair(a, b)
-    _, ia = np.unique(a, return_inverse=True)
-    _, ib = np.unique(b, return_inverse=True)
-    k = max(ia.max(), ib.max()) + 1
-    if k > 6:
-        raise ValueError("exhaustive mapping supports at most 6 labels")
-    best = 0.0
-    for perm in itertools.permutations(range(k)):
-        table = np.array(perm)
-        best = max(best, float(np.mean(ia == table[ib])))
-    return best
+    C, _, _ = _contingency(a, b)
+    k = max(C.shape)
+    square = np.zeros((k, k), dtype=np.int64)
+    square[:C.shape[0], :C.shape[1]] = C
+    return _max_assignment(square) / len(a)
 
 
 # -- cluster profiles and effect statistics -------------------------------------
@@ -434,6 +464,8 @@ class EffectStats:
 
 def welch_cohen(x0, x1) -> tuple[float, float]:
     """Two-sided Welch t-test p-value and pooled-sd Cohen's d."""
+    from scipy.special import stdtr  # deferred: the CLI's other commands never need scipy
+
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     n0, n1 = len(x0), len(x1)

@@ -189,15 +189,17 @@ def utterance_measures(t: Transcript, count_fusions: bool = False
     }, flags
 
 
+def _fk_grade(words: float, sentences: float, syl: float) -> float:
+    if words < 1 or sentences < 1:
+        raise DivisionDomain("flesch_kincaid needs >= 1 word and >= 1 sentence")
+    return 0.39 * (words / sentences) + 11.8 * (syl / words) - 15.59
+
+
 def flesch_kincaid(t: Transcript) -> float:
     """Grade-level readability from word, sentence, and syllable totals."""
     counts = production_counts(t)
-    words = counts["child_TNW"]
-    sentences = counts["child_TNS"]
-    if words < 1 or sentences < 1:
-        raise DivisionDomain("flesch_kincaid needs >= 1 word and >= 1 sentence")
     syl = sum(syllables(w) for u in t.child_utterances() for w in u.clean_tokens)
-    return 0.39 * (words / sentences) + 11.8 * (syl / words) - 15.59
+    return _fk_grade(counts["child_TNW"], counts["child_TNS"], syl)
 
 
 def lexical_measures(t: Transcript) -> tuple[dict[str, float], set[str]]:
@@ -350,6 +352,37 @@ def zscore_features(base: dict[str, float], stats: GroupStats) -> dict[str, floa
     return out
 
 
+def base_features(t: Transcript, count_fusions: bool = False, dss_table: dict | None = None,
+                  ipsyn_table: dict | None = None) -> tuple[dict[str, float], set[str]]:
+    """Every feature needing neither group statistics nor LMs, with its flags."""
+    flags: set[str] = set()
+    values = production_counts(t)
+    um, f = utterance_measures(t, count_fusions=count_fusions)
+    values.update(um)
+    flags |= f
+    lex, f = lexical_measures(t)
+    values.update(lex)
+    flags |= f
+    markers, f = morpheme_markers(t)
+    values.update(markers)
+    flags |= f
+    values.update(pos_patterns(t))
+    values.update(fluency_and_errors(t))
+    values["f_k"] = _fk_grade(values["child_TNW"], values["child_TNS"], values["total_syl"])
+
+    try:
+        values["dss"] = scoring.dss_score(t, dss_table)
+    except NoScorableUtterances:
+        values["dss"] = 0.0
+        flags.add("dss")
+    try:
+        values["ipsyn_total"] = scoring.ipsyn_total(t, ipsyn_table)
+    except NoScorableUtterances:
+        values["ipsyn_total"] = 0.0
+        flags.add("ipsyn_total")
+    return values, flags
+
+
 def extract_all(t: Transcript, stats: GroupStats, lms: dict,
                 count_fusions: bool = False,
                 dss_table: dict | None = None,
@@ -362,34 +395,7 @@ def extract_all(t: Transcript, stats: GroupStats, lms: dict,
     """
     from .. import ngram  # local import: ngram depends on chat only
 
-    flags: set[str] = set()
-    values: dict[str, float] = {}
-
-    values.update(production_counts(t))
-    um, f = utterance_measures(t, count_fusions=count_fusions)
-    values.update(um)
-    flags |= f
-    lex, f = lexical_measures(t)
-    values.update(lex)
-    flags |= f
-    markers, f = morpheme_markers(t)
-    values.update(markers)
-    flags |= f
-    values.update(pos_patterns(t))
-    values.update(fluency_and_errors(t))
-    values["f_k"] = flesch_kincaid(t)
-
-    try:
-        values["dss"] = scoring.dss_score(t, dss_table)
-    except NoScorableUtterances:
-        values["dss"] = 0.0
-        flags.add("dss")
-    try:
-        values["ipsyn_total"] = scoring.ipsyn_total(t, ipsyn_table)
-    except NoScorableUtterances:
-        values["ipsyn_total"] = 0.0
-        flags.add("ipsyn_total")
-
+    values, flags = base_features(t, count_fusions, dss_table, ipsyn_table)
     values.update(ngram.perplexity_features(t, lms["SLI"], lms["TD"]))
     values.update(zscore_features(values, stats))
 

@@ -22,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from ..chat import Terminator, Transcript, Utterance
-from ..errors import NoScorableUtterances
+from ..errors import DataError, NoScorableUtterances
 
 _WH_LEMMAS = frozenset({"who", "whom", "whose", "what", "where",
                         "when", "why", "how", "which"})
@@ -46,7 +46,39 @@ def default_ipsyn_table() -> dict:
 
 
 def load_table(path: str | Path) -> dict:
-    return _load_json(path)
+    """Read a custom DSS (``categories``) or IPSyn (``structures``) table.
+
+    A file that is not JSON, or that lacks a key the scorers look up,
+    raises ``DataError`` naming the file and the key.
+    """
+    try:
+        table = _load_json(path)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: not a JSON scoring table ({exc})") from None
+    if not isinstance(table, dict) or not {"categories", "structures"} & table.keys():
+        raise DataError(f"{path}: missing key 'categories' (DSS) or 'structures' (IPSyn)")
+    if "categories" in table:
+        for i, category in enumerate(_list_at(table, "categories", str(path))):
+            for j, rule in enumerate(_list_at(category, "rules",
+                                              f"{path}: categories[{i}]")):
+                if not isinstance(rule, dict) or "points" not in rule:
+                    raise DataError(f"{path}: categories[{i}].rules[{j}]: "
+                                    "missing key 'points'")
+    if "structures" in table:
+        for i, struct in enumerate(_list_at(table, "structures", str(path))):
+            if not isinstance(struct, dict) \
+                    or not {"token", "sequence", "structural"} & struct.keys():
+                raise DataError(f"{path}: structures[{i}]: missing key 'token' "
+                                "(or 'sequence' or 'structural')")
+    return table
+
+
+def _list_at(obj, key: str, where: str) -> list:
+    if not isinstance(obj, dict) or key not in obj:
+        raise DataError(f"{where}: missing key {key!r}")
+    if not isinstance(obj[key], list):
+        raise DataError(f"{where}: {key!r} is not a list")
+    return obj[key]
 
 
 def pos_matches(pos_tag: str, prefix: str) -> bool:

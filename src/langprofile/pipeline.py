@@ -264,34 +264,31 @@ def load_transcripts(directory: str | Path) -> list[chat.Transcript]:
     return out
 
 
-def _resolve_tables(config: PipelineConfig) -> tuple[dict | None, dict | None]:
-    dss = scoring.load_table(config.dss_table) if config.dss_table else None
-    ipsyn = scoring.load_table(config.ipsyn_table) if config.ipsyn_table else None
-    return dss, ipsyn
+def _custom_table(path: str, key: str) -> dict:
+    table = scoring.load_table(path)
+    if key not in table:
+        raise DataError(f"{path}: missing key {key!r}")
+    return table
 
 
 def extract_cohort(transcripts: list[chat.Transcript],
                    config: PipelineConfig) -> Cohort:
-    """Two-pass extraction: base features feed group statistics and the
-    language models, then every transcript gets its full vector."""
-    dss_table, ipsyn_table = _resolve_tables(config)
-    base_rows = []
-    for t in transcripts:
-        row: dict[str, float] = {}
-        row.update(fx.production_counts(t))
-        measures, _ = fx.utterance_measures(t, config.count_fusions)
-        row.update(measures)
-        lex, _ = fx.lexical_measures(t)
-        row.update(lex)
-        row.update(fx.fluency_and_errors(t))
-        base_rows.append(row)
+    """One pass: each transcript's base features, computed once with tables
+    read once, give the group statistics; after LM training (leave-one-out
+    with ``loo``) each gains its perplexities and z-scores."""
+    dss_table = _custom_table(config.dss_table, "categories") if config.dss_table \
+        else scoring.default_dss_table()
+    ipsyn_table = _custom_table(config.ipsyn_table, "structures") if config.ipsyn_table \
+        else scoring.default_ipsyn_table()
+    blocks = [fx.base_features(t, config.count_fusions, dss_table, ipsyn_table)
+              for t in transcripts]
     groups = [t.group.value for t in transcripts]
-    stats = fx.GroupStats.from_rows(base_rows, groups)
+    stats = fx.GroupStats.from_rows([values for values, _ in blocks], groups)
     full_models = ngram.train_group_models(transcripts, config.smoothing_k,
                                            config.unk_threshold)
 
     values = np.empty((len(transcripts), len(FEATURE_NAMES)))
-    for i, t in enumerate(transcripts):
+    for i, (t, (base, flags)) in enumerate(zip(transcripts, blocks)):
         models = full_models
         if config.loo and t.group.value in ("SLI", "TD"):
             label = t.group.value
@@ -300,8 +297,9 @@ def extract_cohort(transcripts: list[chat.Transcript],
             models[label] = {o: ngram.train(rest, o, config.smoothing_k,
                                             config.unk_threshold)
                              for o in (1, 2, 3)}
-        vec = fx.extract_all(t, stats, models, config.count_fusions,
-                             dss_table, ipsyn_table)
+        ppl = ngram.perplexity_features(t, models["SLI"], models["TD"])
+        vec = fx.FeatureVector({**base, **ppl, **fx.zscore_features(base, stats)},
+                               frozenset(flags))
         values[i] = [vec.values[name] for name in FEATURE_NAMES]
 
     matrix = FeatureMatrix(values, FEATURE_NAMES, tuple(t.id for t in transcripts))

@@ -1,0 +1,114 @@
+"""Earlier implementations kept as references for the current code.
+
+* ``permutation_mapping_accuracy`` is the exhaustive label-permutation
+  search that ``clustering.best_mapping_accuracy`` replaced with a
+  Hungarian assignment (feasible up to about 8 labels).
+* ``two_pass_extract_cohort`` is the extraction that computed the base
+  features once for the group statistics and again inside every full
+  vector, re-read the packaged scoring tables for every transcript, and
+  counted Flesch-Kincaid words, sentences and syllables a second time.
+"""
+
+import itertools
+
+import numpy as np
+
+from langprofile import ngram
+from langprofile.errors import NoScorableUtterances
+from langprofile.features import extract as fx
+from langprofile.features import scoring
+from langprofile.features.schema import FEATURE_NAMES
+from langprofile.numerics import FeatureMatrix
+from langprofile.pipeline import Cohort
+
+
+def permutation_mapping_accuracy(a, b) -> float:
+    """Classification accuracy maximized over label permutations."""
+    _, ia = np.unique(np.asarray(a), return_inverse=True)
+    _, ib = np.unique(np.asarray(b), return_inverse=True)
+    k = max(ia.max(), ib.max()) + 1
+    best = 0.0
+    for perm in itertools.permutations(range(k)):
+        table = np.array(perm)
+        best = max(best, float(np.mean(ia == table[ib])))
+    return best
+
+
+def _extract_all(t, stats, lms, count_fusions=False, dss_table=None,
+                 ipsyn_table=None) -> fx.FeatureVector:
+    flags: set[str] = set()
+    values: dict[str, float] = {}
+
+    values.update(fx.production_counts(t))
+    um, f = fx.utterance_measures(t, count_fusions=count_fusions)
+    values.update(um)
+    flags |= f
+    lex, f = fx.lexical_measures(t)
+    values.update(lex)
+    flags |= f
+    markers, f = fx.morpheme_markers(t)
+    values.update(markers)
+    flags |= f
+    values.update(fx.pos_patterns(t))
+    values.update(fx.fluency_and_errors(t))
+    values["f_k"] = fx.flesch_kincaid(t)
+
+    try:
+        values["dss"] = scoring.dss_score(t, dss_table)
+    except NoScorableUtterances:
+        values["dss"] = 0.0
+        flags.add("dss")
+    try:
+        values["ipsyn_total"] = scoring.ipsyn_total(t, ipsyn_table)
+    except NoScorableUtterances:
+        values["ipsyn_total"] = 0.0
+        flags.add("ipsyn_total")
+
+    values.update(ngram.perplexity_features(t, lms["SLI"], lms["TD"]))
+    values.update(fx.zscore_features(values, stats))
+
+    return fx.FeatureVector(values=values, flags=frozenset(flags))
+
+
+def two_pass_extract_cohort(transcripts, config) -> Cohort:
+    """Two-pass extraction: base features feed group statistics and the
+    language models, then every transcript gets its full vector."""
+    dss_table = scoring.load_table(config.dss_table) if config.dss_table else None
+    ipsyn_table = scoring.load_table(config.ipsyn_table) if config.ipsyn_table else None
+    base_rows = []
+    for t in transcripts:
+        row: dict[str, float] = {}
+        row.update(fx.production_counts(t))
+        measures, _ = fx.utterance_measures(t, config.count_fusions)
+        row.update(measures)
+        lex, _ = fx.lexical_measures(t)
+        row.update(lex)
+        row.update(fx.fluency_and_errors(t))
+        base_rows.append(row)
+    groups = [t.group.value for t in transcripts]
+    stats = fx.GroupStats.from_rows(base_rows, groups)
+    full_models = ngram.train_group_models(transcripts, config.smoothing_k,
+                                           config.unk_threshold)
+
+    values = np.empty((len(transcripts), len(FEATURE_NAMES)))
+    for i, t in enumerate(transcripts):
+        models = full_models
+        if config.loo and t.group.value in ("SLI", "TD"):
+            label = t.group.value
+            rest = [x for x in transcripts if x is not t and x.group.value == label]
+            models = dict(full_models)
+            models[label] = {o: ngram.train(rest, o, config.smoothing_k,
+                                            config.unk_threshold)
+                             for o in (1, 2, 3)}
+        vec = _extract_all(t, stats, models, config.count_fusions,
+                           dss_table, ipsyn_table)
+        values[i] = [vec.values[name] for name in FEATURE_NAMES]
+
+    matrix = FeatureMatrix(values, FEATURE_NAMES, tuple(t.id for t in transcripts))
+    return Cohort(
+        matrix,
+        tuple(t.corpus for t in transcripts),
+        tuple(t.group.value for t in transcripts),
+        tuple(t.age_months for t in transcripts),
+        tuple(t.sex or "" for t in transcripts),
+    )

@@ -28,6 +28,7 @@ from langprofile.errors import (
     TinyCluster,
 )
 from langprofile.synthetic import two_blobs
+from tests.oracles import permutation_mapping_accuracy
 
 FOUR = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
 
@@ -338,6 +339,42 @@ class TestAgreement:
         b = [1, 1, 0, 2]
         # map b: 1->0, 0->1, 2->? ; 3 of 4 match at best
         assert best_mapping_accuracy(a, b) == 0.75
+
+    def test_best_mapping_matches_permutation_oracle(self):
+        rng = np.random.default_rng(18)
+        for ka in range(1, 7):
+            for kb in range(1, 7):
+                for n in (ka + kb, 37):
+                    a = rng.integers(0, ka, size=n)
+                    b = rng.integers(0, kb, size=n)
+                    assert best_mapping_accuracy(a, b) == \
+                        permutation_mapping_accuracy(a, b)
+
+    @pytest.mark.parametrize("k", [7, 8, 9, 10])
+    def test_best_mapping_beyond_six_labels(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.integers(0, k, size=300)
+        for noise in (0, 60, 300):
+            b = rng.permutation(k)[a]
+            hit = rng.choice(300, size=noise, replace=False)
+            b[hit] = rng.integers(0, k, size=noise)
+            C = np.zeros((k, k), dtype=int)
+            np.add.at(C, (a, b), 1)
+            # best total over one-to-one maps, by dynamic programming over
+            # the set of columns already taken by rows 0..i-1
+            best = {0: 0}
+            for i in range(k):
+                nxt = {}
+                for taken, total in best.items():
+                    for j in range(k):
+                        if not taken >> j & 1:
+                            key = taken | 1 << j
+                            nxt[key] = max(nxt.get(key, -1), total + int(C[i, j]))
+                best = nxt
+            expected = best[(1 << k) - 1] / 300
+            assert best_mapping_accuracy(a, b) == expected
+            if noise == 0:
+                assert expected == 1.0
 
 
 class TestProfilesAndEffects:

@@ -1,0 +1,83 @@
+"""Single-pass cohort extraction against the two-pass oracle."""
+
+import json
+
+import pytest
+
+from langprofile import pipeline
+from langprofile.features import extract as fx
+from langprofile.features import scoring
+from tests.conftest import make_corpus
+from tests.oracles import two_pass_extract_cohort
+
+
+@pytest.fixture(params=[(4, 4, 7), (6, 5, 3)], ids=["4x4", "6x5"])
+def transcripts(request, tmp_path):
+    n_sli, n_td, seed = request.param
+    make_corpus(tmp_path / "corpus", n_sli=n_sli, n_td=n_td, seed=seed)
+    return pipeline.load_transcripts(tmp_path / "corpus")
+
+
+def _config(**kwargs) -> pipeline.PipelineConfig:
+    return pipeline.PipelineConfig(input_mode="transcripts", input_path="corpus",
+                                   output_dir=".", seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("count_fusions", [False, True])
+@pytest.mark.parametrize("loo", [False, True])
+def test_feature_csv_matches_two_pass_oracle(transcripts, loo, count_fusions):
+    config = _config(loo=loo, count_fusions=count_fusions, unk_threshold=2)
+    assert pipeline.render_feature_csv(pipeline.extract_cohort(transcripts, config)) \
+        == pipeline.render_feature_csv(two_pass_extract_cohort(transcripts, config))
+
+
+def test_custom_tables_match_two_pass_oracle(transcripts, tmp_path):
+    dss = scoring.default_dss_table()
+    for category in dss["categories"]:
+        for rule in category["rules"]:
+            rule["points"] += 1
+    dss["sentence_point"] = False
+    ipsyn = scoring.default_ipsyn_table()
+    ipsyn["cap"] = 3
+    ipsyn["structures"] = ipsyn["structures"][::2]
+    (tmp_path / "dss.json").write_text(json.dumps(dss), encoding="utf-8")
+    (tmp_path / "ipsyn.json").write_text(json.dumps(ipsyn), encoding="utf-8")
+    config = _config(dss_table=str(tmp_path / "dss.json"),
+                     ipsyn_table=str(tmp_path / "ipsyn.json"))
+    default = pipeline.render_feature_csv(pipeline.extract_cohort(transcripts, _config()))
+    custom = pipeline.render_feature_csv(pipeline.extract_cohort(transcripts, config))
+    assert custom != default
+    assert custom == pipeline.render_feature_csv(
+        two_pass_extract_cohort(transcripts, config))
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_each_extractor_and_table_runs_once(transcripts, monkeypatch):
+    counts: dict[str, int] = {}
+    extractors = ("production_counts", "utterance_measures", "lexical_measures",
+                  "morpheme_markers", "pos_patterns", "fluency_and_errors",
+                  "flesch_kincaid", "syllables")
+    for name in extractors:
+        _count_calls(monkeypatch, fx, name, counts)
+    for name in ("dss_score", "ipsyn_total", "default_dss_table", "default_ipsyn_table"):
+        _count_calls(monkeypatch, scoring, name, counts)
+
+    for calls in (1, 2):
+        pipeline.extract_cohort(transcripts, _config(loo=True))
+        n = len(transcripts) * calls
+        words = sum(len(u.clean_tokens) for t in transcripts
+                    for u in t.child_utterances()) * calls
+        assert counts == {
+            "production_counts": n, "utterance_measures": n, "lexical_measures": n,
+            "morpheme_markers": n, "pos_patterns": n, "fluency_and_errors": n,
+            "syllables": words, "dss_score": n, "ipsyn_total": n,
+            "default_dss_table": calls, "default_ipsyn_table": calls,
+        }

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import langprofile
 from langprofile import cli, pipeline
 from langprofile.errors import ConfigError, NonNumericCell, SchemaMismatch
 from langprofile.features.schema import FEATURE_NAMES, csv_header
@@ -291,3 +296,53 @@ class TestCli:
 
     def test_report_missing_file(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "nope.json")]) == 2
+
+    def test_analyze_k_beyond_six_exits_zero(self, tmp_path, capsys):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=200)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(
+            f"[input]\nmode = csv\npath = {csv_path}\n\n"
+            "[clustering]\nseed = 3\nk_range = 7,8\nn_init = 4\n\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "cluster_report.json").read_text())
+        assert report["chosen_k"] in (7, 8)
+        assert len(report["agreement"]) == 3
+
+    def test_extract_malformed_table_exits_two(self, corpus_dir, tmp_path, capsys):
+        table = tmp_path / "bad.json"
+        table.write_text('{"categories": [', encoding="utf-8")
+        out_csv = tmp_path / "features.csv"
+        assert cli.main(["extract", str(corpus_dir), "-o", str(out_csv),
+                         "--dss-table", str(table)]) == 2
+        assert str(table) in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("flag, body, key", [
+        ("--dss-table", {"name": "no categories"}, "categories"),
+        ("--dss-table", {"structures": []}, "categories"),
+        ("--ipsyn-table", {"categories": []}, "structures"),
+        ("--dss-table", {"categories": [{"name": "c"}]}, "rules"),
+        ("--dss-table", {"categories": [{"rules": [{"pos": "v"}]}]}, "points"),
+        ("--ipsyn-table", {"structures": [{"name": "s"}]}, "token"),
+    ])
+    def test_extract_table_missing_key_exits_two(self, corpus_dir, tmp_path, capsys,
+                                                  flag, body, key):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(body), encoding="utf-8")
+        assert cli.main(["extract", str(corpus_dir), "-o", str(tmp_path / "f.csv"),
+                         flag, str(table)]) == 2
+        err = capsys.readouterr().err
+        assert str(table) in err
+        assert repr(key) in err
+
+    def test_import_cli_loads_no_scipy(self):
+        src = Path(langprofile.__file__).resolve().parents[1]
+        code = ("import sys, langprofile.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
