@@ -17,7 +17,6 @@ from langprofile.clustering import (
     cluster_profiles,
     dbscan,
     detect_outliers,
-    kmeans,
     silhouette_sweep,
     ward_linkage,
     welch_cohen,
@@ -31,13 +30,12 @@ def main():
 
     sweep = silhouette_sweep(points, range(2, 8), seed=42, n_init=16)
     print("silhouette sweep:")
-    for k, s in sweep:
+    for k, s, _ in sweep:
         bar = "#" * int(40 * max(s, 0))
         print(f"  k={k}: {s:6.3f} {bar}")
-    best_k = max(sweep, key=lambda kv: kv[1])[0]
+    best_k, _, km = max(sweep, key=lambda fit: fit[1])
     print(f"chosen k = {best_k}")
 
-    km = kmeans(points, best_k, seed=42, n_init=16)
     print(f"\nk-means inertia {km.inertia:.1f}; recovery vs ground truth: "
           f"ARI {ari(km.assignments, truth):.3f}")
 

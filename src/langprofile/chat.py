@@ -28,6 +28,7 @@ from enum import Enum
 
 from .errors import (
     BadHeader,
+    ChatParseError,
     DanglingMarker,
     MalformedTier,
     OrphanDependentTier,
@@ -310,18 +311,20 @@ def parse_chat(text: str, transcript_id: str | None = None) -> Transcript:
     ``transcript_id`` overrides the id derived from ``@PID``/``@ID``
     headers (callers that read files usually pass the file stem).
     """
-    # logical lines: continuation lines (leading tab) join their tier
-    logical: list[str] = []
-    for raw_line in text.split("\n"):
+    # logical lines: continuation lines (leading tab) join their tier; each
+    # keeps the number of its first physical line for error messages
+    logical: list[tuple[int, str]] = []
+    for lineno, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.rstrip("\r")
         if not line.strip():
             continue
         if line.startswith("\t") or line.startswith("    "):
             if not logical:
-                raise MalformedTier("continuation line before any tier")
-            logical[-1] += " " + line.strip()
+                raise MalformedTier(f"line {lineno}: continuation line before any tier")
+            first, joined = logical[-1]
+            logical[-1] = (first, joined + " " + line.strip())
         else:
-            logical.append(line)
+            logical.append((lineno, line))
 
     roles: dict[str, Speaker] = {}
     corpus = ""
@@ -333,75 +336,78 @@ def parse_chat(text: str, transcript_id: str | None = None) -> Transcript:
     warnings: list[str] = []
     builders: list[_UtteranceBuilder] = []
 
-    for line in logical:
-        if line.startswith("@"):
-            m = _HEADER.match(line)
-            if m is None:
-                continue  # value-less headers such as @Begin / @End
-            key, value = m.group(1).strip(), m.group(2).strip()
-            if key == "Participants":
-                for entry in value.split(","):
-                    bits = entry.split()
-                    if len(bits) >= 2:
-                        roles[bits[0]] = _classify_role(bits[-1])
-            elif key == "ID":
-                fields = value.split("|")
-                if len(fields) < 8:
+    try:
+        for lineno, line in logical:
+            if line.startswith("@"):
+                m = _HEADER.match(line)
+                if m is None:
+                    continue  # value-less headers such as @Begin / @End
+                key, value = m.group(1).strip(), m.group(2).strip()
+                if key == "Participants":
+                    for entry in value.split(","):
+                        bits = entry.split()
+                        if len(bits) >= 2:
+                            roles[bits[0]] = _classify_role(bits[-1])
+                elif key == "ID":
+                    fields = value.split("|")
+                    if len(fields) < 8:
+                        continue
+                    role = fields[7]
+                    if _classify_role(role) is Speaker.CHILD:
+                        corpus = fields[1]
+                        child_code = fields[2]
+                        age_months = _parse_age(fields[3])
+                        sx = fields[4].strip().lower()
+                        sex = {"male": "M", "m": "M", "female": "F", "f": "F"}.get(sx)
+                        group = _classify_group(fields[5])
+                elif key == "PID":
+                    pid = value
+                continue
+
+            if line.startswith("*"):
+                m = _MAIN_TIER.match(line)
+                if m is None:
+                    raise MalformedTier(f"bad main tier line: {line!r}")
+                code = m.group(1)
+                content = line[m.end():].strip()
+                tokens = content.split()
+                body, terminator, postcodes = _split_terminator(tokens)
+                clean, events = strip_annotations(body)
+                speaker = roles.get(code, _DEFAULT_ROLES.get(code, Speaker.OTHER))
+                builders.append(_UtteranceBuilder(speaker, code, tuple(body), clean,
+                                                  terminator, events, postcodes))
+                continue
+
+            if line.startswith("%"):
+                m = _DEP_TIER.match(line)
+                if m is None:
+                    raise MalformedTier(f"bad dependent tier line: {line!r}")
+                kind = m.group(1).lower()
+                if kind != "mor":
+                    continue  # other dependent tiers are out of scope
+                if not builders:
+                    raise OrphanDependentTier("%mor tier before any utterance")
+                target = builders[-1]
+                content = line[m.end():].strip()
+                try:
+                    mor = tuple(tk for tk in (parse_mor_token(t) for t in content.split())
+                                if tk is not None)
+                except MalformedTier as exc:
+                    warnings.append(f"utterance {len(builders)}: mor tier dropped ({exc})")
                     continue
-                role = fields[7]
-                if _classify_role(role) is Speaker.CHILD:
-                    corpus = fields[1]
-                    child_code = fields[2]
-                    age_months = _parse_age(fields[3])
-                    sx = fields[4].strip().lower()
-                    sex = {"male": "M", "m": "M", "female": "F", "f": "F"}.get(sx)
-                    group = _classify_group(fields[5])
-            elif key == "PID":
-                pid = value
-            continue
-
-        if line.startswith("*"):
-            m = _MAIN_TIER.match(line)
-            if m is None:
-                raise MalformedTier(f"bad main tier line: {line!r}")
-            code = m.group(1)
-            content = line[m.end():].strip()
-            tokens = content.split()
-            body, terminator, postcodes = _split_terminator(tokens)
-            clean, events = strip_annotations(body)
-            speaker = roles.get(code, _DEFAULT_ROLES.get(code, Speaker.OTHER))
-            builders.append(_UtteranceBuilder(speaker, code, tuple(body), clean,
-                                              terminator, events, postcodes))
-            continue
-
-        if line.startswith("%"):
-            m = _DEP_TIER.match(line)
-            if m is None:
-                raise MalformedTier(f"bad dependent tier line: {line!r}")
-            kind = m.group(1).lower()
-            if kind != "mor":
-                continue  # other dependent tiers are out of scope
-            if not builders:
-                raise OrphanDependentTier("%mor tier before any utterance")
-            target = builders[-1]
-            content = line[m.end():].strip()
-            try:
-                mor = tuple(tk for tk in (parse_mor_token(t) for t in content.split())
-                            if tk is not None)
-            except MalformedTier as exc:
-                warnings.append(f"utterance {len(builders)}: mor tier dropped ({exc})")
+                if len(mor) != len(target.clean):
+                    warnings.append(
+                        f"utterance {len(builders)}: mor tier has {len(mor)} tokens, "
+                        f"utterance has {len(target.clean)}; mor dropped")
+                    continue
+                if target.mor is not None:
+                    warnings.append(f"utterance {len(builders)}: duplicate mor tier replaced")
+                target.mor = mor
                 continue
-            if len(mor) != len(target.clean):
-                warnings.append(
-                    f"utterance {len(builders)}: mor tier has {len(mor)} tokens, "
-                    f"utterance has {len(target.clean)}; mor dropped")
-                continue
-            if target.mor is not None:
-                warnings.append(f"utterance {len(builders)}: duplicate mor tier replaced")
-            target.mor = mor
-            continue
 
-        raise MalformedTier(f"unclassifiable line: {line!r}")
+            raise MalformedTier(f"unclassifiable line: {line!r}")
+    except ChatParseError as exc:
+        raise type(exc)(f"line {lineno}: {exc}") from None
 
     if transcript_id:
         tid = transcript_id

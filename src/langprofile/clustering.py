@@ -125,16 +125,18 @@ def _silhouette_from_distances(D: np.ndarray, assignments: np.ndarray) -> float:
     n = D.shape[0]
     sums = np.stack([D[:, assignments == lab].sum(axis=1) for lab in labels], axis=1)
     sizes = np.array([(assignments == lab).sum() for lab in labels])
-    total = 0.0
-    for i in range(n):
-        own = int(np.flatnonzero(labels == assignments[i])[0])
-        if sizes[own] == 1:
-            continue  # singleton convention: s = 0
-        a = sums[i, own] / (sizes[own] - 1)
-        b = min(sums[i, lab] / sizes[lab] for lab in range(len(labels)) if lab != own)
-        denom = max(a, b)
-        if denom > 0.0:
-            total += (b - a) / denom
+    rows = np.arange(n)
+    own = np.searchsorted(labels, assignments)
+    means = sums / sizes
+    means[rows, own] = np.inf
+    kept = sizes[own] > 1  # singleton convention: s = 0
+    a = sums[rows, own][kept] / (sizes[own][kept] - 1)
+    b = means.min(axis=1)[kept]
+    denom = np.maximum(a, b)
+    scored = denom > 0.0
+    terms = (b - a)[scored] / denom[scored]
+    # a running sum in row order; np.sum's pairwise order would change the last bits
+    total = np.cumsum(terms)[-1] if terms.size else 0.0
     return total / n
 
 
@@ -148,14 +150,15 @@ def silhouette(points, assignments) -> float:
 
 
 def silhouette_sweep(points, k_range, seed: int, n_init: int = 32
-                     ) -> list[tuple[int, float]]:
-    """Mean silhouette of a fresh k-means fit for each k (fixed seed)."""
+                     ) -> list[tuple[int, float, ClusterResult]]:
+    """``(k, mean silhouette, fit)`` for a fresh k-means fit at each k
+    (fixed seed); callers take the fit at their chosen k from here."""
     X = _as_points(points)
     D = _pairwise_distances(X)
     out = []
     for k in k_range:
         res = kmeans(X, k, seed, n_init)
-        out.append((k, _silhouette_from_distances(D, res.assignments)))
+        out.append((k, _silhouette_from_distances(D, res.assignments), res))
     return out
 
 

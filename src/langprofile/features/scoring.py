@@ -29,6 +29,8 @@ _WH_LEMMAS = frozenset({"who", "whom", "whose", "what", "where",
 
 _VERBAL_POS = ("v", "aux", "cop", "mod")
 
+_STRUCTURAL_NAMES = ("question", "wh_question", "aux_initial_question", "multiword")
+
 
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
@@ -48,8 +50,10 @@ def default_ipsyn_table() -> dict:
 def load_table(path: str | Path) -> dict:
     """Read a custom DSS (``categories``) or IPSyn (``structures``) table.
 
-    A file that is not JSON, or that lacks a key the scorers look up,
-    raises ``DataError`` naming the file and the key.
+    A file that is not JSON, that lacks a key the scorers look up, or
+    whose rule ``points`` is not an integer or ``structural`` name is not
+    one of the documented four, raises ``DataError`` naming the file and
+    the key.
     """
     try:
         table = _load_json(path)
@@ -61,16 +65,28 @@ def load_table(path: str | Path) -> dict:
         for i, category in enumerate(_list_at(table, "categories", str(path))):
             for j, rule in enumerate(_list_at(category, "rules",
                                               f"{path}: categories[{i}]")):
+                where = f"categories[{i}].rules[{j}]"
                 if not isinstance(rule, dict) or "points" not in rule:
-                    raise DataError(f"{path}: categories[{i}].rules[{j}]: "
-                                    "missing key 'points'")
+                    raise DataError(f"{path}: {where}: missing key 'points'")
+                points = rule["points"]
+                if not isinstance(points, int) or isinstance(points, bool):
+                    raise DataError(f"{path}: '{where}.points' must be an integer, "
+                                    f"got {points!r}")
+                _check_structural(rule, f"{path}: '{where}.structural'")
     if "structures" in table:
         for i, struct in enumerate(_list_at(table, "structures", str(path))):
             if not isinstance(struct, dict) \
                     or not {"token", "sequence", "structural"} & struct.keys():
                 raise DataError(f"{path}: structures[{i}]: missing key 'token' "
                                 "(or 'sequence' or 'structural')")
+            _check_structural(struct, f"{path}: 'structures[{i}].structural'")
     return table
+
+
+def _check_structural(rule: dict, where: str) -> None:
+    if "structural" in rule and rule["structural"] not in _STRUCTURAL_NAMES:
+        raise DataError(f"{where} must be one of {', '.join(_STRUCTURAL_NAMES)}, "
+                        f"got {rule['structural']!r}")
 
 
 def _list_at(obj, key: str, where: str) -> list:

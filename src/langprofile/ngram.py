@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .chat import Transcript
-from .errors import EmptyCorpus, EmptyTranscript, ZeroProbability
+from .errors import DataError, EmptyCorpus, EmptyTranscript, ZeroProbability
 
 BOS = "<s>"
 EOS = "</s>"
@@ -143,39 +143,48 @@ def train_group_models(transcripts, smoothing_k: float = 1.0,
 
 # -- on-disk format -------------------------------------------------------
 # header line: ngram\torder=<n>\tk=<float>\tunk_threshold=<int>\tpad=<0|1>
-# then one line per n-gram: <count>\t<w1>[ <w2>[ <w3>]]   (sorted)
+# vocab line:  vocab\t<type> <type> ...                        (sorted)
+# then one line per n-gram: <count>\t<w1>[ <w2>[ <w3>]]      (sorted)
+
 
 def save_model(model: NGramModel, path: str | Path) -> None:
     lines = [f"ngram\torder={model.order}\tk={model.smoothing_k!r}"
-             f"\tunk_threshold={model.unk_threshold}\tpad={int(model.pad)}"]
+             f"\tunk_threshold={model.unk_threshold}\tpad={int(model.pad)}",
+             "vocab\t" + " ".join(sorted(model.vocab))]
     for gram in sorted(model.counts):
         lines.append(f"{model.counts[gram]}\t{' '.join(gram)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> NGramModel:
+    """Read a model written by :func:`save_model`; a file that is empty,
+    lacks a header field or the vocab line, or holds a malformed line
+    raises ``DataError`` naming the file."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln]
+    lines = text.rstrip("\n").split("\n")
     header = lines[0].split("\t")
-    if not header or header[0] != "ngram":
-        raise EmptyCorpus(f"{path}: not a model file")
-    fields = dict(part.split("=", 1) for part in header[1:])
-    order = int(fields["order"])
-    k = float(fields["k"])
-    threshold = int(fields["unk_threshold"])
-    pad = bool(int(fields["pad"]))
+    if header[0] != "ngram":
+        raise DataError(f"{path}: not a model file (no 'ngram' header line)")
+    fields = dict(part.split("=", 1) for part in header[1:] if "=" in part)
+    try:
+        order, k = int(fields["order"]), float(fields["k"])
+        threshold, pad = int(fields["unk_threshold"]), bool(int(fields["pad"]))
+    except KeyError as exc:
+        raise DataError(f"{path}: header lacks field {exc}") from None
+    except ValueError:
+        raise DataError(f"{path}: line 1: malformed header {lines[0]!r}") from None
+    if len(lines) < 2 or not lines[1].startswith("vocab\t"):
+        raise DataError(f"{path}: line 2: expected the vocab line")
+    vocab = frozenset(lines[1][len("vocab\t"):].split(" "))
 
     counts: dict[tuple[str, ...], int] = {}
     context_totals: Counter = Counter()
-    vocab = {UNK}
-    if pad:
-        vocab.add(EOS)
-    for ln in lines[1:]:
-        count_text, gram_text = ln.split("\t")
+    for lineno, ln in enumerate(lines[2:], start=3):
+        count_text, tab, gram_text = ln.partition("\t")
         gram = tuple(gram_text.split(" "))
+        if not (tab and count_text.isdecimal() and len(gram) == order):
+            raise DataError(f"{path}: line {lineno}: malformed n-gram line {ln!r}")
         counts[gram] = int(count_text)
         context_totals[gram[:-1]] += counts[gram]
-        vocab.add(gram[-1])
-    vocab.discard(BOS)
     return NGramModel(order, k, threshold, pad, counts,
-                      dict(context_totals), frozenset(vocab))
+                      dict(context_totals), vocab)

@@ -1,9 +1,10 @@
 """End-to-end analysis pipeline behind a flat INI-style config.
 
 Stages: load (transcript extraction or feature-CSV ingest) -> impute ->
-standardize -> correlation prune -> PCA -> silhouette sweep -> k-means at
-the chosen k -> Ward/DBSCAN cross-checks -> boundary cases -> outliers ->
-cross-plane agreement -> profiles and effect statistics -> report bundle.
+standardize -> correlation prune -> PCA -> silhouette sweep (one k-means
+fit per k; the chosen k keeps its sweep fit) -> Ward/DBSCAN cross-checks
+-> boundary cases -> outliers -> cross-plane agreement -> profiles and
+effect statistics -> report bundle.
 
 Every report embeds the config hash and seed; a rerun with identical
 input bytes and config produces byte-identical outputs.
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import chat, clustering, ngram, numerics
 from .errors import (
+    ChatParseError,
     ConfigError,
     DataError,
     NonNumericCell,
@@ -62,7 +64,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _parse_k_range(text: str) -> tuple[int, ...]:
@@ -71,9 +73,14 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
-            raise ConfigError(f"empty k_range {text!r}")
+            raise ValueError(f"empty k_range {text!r}")
         return tuple(range(lo, hi + 1))
     return tuple(int(part) for part in text.split(","))
+
+
+# what each config value parser accepts, for error messages
+_KINDS = {int: "an integer", float: "a number", _parse_bool: "a boolean",
+          _parse_k_range: "a range lo..hi or a comma list of integers"}
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,14 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"missing required config key [{section}] {key}")
         return default if default is not None else ""
 
+    def value(section: str, key: str, parse, text: str | None = None):
+        text = get(section, key) if text is None else text
+        try:
+            return parse(text)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key} must be {_KINDS[parse]}, "
+                              f"got {text!r}") from None
+
     mode = get("input", "mode", required=True).lower()
     if mode not in ("transcripts", "csv"):
         raise ConfigError(f"input mode must be 'transcripts' or 'csv', got {mode!r}")
@@ -131,40 +146,42 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not seed_text:
         raise ConfigError("a clustering seed is required ([clustering] seed "
                           f"or ${SEED_ENV_VAR})")
-    try:
-        seed = int(seed_text)
-    except ValueError:
-        raise ConfigError(f"seed must be an integer, got {seed_text!r}") from None
+    seed = value("clustering", "seed", int, seed_text)
 
-    percentile = float(get("clustering", "boundary_percentile"))
+    percentile = value("clustering", "boundary_percentile", float)
     if not 0.0 < percentile < 50.0:
         raise ConfigError(f"boundary_percentile must be in (0, 50), got {percentile}")
 
     eps = get("clustering", "dbscan_eps")
     if eps != "auto":
-        float(eps)  # validate now
+        value("clustering", "dbscan_eps", float)  # validate now
+
+    effect_features = tuple(f.strip() for f in
+                            get("clustering", "effect_features").split(",") if f.strip())
+    unknown = [f for f in effect_features if f not in FEATURE_NAMES]
+    if unknown:
+        raise ConfigError(f"[clustering] effect_features: unknown features {unknown}")
 
     return PipelineConfig(
         input_mode=mode,
         input_path=in_path,
         output_dir=out_dir,
         seed=seed,
-        count_fusions=_parse_bool(get("schema", "count_fusions")),
+        count_fusions=value("schema", "count_fusions", _parse_bool),
         dss_table=get("schema", "dss_table"),
         ipsyn_table=get("schema", "ipsyn_table"),
-        smoothing_k=float(get("lm", "smoothing_k")),
-        unk_threshold=int(get("lm", "unk_threshold")),
-        loo=_parse_bool(get("lm", "loo")),
-        prune_threshold=float(get("prune", "threshold")),
-        top_k=int(get("pca", "top_k")),
-        k_range=_parse_k_range(get("clustering", "k_range")),
-        n_init=int(get("clustering", "n_init")),
+        smoothing_k=value("lm", "smoothing_k", float),
+        unk_threshold=value("lm", "unk_threshold", int),
+        loo=value("lm", "loo", _parse_bool),
+        prune_threshold=value("prune", "threshold", float),
+        top_k=value("pca", "top_k", int),
+        k_range=value("clustering", "k_range", _parse_k_range),
+        n_init=value("clustering", "n_init", int),
         boundary_percentile=percentile,
-        pc_dims=int(get("clustering", "pc_dims")),
+        pc_dims=value("clustering", "pc_dims", int),
         dbscan_eps=eps,
-        dbscan_min_pts=int(get("clustering", "dbscan_min_pts")),
-        effect_features=tuple(f.strip() for f in
-                              get("clustering", "effect_features").split(",") if f.strip()),
+        dbscan_min_pts=value("clustering", "dbscan_min_pts", int),
+        effect_features=effect_features,
     )
 
 
@@ -260,7 +277,11 @@ def load_transcripts(directory: str | Path) -> list[chat.Transcript]:
         raise DataError(f"no .cha files under {directory!r}")
     out = []
     for p in paths:
-        out.append(chat.parse_chat(p.read_text(encoding="utf-8"), transcript_id=p.stem))
+        try:
+            out.append(chat.parse_chat(p.read_text(encoding="utf-8"),
+                                       transcript_id=p.stem))
+        except ChatParseError as exc:
+            raise type(exc)(f"{p}: {exc}") from None
     return out
 
 
@@ -388,11 +409,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
 
     sweep = _stage("sweep", clustering.silhouette_sweep,
                    space, config.k_range, config.seed, config.n_init)
-    best_score = max(s for _, s in sweep)
-    chosen_k = next(k for k, s in sweep if s == best_score)  # ties: smallest k
-
-    km = _stage("kmeans", clustering.kmeans, space, chosen_k,
-                config.seed, config.n_init)
+    chosen_k, _, km = max(sweep, key=lambda fit: fit[1])  # ties: first in k_range
     order = np.argsort(-km.centroids[:, 0], kind="stable")
     relabel = np.empty(chosen_k, dtype=int)
     relabel[order] = np.arange(chosen_k)
@@ -406,7 +423,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                        space, eps, config.dbscan_min_pts)
     non_noise = db_labels >= 0
     dbscan_ari = clustering.ari(assignments[non_noise], db_labels[non_noise]) \
-        if non_noise.sum() > 1 and len(set(db_labels[non_noise])) >= 1 else 0.0
+        if non_noise.sum() > 1 else 0.0
 
     outcomes = cohort.outcomes
     boundary = _stage("boundary", clustering.boundary_cases,
@@ -434,11 +451,9 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
 
     profiles = _stage("profiles", clustering.cluster_profiles,
                       assignments, scores, outcomes)
-    effect_feats = [f for f in config.effect_features
-                    if f in imputed.col_names]
     effects = _stage("effects", clustering.compare_features,
                      imputed.values, imputed.col_names, assignments,
-                     effect_feats) if chosen_k >= 2 else []
+                     config.effect_features)
 
     # ---- assemble reports ----
     meta = {"schema_version": SCHEMA_VERSION, "config_hash": config.config_hash,
@@ -489,7 +504,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
 
     cluster_report = {
         **meta,
-        "silhouette_sweep": [{"k": k, "silhouette": s} for k, s in sweep],
+        "silhouette_sweep": [{"k": k, "silhouette": s} for k, s, _ in sweep],
         "chosen_k": chosen_k,
         "n_init": config.n_init,
         "inertia": km.inertia,
@@ -531,7 +546,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "silhouette"])
-    for k, s in sweep:
+    for k, s, _ in sweep:
         writer.writerow([k, _format_number(s)])
     sweep_csv = buf.getvalue()
 

@@ -7,6 +7,9 @@
   features once for the group statistics and again inside every full
   vector, re-read the packaged scoring tables for every transcript, and
   counted Flesch-Kincaid words, sentences and syllables a second time.
+* ``loop_silhouette_from_distances`` is the per-point silhouette loop
+  that ``clustering._silhouette_from_distances`` replaced with array
+  operations.
 """
 
 import itertools
@@ -14,7 +17,7 @@ import itertools
 import numpy as np
 
 from langprofile import ngram
-from langprofile.errors import NoScorableUtterances
+from langprofile.errors import NoScorableUtterances, SingleCluster
 from langprofile.features import extract as fx
 from langprofile.features import scoring
 from langprofile.features.schema import FEATURE_NAMES
@@ -32,6 +35,27 @@ def permutation_mapping_accuracy(a, b) -> float:
         table = np.array(perm)
         best = max(best, float(np.mean(ia == table[ib])))
     return best
+
+
+def loop_silhouette_from_distances(D: np.ndarray, assignments: np.ndarray) -> float:
+    """Mean silhouette from a distance matrix, one point at a time."""
+    labels = np.unique(assignments)
+    if labels.size < 2:
+        raise SingleCluster("silhouette needs at least 2 clusters")
+    n = D.shape[0]
+    sums = np.stack([D[:, assignments == lab].sum(axis=1) for lab in labels], axis=1)
+    sizes = np.array([(assignments == lab).sum() for lab in labels])
+    total = 0.0
+    for i in range(n):
+        own = int(np.flatnonzero(labels == assignments[i])[0])
+        if sizes[own] == 1:
+            continue  # singleton convention: s = 0
+        a = sums[i, own] / (sizes[own] - 1)
+        b = min(sums[i, lab] / sizes[lab] for lab in range(len(labels)) if lab != own)
+        denom = max(a, b)
+        if denom > 0.0:
+            total += (b - a) / denom
+    return total / n
 
 
 def _extract_all(t, stats, lms, count_fusions=False, dss_table=None,

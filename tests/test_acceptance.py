@@ -151,7 +151,7 @@ def test_model_selection_behavior():
     start = time.perf_counter()
     sweep = silhouette_sweep(points, range(2, 11), seed=42, n_init=32)
     elapsed = time.perf_counter() - start
-    scores = dict(sweep)
+    scores = {k: s for k, s, _ in sweep}
     assert len(sweep) == 9
     assert max(scores, key=scores.get) == 2
     assert all(scores[2] > scores[k] for k in range(3, 11))

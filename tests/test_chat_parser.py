@@ -115,6 +115,18 @@ class TestParseChat:
         with pytest.raises(BadHeader):
             parse_chat("@ID:\teng|x|CHI|four years|male|SLI||Target_Child|||\n")
 
+    @pytest.mark.parametrize("text, error, line", [
+        ("@Begin\n\n*CHI:\tthe dog\n\tran .\n*CHI:\tthe <dog runs .\n",
+         UnbalancedScope, 5),
+        ("*CHI:\tthe dog\n\t<ran .\n", UnbalancedScope, 1),
+        ("@Begin\n%mor:\tn|dog .\n", OrphanDependentTier, 2),
+        ("@Begin\n@ID:\teng|x|CHI|four years|male|SLI||Target_Child|||\n", BadHeader, 2),
+        ("\n\tdangling continuation\n", MalformedTier, 2),
+    ])
+    def test_errors_name_first_physical_line(self, text, error, line):
+        with pytest.raises(error, match=rf"^line {line}: "):
+            parse_chat(text)
+
     def test_determinism(self):
         text = "*CHI:\t&-um the <big dog> [//] dog ran .\n%mor:\tdet:art|the n|dog v|run&PAST .\n"
         assert parse_chat(text) == parse_chat(text)

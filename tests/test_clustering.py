@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from langprofile.clustering import (
     _lloyd,
+    _pairwise_distances,
+    _silhouette_from_distances,
     ami,
     ari,
     best_mapping_accuracy,
@@ -28,7 +30,7 @@ from langprofile.errors import (
     TinyCluster,
 )
 from langprofile.synthetic import two_blobs
-from tests.oracles import permutation_mapping_accuracy
+from tests.oracles import loop_silhouette_from_distances, permutation_mapping_accuracy
 
 FOUR = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
 
@@ -162,8 +164,36 @@ class TestSilhouette:
 
     def test_sweep_peaks_at_two_for_two_blobs(self):
         X, _ = two_blobs(200, seed=8)
-        scores = dict(silhouette_sweep(X, range(2, 8), seed=0, n_init=8))
+        sweep = silhouette_sweep(X, range(2, 8), seed=0, n_init=8)
+        scores = {k: s for k, s, _ in sweep}
         assert max(scores, key=scores.get) == 2
+
+    def test_sweep_fits_equal_fresh_kmeans(self):
+        X, _ = two_blobs(120, seed=3, dims=3)
+        sweep = silhouette_sweep(X, (2, 3, 5), seed=11, n_init=4)
+        assert [k for k, _, _ in sweep] == [2, 3, 5]
+        for k, _, fit in sweep:
+            fresh = kmeans(X, k, 11, 4)
+            assert fit.k == k
+            assert np.array_equal(fit.assignments, fresh.assignments)
+            assert np.array_equal(fit.centroids, fresh.centroids)
+            assert fit.inertia == fresh.inertia
+            assert (fit.seed, fit.n_init) == (11, 4)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_array_silhouette_equals_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 90))
+        X = rng.normal(size=(n, int(rng.integers(1, 4)))) * rng.uniform(0.01, 100)
+        if seed % 3 == 0:
+            X[rng.integers(n, size=n // 2)] = X[0]  # duplicate points
+        n_labels = int(rng.integers(2, min(n, 12) + 1))
+        # label gaps and negative labels; small n gives singleton clusters
+        labels = rng.integers(0, n_labels, size=n) * int(rng.integers(1, 4)) - 1
+        labels[:2] = [labels[0], labels[0] + 1]  # at least two clusters
+        D = _pairwise_distances(X)
+        assert _silhouette_from_distances(D, labels) \
+            == loop_silhouette_from_distances(D, labels)
 
 
 class TestWard:

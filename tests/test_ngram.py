@@ -3,8 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from langprofile import ngram
 from langprofile.chat import parse_chat
-from langprofile.errors import EmptyCorpus, ZeroProbability
+from langprofile.errors import DataError, EmptyCorpus, ZeroProbability
 from langprofile.ngram import EOS, UNK, load_model, perplexity, perplexity_features, save_model, train
+from langprofile.pipeline import load_transcripts
+from tests.conftest import make_corpus
 
 
 def chi(*utterances: str):
@@ -144,3 +146,35 @@ class TestSaveLoad:
         loaded = load_model(tmp_path / "m.lm")
         t = chi("a b c")
         assert perplexity(m, t) == perplexity(loaded, t)
+
+    @pytest.mark.parametrize("unk_threshold", [1, 2])
+    @pytest.mark.parametrize("pad", [True, False])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_round_trip_keeps_vocab_counts_and_perplexity(self, tmp_path, order, pad,
+                                                           unk_threshold):
+        make_corpus(tmp_path / "corpus")
+        transcripts = load_transcripts(tmp_path / "corpus")
+        m = train(transcripts, order, 0.5, unk_threshold, pad)
+        save_model(m, tmp_path / "m.lm")
+        loaded = load_model(tmp_path / "m.lm")
+        assert loaded == m
+        for t in transcripts:
+            assert perplexity(loaded, t) == perplexity(m, t)
+
+    @pytest.mark.parametrize("text, where", [
+        ("", "'ngram' header"),
+        ("ngram\torder=2\tk=1.0\tpad=1\nvocab\ta\n", "'unk_threshold'"),
+        ("ngram\torder=two\tk=1.0\tunk_threshold=1\tpad=1\nvocab\ta\n", "line 1"),
+        ("ngram\torder=1\tk=1.0\tunk_threshold=1\tpad=0\n1\ta\n", "line 2"),
+        ("ngram\torder=2\tk=1.0\tunk_threshold=1\tpad=1\nvocab\ta b\n1\ta b\n1 a\n",
+         "line 4"),
+        ("ngram\torder=2\tk=1.0\tunk_threshold=1\tpad=1\nvocab\ta b\nx\ta b\n", "line 3"),
+        ("ngram\torder=2\tk=1.0\tunk_threshold=1\tpad=1\nvocab\ta b\n1\ta\n", "line 3"),
+    ])
+    def test_malformed_file_raises_data_error(self, tmp_path, text, where):
+        path = tmp_path / "m.lm"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+        assert where in str(err.value)

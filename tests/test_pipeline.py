@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import langprofile
-from langprofile import cli, pipeline
+from langprofile import cli, clustering, pipeline
 from langprofile.errors import ConfigError, NonNumericCell, SchemaMismatch
 from langprofile.features.schema import FEATURE_NAMES, csv_header
 from langprofile.ngram import load_model
@@ -121,6 +121,40 @@ class TestConfig:
                        "[output]\ndir = o\n")
         assert pipeline.load_config(cfg).k_range == (2, 4, 6)
 
+    @pytest.mark.parametrize("section, key, text", [
+        ("clustering", "n_init", "abc"),
+        ("clustering", "dbscan_eps", "zz"),
+        ("clustering", "seed", "1.5"),
+        ("clustering", "k_range", "2..x"),
+        ("clustering", "k_range", "5..2"),
+        ("lm", "loo", "maybe"),
+        ("prune", "threshold", "high"),
+    ])
+    def test_bad_value_exits_two_naming_key(self, tmp_path, capsys, section, key, text):
+        values = {"input": {"mode": "csv", "path": "x.csv"},
+                  "clustering": {"seed": "1"}, "output": {"dir": "o"}}
+        values.setdefault(section, {})[key] = text
+        lines = []
+        for name, pairs in values.items():
+            lines += [f"[{name}]"] + [f"{k} = {v}" for k, v in pairs.items()]
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}" in err
+        assert repr(text) in err
+        assert "Traceback" not in err
+
+    def test_unknown_effect_feature_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[input]\nmode = csv\npath = x.csv\n"
+                       "[clustering]\nseed = 1\neffect_features = child_TNW,nosuch\n"
+                       "[output]\ndir = o\n")
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "effect_features" in err
+        assert "nosuch" in err
+
 
 class TestRunPipeline:
     @pytest.fixture()
@@ -199,6 +233,21 @@ class TestRunPipeline:
         with pytest.raises(pipeline.PipelineError) as err:
             pipeline.run_pipeline(pipeline.load_config(cfg))
         assert err.value.stage == "load"
+
+    def test_kmeans_fitted_once_per_k_plus_three_planes(self, bundle_env, monkeypatch):
+        cfg, _ = bundle_env
+        config = pipeline.load_config(cfg)
+        fitted_k = []
+        kmeans = clustering.kmeans
+
+        def counting_kmeans(points, k, *args, **kwargs):
+            fitted_k.append(k)
+            return kmeans(points, k, *args, **kwargs)
+
+        monkeypatch.setattr(clustering, "kmeans", counting_kmeans)
+        bundle = pipeline.run_pipeline(config)
+        assert len(fitted_k) == len(config.k_range) + 3
+        assert fitted_k == list(config.k_range) + [bundle.cluster_report["chosen_k"]] * 3
 
 
 class TestTranscriptsMode:
@@ -326,6 +375,17 @@ class TestCli:
         ("--dss-table", {"categories": [{"name": "c"}]}, "rules"),
         ("--dss-table", {"categories": [{"rules": [{"pos": "v"}]}]}, "points"),
         ("--ipsyn-table", {"structures": [{"name": "s"}]}, "token"),
+        pytest.param("--dss-table",
+                     {"categories": [{"rules": [{"pos": "v", "points": "3"}]}]},
+                     "categories[0].rules[0].points", id="dss-points-str"),
+        pytest.param("--dss-table",
+                     {"categories": [{"rules": [{"pos": "v", "points": True}]}]},
+                     "categories[0].rules[0].points", id="dss-points-bool"),
+        pytest.param("--dss-table",
+                     {"categories": [{"rules": [{"structural": "foo", "points": 3}]}]},
+                     "categories[0].rules[0].structural", id="dss-structural-unknown"),
+        pytest.param("--ipsyn-table", {"structures": [{"structural": "foo"}]},
+                     "structures[0].structural", id="ipsyn-structural-unknown"),
     ])
     def test_extract_table_missing_key_exits_two(self, corpus_dir, tmp_path, capsys,
                                                   flag, body, key):
@@ -336,6 +396,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(table) in err
         assert repr(key) in err
+
+    def test_extract_parse_error_names_file_and_line(self, corpus_dir, capsys):
+        bad = corpus_dir / "bad.cha"
+        bad.write_text("@Begin\n@Participants:\tCHI Child Target_Child\n"
+                       "*CHI:\tthe dog runs .\n*CHI:\tthe <dog runs .\n@End\n",
+                       encoding="utf-8")
+        assert cli.main(["extract", str(corpus_dir), "-o",
+                         str(corpus_dir / "f.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line 4: '<' without matching '>'" in err
 
     def test_import_cli_loads_no_scipy(self):
         src = Path(langprofile.__file__).resolve().parents[1]
