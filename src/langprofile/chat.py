@@ -22,6 +22,7 @@ noise such as a misaligned %mor tier).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -70,6 +71,12 @@ _CHILD_ROLES = {"target_child", "child"}
 _EXAMINER_ROLES = {"examiner", "investigator", "interviewer", "clinician"}
 
 
+@functools.cache
+def _pos_classes(pos_tag: str) -> frozenset[str]:
+    parts = pos_tag.split(":")
+    return frozenset(":".join(parts[:i]) for i in range(1, len(parts) + 1))
+
+
 @dataclass(frozen=True)
 class MorToken:
     """One token of a %mor tier: POS tag, lemma, affix markers."""
@@ -78,6 +85,13 @@ class MorToken:
     lemma: str
     suffixes: tuple[str, ...] = ()
     fusions: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def pos_classes(self) -> frozenset[str]:
+        """Every POS class the tag belongs to, one per ``:``-segment prefix:
+        ``n:prop`` is in ``{"n", "n:prop"}``, and ``neg`` only in ``{"neg"}``.
+        Tokens with the same tag share one set."""
+        return _pos_classes(self.pos_tag)
 
     def morphemes(self, count_fusions: bool = False) -> int:
         n = 1 + len(self.suffixes)

@@ -97,31 +97,7 @@ def syllables(word: str) -> int:
     return max(1, len(_VOWEL_GROUP.findall(w)))
 
 
-# -- POS helpers ----------------------------------------------------------
-
-def _is_pos(tok: MorToken, prefix: str) -> bool:
-    return scoring.pos_matches(tok.pos_tag, prefix)
-
-
-def _is_noun(tok: MorToken) -> bool:
-    return _is_pos(tok, "n")
-
-
-def _is_verb(tok: MorToken) -> bool:
-    return _is_pos(tok, "v")
-
-
-def _is_aux(tok: MorToken) -> bool:
-    return _is_pos(tok, "aux")
-
-
-def _is_pro(tok: MorToken) -> bool:
-    return _is_pos(tok, "pro")
-
-
-def _is_det(tok: MorToken) -> bool:
-    return _is_pos(tok, "det")
-
+# -- token helpers -------------------------------------------------------
 
 def _is_third_singular(tok: MorToken) -> bool:
     return "3S" in tok.suffixes or "3S" in tok.fusions
@@ -173,7 +149,8 @@ def utterance_measures(t: Transcript, count_fusions: bool = False
         flags.update(("mlu_morphemes", "total_morphemes"))
 
     verb_utt = sum(1 for u in mor_utts
-                   if any(_is_verb(tok) or _is_aux(tok) for tok in u.mor_tokens))
+                   if any("v" in tok.pos_classes or "aux" in tok.pos_classes
+                          for tok in u.mor_tokens))
     total_syl = sum(syllables(w) for u in kids for w in u.clean_tokens)
     average_syl = total_syl / tnw if tnw else 0.0
     if tnw == 0:
@@ -211,7 +188,7 @@ def lexical_measures(t: Transcript) -> tuple[dict[str, float], set[str]]:
     types = len(set(tokens))
 
     mor_toks = [tok for u in _child_mor_utterances(t) for tok in u.mor_tokens]
-    verbs = [tok for tok in mor_toks if _is_verb(tok)]
+    verbs = [tok for tok in mor_toks if "v" in tok.pos_classes]
     raw = sum(1 for tok in verbs if not _is_inflected(tok))
     inflected = sum(1 for tok in verbs if _is_inflected(tok))
     if inflected == 0:
@@ -225,8 +202,8 @@ def lexical_measures(t: Transcript) -> tuple[dict[str, float], set[str]]:
         "mor_words": float(len(mor_toks)),
         "num_pos_tags": float(len({tok.pos_tag for tok in mor_toks})),
         "verb_tokens": float(len(verbs)),
-        "noun_tokens": float(sum(1 for tok in mor_toks if _is_noun(tok))),
-        "pro_tokens": float(sum(1 for tok in mor_toks if _is_pro(tok))),
+        "noun_tokens": float(sum(1 for tok in mor_toks if "n" in tok.pos_classes)),
+        "pro_tokens": float(sum(1 for tok in mor_toks if "pro" in tok.pos_classes)),
     }, flags
 
 
@@ -255,28 +232,28 @@ def morpheme_markers(t: Transcript) -> tuple[dict[str, float], set[str]]:
             contracted = "'" in surface
             if "PROG" in tok.suffixes or "ING" in tok.suffixes:
                 counts["present_progressive"] += 1
-            if _is_pos(tok, "prep"):
+            if "prep" in tok.pos_classes:
                 if tok.lemma.lower() == "in":
                     counts["propositions_in"] += 1
                 elif tok.lemma.lower() == "on":
                     counts["propositions_on"] += 1
-            if _is_noun(tok) and "PL" in tok.suffixes:
+            if "n" in tok.pos_classes and "PL" in tok.suffixes:
                 counts["plural_s"] += 1
-            if _is_verb(tok) and "PAST" in tok.fusions:
+            if "v" in tok.pos_classes and "PAST" in tok.fusions:
                 counts["irregular_past_tense"] += 1
             if "POSS" in tok.suffixes:
                 counts["possessive_s"] += 1
-            if _is_pos(tok, "det:art"):
+            if "det:art" in tok.pos_classes:
                 counts["articles"] += 1
-            if _is_verb(tok) and "PAST" in tok.suffixes:
+            if "v" in tok.pos_classes and "PAST" in tok.suffixes:
                 counts["regular_past_ed"] += 1
-            if _is_verb(tok) and "3S" in tok.suffixes:
+            if "v" in tok.pos_classes and "3S" in tok.suffixes:
                 counts["regular_3rd_person_s"] += 1
-            if _is_verb(tok) and "3S" in tok.fusions:
+            if "v" in tok.pos_classes and "3S" in tok.fusions:
                 counts["irregular_3rd_person"] += 1
-            if _is_pos(tok, "cop"):
+            if "cop" in tok.pos_classes:
                 counts["contractible_copula" if contracted else "uncontractible_copula"] += 1
-            if _is_aux(tok):
+            if "aux" in tok.pos_classes:
                 counts["contractible_aux" if contracted else "uncontractible_aux"] += 1
     return {k: float(v) for k, v in counts.items()}, set()
 
@@ -291,23 +268,24 @@ def pos_patterns(t: Transcript) -> dict[str, float]:
     for u in _child_mor_utterances(t):
         toks = u.mor_tokens
         for tok in toks:
-            if _is_aux(tok) and tok.lemma.lower() == "do":
+            if "aux" in tok.pos_classes and tok.lemma.lower() == "do":
                 counts["n_dos"] += 1
         for a, b in zip(toks, toks[1:]):
-            if _is_noun(a) and _is_verb(b):
+            if "n" in a.pos_classes and "v" in b.pos_classes:
                 counts["n_v"] += 1
-            if _is_noun(a) and _is_aux(b):
+            if "n" in a.pos_classes and "aux" in b.pos_classes:
                 counts["n_aux"] += 1
-            if _is_noun(a) and _is_verb(b) and _is_third_singular(b):
+            if "n" in a.pos_classes and "v" in b.pos_classes and _is_third_singular(b):
                 counts["n_3s_v"] += 1
-            if _is_det(a) and _is_noun(b) and "PL" in b.suffixes:
+            if "det" in a.pos_classes and "n" in b.pos_classes and "PL" in b.suffixes:
                 counts["det_n_pl"] += 1
-            if _is_pro(a) and _is_aux(b):
+            if "pro" in a.pos_classes and "aux" in b.pos_classes:
                 counts["pro_aux"] += 1
-            if _is_pro(a) and _is_verb(b) and _is_third_singular(b):
+            if "pro" in a.pos_classes and "v" in b.pos_classes and _is_third_singular(b):
                 counts["pro_3s_v"] += 1
         for a, b, c in zip(toks, toks[1:], toks[2:]):
-            if _is_det(a) and ("PL" in b.suffixes or "PL" in b.fusions) and _is_noun(c):
+            if "det" in a.pos_classes and ("PL" in b.suffixes or "PL" in b.fusions) \
+                    and "n" in c.pos_classes:
                 counts["det_pl_n"] += 1
     return {k: float(v) for k, v in counts.items()}
 

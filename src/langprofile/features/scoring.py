@@ -27,7 +27,9 @@ from ..errors import DataError, NoScorableUtterances
 _WH_LEMMAS = frozenset({"who", "whom", "whose", "what", "where",
                         "when", "why", "how", "which"})
 
-_VERBAL_POS = ("v", "aux", "cop", "mod")
+_VERBAL_POS = frozenset({"v", "aux", "cop", "mod"})
+
+_AUX_INITIAL_POS = frozenset({"aux", "cop", "mod"})
 
 _STRUCTURAL_NAMES = ("question", "wh_question", "aux_initial_question", "multiword")
 
@@ -51,9 +53,11 @@ def load_table(path: str | Path) -> dict:
     """Read a custom DSS (``categories``) or IPSyn (``structures``) table.
 
     A file that is not JSON, that lacks a key the scorers look up, or
-    whose rule ``points`` is not an integer or ``structural`` name is not
-    one of the documented four, raises ``DataError`` naming the file and
-    the key.
+    whose values do not have the documented types (integer ``points``, a
+    non-negative integer ``cap``, one of the four ``structural`` names, a
+    non-empty ``sequence`` of token predicates, a string ``pos``, lists of
+    strings for the ``*_in`` keys, a boolean ``inflected``) raises
+    ``DataError`` naming the file and the key.
     """
     try:
         table = _load_json(path)
@@ -66,27 +70,69 @@ def load_table(path: str | Path) -> dict:
             for j, rule in enumerate(_list_at(category, "rules",
                                               f"{path}: categories[{i}]")):
                 where = f"categories[{i}].rules[{j}]"
-                if not isinstance(rule, dict) or "points" not in rule:
+                _check_predicate(rule, path, where)
+                if "points" not in rule:
                     raise DataError(f"{path}: {where}: missing key 'points'")
-                points = rule["points"]
-                if not isinstance(points, int) or isinstance(points, bool):
-                    raise DataError(f"{path}: '{where}.points' must be an integer, "
-                                    f"got {points!r}")
-                _check_structural(rule, f"{path}: '{where}.structural'")
+                _require(_is_int(rule["points"]), path, f"{where}.points", "an integer",
+                         rule["points"])
+                _check_shape(rule, path, where)
     if "structures" in table:
         for i, struct in enumerate(_list_at(table, "structures", str(path))):
             if not isinstance(struct, dict) \
                     or not {"token", "sequence", "structural"} & struct.keys():
                 raise DataError(f"{path}: structures[{i}]: missing key 'token' "
                                 "(or 'sequence' or 'structural')")
-            _check_structural(struct, f"{path}: 'structures[{i}].structural'")
+            if "token" in struct:
+                _check_predicate(struct["token"], path, f"structures[{i}].token")
+            _check_shape(struct, path, f"structures[{i}]")
+        if "cap" in table:
+            _require(_is_int(table["cap"]) and table["cap"] >= 0, path, "cap",
+                     "a non-negative integer", table["cap"])
     return table
 
 
-def _check_structural(rule: dict, where: str) -> None:
-    if "structural" in rule and rule["structural"] not in _STRUCTURAL_NAMES:
-        raise DataError(f"{where} must be one of {', '.join(_STRUCTURAL_NAMES)}, "
-                        f"got {rule['structural']!r}")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# token-predicate key -> (type test, what the value must be)
+_PREDICATE_TYPES = {
+    "pos": (lambda v: isinstance(v, str), "a string"),
+    "pos_in": (_is_str_list, "a list of strings"),
+    "lemma_in": (_is_str_list, "a list of strings"),
+    "suffix_in": (_is_str_list, "a list of strings"),
+    "fusion_in": (_is_str_list, "a list of strings"),
+    "inflected": (lambda v: isinstance(v, bool), "a boolean"),
+}
+
+
+def _require(ok: bool, path, key: str, kind: str, value) -> None:
+    if not ok:
+        raise DataError(f"{path}: {key!r} must be {kind}, got {value!r}")
+
+
+def _check_predicate(pred, path, key: str) -> None:
+    _require(isinstance(pred, dict), path, key, "an object", pred)
+    for name, (test, kind) in _PREDICATE_TYPES.items():
+        if name in pred:
+            _require(test(pred[name]), path, f"{key}.{name}", kind, pred[name])
+
+
+def _check_shape(rule: dict, path, key: str) -> None:
+    """The ``sequence`` and ``structural`` keys of a DSS rule or IPSyn structure."""
+    if "sequence" in rule:
+        seq = rule["sequence"]
+        _require(isinstance(seq, list) and bool(seq), path, f"{key}.sequence",
+                 "a non-empty list of token predicates", seq)
+        for k, pred in enumerate(seq):
+            _check_predicate(pred, path, f"{key}.sequence[{k}]")
+    if "structural" in rule:
+        _require(rule["structural"] in _STRUCTURAL_NAMES, path, f"{key}.structural",
+                 f"one of {', '.join(_STRUCTURAL_NAMES)}", rule["structural"])
 
 
 def _list_at(obj, key: str, where: str) -> list:
@@ -97,14 +143,10 @@ def _list_at(obj, key: str, where: str) -> list:
     return obj[key]
 
 
-def pos_matches(pos_tag: str, prefix: str) -> bool:
-    return pos_tag == prefix or pos_tag.startswith(prefix + ":")
-
-
 def _token_matches(tok, pred: dict) -> bool:
-    if "pos" in pred and not pos_matches(tok.pos_tag, pred["pos"]):
+    if "pos" in pred and pred["pos"] not in tok.pos_classes:
         return False
-    if "pos_in" in pred and not any(pos_matches(tok.pos_tag, p) for p in pred["pos_in"]):
+    if "pos_in" in pred and tok.pos_classes.isdisjoint(pred["pos_in"]):
         return False
     if "lemma_in" in pred and tok.lemma.lower() not in pred["lemma_in"]:
         return False
@@ -127,8 +169,7 @@ def _structural_matches(u: Utterance, name: str) -> bool:
                 and any(t.lemma.lower() in _WH_LEMMAS for t in u.mor_tokens))
     if name == "aux_initial_question":
         return (u.terminator is Terminator.QUESTION and bool(u.mor_tokens)
-                and any(pos_matches(u.mor_tokens[0].pos_tag, p)
-                        for p in ("aux", "cop", "mod")))
+                and not u.mor_tokens[0].pos_classes.isdisjoint(_AUX_INITIAL_POS))
     if name == "multiword":
         return len(u.clean_tokens) >= 2
     raise ValueError(f"unknown structural predicate {name!r}")
@@ -147,7 +188,7 @@ def _sequence_count(u: Utterance, preds: list[dict]) -> int:
 def _is_scorable(u: Utterance) -> bool:
     if not u.mor_tokens:
         return False
-    return any(pos_matches(t.pos_tag, p) for t in u.mor_tokens for p in _VERBAL_POS)
+    return any(not t.pos_classes.isdisjoint(_VERBAL_POS) for t in u.mor_tokens)
 
 
 def dss_score(t: Transcript, table: dict | None = None) -> float:

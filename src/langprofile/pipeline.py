@@ -116,13 +116,19 @@ class PipelineConfig:
 
 def load_config(path: str | Path) -> PipelineConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
 
     def get(section: str, key: str, required: bool = False) -> str:
         if parser.has_option(section, key):
-            return parser.get(section, key).strip()
+            try:
+                return parser.get(section, key).strip()
+            except configparser.Error as exc:  # interpolation of % in the value
+                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
         default = _DEFAULTS.get(section, {}).get(key)
         if default is None and required:
             raise ConfigError(f"missing required config key [{section}] {key}")
@@ -136,6 +142,13 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"[{section}] {key} must be {_KINDS[parse]}, "
                               f"got {text!r}") from None
 
+    def at_least(low: int, section: str, key: str, text: str | None = None) -> int:
+        text = get(section, key) if text is None else text
+        number = value(section, key, int, text)
+        if number < low:
+            raise ConfigError(f"[{section}] {key} must be at least {low}, got {text!r}")
+        return number
+
     mode = get("input", "mode", required=True).lower()
     if mode not in ("transcripts", "csv"):
         raise ConfigError(f"input mode must be 'transcripts' or 'csv', got {mode!r}")
@@ -146,15 +159,16 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not seed_text:
         raise ConfigError("a clustering seed is required ([clustering] seed "
                           f"or ${SEED_ENV_VAR})")
-    seed = value("clustering", "seed", int, seed_text)
+    seed = at_least(0, "clustering", "seed", seed_text)
 
     percentile = value("clustering", "boundary_percentile", float)
     if not 0.0 < percentile < 50.0:
         raise ConfigError(f"boundary_percentile must be in (0, 50), got {percentile}")
 
     eps = get("clustering", "dbscan_eps")
-    if eps != "auto":
-        value("clustering", "dbscan_eps", float)  # validate now
+    if eps != "auto" and not 0.0 < value("clustering", "dbscan_eps", float) < math.inf:
+        raise ConfigError(f"[clustering] dbscan_eps must be 'auto' or a positive number, "
+                          f"got {eps!r}")
 
     effect_features = tuple(f.strip() for f in
                             get("clustering", "effect_features").split(",") if f.strip())
@@ -174,13 +188,13 @@ def load_config(path: str | Path) -> PipelineConfig:
         unk_threshold=value("lm", "unk_threshold", int),
         loo=value("lm", "loo", _parse_bool),
         prune_threshold=value("prune", "threshold", float),
-        top_k=value("pca", "top_k", int),
+        top_k=at_least(1, "pca", "top_k"),
         k_range=value("clustering", "k_range", _parse_k_range),
-        n_init=value("clustering", "n_init", int),
+        n_init=at_least(1, "clustering", "n_init"),
         boundary_percentile=percentile,
         pc_dims=value("clustering", "pc_dims", int),
         dbscan_eps=eps,
-        dbscan_min_pts=value("clustering", "dbscan_min_pts", int),
+        dbscan_min_pts=at_least(1, "clustering", "dbscan_min_pts"),
         effect_features=effect_features,
     )
 
@@ -278,8 +292,12 @@ def load_transcripts(directory: str | Path) -> list[chat.Transcript]:
     out = []
     for p in paths:
         try:
-            out.append(chat.parse_chat(p.read_text(encoding="utf-8"),
-                                       transcript_id=p.stem))
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{p}: not UTF-8: byte {exc.object[exc.start]:#04x} "
+                            f"at offset {exc.start}") from None
+        try:
+            out.append(chat.parse_chat(text, transcript_id=p.stem))
         except ChatParseError as exc:
             raise type(exc)(f"{p}: {exc}") from None
     return out

@@ -10,6 +10,9 @@
 * ``loop_silhouette_from_distances`` is the per-point silhouette loop
   that ``clustering._silhouette_from_distances`` replaced with array
   operations.
+* ``pos_matches`` is the segment-aware POS prefix test that every POS
+  check called once per tag and class, before ``MorToken.pos_classes``
+  decided each tag's classes once.
 """
 
 import itertools
@@ -35,6 +38,10 @@ def permutation_mapping_accuracy(a, b) -> float:
         table = np.array(perm)
         best = max(best, float(np.mean(ia == table[ib])))
     return best
+
+
+def pos_matches(pos_tag: str, prefix: str) -> bool:
+    return pos_tag == prefix or pos_tag.startswith(prefix + ":")
 
 
 def loop_silhouette_from_distances(D: np.ndarray, assignments: np.ndarray) -> float:

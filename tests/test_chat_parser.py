@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from langprofile.chat import (
     AnnotationEvents,
     Group,
+    MorToken,
     Speaker,
     Terminator,
     parse_chat,
@@ -18,6 +19,9 @@ from langprofile.errors import (
     OrphanDependentTier,
     UnbalancedScope,
 )
+from tests.oracles import pos_matches
+
+_POS_TEXT = st.text(alphabet="ab:", max_size=6)
 
 
 class TestParseChat:
@@ -232,6 +236,24 @@ class TestMorToken:
     def test_garbage_raises(self):
         with pytest.raises(MalformedTier):
             parse_mor_token("nopipe")
+
+    @given(_POS_TEXT, _POS_TEXT)
+    def test_pos_classes_match_prefix_oracle(self, tag, prefix):
+        assert (prefix in MorToken(tag, "x").pos_classes) == pos_matches(tag, prefix)
+
+    @pytest.mark.parametrize("tag, classes", [
+        ("n", {"n"}), ("n:prop", {"n", "n:prop"}), ("neg", {"neg"}),
+        ("det:art:def", {"det", "det:art", "det:art:def"}),
+    ])
+    def test_pos_classes_are_segment_prefixes(self, tag, classes):
+        assert MorToken(tag, "x").pos_classes == classes
+
+    def test_same_tag_shares_one_class_set(self):
+        a, b = parse_mor_token("n:prop|Ann"), parse_mor_token("n:prop|Bob-POSS")
+        assert a.pos_classes is b.pos_classes
+        assert a == MorToken("n:prop", "Ann")
+        assert repr(a) == "MorToken(pos_tag='n:prop', lemma='Ann', suffixes=(), fusions=())"
+        assert a.render() == "n:prop|Ann"
 
 
 class TestRoundTrip:

@@ -1,0 +1,99 @@
+"""Fuzz the command line with mutated CHAT and INI files.
+
+Whatever the input, ``cli.main`` must return one of its documented exit
+codes (0 success, 1 usage, 2 data, 3 numeric) and must not let an
+exception, and so a traceback, escape.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from langprofile import cli, pipeline
+from langprofile.synthetic import feature_table
+from tests.conftest import make_corpus
+
+EXIT_CODES = {0, 1, 2, 3}
+
+CHAT_FRAGMENTS = (
+    b"<", b">", b"[/]", b"[//]", b"[*]", b"[+ gram]", b"&-um ", b"+...", b"?", b".",
+    b"!", b"\t", b"\n", b"\r\n", b" ", b"|", b"-", b"&", b":", b"%mor:\t", b"*CHI:\t",
+    b"*EXA:\t", b"@ID:\t", b"@Participants:\t", b"@Begin\n", b"@End\n", b"n|",
+    b"v|go-PAST", b"pro|", b"\xff", b"\xc3", b"x",
+)
+
+# no "/" and no digits: a mutated path stays inside the working directory,
+# and a mutated count cannot turn into a long run
+INI_FRAGMENTS = (
+    b"[", b"]", b"=", b":", b"%", b"%(x)s", b"\n", b" ", b"#", b";", b"..", b",", b"-",
+    b"nan", b"auto", b"true", b"[clustering]\n", b"[input]\n", b"seed = ",
+    b"transcripts", b"\xff",
+)
+
+CONFIG = (b"[input]\nmode = csv\npath = f.csv\n\n"
+          b"[clustering]\nseed = 3\nk_range = 2..3\nn_init = 2\n\n"
+          b"[output]\ndir = out\n")
+
+
+def _edits(fragments):
+    return st.lists(st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                              st.integers(0, 4096), st.integers(1, 12),
+                              st.sampled_from(fragments)),
+                    min_size=1, max_size=4)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for op, at, length, fragment in edits:
+        i = at % (len(data) + 1)
+        if op == "insert":
+            data = data[:i] + fragment + data[i:]
+        elif op == "delete":
+            data = data[:i] + data[i + length:]
+        else:
+            data = data[:i] + fragment + data[i + len(fragment):]
+    return data
+
+
+def _run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 5), _edits(CHAT_FRAGMENTS),
+       st.sampled_from((["extract"], ["extract", "--loo"], ["train-lm"])))
+def test_mutated_chat_never_escapes(index, edits, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        target = make_corpus(corpus, n_sli=3, n_td=3)[index]
+        target.write_bytes(_mutate(target.read_bytes(), edits))
+        code, err = _run([*command, str(corpus), "-o", str(Path(tmp) / "out")])
+    assert code in EXIT_CODES
+    assert "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_edits(INI_FRAGMENTS))
+def test_mutated_config_never_escapes(edits):
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "a" / "b"  # ".." in a mutated path stays inside tmp
+        work.mkdir(parents=True)
+        matrix, groups = feature_table(30, 5)
+        cohort = pipeline.Cohort(matrix, ("synth",) * 30, tuple(groups),
+                                 (None,) * 30, ("",) * 30)
+        (work / "f.csv").write_text(pipeline.render_feature_csv(cohort), encoding="utf-8")
+        (work / "c.ini").write_bytes(_mutate(CONFIG, edits))
+        os.chdir(work)
+        try:
+            code, err = _run(["analyze", "--config", "c.ini"])
+        finally:
+            os.chdir(home)
+    assert code in EXIT_CODES
+    assert "Traceback" not in err

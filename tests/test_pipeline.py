@@ -129,6 +129,12 @@ class TestConfig:
         ("clustering", "k_range", "5..2"),
         ("lm", "loo", "maybe"),
         ("prune", "threshold", "high"),
+        ("clustering", "n_init", "0"),
+        ("clustering", "seed", "-1"),
+        ("pca", "top_k", "-1"),
+        ("clustering", "dbscan_min_pts", "0"),
+        ("clustering", "dbscan_eps", "-1"),
+        ("clustering", "dbscan_eps", "nan"),
     ])
     def test_bad_value_exits_two_naming_key(self, tmp_path, capsys, section, key, text):
         values = {"input": {"mode": "csv", "path": "x.csv"},
@@ -143,6 +149,26 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"[{section}] {key}" in err
         assert repr(text) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("body, fragment", [
+        pytest.param(b"[input]\nmode = csv\n[input]\npath = x.csv\n",
+                     "section 'input' already exists", id="duplicate-section"),
+        pytest.param(b"[input]\nmode = csv\nmode = csv\n",
+                     "option 'mode' in section 'input' already exists", id="duplicate-option"),
+        pytest.param(b"mode = csv\n[input]\npath = x.csv\n",
+                     "no section headers", id="no-section-header"),
+        pytest.param(b"[input]\nmode = csv%\n", "[input] mode", id="bare-percent"),
+        pytest.param(b"[input]\nmode = %(x)s\n", "[input] mode", id="missing-interpolation"),
+        pytest.param(b"[input]\nmode = csv\xff\n", "0xff", id="not-utf8"),
+    ])
+    def test_unparseable_config_exits_two_naming_file(self, tmp_path, capsys, body, fragment):
+        cfg = tmp_path / "c.ini"
+        cfg.write_bytes(body)
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err
+        assert fragment in err
         assert "Traceback" not in err
 
     def test_unknown_effect_feature_exits_two(self, tmp_path, capsys):
@@ -386,6 +412,41 @@ class TestCli:
                      "categories[0].rules[0].structural", id="dss-structural-unknown"),
         pytest.param("--ipsyn-table", {"structures": [{"structural": "foo"}]},
                      "structures[0].structural", id="ipsyn-structural-unknown"),
+        pytest.param("--ipsyn-table", {"structures": [{"token": {"pos": 3}}]},
+                     "structures[0].token.pos", id="ipsyn-pos-int"),
+        pytest.param("--ipsyn-table", {"cap": "x", "structures": [{"token": {"pos": "n"}}]},
+                     "cap", id="ipsyn-cap-str"),
+        pytest.param("--ipsyn-table", {"cap": -1, "structures": [{"token": {"pos": "n"}}]},
+                     "cap", id="ipsyn-cap-negative"),
+        pytest.param("--ipsyn-table", {"cap": True, "structures": [{"token": {"pos": "n"}}]},
+                     "cap", id="ipsyn-cap-bool"),
+        pytest.param("--dss-table",
+                     {"categories": [{"rules": [{"points": 1, "sequence": [1, 2]}]}]},
+                     "categories[0].rules[0].sequence[0]", id="dss-sequence-ints"),
+        pytest.param("--dss-table",
+                     {"categories": [{"rules": [{"points": 1, "sequence": []}]}]},
+                     "categories[0].rules[0].sequence", id="dss-sequence-empty"),
+        pytest.param("--dss-table", {"categories": [{"rules": ["pro"]}]},
+                     "categories[0].rules[0]", id="dss-rule-str"),
+        pytest.param("--ipsyn-table", {"structures": [{"token": ["n"]}]},
+                     "structures[0].token", id="ipsyn-token-list"),
+        pytest.param("--ipsyn-table", {"structures": [{"sequence": "abc"}]},
+                     "structures[0].sequence", id="ipsyn-sequence-str"),
+        pytest.param("--dss-table",
+                     {"categories": [{"rules": [{"points": 1, "pos": "pro",
+                                                 "lemma_in": "it"}]}]},
+                     "categories[0].rules[0].lemma_in", id="dss-lemma-in-str"),
+        pytest.param("--ipsyn-table", {"structures": [{"token": {"pos_in": "v"}}]},
+                     "structures[0].token.pos_in", id="ipsyn-pos-in-str"),
+        pytest.param("--ipsyn-table",
+                     {"structures": [{"sequence": [{"pos": "n"}, {"suffix_in": [1]}]}]},
+                     "structures[0].sequence[1].suffix_in", id="ipsyn-suffix-in-int"),
+        pytest.param("--dss-table",
+                     {"categories": [{"rules": [{"points": 1, "fusion_in": "PAST"}]}]},
+                     "categories[0].rules[0].fusion_in", id="dss-fusion-in-str"),
+        pytest.param("--ipsyn-table",
+                     {"structures": [{"token": {"pos": "v", "inflected": "yes"}}]},
+                     "structures[0].token.inflected", id="ipsyn-inflected-str"),
     ])
     def test_extract_table_missing_key_exits_two(self, corpus_dir, tmp_path, capsys,
                                                   flag, body, key):
@@ -406,6 +467,14 @@ class TestCli:
                          str(corpus_dir / "f.csv")]) == 2
         err = capsys.readouterr().err
         assert f"{bad}: line 4: '<' without matching '>'" in err
+
+    def test_extract_non_utf8_names_file_and_offset(self, corpus_dir, capsys):
+        bad = corpus_dir / "bad.cha"
+        bad.write_bytes(b"@Begin\n*CHI:\tthe dog\xff runs .\n@End\n")
+        assert cli.main(["extract", str(corpus_dir), "-o",
+                         str(corpus_dir / "f.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8: byte 0xff at offset 20" in err
 
     def test_import_cli_loads_no_scipy(self):
         src = Path(langprofile.__file__).resolve().parents[1]
