@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,6 +27,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _smoothing_k(text: str) -> float:
+    try:
+        k = float(text)
+    except ValueError:
+        k = math.nan
+    if not 0.0 <= k < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number at least 0, "
+                                         f"got {text!r}")
+    return k
+
+
+def _unk_threshold(text: str) -> int:
+    try:
+        threshold = int(text)
+    except ValueError:
+        threshold = 0
+    if threshold < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer at least 1, got {text!r}")
+    return threshold
+
+
+def _add_lm_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--smoothing-k", type=_smoothing_k, default=1.0,
+                   help="add-k smoothing constant (finite, >= 0)")
+    p.add_argument("--unk-threshold", type=_unk_threshold, default=1,
+                   help="types rarer than this become <unk> (>= 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="langprofile",
                      description="Language-sample feature extraction and "
@@ -36,8 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "directory of .cha transcripts")
     p.add_argument("transcripts", help="directory containing .cha files")
     p.add_argument("-o", "--output", required=True, help="feature CSV to write")
-    p.add_argument("--smoothing-k", type=float, default=1.0)
-    p.add_argument("--unk-threshold", type=int, default=1)
+    _add_lm_flags(p)
     p.add_argument("--loo", action="store_true",
                    help="score each transcript with a leave-one-out model "
                         "of its own group")
@@ -50,8 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "language models")
     p.add_argument("transcripts", help="directory containing .cha files")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    p.add_argument("--smoothing-k", type=float, default=1.0)
-    p.add_argument("--unk-threshold", type=int, default=1)
+    _add_lm_flags(p)
 
     p = sub.add_parser("analyze", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True, help="pipeline config file")

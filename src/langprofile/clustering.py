@@ -106,6 +106,8 @@ def kmeans(points, k: int, seed: int, n_init: int = 32,
     n = X.shape[0]
     if k < 1 or n < k:
         raise DegenerateInput(f"need n >= k >= 1, got n={n} k={k}")
+    if n_init < 1:
+        raise ValueError(f"n_init must be at least 1, got {n_init}")
     best: tuple[np.ndarray, np.ndarray, float] | None = None
     for child in np.random.SeedSequence(seed).spawn(n_init):
         rng = np.random.default_rng(child)

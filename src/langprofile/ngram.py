@@ -7,6 +7,13 @@ and one trailing ``</s>``.  Types rarer than ``unk_threshold`` map to
 scoring time.  The prediction vocabulary is the post-mapping type set
 plus ``<unk>`` (plus ``</s>`` when padding), so add-k probabilities over
 any context sum to one.
+
+Leave-one-out models (:func:`leave_one_out`) are not retrained: each is
+the group's full model minus the held-out transcript's n-gram counts,
+with the few types that turn rare without it remapped to ``<unk>``.  A
+group of n transcripts costs one pass over its text plus n copies of
+the count tables, not n retrains, and every held-out model is ``==`` to
+the model :func:`train` gives on the rest of the group.
 """
 
 from __future__ import annotations
@@ -71,18 +78,83 @@ def train(transcripts, order: int, smoothing_k: float = 1.0,
     if pad:
         vocab.add(EOS)
 
-    counts: Counter = Counter()
-    context_totals: Counter = Counter()
+    counts: dict[tuple[str, ...], int] = {}
+    context_totals: dict[tuple[str, ...], int] = {}
     for s in sents:
-        mapped = [tok if tok not in rare else UNK for tok in s]
-        if pad:
-            mapped = [BOS] * (order - 1) + mapped + [EOS]
-        for i in range(len(mapped) - order + 1):
-            gram = tuple(mapped[i:i + order])
-            counts[gram] += 1
-            context_totals[gram[:-1]] += 1
+        _count(counts, context_totals, _ngrams(s, rare, order, pad), 1)
     return NGramModel(order, float(smoothing_k), int(unk_threshold), bool(pad),
-                      dict(counts), dict(context_totals), frozenset(vocab))
+                      counts, context_totals, frozenset(vocab))
+
+
+def _ngrams(sent: list[str], rare, order: int, pad: bool) -> list[tuple[str, ...]]:
+    """The n-grams of one sentence, with the types in ``rare`` mapped to
+    ``<unk>``."""
+    mapped = [tok if tok not in rare else UNK for tok in sent]
+    if pad:
+        mapped = [BOS] * (order - 1) + mapped + [EOS]
+    return [tuple(mapped[i:i + order]) for i in range(len(mapped) - order + 1)]
+
+
+def _count(counts: dict, context_totals: dict, grams, delta: int) -> None:
+    for gram in grams:
+        counts[gram] = counts.get(gram, 0) + delta
+        context_totals[gram[:-1]] = context_totals.get(gram[:-1], 0) + delta
+
+
+def leave_one_out(members, full: dict[int, NGramModel], smoothing_k: float = 1.0,
+                  unk_threshold: int = 1, pad: bool = True):
+    """Yield, in member order, each member's ``{1, 2, 3}`` models trained
+    on all the other members, given ``full``, the models trained on all
+    of them with the same settings.
+
+    Each held-out model starts from copies of the full counts and loses
+    the member's own n-grams.  Types that fall below ``unk_threshold``
+    without the member (and were not rare before) are *newly rare*: the
+    other members' sentences that hold one move from the full mapping to
+    the held-out one.  Those types occur fewer than ``unk_threshold``
+    times in the rest, so that work stays small.  A member whose removal
+    leaves no child tokens raises ``EmptyCorpus``, as :func:`train` does.
+    """
+    sents = [_child_sentences([t]) for t in members]
+    own_freq = [Counter(tok for s in member for tok in s) for member in sents]
+    group_freq: Counter = Counter()
+    holders: dict[str, list[int]] = {}
+    for i, freq in enumerate(own_freq):
+        group_freq.update(freq)
+        for tok in freq:
+            holders.setdefault(tok, []).append(i)
+    full_rare = {tok for tok, c in group_freq.items() if c < unk_threshold}
+    n_sents = sum(map(len, sents))
+    kept = {UNK, EOS} if pad else {UNK}
+
+    for i, own in enumerate(sents):
+        if n_sents == len(own):
+            raise EmptyCorpus("no child tokens to train on")
+        rest_freq = {tok: group_freq[tok] - c for tok, c in own_freq[i].items()}
+        dropped = {tok for tok, c in rest_freq.items() if c < unk_threshold}
+        newly_rare = {tok for tok in dropped if rest_freq[tok] > 0} - full_rare
+        rest_rare = full_rare | newly_rare
+        remapped = [s for j in sorted({j for tok in newly_rare for j in holders[tok]})
+                    if j != i for s in sents[j] if not newly_rare.isdisjoint(s)]
+
+        models = {}
+        for order in (1, 2, 3):
+            removed = [gram for s in own + remapped
+                       for gram in _ngrams(s, full_rare, order, pad)]
+            counts = dict(full[order].counts)
+            context_totals = dict(full[order].context_totals)
+            _count(counts, context_totals, removed, -1)
+            _count(counts, context_totals,
+                   [gram for s in remapped for gram in _ngrams(s, rest_rare, order, pad)], 1)
+            for gram in removed:  # a retrain holds no zero counts
+                if counts.get(gram) == 0:
+                    del counts[gram]
+                if context_totals.get(gram[:-1]) == 0:
+                    del context_totals[gram[:-1]]
+            models[order] = NGramModel(order, float(smoothing_k), int(unk_threshold),
+                                       bool(pad), counts, context_totals,
+                                       full[order].vocab - dropped | kept)
+        yield models
 
 
 def perplexity(model: NGramModel, t: Transcript) -> float:

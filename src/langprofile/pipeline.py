@@ -170,6 +170,12 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"[clustering] dbscan_eps must be 'auto' or a positive number, "
                           f"got {eps!r}")
 
+    smoothing_text = get("lm", "smoothing_k")
+    smoothing_k = value("lm", "smoothing_k", float, smoothing_text)
+    if not 0.0 <= smoothing_k < math.inf:
+        raise ConfigError(f"[lm] smoothing_k must be a finite number at least 0, "
+                          f"got {smoothing_text!r}")
+
     effect_features = tuple(f.strip() for f in
                             get("clustering", "effect_features").split(",") if f.strip())
     unknown = [f for f in effect_features if f not in FEATURE_NAMES]
@@ -184,8 +190,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         count_fusions=value("schema", "count_fusions", _parse_bool),
         dss_table=get("schema", "dss_table"),
         ipsyn_table=get("schema", "ipsyn_table"),
-        smoothing_k=value("lm", "smoothing_k", float),
-        unk_threshold=value("lm", "unk_threshold", int),
+        smoothing_k=smoothing_k,
+        unk_threshold=at_least(1, "lm", "unk_threshold"),
         loo=value("lm", "loo", _parse_bool),
         prune_threshold=value("prune", "threshold", float),
         top_k=at_least(1, "pca", "top_k"),
@@ -313,8 +319,13 @@ def _custom_table(path: str, key: str) -> dict:
 def extract_cohort(transcripts: list[chat.Transcript],
                    config: PipelineConfig) -> Cohort:
     """One pass: each transcript's base features, computed once with tables
-    read once, give the group statistics; after LM training (leave-one-out
-    with ``loo``) each gains its perplexities and z-scores."""
+    read once, give the group statistics; after LM training each gains its
+    perplexities and z-scores.
+
+    With ``loo``, a labelled transcript is scored against its own group's
+    models without it: ``ngram.leave_one_out`` subtracts its counts from
+    the full group models, one transcript at a time, so the cost is linear
+    in the group size and only one set of held-out models is alive."""
     dss_table = _custom_table(config.dss_table, "categories") if config.dss_table \
         else scoring.default_dss_table()
     ipsyn_table = _custom_table(config.ipsyn_table, "structures") if config.ipsyn_table \
@@ -325,17 +336,17 @@ def extract_cohort(transcripts: list[chat.Transcript],
     stats = fx.GroupStats.from_rows([values for values, _ in blocks], groups)
     full_models = ngram.train_group_models(transcripts, config.smoothing_k,
                                            config.unk_threshold)
+    held_out = {label: ngram.leave_one_out([t for t in transcripts
+                                            if t.group.value == label],
+                                           group_models, config.smoothing_k,
+                                           config.unk_threshold)
+                for label, group_models in full_models.items()} if config.loo else {}
 
     values = np.empty((len(transcripts), len(FEATURE_NAMES)))
     for i, (t, (base, flags)) in enumerate(zip(transcripts, blocks)):
         models = full_models
-        if config.loo and t.group.value in ("SLI", "TD"):
-            label = t.group.value
-            rest = [x for x in transcripts if x is not t and x.group.value == label]
-            models = dict(full_models)
-            models[label] = {o: ngram.train(rest, o, config.smoothing_k,
-                                            config.unk_threshold)
-                             for o in (1, 2, 3)}
+        if t.group.value in held_out:
+            models = {**full_models, t.group.value: next(held_out[t.group.value])}
         ppl = ngram.perplexity_features(t, models["SLI"], models["TD"])
         vec = fx.FeatureVector({**base, **ppl, **fx.zscore_features(base, stats)},
                                frozenset(flags))
@@ -398,6 +409,22 @@ def _auto_eps(points: np.ndarray, min_pts: int) -> float:
     return float(np.median(kth))
 
 
+def _plane_agreement(scores: np.ndarray, k: int, seed: int, n_init: int) -> list[dict]:
+    """k-means on each plane of the first three PCs, and how far each pair
+    of planes agrees."""
+    planes = {"pc1_pc2": scores[:, [0, 1]], "pc1_pc3": scores[:, [0, 2]],
+              "pc2_pc3": scores[:, [1, 2]]}
+    labels = {name: clustering.kmeans(pts, k, seed, n_init).assignments
+              for name, pts in planes.items()}
+    return [{"planes": f"{left}_vs_{right}",
+             "adjusted_rand_index": clustering.ari(labels[left], labels[right]),
+             "adjusted_mutual_information": clustering.ami(labels[left], labels[right]),
+             "accuracy_best_mapping": clustering.best_mapping_accuracy(labels[left],
+                                                                       labels[right])}
+            for left, right in (("pc1_pc2", "pc1_pc3"), ("pc1_pc2", "pc2_pc3"),
+                                ("pc1_pc3", "pc2_pc3"))]
+
+
 def run_pipeline(config: PipelineConfig) -> ReportBundle:
     if config.input_mode == "csv":
         cohort = _stage("load", ingest_feature_csv, config.input_path)
@@ -440,32 +467,18 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     db_labels = _stage("cross_check", clustering.dbscan,
                        space, eps, config.dbscan_min_pts)
     non_noise = db_labels >= 0
-    dbscan_ari = clustering.ari(assignments[non_noise], db_labels[non_noise]) \
-        if non_noise.sum() > 1 else 0.0
+    dbscan_ari = _stage("cross_check", clustering.ari, assignments[non_noise],
+                        db_labels[non_noise]) if non_noise.sum() > 1 else 0.0
+    ward_ari = _stage("cross_check", clustering.ari, assignments, ward_labels)
+    ward_ami = _stage("cross_check", clustering.ami, assignments, ward_labels)
 
     outcomes = cohort.outcomes
     boundary = _stage("boundary", clustering.boundary_cases,
                       space, centroids, outcomes, config.boundary_percentile)
     outliers = _stage("outliers", clustering.detect_outliers, space, centroids)
 
-    agreement = []
-    if scores.shape[1] >= 3:
-        planes = {"pc1_pc2": scores[:, [0, 1]], "pc1_pc3": scores[:, [0, 2]],
-                  "pc2_pc3": scores[:, [1, 2]]}
-        plane_labels = {name: clustering.kmeans(pts, chosen_k, config.seed,
-                                                config.n_init).assignments
-                        for name, pts in planes.items()}
-        for left, right in (("pc1_pc2", "pc1_pc3"), ("pc1_pc2", "pc2_pc3"),
-                            ("pc1_pc3", "pc2_pc3")):
-            agreement.append({
-                "planes": f"{left}_vs_{right}",
-                "adjusted_rand_index": clustering.ari(plane_labels[left],
-                                                      plane_labels[right]),
-                "adjusted_mutual_information": clustering.ami(plane_labels[left],
-                                                              plane_labels[right]),
-                "accuracy_best_mapping": clustering.best_mapping_accuracy(
-                    plane_labels[left], plane_labels[right]),
-            })
+    agreement = _stage("cross_check", _plane_agreement, scores, chosen_k,
+                       config.seed, config.n_init) if scores.shape[1] >= 3 else []
 
     profiles = _stage("profiles", clustering.cluster_profiles,
                       assignments, scores, outcomes)
@@ -539,8 +552,8 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         ],
         "agreement": agreement,
         "cross_checks": {
-            "ward_ari": clustering.ari(assignments, ward_labels),
-            "ward_ami": clustering.ami(assignments, ward_labels),
+            "ward_ari": ward_ari,
+            "ward_ami": ward_ami,
             "dbscan_eps": eps,
             "dbscan_min_pts": config.dbscan_min_pts,
             "dbscan_clusters": int(db_labels.max() + 1),

@@ -1,9 +1,12 @@
-"""Shared fixtures: a deterministic synthetic CHAT corpus."""
+"""Shared fixtures: deterministic synthetic CHAT corpora."""
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from langprofile import ngram
 
 # (text tokens, mor tokens or None) utterance templates; mor aligns with
 # the clean tokens, never with annotation material
@@ -64,6 +67,55 @@ def make_corpus(directory: Path, n_sli: int = 4, n_td: int = 4,
                                       examiner_turns=1), encoding="utf-8")
             paths.append(path)
     return sorted(paths)
+
+
+def pseudo_words(n: int, seed: int = 11) -> list[str]:
+    """``n`` distinct consonant-vowel pseudo-words, sorted."""
+    rng = random.Random(seed)
+    words: set[str] = set()
+    while len(words) < n:
+        words.add("".join(rng.choice("bdgklmnprstvz") + rng.choice("aeiou")
+                          for _ in range(rng.randint(1, 3))))
+    return sorted(words)
+
+
+def make_wordy_corpus(directory: Path, n_sli: int = 5, n_td: int = 5,
+                      seed: int = 3, n_types: int = 400) -> list[Path]:
+    """Transcripts of Zipf-distributed pseudo-words tagged as nouns and verbs.
+    Most types occur once or twice in a group, so leaving a transcript
+    out turns some of them rare under ``unk_threshold`` 2 or 3."""
+    rng = random.Random(seed)
+    words = pseudo_words(n_types, seed)
+    weights = [1.0 / (rank + 1) for rank in range(n_types)]
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for g, count in (("SLI", n_sli), ("TD", n_td)):
+        for i in range(count):
+            name = f"{g.lower()}_{i:02d}"
+            lines = ["@Begin",
+                     "@Participants:\tCHI Child Target_Child, EXA Ellen Examiner",
+                     f"@ID:\teng|synth|CHI|5;00.|male|{g}||Target_Child|||",
+                     f"@PID:\t{name}"]
+            for _ in range(rng.randint(4, 10)):
+                utterance = rng.choices(words, weights, k=rng.randint(1, 7))
+                mor = [rng.choice(("n|{}", "v|{}", "v|{}-PAST")).format(w)
+                       for w in utterance]
+                if rng.random() < 0.3:  # word errors vary within each group
+                    utterance[-1] += " [*]"
+                lines += [f"*CHI:\t{' '.join(utterance)} .", f"%mor:\t{' '.join(mor)} ."]
+            lines.append("@End")
+            path = directory / f"{name}.cha"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            paths.append(path)
+    return sorted(paths)
+
+
+def newly_rare_types(members, unk_threshold: int) -> set[str]:
+    """Types frequent enough in the whole group but rare without one member."""
+    freqs = [Counter(w for s in ngram._child_sentences([t]) for w in s) for t in members]
+    group = sum(freqs, Counter())
+    return {w for f in freqs for w, c in f.items()
+            if 0 < group[w] - c < unk_threshold <= group[w]}
 
 
 @pytest.fixture()

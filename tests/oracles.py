@@ -13,6 +13,9 @@
 * ``pos_matches`` is the segment-aware POS prefix test that every POS
   check called once per tag and class, before ``MorToken.pos_classes``
   decided each tag's classes once.
+* ``retrain_loo_models`` retrains each held-out group's three language
+  models from scratch, one retrain per member, before
+  ``ngram.leave_one_out`` built them by subtracting counts.
 """
 
 import itertools
@@ -63,6 +66,16 @@ def loop_silhouette_from_distances(D: np.ndarray, assignments: np.ndarray) -> fl
         if denom > 0.0:
             total += (b - a) / denom
     return total / n
+
+
+def retrain_loo_models(members, smoothing_k: float = 1.0, unk_threshold: int = 1,
+                       pad: bool = True):
+    """Yield, in member order, the ``{1, 2, 3}`` models retrained on all
+    the other members."""
+    for t in members:
+        rest = [x for x in members if x is not t]
+        yield {o: ngram.train(rest, o, smoothing_k, unk_threshold, pad)
+               for o in (1, 2, 3)}
 
 
 def _extract_all(t, stats, lms, count_fusions=False, dss_table=None,
@@ -121,16 +134,16 @@ def two_pass_extract_cohort(transcripts, config) -> Cohort:
     full_models = ngram.train_group_models(transcripts, config.smoothing_k,
                                            config.unk_threshold)
 
+    held_out = {label: retrain_loo_models([t for t in transcripts
+                                           if t.group.value == label],
+                                          config.smoothing_k, config.unk_threshold)
+                for label in ("SLI", "TD")} if config.loo else {}
+
     values = np.empty((len(transcripts), len(FEATURE_NAMES)))
     for i, t in enumerate(transcripts):
         models = full_models
-        if config.loo and t.group.value in ("SLI", "TD"):
-            label = t.group.value
-            rest = [x for x in transcripts if x is not t and x.group.value == label]
-            models = dict(full_models)
-            models[label] = {o: ngram.train(rest, o, config.smoothing_k,
-                                            config.unk_threshold)
-                             for o in (1, 2, 3)}
+        if t.group.value in held_out:
+            models = {**full_models, t.group.value: next(held_out[t.group.value])}
         vec = _extract_all(t, stats, models, config.count_fusions,
                            dss_table, ipsyn_table)
         values[i] = [vec.values[name] for name in FEATURE_NAMES]

@@ -1,4 +1,4 @@
-"""Fuzz the command line with mutated CHAT and INI files.
+"""Fuzz the command line with mutated CHAT and INI files and LM flag values.
 
 Whatever the input, ``cli.main`` must return one of its documented exit
 codes (0 success, 1 usage, 2 data, 3 numeric) and must not let an
@@ -76,6 +76,22 @@ def test_mutated_chat_never_escapes(index, edits, command):
         code, err = _run([*command, str(corpus), "-o", str(Path(tmp) / "out")])
     assert code in EXIT_CODES
     assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from((["extract"], ["extract", "--loo"], ["train-lm"])),
+       st.sampled_from(("nan", "inf", "-1", "0", "0.5")),
+       st.sampled_from(("-3", "0", "1", "3")))
+def test_lm_flags_never_escape(command, smoothing_k, unk_threshold):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        make_corpus(corpus, n_sli=3, n_td=3)
+        code, err = _run([*command, str(corpus), "-o", str(Path(tmp) / "out"),
+                          "--smoothing-k", smoothing_k, "--unk-threshold", unk_threshold])
+    assert code in EXIT_CODES
+    assert "Traceback" not in err
+    if smoothing_k in ("nan", "inf", "-1") or unk_threshold in ("-3", "0"):
+        assert code == 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

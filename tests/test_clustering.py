@@ -109,6 +109,10 @@ class TestKMeans:
         with pytest.raises(DegenerateInput):
             kmeans(FOUR, 5, seed=0)
 
+    def test_no_restarts_is_a_value_error(self):
+        with pytest.raises(ValueError, match="n_init"):
+            kmeans(FOUR, 2, 0, n_init=0)
+
     def test_deterministic(self):
         X, _ = two_blobs(120, seed=3)
         a = kmeans(X, 2, seed=11)

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from langprofile import pipeline
+from langprofile import cli, ngram, pipeline
 from langprofile.features import extract as fx
 from langprofile.features import scoring
-from tests.conftest import make_corpus
+from tests.conftest import make_corpus, make_wordy_corpus, newly_rare_types
 from tests.oracles import two_pass_extract_cohort
 
 
@@ -81,3 +81,22 @@ def test_each_extractor_and_table_runs_once(transcripts, monkeypatch):
             "syllables": words, "dss_score": n, "ipsyn_total": n,
             "default_dss_table": calls, "default_ipsyn_table": calls,
         }
+
+
+def test_loo_csv_matches_retrain_oracle_when_types_turn_rare(tmp_path, capsys):
+    make_wordy_corpus(tmp_path / "corpus")
+    transcripts = pipeline.load_transcripts(tmp_path / "corpus")
+    for label in ("SLI", "TD"):
+        assert newly_rare_types([t for t in transcripts if t.group.value == label], 2)
+    out = tmp_path / "features.csv"
+    assert cli.main(["extract", str(tmp_path / "corpus"), "-o", str(out),
+                     "--loo", "--unk-threshold", "2"]) == 0
+    assert out.read_text(encoding="utf-8") == pipeline.render_feature_csv(
+        two_pass_extract_cohort(transcripts, _config(loo=True, unk_threshold=2)))
+
+
+def test_loo_trains_only_the_six_group_models(transcripts, monkeypatch):
+    counts: dict[str, int] = {}
+    _count_calls(monkeypatch, ngram, "train", counts)
+    pipeline.extract_cohort(transcripts, _config(loo=True, unk_threshold=2))
+    assert counts == {"train": 6}

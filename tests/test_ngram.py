@@ -1,12 +1,16 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from langprofile import ngram
 from langprofile.chat import parse_chat
 from langprofile.errors import DataError, EmptyCorpus, ZeroProbability
-from langprofile.ngram import EOS, UNK, load_model, perplexity, perplexity_features, save_model, train
+from langprofile.ngram import (EOS, UNK, leave_one_out, load_model, perplexity,
+                               perplexity_features, save_model, train)
 from langprofile.pipeline import load_transcripts
-from tests.conftest import make_corpus
+from tests.conftest import make_corpus, newly_rare_types, pseudo_words
+from tests.oracles import retrain_loo_models
+
+WORDS = pseudo_words(300)
 
 
 def chi(*utterances: str):
@@ -178,3 +182,67 @@ class TestSaveLoad:
             load_model(path)
         assert str(path) in str(err.value)
         assert where in str(err.value)
+
+
+def _models_or_error(held_out) -> list:
+    """The yielded model sets, then the message of an ``EmptyCorpus``
+    that ended the generator, if one did."""
+    out = []
+    try:
+        out.extend(held_out)
+    except EmptyCorpus as exc:
+        out.append(str(exc))
+    return out
+
+
+class TestLeaveOneOut:
+    def assert_matches_retrain(self, members, smoothing_k=0.5):
+        for unk_threshold in (1, 2, 3):
+            for pad in (True, False):
+                full = {o: train(members, o, smoothing_k, unk_threshold, pad)
+                        for o in (1, 2, 3)}
+                got = _models_or_error(
+                    leave_one_out(members, full, smoothing_k, unk_threshold, pad))
+                want = _models_or_error(
+                    retrain_loo_models(members, smoothing_k, unk_threshold, pad))
+                assert got == want, (unk_threshold, pad)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.lists(st.integers(0, len(WORDS) - 1), min_size=1,
+                                      max_size=8),
+                             max_size=5),
+                    min_size=1, max_size=6))
+    def test_equals_retrain_on_pseudo_word_corpora(self, members):
+        assume(any(members))
+        self.assert_matches_retrain(
+            [chi_group("SLI", *(" ".join(WORDS[w] for w in s) for s in sents))
+             for sents in members])
+
+    def test_two_member_group(self):
+        members = [chi_group("TD", "ba ba ki", "ki lo"), chi_group("TD", "ba lo", "mu")]
+        self.assert_matches_retrain(members)
+        full = {o: train(members, o) for o in (1, 2, 3)}
+        first, second = leave_one_out(members, full)
+        assert first[2] == train(members[1:], 2)
+        assert second[2] == train(members[:1], 2)
+
+    def test_member_holding_every_occurrence_of_a_type(self):
+        # "zo" lives only in the first member; "ki" and "lo" occur twice in
+        # the group, so without the first member each turns rare at 2
+        members = [chi_group("SLI", "zo zo ki", "lo zo"),
+                   chi_group("SLI", "ba ki ba", "lo ba"),
+                   chi_group("SLI", "ba ba")]
+        assert newly_rare_types(members, 2) == {"ki", "lo"}
+        self.assert_matches_retrain(members)
+        full = {o: train(members, o, 1.0, 2) for o in (1, 2, 3)}
+        held = next(leave_one_out(members, full, 1.0, 2))
+        assert held[1].vocab == {"ba", UNK, EOS}
+        assert held[2].counts[("ba", UNK)] == 1
+
+    def test_one_member_group_raises_like_retrain(self):
+        members = [chi_group("TD", "ba ki")]
+        full = {o: train(members, o) for o in (1, 2, 3)}
+        with pytest.raises(EmptyCorpus, match="no child tokens to train on"):
+            next(leave_one_out(members, full))
+        with pytest.raises(EmptyCorpus, match="no child tokens to train on"):
+            next(retrain_loo_models(members))

@@ -9,7 +9,7 @@ import pytest
 
 import langprofile
 from langprofile import cli, clustering, pipeline
-from langprofile.errors import ConfigError, NonNumericCell, SchemaMismatch
+from langprofile.errors import ConfigError, NonNumericCell, NumericError, SchemaMismatch
 from langprofile.features.schema import FEATURE_NAMES, csv_header
 from langprofile.ngram import load_model
 from langprofile.synthetic import feature_table
@@ -135,6 +135,11 @@ class TestConfig:
         ("clustering", "dbscan_min_pts", "0"),
         ("clustering", "dbscan_eps", "-1"),
         ("clustering", "dbscan_eps", "nan"),
+        ("lm", "smoothing_k", "nan"),
+        ("lm", "smoothing_k", "inf"),
+        ("lm", "smoothing_k", "-1"),
+        ("lm", "unk_threshold", "0"),
+        ("lm", "unk_threshold", "-3"),
     ])
     def test_bad_value_exits_two_naming_key(self, tmp_path, capsys, section, key, text):
         values = {"input": {"mode": "csv", "path": "x.csv"},
@@ -330,6 +335,34 @@ class TestCli:
         cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
         assert cli.main(["analyze", "--config", str(cfg)]) == 3
         assert "standardize" in capsys.readouterr().err
+
+    def test_cross_check_failure_names_its_stage(self, tmp_path, capsys, monkeypatch):
+        def failing_ami(a, b):
+            raise NumericError("ami failed")
+
+        monkeypatch.setattr(clustering, "ami", failing_ami)
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=80)
+        cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
+        assert cli.main(["analyze", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "cross_check" in err and "ami failed" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["extract", "train-lm"])
+    @pytest.mark.parametrize("flag, text", [
+        ("--smoothing-k", "nan"), ("--smoothing-k", "inf"), ("--smoothing-k", "-1"),
+        ("--smoothing-k", "x"), ("--unk-threshold", "0"), ("--unk-threshold", "-3"),
+        ("--unk-threshold", "1.5"),
+    ])
+    def test_bad_lm_flag_is_usage_error_naming_flag(self, corpus_dir, tmp_path, capsys,
+                                                     command, flag, text):
+        out = tmp_path / "out"
+        assert cli.main([command, str(corpus_dir), "-o", str(out), flag, text]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and repr(text) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_extract_round_trip(self, corpus_dir, tmp_path, capsys):
         out_csv = tmp_path / "features.csv"
