@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -30,21 +29,18 @@ class _Parser(argparse.ArgumentParser):
 def _smoothing_k(text: str) -> float:
     try:
         k = float(text)
-    except ValueError:
-        k = math.nan
-    if not 0.0 <= k < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number at least 0, "
-                                         f"got {text!r}")
+        ngram.check_settings(smoothing_k=k)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
     return k
 
 
 def _unk_threshold(text: str) -> int:
     try:
         threshold = int(text)
-    except ValueError:
-        threshold = 0
-    if threshold < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer at least 1, got {text!r}")
+        ngram.check_settings(unk_threshold=threshold)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
     return threshold
 
 

@@ -8,12 +8,15 @@ scoring time.  The prediction vocabulary is the post-mapping type set
 plus ``<unk>`` (plus ``</s>`` when padding), so add-k probabilities over
 any context sum to one.
 
+``smoothing_k`` must be finite and at least 0 and ``unk_threshold`` at
+least 1 (:func:`check_settings`).
+
 Leave-one-out models (:func:`leave_one_out`) are not retrained: each is
 the group's full model minus the held-out transcript's n-gram counts,
 with the few types that turn rare without it remapped to ``<unk>``.  A
 group of n transcripts costs one pass over its text plus n copies of
-the count tables, not n retrains, and every held-out model is ``==`` to
-the model :func:`train` gives on the rest of the group.
+the count tables, with no retrains, and every held-out model is ``==``
+to the model :func:`train` gives on the rest of the group.
 """
 
 from __future__ import annotations
@@ -64,10 +67,20 @@ def _child_sentences(transcripts) -> list[list[str]]:
     return sents
 
 
+def check_settings(smoothing_k: float = 1.0, unk_threshold: int = 1) -> None:
+    """Raise ``ValueError`` naming the setting unless ``smoothing_k`` is
+    finite and at least 0 and ``unk_threshold`` is at least 1."""
+    if not 0.0 <= smoothing_k < math.inf:
+        raise ValueError("smoothing_k must be a finite number at least 0")
+    if unk_threshold < 1:
+        raise ValueError("unk_threshold must be at least 1")
+
+
 def train(transcripts, order: int, smoothing_k: float = 1.0,
           unk_threshold: int = 1, pad: bool = True) -> NGramModel:
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2, or 3, got {order}")
+    check_settings(smoothing_k, unk_threshold)
     sents = _child_sentences(transcripts)
     if not sents:
         raise EmptyCorpus("no child tokens to train on")
@@ -101,11 +114,10 @@ def _count(counts: dict, context_totals: dict, grams, delta: int) -> None:
         context_totals[gram[:-1]] = context_totals.get(gram[:-1], 0) + delta
 
 
-def leave_one_out(members, full: dict[int, NGramModel], smoothing_k: float = 1.0,
-                  unk_threshold: int = 1, pad: bool = True):
+def leave_one_out(members, full: dict[int, NGramModel]):
     """Yield, in member order, each member's ``{1, 2, 3}`` models trained
     on all the other members, given ``full``, the models trained on all
-    of them with the same settings.
+    of them; the held-out models keep ``full``'s settings.
 
     Each held-out model starts from copies of the full counts and loses
     the member's own n-grams.  Types that fall below ``unk_threshold``
@@ -115,6 +127,7 @@ def leave_one_out(members, full: dict[int, NGramModel], smoothing_k: float = 1.0
     times in the rest, so that work stays small.  A member whose removal
     leaves no child tokens raises ``EmptyCorpus``, as :func:`train` does.
     """
+    unk_threshold, pad = full[1].unk_threshold, full[1].pad
     sents = [_child_sentences([t]) for t in members]
     own_freq = [Counter(tok for s in member for tok in s) for member in sents]
     group_freq: Counter = Counter()
@@ -151,8 +164,8 @@ def leave_one_out(members, full: dict[int, NGramModel], smoothing_k: float = 1.0
                     del counts[gram]
                 if context_totals.get(gram[:-1]) == 0:
                     del context_totals[gram[:-1]]
-            models[order] = NGramModel(order, float(smoothing_k), int(unk_threshold),
-                                       bool(pad), counts, context_totals,
+            models[order] = NGramModel(order, full[order].smoothing_k, unk_threshold,
+                                       pad, counts, context_totals,
                                        full[order].vocab - dropped | kept)
         yield models
 

@@ -170,11 +170,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"[clustering] dbscan_eps must be 'auto' or a positive number, "
                           f"got {eps!r}")
 
-    smoothing_text = get("lm", "smoothing_k")
-    smoothing_k = value("lm", "smoothing_k", float, smoothing_text)
-    if not 0.0 <= smoothing_k < math.inf:
-        raise ConfigError(f"[lm] smoothing_k must be a finite number at least 0, "
-                          f"got {smoothing_text!r}")
+    lm = {}
+    for key, parse in (("smoothing_k", float), ("unk_threshold", int)):
+        text = get("lm", key)
+        lm[key] = value("lm", key, parse, text)
+        try:
+            ngram.check_settings(**{key: lm[key]})
+        except ValueError as exc:
+            raise ConfigError(f"[lm] {exc}, got {text!r}") from None
 
     effect_features = tuple(f.strip() for f in
                             get("clustering", "effect_features").split(",") if f.strip())
@@ -190,8 +193,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         count_fusions=value("schema", "count_fusions", _parse_bool),
         dss_table=get("schema", "dss_table"),
         ipsyn_table=get("schema", "ipsyn_table"),
-        smoothing_k=smoothing_k,
-        unk_threshold=at_least(1, "lm", "unk_threshold"),
+        smoothing_k=lm["smoothing_k"],
+        unk_threshold=lm["unk_threshold"],
         loo=value("lm", "loo", _parse_bool),
         prune_threshold=value("prune", "threshold", float),
         top_k=at_least(1, "pca", "top_k"),
@@ -324,8 +327,10 @@ def extract_cohort(transcripts: list[chat.Transcript],
 
     With ``loo``, a labelled transcript is scored against its own group's
     models without it: ``ngram.leave_one_out`` subtracts its counts from
-    the full group models, one transcript at a time, so the cost is linear
-    in the group size and only one set of held-out models is alive."""
+    copies of the full group models, one transcript at a time.  A group
+    costs one pass over its text plus one copy of the count tables per
+    member, with no retrains, and at most one held-out set per group is
+    alive at a time."""
     dss_table = _custom_table(config.dss_table, "categories") if config.dss_table \
         else scoring.default_dss_table()
     ipsyn_table = _custom_table(config.ipsyn_table, "structures") if config.ipsyn_table \
@@ -337,9 +342,7 @@ def extract_cohort(transcripts: list[chat.Transcript],
     full_models = ngram.train_group_models(transcripts, config.smoothing_k,
                                            config.unk_threshold)
     held_out = {label: ngram.leave_one_out([t for t in transcripts
-                                            if t.group.value == label],
-                                           group_models, config.smoothing_k,
-                                           config.unk_threshold)
+                                            if t.group.value == label], group_models)
                 for label, group_models in full_models.items()} if config.loo else {}
 
     values = np.empty((len(transcripts), len(FEATURE_NAMES)))

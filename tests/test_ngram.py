@@ -54,6 +54,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([chi("a")], order=4)
 
+    @pytest.mark.parametrize("setting, value", [
+        ("smoothing_k", float("nan")), ("smoothing_k", float("inf")),
+        ("smoothing_k", -1.0), ("unk_threshold", 0), ("unk_threshold", -3),
+    ])
+    def test_bad_setting_is_a_value_error_naming_it(self, setting, value):
+        with pytest.raises(ValueError, match=setting):
+            train([chi("a")], order=1, **{setting: value})
+
 
 class TestPerplexity:
     def test_uniform_model(self):
@@ -201,8 +209,7 @@ class TestLeaveOneOut:
             for pad in (True, False):
                 full = {o: train(members, o, smoothing_k, unk_threshold, pad)
                         for o in (1, 2, 3)}
-                got = _models_or_error(
-                    leave_one_out(members, full, smoothing_k, unk_threshold, pad))
+                got = _models_or_error(leave_one_out(members, full))
                 want = _models_or_error(
                     retrain_loo_models(members, smoothing_k, unk_threshold, pad))
                 assert got == want, (unk_threshold, pad)
@@ -235,7 +242,7 @@ class TestLeaveOneOut:
         assert newly_rare_types(members, 2) == {"ki", "lo"}
         self.assert_matches_retrain(members)
         full = {o: train(members, o, 1.0, 2) for o in (1, 2, 3)}
-        held = next(leave_one_out(members, full, 1.0, 2))
+        held = next(leave_one_out(members, full))
         assert held[1].vocab == {"ba", UNK, EOS}
         assert held[2].counts[("ba", UNK)] == 1
 
