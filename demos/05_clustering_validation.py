@@ -10,6 +10,7 @@ Run:  python demos/05_clustering_validation.py
 import numpy as np
 
 from langprofile.clustering import (
+    _pairwise_distances,
     ami,
     ari,
     best_mapping_accuracy,
@@ -28,7 +29,8 @@ def main():
     points, truth = two_blobs(800, seed=1, separation=7.0, dims=3)
     outcomes = (np.random.default_rng(2).random(800) < np.where(truth == 0, 0.15, 0.3))
 
-    sweep = silhouette_sweep(points, range(2, 8), seed=42, n_init=16)
+    distances = _pairwise_distances(points)  # one n x n matrix for the sweep and cross-checks
+    sweep = silhouette_sweep(points, distances, range(2, 8), seed=42, n_init=16)
     print("silhouette sweep:")
     for k, s, _ in sweep:
         bar = "#" * int(40 * max(s, 0))
@@ -39,8 +41,8 @@ def main():
     print(f"\nk-means inertia {km.inertia:.1f}; recovery vs ground truth: "
           f"ARI {ari(km.assignments, truth):.3f}")
 
-    ward = ward_linkage(points, best_k)
-    db = dbscan(points, eps=1.6, min_pts=5)
+    ward = ward_linkage(distances, best_k)
+    db = dbscan(distances, eps=1.6, min_pts=5)
     mask = db >= 0
     print("cross-checks:")
     print(f"  ward  vs k-means: ARI {ari(ward, km.assignments):.3f}  "

@@ -33,7 +33,7 @@ from .clustering import (
     ward_linkage,
     welch_cohen,
 )
-from .features.extract import FeatureVector, GroupStats, extract_all
+from .features.extract import FeatureVector, GroupStats
 from .features.schema import FEATURE_NAMES, METADATA_COLUMNS
 from .ngram import NGramModel, load_model, perplexity, perplexity_features, save_model, train
 from .numerics import (

@@ -144,11 +144,16 @@ def _render_table(rows: list[dict], title: str) -> str:
 
 
 def _render_report(path: Path) -> str:
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"{path}: not a JSON report: {exc}") from None
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: a report is a JSON object, not a {type(data).__name__}")
     out = [f"== {path.name} =="]
     scalars = []
     for key, value in data.items():
-        if isinstance(value, list) and value and isinstance(value[0], dict):
+        if value and isinstance(value, list) and all(isinstance(v, dict) for v in value):
             out.append(_render_table(value, key))
         elif isinstance(value, dict):
             out.append(_render_table([value], key))

@@ -3,6 +3,9 @@ silhouette model selection, Ward / DBSCAN cross-checks, boundary-case and
 outlier detection, chance-corrected agreement metrics, and per-cluster
 effect statistics.
 
+The silhouette sweep and the Ward and DBSCAN cross-checks all read one
+precomputed ``_pairwise_distances(points)`` matrix and leave it unchanged.
+
 Determinism contract: every stochastic routine takes an explicit seed;
 k-means restarts draw child seeds from ``SeedSequence(seed).spawn``, so
 serial and parallel execution produce identical results.
@@ -36,6 +39,15 @@ def _pairwise_distances(X: np.ndarray) -> np.ndarray:
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return np.sqrt(d2)
+
+
+def _as_distances(distances, n: int | None = None) -> np.ndarray:
+    D = np.asarray(distances, dtype=float)
+    size = n if n is not None else (D.shape[0] if D.ndim else 0)
+    if D.shape != (size, size):
+        raise LengthMismatch(f"distance matrix has shape {D.shape}, "
+                             f"expected ({size}, {size})")
+    return D
 
 
 # -- k-means ----------------------------------------------------------------
@@ -151,12 +163,13 @@ def silhouette(points, assignments) -> float:
     return _silhouette_from_distances(_pairwise_distances(X), assignments)
 
 
-def silhouette_sweep(points, k_range, seed: int, n_init: int = 32
+def silhouette_sweep(points, distances, k_range, seed: int, n_init: int = 32
                      ) -> list[tuple[int, float, ClusterResult]]:
     """``(k, mean silhouette, fit)`` for a fresh k-means fit at each k
-    (fixed seed); callers take the fit at their chosen k from here."""
+    (fixed seed); callers take the fit at their chosen k from here.
+    ``distances`` is ``_pairwise_distances(points)``."""
     X = _as_points(points)
-    D = _pairwise_distances(X)
+    D = _as_distances(distances, len(X))
     out = []
     for k in k_range:
         res = kmeans(X, k, seed, n_init)
@@ -166,18 +179,17 @@ def silhouette_sweep(points, k_range, seed: int, n_init: int = 32
 
 # -- hierarchical (Ward) and DBSCAN cross-checks ------------------------------
 
-def ward_linkage(points, k: int) -> np.ndarray:
-    """Agglomerative Ward clustering cut at k clusters.
+def ward_linkage(distances, k: int) -> np.ndarray:
+    """Agglomerative Ward clustering, from a distance matrix, cut at k clusters.
 
     Lance-Williams recurrence on squared Euclidean distances; merge
     choice and final labels are deterministic (first minimum wins,
     clusters numbered by first member index).
     """
-    X = _as_points(points)
-    n = X.shape[0]
+    D = _as_distances(distances) ** 2
+    n = D.shape[0]
     if k < 1 or n < k:
         raise DegenerateInput(f"need n >= k >= 1, got n={n} k={k}")
-    D = _pairwise_distances(X) ** 2
     np.fill_diagonal(D, np.inf)
     sizes = np.ones(n)
     active = np.ones(n, dtype=bool)
@@ -211,13 +223,12 @@ def ward_linkage(points, k: int) -> np.ndarray:
     return labels
 
 
-def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
-    """Core/border/noise labeling; noise rows get label -1."""
+def dbscan(distances, eps: float, min_pts: int) -> np.ndarray:
+    """Core/border/noise labeling from a distance matrix; noise rows get -1."""
     if eps <= 0 or min_pts < 1:
         raise DegenerateInput("need eps > 0 and min_pts >= 1")
-    X = _as_points(points)
-    n = X.shape[0]
-    D = _pairwise_distances(X)
+    D = _as_distances(distances)
+    n = D.shape[0]
     neighbors = [np.flatnonzero(D[i] <= eps) for i in range(n)]
     core = np.array([len(nb) >= min_pts for nb in neighbors])
     labels = np.full(n, -1, dtype=int)

@@ -290,25 +290,18 @@ def pos_patterns(t: Transcript) -> dict[str, float]:
     return {k: float(v) for k, v in counts.items()}
 
 
-def fluency_and_errors(t: Transcript,
-                       error_postcodes: tuple[str, ...] | None = None
-                       ) -> dict[str, float]:
+def fluency_and_errors(t: Transcript) -> dict[str, float]:
     """Event totals over child utterances.
 
-    total_error = word-level errors plus utterance-level error postcodes;
-    by default every ``[+ ...]`` postcode counts, or pass the postcode
-    prefixes that should count (e.g. ``("[+ gram",)``).
+    total_error = word-level errors plus utterance-level error postcodes,
+    where every ``[+ ...]`` postcode counts.
     """
     kids = t.child_utterances()
     fillers = sum(u.events.fillers for u in kids)
     repetition = sum(u.events.repetitions for u in kids)
     retracing = sum(u.events.retracings for u in kids)
     word_errors = sum(u.events.word_errors for u in kids)
-    if error_postcodes is None:
-        postcode_errors = sum(len(u.postcodes) for u in kids)
-    else:
-        postcode_errors = sum(1 for u in kids for p in u.postcodes
-                              if p.startswith(error_postcodes))
+    postcode_errors = sum(len(u.postcodes) for u in kids)
     return {
         "fillers": float(fillers),
         "repetition": float(repetition),
@@ -360,21 +353,3 @@ def base_features(t: Transcript, count_fusions: bool = False, dss_table: dict | 
         flags.add("ipsyn_total")
     return values, flags
 
-
-def extract_all(t: Transcript, stats: GroupStats, lms: dict,
-                count_fusions: bool = False,
-                dss_table: dict | None = None,
-                ipsyn_table: dict | None = None) -> FeatureVector:
-    """Compute every schema feature for one transcript.
-
-    ``lms`` maps "SLI"/"TD" to {order: NGramModel} as produced by
-    ``langprofile.ngram.train_group_models``.  Raises on unrecoverable
-    problems (no child utterances); recoverable gaps degrade with flags.
-    """
-    from .. import ngram  # local import: ngram depends on chat only
-
-    values, flags = base_features(t, count_fusions, dss_table, ipsyn_table)
-    values.update(ngram.perplexity_features(t, lms["SLI"], lms["TD"]))
-    values.update(zscore_features(values, stats))
-
-    return FeatureVector(values=values, flags=frozenset(flags))

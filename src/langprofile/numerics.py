@@ -98,6 +98,12 @@ def standardize(m: FeatureMatrix) -> tuple[FeatureMatrix, StandardizeParams]:
     return FeatureMatrix(out, retained, m.row_ids), params
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ``ValueError`` unless the pruning threshold is in (0, 1]."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError("threshold must be in (0, 1]")
+
+
 def prune_correlated(m: FeatureMatrix, threshold: float = 0.95) -> tuple[int, ...]:
     """Greedy multicollinearity pruning in column order.
 
@@ -105,8 +111,7 @@ def prune_correlated(m: FeatureMatrix, threshold: float = 0.95) -> tuple[int, ..
     with a retained earlier column exceeds the threshold is dropped.
     Returns the retained column indices.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must be in (0, 1]")
+    check_threshold(threshold)
     v = m.values
     r = np.corrcoef(v, rowvar=False)
     if r.ndim == 0:  # single column
@@ -216,30 +221,19 @@ def eig_sym(S, tol: float = 1e-12, max_sweeps: int = 100
 
 @dataclass(frozen=True)
 class PcaModel:
-    means: np.ndarray
-    sds: np.ndarray
     eigenvalues: np.ndarray       # descending
     components: np.ndarray        # columns are loading vectors
     retained_features: tuple[str, ...]
 
 
-def pca_fit(m: FeatureMatrix, means=None, sds=None) -> PcaModel:
-    """Fit PCA on an already-standardized matrix.
-
-    ``means``/``sds`` are the standardization parameters to remember for
-    projecting new raw data; they default to 0/1.
-    """
+def pca_fit(m: FeatureMatrix) -> PcaModel:
+    """Fit PCA on an already-standardized matrix; ``pca_project`` takes
+    standardized rows with the same columns."""
     X = m.values
-    n, p = X.shape
-    cov = X.T @ X / (n - 1)
+    cov = X.T @ X / (X.shape[0] - 1)
     w, V = eig_sym(cov)
     w = np.where((w < 0) & (w > -1e-10), 0.0, w)  # clip fp noise on PSD input
-    if means is None:
-        means = np.zeros(p)
-    if sds is None:
-        sds = np.ones(p)
-    return PcaModel(np.asarray(means, float), np.asarray(sds, float),
-                    w, V, m.col_names)
+    return PcaModel(w, V, m.col_names)
 
 
 def pca_project(model: PcaModel, m: FeatureMatrix) -> np.ndarray:

@@ -3,8 +3,9 @@
 Stages: load (transcript extraction or feature-CSV ingest) -> impute ->
 standardize -> correlation prune -> PCA -> silhouette sweep (one k-means
 fit per k; the chosen k keeps its sweep fit) -> Ward/DBSCAN cross-checks
--> boundary cases -> outliers -> cross-plane agreement -> profiles and
-effect statistics -> report bundle.
+(sweep and cross-checks share one distance matrix) -> boundary cases ->
+outliers -> cross-plane agreement -> profiles and effect statistics ->
+report bundle.
 
 Every report embeds the config hash and seed; a rerun with identical
 input bytes and config produces byte-identical outputs.
@@ -170,14 +171,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"[clustering] dbscan_eps must be 'auto' or a positive number, "
                           f"got {eps!r}")
 
-    lm = {}
-    for key, parse in (("smoothing_k", float), ("unk_threshold", int)):
-        text = get("lm", key)
-        lm[key] = value("lm", key, parse, text)
+    def checked(section: str, key: str, parse, check):
+        text = get(section, key)
+        number = value(section, key, parse, text)
         try:
-            ngram.check_settings(**{key: lm[key]})
+            check(**{key: number})
         except ValueError as exc:
-            raise ConfigError(f"[lm] {exc}, got {text!r}") from None
+            raise ConfigError(f"[{section}] {exc}, got {text!r}") from None
+        return number
 
     effect_features = tuple(f.strip() for f in
                             get("clustering", "effect_features").split(",") if f.strip())
@@ -193,15 +194,15 @@ def load_config(path: str | Path) -> PipelineConfig:
         count_fusions=value("schema", "count_fusions", _parse_bool),
         dss_table=get("schema", "dss_table"),
         ipsyn_table=get("schema", "ipsyn_table"),
-        smoothing_k=lm["smoothing_k"],
-        unk_threshold=lm["unk_threshold"],
+        smoothing_k=checked("lm", "smoothing_k", float, ngram.check_settings),
+        unk_threshold=checked("lm", "unk_threshold", int, ngram.check_settings),
         loo=value("lm", "loo", _parse_bool),
-        prune_threshold=value("prune", "threshold", float),
+        prune_threshold=checked("prune", "threshold", float, numerics.check_threshold),
         top_k=at_least(1, "pca", "top_k"),
         k_range=value("clustering", "k_range", _parse_k_range),
         n_init=at_least(1, "clustering", "n_init"),
         boundary_percentile=percentile,
-        pc_dims=value("clustering", "pc_dims", int),
+        pc_dims=at_least(1, "clustering", "pc_dims"),
         dbscan_eps=eps,
         dbscan_min_pts=at_least(1, "clustering", "dbscan_min_pts"),
         effect_features=effect_features,
@@ -241,10 +242,24 @@ def render_feature_csv(cohort: Cohort) -> str:
     return buf.getvalue()
 
 
+def _utf8_lines(fh, path):
+    """The lines of text file ``fh``; a byte that is not UTF-8 raises
+    ``DataError`` naming the file and the byte's offset in it."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:  # its offset counts from the decoder's chunk
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} "
+                            f"at offset {exc.start}") from None
+        raise
+
+
 def ingest_feature_csv(path: str | Path) -> Cohort:
     """Load a feature CSV whose header matches the documented schema."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -300,11 +315,8 @@ def load_transcripts(directory: str | Path) -> list[chat.Transcript]:
         raise DataError(f"no .cha files under {directory!r}")
     out = []
     for p in paths:
-        try:
-            text = p.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{p}: not UTF-8: byte {exc.object[exc.start]:#04x} "
-                            f"at offset {exc.start}") from None
+        with open(p, encoding="utf-8") as fh:
+            text = "".join(_utf8_lines(fh, p))
         try:
             out.append(chat.parse_chat(text, transcript_id=p.stem))
         except ChatParseError as exc:
@@ -405,11 +417,10 @@ def _stage(name: str, fn, *args, **kwargs):
         raise PipelineError(name, exc) from exc
 
 
-def _auto_eps(points: np.ndarray, min_pts: int) -> float:
-    D = clustering._pairwise_distances(points)
-    D.sort(axis=1)
-    kth = D[:, min(min_pts, D.shape[1] - 1)]
-    return float(np.median(kth))
+def _auto_eps(distances: np.ndarray, min_pts: int) -> float:
+    """Median distance to the min_pts-th neighbour (a point is its own 0th)."""
+    kth = min(min_pts, distances.shape[1] - 1)
+    return float(np.median(np.partition(distances, kth, axis=1)[:, kth]))
 
 
 def _plane_agreement(scores: np.ndarray, k: int, seed: int, n_init: int) -> list[dict]:
@@ -455,8 +466,9 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     m_dims = max(1, min(config.pc_dims, scores.shape[1]))
     space = scores[:, :m_dims]
 
+    distances = _stage("sweep", clustering._pairwise_distances, space)
     sweep = _stage("sweep", clustering.silhouette_sweep,
-                   space, config.k_range, config.seed, config.n_init)
+                   space, distances, config.k_range, config.seed, config.n_init)
     chosen_k, _, km = max(sweep, key=lambda fit: fit[1])  # ties: first in k_range
     order = np.argsort(-km.centroids[:, 0], kind="stable")
     relabel = np.empty(chosen_k, dtype=int)
@@ -464,11 +476,12 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     assignments = relabel[km.assignments]
     centroids = km.centroids[order]
 
-    ward_labels = _stage("cross_check", clustering.ward_linkage, space, chosen_k)
+    ward_labels = _stage("cross_check", clustering.ward_linkage, distances, chosen_k)
     eps = float(config.dbscan_eps) if config.dbscan_eps != "auto" \
-        else _stage("cross_check", _auto_eps, space, config.dbscan_min_pts)
+        else _stage("cross_check", _auto_eps, distances, config.dbscan_min_pts)
     db_labels = _stage("cross_check", clustering.dbscan,
-                       space, eps, config.dbscan_min_pts)
+                       distances, eps, config.dbscan_min_pts)
+    del distances  # its last reader is done: free it before the later stages allocate
     non_noise = db_labels >= 0
     dbscan_ari = _stage("cross_check", clustering.ari, assignments[non_noise],
                         db_labels[non_noise]) if non_noise.sum() > 1 else 0.0

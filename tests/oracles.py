@@ -16,13 +16,16 @@
 * ``retrain_loo_models`` retrains each held-out group's three language
   models from scratch, one retrain per member, before
   ``ngram.leave_one_out`` built them by subtracting counts.
+* ``sorted_auto_eps`` builds its own distance matrix and sorts every row,
+  before ``pipeline._auto_eps`` took the shared matrix and partitioned a
+  copy.
 """
 
 import itertools
 
 import numpy as np
 
-from langprofile import ngram
+from langprofile import clustering, ngram
 from langprofile.errors import NoScorableUtterances, SingleCluster
 from langprofile.features import extract as fx
 from langprofile.features import scoring
@@ -66,6 +69,13 @@ def loop_silhouette_from_distances(D: np.ndarray, assignments: np.ndarray) -> fl
         if denom > 0.0:
             total += (b - a) / denom
     return total / n
+
+
+def sorted_auto_eps(points, min_pts: int) -> float:
+    D = clustering._pairwise_distances(np.asarray(points, dtype=float))
+    D.sort(axis=1)
+    kth = D[:, min(min_pts, D.shape[1] - 1)]
+    return float(np.median(kth))
 
 
 def retrain_loo_models(members, smoothing_k: float = 1.0, unk_threshold: int = 1,

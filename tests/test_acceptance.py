@@ -13,6 +13,7 @@ import numpy as np
 
 from langprofile import cli, pipeline
 from langprofile.clustering import (
+    _pairwise_distances,
     ami,
     ari,
     best_mapping_accuracy,
@@ -149,7 +150,8 @@ def test_kmeans_silhouette_oracles():
 def test_model_selection_behavior():
     points, _ = two_blobs(1163, seed=3, separation=8.0, dims=3)
     start = time.perf_counter()
-    sweep = silhouette_sweep(points, range(2, 11), seed=42, n_init=32)
+    sweep = silhouette_sweep(points, _pairwise_distances(points), range(2, 11),
+                             seed=42, n_init=32)
     elapsed = time.perf_counter() - start
     scores = {k: s for k, s, _ in sweep}
     assert len(sweep) == 9

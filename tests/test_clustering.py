@@ -29,8 +29,13 @@ from langprofile.errors import (
     SingleCluster,
     TinyCluster,
 )
+from langprofile.pipeline import _auto_eps
 from langprofile.synthetic import two_blobs
-from tests.oracles import loop_silhouette_from_distances, permutation_mapping_accuracy
+from tests.oracles import (
+    loop_silhouette_from_distances,
+    permutation_mapping_accuracy,
+    sorted_auto_eps,
+)
 
 FOUR = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
 
@@ -168,13 +173,13 @@ class TestSilhouette:
 
     def test_sweep_peaks_at_two_for_two_blobs(self):
         X, _ = two_blobs(200, seed=8)
-        sweep = silhouette_sweep(X, range(2, 8), seed=0, n_init=8)
+        sweep = silhouette_sweep(X, _pairwise_distances(X), range(2, 8), seed=0, n_init=8)
         scores = {k: s for k, s, _ in sweep}
         assert max(scores, key=scores.get) == 2
 
     def test_sweep_fits_equal_fresh_kmeans(self):
         X, _ = two_blobs(120, seed=3, dims=3)
-        sweep = silhouette_sweep(X, (2, 3, 5), seed=11, n_init=4)
+        sweep = silhouette_sweep(X, _pairwise_distances(X), (2, 3, 5), seed=11, n_init=4)
         assert [k for k, _, _ in sweep] == [2, 3, 5]
         for k, _, fit in sweep:
             fresh = kmeans(X, k, 11, 4)
@@ -202,7 +207,7 @@ class TestSilhouette:
 
 class TestWard:
     def test_two_pair_fixture_matches_kmeans(self):
-        labels = ward_linkage(FOUR, 2)
+        labels = ward_linkage(_pairwise_distances(FOUR), 2)
         km = kmeans(FOUR, 2, seed=0)
         assert ari(labels, km.assignments) == 1.0
 
@@ -212,22 +217,22 @@ class TestWard:
         # separates the first four points from the last two, and k=3 keeps
         # 20 and 30 apart
         X = np.array([[0.0], [1.0], [5.0], [6.0], [20.0], [30.0]])
-        k2 = ward_linkage(X, 2)
+        k2 = ward_linkage(_pairwise_distances(X), 2)
         assert len(set(k2[:4].tolist())) == 1
         assert k2[4] == k2[5] and k2[4] != k2[0]
-        k3 = ward_linkage(X, 3)
+        k3 = ward_linkage(_pairwise_distances(X), 3)
         assert len(set(k3[:4].tolist())) == 1
         assert k3[4] != k3[5] and k3[4] != k3[0] and k3[5] != k3[0]
 
     def test_labels_are_contiguous(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(25, 3))
-        labels = ward_linkage(X, 4)
+        labels = ward_linkage(_pairwise_distances(X), 4)
         assert set(labels.tolist()) == {0, 1, 2, 3}
 
     def test_recovers_blobs(self):
         X, truth = two_blobs(80, seed=10)
-        assert ari(ward_linkage(X, 2), truth) == 1.0
+        assert ari(ward_linkage(_pairwise_distances(X), 2), truth) == 1.0
 
 
 class TestDbscan:
@@ -236,24 +241,69 @@ class TestDbscan:
         X = rng.normal(size=(12, 2)) * 10
         min_gap = min(math.dist(X[i], X[j])
                       for i in range(12) for j in range(i + 1, 12))
-        labels = dbscan(X, eps=min_gap * 0.5, min_pts=2)
+        labels = dbscan(_pairwise_distances(X), eps=min_gap * 0.5, min_pts=2)
         assert (labels == -1).all()
 
     def test_two_pair_fixture(self):
-        labels = dbscan(FOUR, eps=1.5, min_pts=2)
+        labels = dbscan(_pairwise_distances(FOUR), eps=1.5, min_pts=2)
         assert labels[0] == labels[1] != labels[2] == labels[3]
         assert (labels >= 0).all()
 
     def test_border_and_noise(self):
         # chain 0,1,2 with a far singleton: the singleton is noise
         X = np.array([[0.0], [1.0], [2.0], [50.0]])
-        labels = dbscan(X, eps=1.0, min_pts=2)
+        labels = dbscan(_pairwise_distances(X), eps=1.0, min_pts=2)
         assert labels[3] == -1
         assert labels[0] == labels[1] == labels[2] >= 0
 
     def test_domain(self):
         with pytest.raises(DegenerateInput):
-            dbscan(FOUR, eps=0.0, min_pts=2)
+            dbscan(_pairwise_distances(FOUR), eps=0.0, min_pts=2)
+
+
+
+class TestSharedDistances:
+    """The sweep, Ward, DBSCAN and auto-eps read one precomputed matrix."""
+
+    CONSUMERS = {
+        "sweep": lambda X, D: silhouette_sweep(X, D, (2, 3), seed=0, n_init=2),
+        "ward": lambda X, D: ward_linkage(D, 3),
+        "dbscan": lambda X, D: dbscan(D, eps=1.0, min_pts=3),
+        "auto_eps": lambda X, D: _auto_eps(D, 5),
+    }
+
+    @pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+    def test_leaves_the_matrix_unchanged(self, consumer):
+        X, _ = two_blobs(60, seed=12, dims=3)
+        D = _pairwise_distances(X)
+        before = D.copy()
+        self.CONSUMERS[consumer](X, D)
+        assert np.array_equal(D, before)
+
+    @pytest.mark.parametrize("shape", [(59, 59), (60, 59), (59, 60), (60,), ()])
+    def test_sweep_rejects_wrong_shape(self, shape):
+        X, _ = two_blobs(60, seed=12, dims=3)
+        with pytest.raises(LengthMismatch):
+            silhouette_sweep(X, np.zeros(shape), (2,), seed=0, n_init=1)
+
+    @pytest.mark.parametrize("check", [lambda D: ward_linkage(D, 2),
+                                       lambda D: dbscan(D, eps=1.0, min_pts=2)],
+                             ids=["ward", "dbscan"])
+    @pytest.mark.parametrize("shape", [(4, 3), (4,)])
+    def test_cross_checks_reject_non_square(self, check, shape):
+        with pytest.raises(LengthMismatch):
+            check(np.zeros(shape))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_auto_eps_equals_sorting_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        X = rng.normal(size=(n, int(rng.integers(1, 4))))
+        if seed % 3 == 0:
+            X[rng.integers(n, size=n // 2)] = X[0]  # tied distances
+        for min_pts in (1, 2, 5, n - 1, n, n + 3):
+            assert _auto_eps(_pairwise_distances(X), min_pts) \
+                == sorted_auto_eps(X, min_pts)
 
 
 class TestBoundary:

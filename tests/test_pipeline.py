@@ -75,6 +75,17 @@ class TestIngest:
         cohort = pipeline.ingest_feature_csv(csv_path)
         assert np.isnan(cohort.matrix.values[0, 2])
 
+    def test_non_utf8_names_file_byte_and_offset(self, tmp_path, capsys):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=150)
+        raw = csv_path.read_bytes()
+        csv_path.write_bytes(raw[:20000] + b"\xff" + raw[20001:])  # past the first read buffer
+        cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{csv_path}: not UTF-8: byte 0xff at offset 20000" in err
+        assert "Traceback" not in err
+
     def test_round_trip(self, tmp_path):
         csv_path = tmp_path / "f.csv"
         original = write_synthetic_csv(csv_path, n=10)
@@ -140,6 +151,11 @@ class TestConfig:
         ("lm", "smoothing_k", "-1"),
         ("lm", "unk_threshold", "0"),
         ("lm", "unk_threshold", "-3"),
+        ("prune", "threshold", "1.5"),
+        ("prune", "threshold", "0"),
+        ("prune", "threshold", "nan"),
+        ("clustering", "pc_dims", "0"),
+        ("clustering", "pc_dims", "-2"),
     ])
     def test_bad_value_exits_two_naming_key(self, tmp_path, capsys, section, key, text):
         values = {"input": {"mode": "csv", "path": "x.csv"},
@@ -280,6 +296,19 @@ class TestRunPipeline:
         assert len(fitted_k) == len(config.k_range) + 3
         assert fitted_k == list(config.k_range) + [bundle.cluster_report["chosen_k"]] * 3
 
+    def test_distances_built_once(self, bundle_env, monkeypatch):
+        cfg, _ = bundle_env
+        shapes = []
+        build = clustering._pairwise_distances
+
+        def counting_distances(points):
+            shapes.append(points.shape)
+            return build(points)
+
+        monkeypatch.setattr(clustering, "_pairwise_distances", counting_distances)
+        pipeline.run_pipeline(pipeline.load_config(cfg))
+        assert shapes == [(150, 3)]
+
 
 class TestTranscriptsMode:
     def test_end_to_end(self, corpus_dir, tmp_path):
@@ -404,6 +433,29 @@ class TestCli:
 
     def test_report_missing_file(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("name, body", [
+        pytest.param("r.json", b'{"a": ', id="truncated-json"),
+        pytest.param("r.json", b"[1,2]", id="top-level-list"),
+        pytest.param("r.json", b'"text"', id="top-level-string"),
+        pytest.param("r.json", b"\xff\xfe", id="not-utf8"),
+        pytest.param("bundle/x_report.json", b"{oops", id="bad-report-in-bundle"),
+    ])
+    def test_report_bad_input_exits_two_naming_file(self, tmp_path, capsys, name, body):
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(body)
+        target = path.parent if name.startswith("bundle/") else path
+        assert cli.main(["report", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err
+
+    def test_report_renders_mixed_list_as_plain_value(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text('{"rows": [{"a": 1}, 2]}', encoding="utf-8")
+        assert cli.main(["report", str(path)]) == 0
+        assert "rows  {'a': 1} 2" in capsys.readouterr().out
 
     def test_analyze_k_beyond_six_exits_zero(self, tmp_path, capsys):
         csv_path = tmp_path / "f.csv"
