@@ -6,9 +6,10 @@ effect statistics.
 The silhouette sweep and the Ward and DBSCAN cross-checks all read one
 precomputed ``_pairwise_distances(points)`` matrix and leave it unchanged.
 
-Determinism contract: every stochastic routine takes an explicit seed;
-k-means restarts draw child seeds from ``SeedSequence(seed).spawn``, so
-serial and parallel execution produce identical results.
+Determinism contract: every stochastic routine takes an explicit seed.
+k-means seeds its restarts one by one, each from its own
+``SeedSequence(seed).spawn`` child, then runs them as one batch whose
+results are ``==`` to running the restarts one at a time.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ def _as_distances(distances, n: int | None = None) -> np.ndarray:
 
 # -- k-means ----------------------------------------------------------------
 
+# restarts per batched Lloyd loop: the (restarts, n, k) buffers grow with
+# it, and past a few restarts the per-iteration interpreter cost is shared
+_BLOCK = 8
+
+
 @dataclass(frozen=True)
 class ClusterResult:
     k: int
@@ -83,49 +89,114 @@ def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.argmin(d2, axis=1), d2
 
 
-def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 300,
-           history: list | None = None) -> tuple[np.ndarray, np.ndarray, float]:
-    centroids = _plus_plus_init(X, k, rng)
-    assign, d2 = _assign(X, centroids)
+def _batch_assign(X: np.ndarray, C: np.ndarray, d2: np.ndarray,
+                  diff: np.ndarray) -> np.ndarray:
+    """``_assign`` for every restart's centroids ``C`` (R, k, d) at once.
+
+    Writes the squared distances into ``d2`` (R, n, k), using ``diff`` as
+    scratch, and returns the nearest centroids (R, n). Below 8 dimensions
+    ``_assign``'s ``np.sum`` adds the terms one by one, and so does this.
+    From 8 on it adds them pairwise, in an order that follows X's memory
+    layout, so each restart calls ``_assign`` itself."""
+    if X.shape[1] < 8:
+        np.subtract(X[None, :, None, 0], C[:, None, :, 0], out=d2)
+        np.square(d2, out=d2)
+        for j in range(1, X.shape[1]):
+            np.subtract(X[None, :, None, j], C[:, None, :, j], out=diff)
+            np.square(diff, out=diff)
+            d2 += diff
+    else:
+        for r in range(len(C)):
+            d2[r] = _assign(X, C[r])[1]
+    return np.argmin(d2, axis=2)
+
+
+def _lloyd_block(X: np.ndarray, C: np.ndarray, max_iter: int, d2_buf: np.ndarray,
+                 diff_buf: np.ndarray, weights: np.ndarray
+                 ) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """Lloyd runs from the seeded centroids ``C`` (R, k, d), all at once.
+
+    A restart leaves the block when its assignment stops changing.
+    ``d2_buf`` and ``diff_buf`` are ``_batch_assign``'s buffers for R
+    restarts, and ``weights[j]`` repeats ``X[:, j]`` once per restart.
+    Returns ``(assignments, centroids, inertia)`` per restart, in order."""
+    n, d = X.shape
+    k = C.shape[1]
+    rows = np.arange(n)
+    runs: list = [None] * len(C)
+    live = np.arange(len(C))  # block positions of the restarts still running
+    assign = _batch_assign(X, C, d2_buf[:live.size], diff_buf[:live.size])
+
+    def finish(i: int, d2: np.ndarray) -> None:
+        runs[live[i]] = (assign[i].copy(), C[i].copy(),
+                         float(d2[i][rows, assign[i]].sum()))
+
     for _ in range(max_iter):
-        # recompute centroids; repair empties by reseeding to farthest points
-        own = d2[np.arange(len(X)), assign]
-        used: set[int] = set()
-        for j in range(k):
-            members = assign == j
-            if members.any():
-                centroids[j] = X[members].mean(axis=0)
-            else:
-                order = np.argsort(-own, kind="stable")
-                pick = next(int(i) for i in order if int(i) not in used)
-                used.add(pick)
-                centroids[j] = X[pick]
-        new_assign, d2 = _assign(X, centroids)
-        if history is not None:
-            history.append(float(d2[np.arange(len(X)), new_assign].sum()))
-        if np.array_equal(new_assign, assign):
-            assign = new_assign
-            break
+        a = live.size
+        d2 = d2_buf[:a]
+        bins = (np.arange(a)[:, None] * k + assign).ravel()
+        counts = np.bincount(bins, minlength=a * k).reshape(a, k)
+        filled = counts > 0
+        if d == 1:
+            # numpy sums a 1-D column pairwise: keep the per-cluster mean
+            for i, j in zip(*np.nonzero(filled)):
+                C[i, j] = X[assign[i] == j].mean(axis=0)
+        else:
+            # bincount adds in point order, as X[members].mean(axis=0) does
+            for j in range(d):
+                sums = np.bincount(bins, weights=weights[j, :a * n], minlength=a * k)
+                np.divide(sums.reshape(a, k), counts, out=C[:, :, j], where=filled)
+        for i in np.flatnonzero(~filled.all(axis=1)):
+            # reseed empty clusters to the points farthest from their centroids
+            empty = np.flatnonzero(~filled[i])
+            order = np.argsort(-d2[i][rows, assign[i]], kind="stable")
+            C[i, empty] = X[order[:empty.size]]
+        new_assign = _batch_assign(X, C, d2, diff_buf[:a])
+        done = (new_assign == assign).all(axis=1)
         assign = new_assign
-    inertia = float(d2[np.arange(len(X)), assign].sum())
-    return assign, centroids, inertia
+        if done.any():
+            for i in np.flatnonzero(done):
+                finish(i, d2)
+            keep = ~done
+            live, assign, C = live[keep], assign[keep], C[keep]
+            d2_buf[:live.size] = d2[keep]
+            if not live.size:
+                break
+    for i in range(live.size):
+        finish(i, d2_buf)
+    return runs
 
 
 def kmeans(points, k: int, seed: int, n_init: int = 32,
            max_iter: int = 300) -> ClusterResult:
-    """Best-of-``n_init`` k-means++ / Lloyd runs, selected by inertia."""
+    """Best-of-``n_init`` k-means++ / Lloyd runs, selected by inertia
+    (the first restart wins ties).
+
+    Each restart is seeded on its own ``SeedSequence(seed).spawn`` stream.
+    Blocks of ``_BLOCK`` restarts then run Lloyd as one batch on
+    (restarts, n, k) arrays, and every float equals a one-at-a-time run.
+    For d < 8 the distances add their d terms one by one, as ``np.sum``
+    does; for d >= 8 each restart's distances come from ``_assign``. For
+    d >= 2 the centroids are per-cluster ``bincount`` sums, added in point
+    order, over the counts; for d = 1 they are per-cluster means."""
     X = _as_points(points)
     n = X.shape[0]
     if k < 1 or n < k:
         raise DegenerateInput(f"need n >= k >= 1, got n={n} k={k}")
     if n_init < 1:
         raise ValueError(f"n_init must be at least 1, got {n_init}")
+    size = min(n_init, _BLOCK)
+    d2_buf = np.empty((size, n, k))
+    diff_buf = np.empty((size, n, k))
+    weights = np.tile(X.T, size)
+    children = np.random.SeedSequence(seed).spawn(n_init)
     best: tuple[np.ndarray, np.ndarray, float] | None = None
-    for child in np.random.SeedSequence(seed).spawn(n_init):
-        rng = np.random.default_rng(child)
-        run = _lloyd(X, k, rng, max_iter)
-        if best is None or run[2] < best[2]:
-            best = run
+    for start in range(0, n_init, _BLOCK):
+        C = np.stack([_plus_plus_init(X, k, np.random.default_rng(child))
+                      for child in children[start:start + _BLOCK]])
+        for run in _lloyd_block(X, C, max_iter, d2_buf, diff_buf, weights):
+            if best is None or run[2] < best[2]:
+                best = run
     assign, centroids, inertia = best
     return ClusterResult(k, assign, centroids, inertia, seed, n_init)
 

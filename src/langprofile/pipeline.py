@@ -79,6 +79,17 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+def _check_k_range(k_range: tuple[int, ...]) -> None:
+    repeated = sorted({k for k in k_range if k_range.count(k) > 1})
+    if repeated:
+        raise ValueError(f"k_range repeats k {repeated}")
+
+
+def _check_boundary_percentile(boundary_percentile: float) -> None:
+    if not 0.0 < boundary_percentile < 50.0:
+        raise ValueError("boundary_percentile must be in (0, 50)")
+
+
 # what each config value parser accepts, for error messages
 _KINDS = {int: "an integer", float: "a number", _parse_bool: "a boolean",
           _parse_k_range: "a range lo..hi or a comma list of integers"}
@@ -150,6 +161,15 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"[{section}] {key} must be at least {low}, got {text!r}")
         return number
 
+    def checked(section: str, key: str, parse, check):
+        text = get(section, key)
+        number = value(section, key, parse, text)
+        try:
+            check(**{key: number})
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}, got {text!r}") from None
+        return number
+
     mode = get("input", "mode", required=True).lower()
     if mode not in ("transcripts", "csv"):
         raise ConfigError(f"input mode must be 'transcripts' or 'csv', got {mode!r}")
@@ -162,23 +182,10 @@ def load_config(path: str | Path) -> PipelineConfig:
                           f"or ${SEED_ENV_VAR})")
     seed = at_least(0, "clustering", "seed", seed_text)
 
-    percentile = value("clustering", "boundary_percentile", float)
-    if not 0.0 < percentile < 50.0:
-        raise ConfigError(f"boundary_percentile must be in (0, 50), got {percentile}")
-
     eps = get("clustering", "dbscan_eps")
     if eps != "auto" and not 0.0 < value("clustering", "dbscan_eps", float) < math.inf:
         raise ConfigError(f"[clustering] dbscan_eps must be 'auto' or a positive number, "
                           f"got {eps!r}")
-
-    def checked(section: str, key: str, parse, check):
-        text = get(section, key)
-        number = value(section, key, parse, text)
-        try:
-            check(**{key: number})
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {exc}, got {text!r}") from None
-        return number
 
     effect_features = tuple(f.strip() for f in
                             get("clustering", "effect_features").split(",") if f.strip())
@@ -199,9 +206,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         loo=value("lm", "loo", _parse_bool),
         prune_threshold=checked("prune", "threshold", float, numerics.check_threshold),
         top_k=at_least(1, "pca", "top_k"),
-        k_range=value("clustering", "k_range", _parse_k_range),
+        k_range=checked("clustering", "k_range", _parse_k_range, _check_k_range),
         n_init=at_least(1, "clustering", "n_init"),
-        boundary_percentile=percentile,
+        boundary_percentile=checked("clustering", "boundary_percentile", float,
+                                    _check_boundary_percentile),
         pc_dims=at_least(1, "clustering", "pc_dims"),
         dbscan_eps=eps,
         dbscan_min_pts=at_least(1, "clustering", "dbscan_min_pts"),
@@ -451,6 +459,11 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     if bad_k:
         raise PipelineError("load", DataError(
             f"k_range values {bad_k} outside [2, n-1] for n={n}"))
+    if config.dbscan_min_pts > n:
+        # no row could have that many neighbours: DBSCAN would call every row noise
+        raise PipelineError("load", DataError(
+            f"[clustering] dbscan_min_pts {config.dbscan_min_pts} is above "
+            f"the row count n={n}"))
 
     imputed, n_imputed = _stage("impute", numerics.impute_missing, cohort.matrix)
     standardized, std_params = _stage("standardize", numerics.standardize, imputed)

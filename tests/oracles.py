@@ -19,6 +19,9 @@
 * ``sorted_auto_eps`` builds its own distance matrix and sorts every row,
   before ``pipeline._auto_eps`` took the shared matrix and partitioned a
   copy.
+* ``serial_kmeans`` runs each k-means restart's Lloyd loop (``lloyd``) on
+  its own, one restart after another, before ``clustering.kmeans`` ran a
+  block of restarts as one batch.
 """
 
 import itertools
@@ -76,6 +79,49 @@ def sorted_auto_eps(points, min_pts: int) -> float:
     D.sort(axis=1)
     kth = D[:, min(min_pts, D.shape[1] - 1)]
     return float(np.median(kth))
+
+
+def lloyd(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 300,
+          history: list | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """One k-means++ seeding and Lloyd run; ``history`` collects the
+    inertia after each reassignment."""
+    centroids = clustering._plus_plus_init(X, k, rng)
+    assign, d2 = clustering._assign(X, centroids)
+    for _ in range(max_iter):
+        # recompute centroids; repair empties by reseeding to farthest points
+        own = d2[np.arange(len(X)), assign]
+        used: set[int] = set()
+        for j in range(k):
+            members = assign == j
+            if members.any():
+                centroids[j] = X[members].mean(axis=0)
+            else:
+                order = np.argsort(-own, kind="stable")
+                pick = next(int(i) for i in order if int(i) not in used)
+                used.add(pick)
+                centroids[j] = X[pick]
+        new_assign, d2 = clustering._assign(X, centroids)
+        if history is not None:
+            history.append(float(d2[np.arange(len(X)), new_assign].sum()))
+        if np.array_equal(new_assign, assign):
+            assign = new_assign
+            break
+        assign = new_assign
+    inertia = float(d2[np.arange(len(X)), assign].sum())
+    return assign, centroids, inertia
+
+
+def serial_kmeans(points, k: int, seed: int, n_init: int = 32,
+                  max_iter: int = 300) -> clustering.ClusterResult:
+    """Best-of-``n_init`` k-means++ / Lloyd runs, one restart at a time."""
+    X = clustering._as_points(points)
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(n_init):
+        run = lloyd(X, k, np.random.default_rng(child), max_iter)
+        if best is None or run[2] < best[2]:
+            best = run
+    assign, centroids, inertia = best
+    return clustering.ClusterResult(k, assign, centroids, inertia, seed, n_init)
 
 
 def retrain_loo_models(members, smoothing_k: float = 1.0, unk_threshold: int = 1,

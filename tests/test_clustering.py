@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from langprofile.clustering import (
-    _lloyd,
     _pairwise_distances,
     _silhouette_from_distances,
     ami,
@@ -32,8 +31,10 @@ from langprofile.errors import (
 from langprofile.pipeline import _auto_eps
 from langprofile.synthetic import two_blobs
 from tests.oracles import (
+    lloyd,
     loop_silhouette_from_distances,
     permutation_mapping_accuracy,
+    serial_kmeans,
     sorted_auto_eps,
 )
 
@@ -129,7 +130,7 @@ class TestKMeans:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(60, 2))
         history = []
-        _lloyd(X, 3, np.random.default_rng(0), history=history)
+        lloyd(X, 3, np.random.default_rng(0), history=history)
         assert all(x >= y - 1e-9 for x, y in zip(history, history[1:]))
 
     def test_every_cluster_non_empty(self):
@@ -137,6 +138,48 @@ class TestKMeans:
         X = rng.normal(size=(30, 2))
         res = kmeans(X, 6, seed=9)
         assert set(res.assignments) == set(range(6))
+
+    @pytest.mark.parametrize("case", range(48))
+    def test_batched_restarts_equal_serial_oracle(self, case):
+        rng = np.random.default_rng(case)
+        d = (1, 2, 3, 7, 8, 10)[case % 6]
+        n_init = (1, 4, 9, 32)[case // 6 % 4]
+        n = int(rng.integers(2, 160))
+        k = (1, n, int(rng.integers(1, min(n, 10) + 1)))[rng.integers(3)]
+        max_iter = (1, 2, 300)[rng.integers(3)]
+        X = rng.normal(size=(n, d)) * rng.uniform(0.01, 100)
+        if case % 4 == 0:
+            # rounded, duplicated points can leave clusters empty (the repair)
+            X = np.round(X, 0)
+            X[rng.integers(n, size=n // 2)] = X[0]
+        got = kmeans(X, k, case, n_init, max_iter)
+        want = serial_kmeans(X, k, case, n_init, max_iter)
+        assert np.array_equal(got.assignments, want.assignments)
+        assert got.assignments.dtype == want.assignments.dtype
+        assert np.array_equal(got.centroids, want.centroids)
+        assert got.inertia == want.inertia
+
+    def test_empty_cluster_repair_equals_serial_oracle(self):
+        # seven distinct points and k = 8: k-means++ seeds a duplicate
+        # centroid in every restart, so its cluster starts empty
+        X = np.vstack([np.repeat([[0.0, 0.0], [5.0, 1.0], [9.0, 9.0]], 10, axis=0),
+                       [[1.0, 0.5], [6.0, 2.0], [8.0, 9.5]]])
+        for seed in range(6):
+            got = kmeans(X, 8, seed, n_init=9)
+            want = serial_kmeans(X, 8, seed, n_init=9)
+            assert np.array_equal(got.assignments, want.assignments)
+            assert np.array_equal(got.centroids, want.centroids)
+            assert got.inertia == want.inertia
+
+    def test_result_arrays_own_their_memory(self):
+        X, _ = two_blobs(80, seed=2)
+        a = kmeans(X, 3, seed=4, n_init=9)
+        b = kmeans(X, 3, seed=4, n_init=9)
+        arrays = (a.assignments, a.centroids, b.assignments, b.centroids)
+        for i, x in enumerate(arrays):
+            assert x.base is None
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
 
 
 class TestSilhouette:

@@ -156,6 +156,10 @@ class TestConfig:
         ("prune", "threshold", "nan"),
         ("clustering", "pc_dims", "0"),
         ("clustering", "pc_dims", "-2"),
+        ("clustering", "k_range", "3,3,2"),
+        ("clustering", "boundary_percentile", "60"),
+        ("clustering", "boundary_percentile", "0"),
+        ("clustering", "boundary_percentile", "nan"),
     ])
     def test_bad_value_exits_two_naming_key(self, tmp_path, capsys, section, key, text):
         values = {"input": {"mode": "csv", "path": "x.csv"},
@@ -332,6 +336,19 @@ class TestCli:
         cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
         assert cli.main(["analyze", "--config", str(cfg)]) == 0
         assert "cluster_report.json" in capsys.readouterr().out
+
+    def test_dbscan_min_pts_above_row_count_exits_two(self, tmp_path, capsys):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=40)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[input]\nmode = csv\npath = {csv_path}\n"
+                       "[clustering]\nseed = 1\nk_range = 2..3\ndbscan_min_pts = 41\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "[clustering] dbscan_min_pts 41" in err and "n=40" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["analyze", "--bogus"]) == 1
