@@ -4,7 +4,8 @@ outlier detection, chance-corrected agreement metrics, and per-cluster
 effect statistics.
 
 The silhouette sweep and the Ward and DBSCAN cross-checks all read one
-precomputed ``_pairwise_distances(points)`` matrix and leave it unchanged.
+precomputed ``_pairwise_distances(points)`` matrix and leave it unchanged;
+each rejects a matrix holding a NaN or inf.
 
 Determinism contract: every stochastic routine takes an explicit seed.
 k-means seeds its restarts one by one, each from its own
@@ -48,6 +49,11 @@ def _as_distances(distances, n: int | None = None) -> np.ndarray:
     if D.shape != (size, size):
         raise LengthMismatch(f"distance matrix has shape {D.shape}, "
                              f"expected ({size}, {size})")
+    # min and max both return NaN when any entry is NaN, and need no n x n mask
+    if D.size and not (np.isfinite(D.min()) and np.isfinite(D.max())):
+        row, col = np.argwhere(~np.isfinite(D))[0]
+        raise DegenerateInput(f"distance matrix holds {D[row, col]} "
+                              f"at row {row}, column {col}")
     return D
 
 
@@ -234,11 +240,21 @@ def silhouette(points, assignments) -> float:
     return _silhouette_from_distances(_pairwise_distances(X), assignments)
 
 
+def check_k_range(k_range: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` naming every k that ``k_range`` repeats."""
+    repeated = sorted({k for k in k_range if k_range.count(k) > 1})
+    if repeated:
+        raise ValueError(f"k_range repeats k {repeated}")
+
+
 def silhouette_sweep(points, distances, k_range, seed: int, n_init: int = 32
                      ) -> list[tuple[int, float, ClusterResult]]:
     """``(k, mean silhouette, fit)`` for a fresh k-means fit at each k
     (fixed seed); callers take the fit at their chosen k from here.
-    ``distances`` is ``_pairwise_distances(points)``."""
+    ``distances`` is ``_pairwise_distances(points)``. A repeated k raises
+    ``ValueError`` before any fit."""
+    k_range = tuple(k_range)
+    check_k_range(k_range)
     X = _as_points(points)
     D = _as_distances(distances, len(X))
     out = []
@@ -253,9 +269,21 @@ def silhouette_sweep(points, distances, k_range, seed: int, n_init: int = 32
 def ward_linkage(distances, k: int) -> np.ndarray:
     """Agglomerative Ward clustering, from a distance matrix, cut at k clusters.
 
-    Lance-Williams recurrence on squared Euclidean distances; merge
-    choice and final labels are deterministic (first minimum wins,
-    clusters numbered by first member index).
+    Lance-Williams recurrence on squared Euclidean distances. Each merge
+    takes the first minimum of the matrix in row-major order, so the
+    smallest row, then the smallest column, and the final clusters are
+    numbered by their first member index.
+
+    The minimum is read from a row-minimum cache: ``nn[r]`` is the first
+    column holding row r's minimum and ``nd[r]`` that minimum, so the pair
+    is ``(argmin(nd), nn[argmin(nd)])``. After a merge only the merged
+    row, and the rows whose ``nn`` was one of the merged pair, rescan;
+    every other row compares its one updated entry with ``nd``. Memory is
+    O(n^2); time is O(n^2) when few rows go stale per merge and O(n^3) at
+    worst. The cache changes only how the pair is found, not how any
+    entry is computed, so the merges are those of a flat ``argmin`` over
+    the whole matrix at every step. A NaN or inf distance raises
+    ``DegenerateInput``.
     """
     D = _as_distances(distances) ** 2
     n = D.shape[0]
@@ -265,9 +293,12 @@ def ward_linkage(distances, k: int) -> np.ndarray:
     sizes = np.ones(n)
     active = np.ones(n, dtype=bool)
     members: list[list[int] | None] = [[i] for i in range(n)]
+    nn = np.argmin(D, axis=1)
+    nd = D[np.arange(n), nn]
     for _ in range(n - k):
-        # inactive rows/cols hold inf, so a plain argmin finds the merge pair
-        i, j = divmod(int(np.argmin(D)), n)
+        # inactive rows hold inf, so the smallest cached minimum is the merge pair
+        i = int(np.argmin(nd))
+        j = int(nn[i])
         if i > j:
             i, j = j, i
         ni, nj, dij = sizes[i], sizes[j], D[i, j]
@@ -285,6 +316,20 @@ def ward_linkage(distances, k: int) -> np.ndarray:
         sizes[i] = ni + nj
         members[i] = members[i] + members[j]
         members[j] = None
+        nd[j] = np.inf
+        nn[i] = np.argmin(D[i])
+        nd[i] = D[i, nn[i]]
+        if others.size:
+            near = nn[others]
+            # column i, the only entry that changed, wins when it is lower or
+            # equal and further left; a row whose minimum sat at i or j rescans
+            take = (upd < nd[others]) | ((upd == nd[others]) & (i < near))
+            nn[others[take]] = i
+            nd[others[take]] = upd[take]
+            stale = others[(near == i) | (near == j)]
+            if stale.size:
+                nn[stale] = np.argmin(D[stale], axis=1)
+                nd[stale] = D[stale, nn[stale]]
     labels = np.empty(n, dtype=int)
     next_label = 0
     for i in range(n):

@@ -79,12 +79,6 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _check_k_range(k_range: tuple[int, ...]) -> None:
-    repeated = sorted({k for k in k_range if k_range.count(k) > 1})
-    if repeated:
-        raise ValueError(f"k_range repeats k {repeated}")
-
-
 def _check_boundary_percentile(boundary_percentile: float) -> None:
     if not 0.0 < boundary_percentile < 50.0:
         raise ValueError("boundary_percentile must be in (0, 50)")
@@ -206,7 +200,8 @@ def load_config(path: str | Path) -> PipelineConfig:
         loo=value("lm", "loo", _parse_bool),
         prune_threshold=checked("prune", "threshold", float, numerics.check_threshold),
         top_k=at_least(1, "pca", "top_k"),
-        k_range=checked("clustering", "k_range", _parse_k_range, _check_k_range),
+        k_range=checked("clustering", "k_range", _parse_k_range,
+                         clustering.check_k_range),
         n_init=at_least(1, "clustering", "n_init"),
         boundary_percentile=checked("clustering", "boundary_percentile", float,
                                     _check_boundary_percentile),
@@ -246,7 +241,9 @@ def render_feature_csv(cohort: Cohort) -> str:
         age = cohort.age_months[i]
         meta = [row_id, cohort.corpus[i], cohort.group[i],
                 "" if age is None else str(age), cohort.sex[i]]
-        writer.writerow(meta + [_format_number(v) for v in cohort.matrix.values[i]])
+        # Python floats format faster than np.float64, and to the same text
+        values = cohort.matrix.values[i].tolist()
+        writer.writerow(meta + [_format_number(v) for v in values])
     return buf.getvalue()
 
 
@@ -599,7 +596,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                     + ["cluster", "boundary", "outlier"])
     for i, row_id in enumerate(cohort.matrix.row_ids):
         writer.writerow([row_id]
-                        + [_format_number(scores[i, j]) for j in range(n_plot)]
+                        + [_format_number(v) for v in scores[i, :n_plot].tolist()]
                         + [int(assignments[i]), int(i in flagged), int(i in outlier_set)])
     pc_scores_csv = buf.getvalue()
 

@@ -22,19 +22,27 @@
 * ``serial_kmeans`` runs each k-means restart's Lloyd loop (``lloyd``) on
   its own, one restart after another, before ``clustering.kmeans`` ran a
   block of restarts as one batch.
+* ``argmin_ward`` finds each Ward merge with a flat ``argmin`` over the
+  whole matrix, O(n^3) in all, before ``clustering.ward_linkage`` read it
+  from cached row minima.
+* ``per_element_feature_csv`` formats each ``np.float64`` of the feature
+  matrix on its own, before ``pipeline.render_feature_csv`` formatted
+  each row's Python floats.
 """
 
+import csv
+import io
 import itertools
 
 import numpy as np
 
 from langprofile import clustering, ngram
-from langprofile.errors import NoScorableUtterances, SingleCluster
+from langprofile.errors import DegenerateInput, NoScorableUtterances, SingleCluster
 from langprofile.features import extract as fx
 from langprofile.features import scoring
-from langprofile.features.schema import FEATURE_NAMES
+from langprofile.features.schema import FEATURE_NAMES, csv_header
 from langprofile.numerics import FeatureMatrix
-from langprofile.pipeline import Cohort
+from langprofile.pipeline import Cohort, _format_number
 
 
 def permutation_mapping_accuracy(a, b) -> float:
@@ -212,3 +220,56 @@ def two_pass_extract_cohort(transcripts, config) -> Cohort:
         tuple(t.age_months for t in transcripts),
         tuple(t.sex or "" for t in transcripts),
     )
+
+
+def argmin_ward(distances, k: int) -> np.ndarray:
+    """Ward clustering cut at k clusters, each merge pair the first
+    minimum of a flat ``argmin`` over the whole matrix."""
+    D = clustering._as_distances(distances) ** 2
+    n = D.shape[0]
+    if k < 1 or n < k:
+        raise DegenerateInput(f"need n >= k >= 1, got n={n} k={k}")
+    np.fill_diagonal(D, np.inf)
+    sizes = np.ones(n)
+    active = np.ones(n, dtype=bool)
+    members = [[i] for i in range(n)]
+    for _ in range(n - k):
+        # inactive rows/cols hold inf, so a plain argmin finds the merge pair
+        i, j = divmod(int(np.argmin(D)), n)
+        if i > j:
+            i, j = j, i
+        ni, nj, dij = sizes[i], sizes[j], D[i, j]
+        others = np.flatnonzero(active)
+        others = others[(others != i) & (others != j)]
+        if others.size:
+            nl = sizes[others]
+            upd = ((ni + nl) * D[i, others] + (nj + nl) * D[j, others]
+                   - nl * dij) / (ni + nj + nl)
+            D[i, others] = upd
+            D[others, i] = upd
+        active[j] = False
+        D[j, :] = np.inf
+        D[:, j] = np.inf
+        sizes[i] = ni + nj
+        members[i] = members[i] + members[j]
+        members[j] = None
+    labels = np.empty(n, dtype=int)
+    next_label = 0
+    for i in range(n):
+        if active[i]:
+            labels[np.array(members[i])] = next_label
+            next_label += 1
+    return labels
+
+
+def per_element_feature_csv(cohort: Cohort) -> str:
+    """The feature CSV with every matrix value formatted as an ``np.float64``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(csv_header())
+    for i, row_id in enumerate(cohort.matrix.row_ids):
+        age = cohort.age_months[i]
+        meta = [row_id, cohort.corpus[i], cohort.group[i],
+                "" if age is None else str(age), cohort.sex[i]]
+        writer.writerow(meta + [_format_number(v) for v in cohort.matrix.values[i]])
+    return buf.getvalue()

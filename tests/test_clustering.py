@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from langprofile import clustering
 from langprofile.clustering import (
     _pairwise_distances,
     _silhouette_from_distances,
@@ -31,6 +32,7 @@ from langprofile.errors import (
 from langprofile.pipeline import _auto_eps
 from langprofile.synthetic import two_blobs
 from tests.oracles import (
+    argmin_ward,
     lloyd,
     loop_silhouette_from_distances,
     permutation_mapping_accuracy,
@@ -220,6 +222,14 @@ class TestSilhouette:
         scores = {k: s for k, s, _ in sweep}
         assert max(scores, key=scores.get) == 2
 
+    def test_sweep_rejects_repeated_k_before_any_fit(self, monkeypatch):
+        X, _ = two_blobs(120, seed=3)
+        calls = []
+        monkeypatch.setattr(clustering, "kmeans", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match=r"repeats k \[3\]"):
+            silhouette_sweep(X, _pairwise_distances(X), (3, 3, 2), seed=1, n_init=4)
+        assert calls == []
+
     def test_sweep_fits_equal_fresh_kmeans(self):
         X, _ = two_blobs(120, seed=3, dims=3)
         sweep = silhouette_sweep(X, _pairwise_distances(X), (2, 3, 5), seed=11, n_init=4)
@@ -276,6 +286,51 @@ class TestWard:
     def test_recovers_blobs(self):
         X, truth = two_blobs(80, seed=10)
         assert ari(ward_linkage(_pairwise_distances(X), 2), truth) == 1.0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_row_minima_equal_argmin_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 60))
+        X = rng.normal(size=(n, int(rng.integers(1, 6))))
+        if seed % 4 == 0:
+            X = np.round(X)  # tied distances
+        if seed % 4 == 1:
+            X[rng.integers(n, size=n // 2)] = X[0]  # duplicate points
+        D = _pairwise_distances(X)
+        if seed % 5 == 2:
+            D = np.asfortranarray(D)
+        if seed % 5 == 3:
+            D = _pairwise_distances(np.repeat(X, 2, axis=0))[::2, ::2]  # strided view
+        for k in range(1, n + 1):
+            assert np.array_equal(ward_linkage(D, k), argmin_ward(D, k))
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_all_distances_tied_equal_argmin_oracle(self, n):
+        D = _pairwise_distances(np.ones((n, 2)))
+        for k in range(1, n + 1):
+            assert np.array_equal(ward_linkage(D, k), argmin_ward(D, k))
+
+    def test_near_ties_equal_argmin_oracle(self):
+        # entries an ulp apart make the rounded Lance-Williams updates tie or
+        # undercut other rows' cached minima, which exact Euclidean inputs
+        # almost never do; odd seeds are symmetric, even ones are not
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 30))
+            x = float(rng.uniform(0.1, 10))
+            near = [x, np.nextafter(x, np.inf), np.nextafter(x, 0.0)]
+            D = rng.choice(near, size=(n, n), p=[0.8, 0.1, 0.1])
+            if seed % 2:
+                D = np.triu(D, 1) + np.triu(D, 1).T
+            for k in range(1, n + 1):
+                assert np.array_equal(ward_linkage(D, k), argmin_ward(D, k)), (seed, k)
+
+    def test_large_n_equals_argmin_oracle(self):
+        X, _ = two_blobs(520, seed=13, dims=3)
+        X[::7] = np.round(X[::7], 1)
+        D = _pairwise_distances(X)
+        for k in (1, 2, 5, 519):
+            assert np.array_equal(ward_linkage(D, k), argmin_ward(D, k))
 
 
 class TestDbscan:
@@ -336,6 +391,15 @@ class TestSharedDistances:
     def test_cross_checks_reject_non_square(self, check, shape):
         with pytest.raises(LengthMismatch):
             check(np.zeros(shape))
+
+    @pytest.mark.parametrize("consumer", ["sweep", "ward", "dbscan"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_distance_named(self, consumer, value):
+        X, _ = two_blobs(8, seed=12, dims=3)
+        D = _pairwise_distances(X)
+        D[5, 2] = D[2, 5] = value
+        with pytest.raises(DegenerateInput, match=rf"{value} at row 2, column 5"):
+            self.CONSUMERS[consumer](X, D)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_auto_eps_equals_sorting_oracle(self, seed):

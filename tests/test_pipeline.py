@@ -12,7 +12,9 @@ from langprofile import cli, clustering, pipeline
 from langprofile.errors import ConfigError, NonNumericCell, NumericError, SchemaMismatch
 from langprofile.features.schema import FEATURE_NAMES, csv_header
 from langprofile.ngram import load_model
+from langprofile.numerics import FeatureMatrix
 from langprofile.synthetic import feature_table
+from tests.oracles import per_element_feature_csv
 
 
 def write_synthetic_csv(path, n=150, seed=5):
@@ -85,6 +87,19 @@ class TestIngest:
         err = capsys.readouterr().err
         assert f"{csv_path}: not UTF-8: byte 0xff at offset 20000" in err
         assert "Traceback" not in err
+
+    def test_row_formatting_equals_per_element_oracle(self):
+        special = [np.nan, -0.0, 0.0, 1e-300, 1e300, 5e-324, 3.0, -17.0,
+                   1234567890123.0, 0.1, 1.0 / 3.0, np.inf]
+        values = np.resize(np.array(special), (5, len(FEATURE_NAMES)))
+        values[4] = np.arange(len(FEATURE_NAMES), dtype=float)  # integers as floats
+        ids = tuple(f"c{i}" for i in range(5))
+        cohort = pipeline.Cohort(FeatureMatrix(values, FEATURE_NAMES, ids),
+                                 ("x",) * 5, ("SLI", "TD", "", "TD", "SLI"),
+                                 (40, None, 51, 60, None), ("F", "", "M", "F", ""))
+        text = pipeline.render_feature_csv(cohort)
+        assert text == per_element_feature_csv(cohort)
+        assert ",-0,0,1e-300,1e+300,4.940656458e-324,3,-17,1.23456789e+12," in text
 
     def test_round_trip(self, tmp_path):
         csv_path = tmp_path / "f.csv"
