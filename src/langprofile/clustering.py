@@ -284,11 +284,20 @@ def ward_linkage(distances, k: int) -> np.ndarray:
     entry is computed, so the merges are those of a flat ``argmin`` over
     the whole matrix at every step. A NaN or inf distance raises
     ``DegenerateInput``.
+
+    No Lance-Williams term exceeds n^2 max(D)^2, so the squares cannot
+    overflow while 2 n^2 max(D)^2 is a finite float; a larger distance
+    raises ``DegenerateInput`` naming it.
     """
-    D = _as_distances(distances) ** 2
+    D = _as_distances(distances)
     n = D.shape[0]
     if k < 1 or n < k:
         raise DegenerateInput(f"need n >= k >= 1, got n={n} k={k}")
+    top = float(D.max())
+    if not math.isfinite(2.0 * n * n * top * top):
+        raise DegenerateInput(f"largest distance {top!r} is too large for Ward with "
+                              f"n={n}: 2 n^2 max(D)^2 overflows")
+    D = D ** 2
     np.fill_diagonal(D, np.inf)
     sizes = np.ones(n)
     active = np.ones(n, dtype=bool)

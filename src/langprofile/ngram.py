@@ -2,18 +2,18 @@
 
 Orders 1-3.  Tokens are lowercased clean child tokens; with padding on
 (the default) each utterance gets ``order - 1`` leading ``<s>`` symbols
-and one trailing ``</s>``.  Types rarer than ``unk_threshold`` map to
-``<unk>`` at training time; unseen test tokens map to ``<unk>`` at
-scoring time.  The prediction vocabulary is the post-mapping type set
-plus ``<unk>`` (plus ``</s>`` when padding), so add-k probabilities over
-any context sum to one.
+and one trailing ``</s>``.  The vocabulary is the types seen at least
+``unk_threshold`` times, plus ``<unk>`` (plus ``</s>`` when padding), so
+add-k probabilities over any context sum to one.  One rule maps tokens,
+in training and in scoring alike: a token outside the model's vocab
+becomes ``<unk>``.  :func:`_ngrams` applies it and cuts the windows.
 
 ``smoothing_k`` must be finite and at least 0 and ``unk_threshold`` at
 least 1 (:func:`check_settings`).
 
 Leave-one-out models (:func:`leave_one_out`) are not retrained: each is
 the group's full model minus the held-out transcript's n-gram counts,
-with the few types that turn rare without it remapped to ``<unk>``.  A
+with the few types that leave the vocab without it remapped to ``<unk>``.  A
 group of n transcripts costs one pass over its text plus n copies of
 the count tables, with no retrains, and every held-out model is ``==``
 to the model :func:`train` gives on the rest of the group.
@@ -76,33 +76,36 @@ def check_settings(smoothing_k: float = 1.0, unk_threshold: int = 1) -> None:
         raise ValueError("unk_threshold must be at least 1")
 
 
-def train(transcripts, order: int, smoothing_k: float = 1.0,
-          unk_threshold: int = 1, pad: bool = True) -> NGramModel:
+def _check_order(order: int) -> None:
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2, or 3, got {order}")
+
+
+def train(transcripts, order: int, smoothing_k: float = 1.0,
+          unk_threshold: int = 1, pad: bool = True) -> NGramModel:
+    _check_order(order)
     check_settings(smoothing_k, unk_threshold)
     sents = _child_sentences(transcripts)
     if not sents:
         raise EmptyCorpus("no child tokens to train on")
 
     freq = Counter(tok for s in sents for tok in s)
-    rare = {tok for tok, c in freq.items() if c < unk_threshold}
-    vocab = set(freq) - rare | {UNK}
-    if pad:
-        vocab.add(EOS)
+    vocab = frozenset([tok for tok, c in freq.items() if c >= unk_threshold]
+                      + ([UNK, EOS] if pad else [UNK]))
 
     counts: dict[tuple[str, ...], int] = {}
     context_totals: dict[tuple[str, ...], int] = {}
     for s in sents:
-        _count(counts, context_totals, _ngrams(s, rare, order, pad), 1)
+        _count(counts, context_totals, _ngrams(s, vocab, order, pad), 1)
     return NGramModel(order, float(smoothing_k), int(unk_threshold), bool(pad),
-                      counts, context_totals, frozenset(vocab))
+                      counts, context_totals, vocab)
 
 
-def _ngrams(sent: list[str], rare, order: int, pad: bool) -> list[tuple[str, ...]]:
-    """The n-grams of one sentence, with the types in ``rare`` mapped to
-    ``<unk>``."""
-    mapped = [tok if tok not in rare else UNK for tok in sent]
+def _ngrams(sent: list[str], vocab, order: int, pad: bool) -> list[tuple[str, ...]]:
+    """The n-grams of one sentence, with the tokens outside ``vocab``
+    mapped to ``<unk>``.  No clean token is ``<unk>`` or ``</s>``: CHAT
+    cleaning strips a word's leading ``<`` and trailing ``>``."""
+    mapped = [tok if tok in vocab else UNK for tok in sent]
     if pad:
         mapped = [BOS] * (order - 1) + mapped + [EOS]
     return [tuple(mapped[i:i + order]) for i in range(len(mapped) - order + 1)]
@@ -119,15 +122,17 @@ def leave_one_out(members, full: dict[int, NGramModel]):
     on all the other members, given ``full``, the models trained on all
     of them; the held-out models keep ``full``'s settings.
 
-    Each held-out model starts from copies of the full counts and loses
-    the member's own n-grams.  Types that fall below ``unk_threshold``
-    without the member (and were not rare before) are *newly rare*: the
-    other members' sentences that hold one move from the full mapping to
-    the held-out one.  Those types occur fewer than ``unk_threshold``
-    times in the rest, so that work stays small.  A member whose removal
-    leaves no child tokens raises ``EmptyCorpus``, as :func:`train` does.
+    The three orders share one vocab, read from ``full[1]``, and each
+    member's held-out vocab is built once for all three.  Each held-out
+    model starts from copies of the full counts and loses the member's
+    own n-grams.  Types the rest still holds, but fewer than
+    ``unk_threshold`` times, are *newly rare*: they leave the vocab, so
+    the other members' sentences that hold one move from the full
+    vocab's mapping to the held-out one.  That work stays small, since
+    such types are rare in the rest.  A member whose removal leaves no
+    child tokens raises ``EmptyCorpus``, as :func:`train` does.
     """
-    unk_threshold, pad = full[1].unk_threshold, full[1].pad
+    unk_threshold, pad, vocab = full[1].unk_threshold, full[1].pad, full[1].vocab
     sents = [_child_sentences([t]) for t in members]
     own_freq = [Counter(tok for s in member for tok in s) for member in sents]
     group_freq: Counter = Counter()
@@ -136,37 +141,34 @@ def leave_one_out(members, full: dict[int, NGramModel]):
         group_freq.update(freq)
         for tok in freq:
             holders.setdefault(tok, []).append(i)
-    full_rare = {tok for tok, c in group_freq.items() if c < unk_threshold}
     n_sents = sum(map(len, sents))
-    kept = {UNK, EOS} if pad else {UNK}
 
     for i, own in enumerate(sents):
         if n_sents == len(own):
             raise EmptyCorpus("no child tokens to train on")
         rest_freq = {tok: group_freq[tok] - c for tok, c in own_freq[i].items()}
         dropped = {tok for tok, c in rest_freq.items() if c < unk_threshold}
-        newly_rare = {tok for tok in dropped if rest_freq[tok] > 0} - full_rare
-        rest_rare = full_rare | newly_rare
+        rest_vocab = vocab - dropped
+        newly_rare = {tok for tok in dropped & vocab if rest_freq[tok] > 0}
         remapped = [s for j in sorted({j for tok in newly_rare for j in holders[tok]})
                     if j != i for s in sents[j] if not newly_rare.isdisjoint(s)]
 
         models = {}
         for order in (1, 2, 3):
             removed = [gram for s in own + remapped
-                       for gram in _ngrams(s, full_rare, order, pad)]
+                       for gram in _ngrams(s, vocab, order, pad)]
             counts = dict(full[order].counts)
             context_totals = dict(full[order].context_totals)
             _count(counts, context_totals, removed, -1)
             _count(counts, context_totals,
-                   [gram for s in remapped for gram in _ngrams(s, rest_rare, order, pad)], 1)
+                   [gram for s in remapped for gram in _ngrams(s, rest_vocab, order, pad)], 1)
             for gram in removed:  # a retrain holds no zero counts
                 if counts.get(gram) == 0:
                     del counts[gram]
                 if context_totals.get(gram[:-1]) == 0:
                     del context_totals[gram[:-1]]
             models[order] = NGramModel(order, full[order].smoothing_k, unk_threshold,
-                                       pad, counts, context_totals,
-                                       full[order].vocab - dropped | kept)
+                                       pad, counts, context_totals, rest_vocab)
         yield models
 
 
@@ -176,18 +178,18 @@ def perplexity(model: NGramModel, t: Transcript) -> float:
     Padding symbols ``<s>`` only ever appear as context; ``</s>`` is a
     scored position when padding is on.
     """
-    sents = _child_sentences([t])
+    return _perplexity(model, _child_sentences([t]), t)
+
+
+def _perplexity(model: NGramModel, sents: list[list[str]], t: Transcript) -> float:
+    """:func:`perplexity` of ``t`` from its child sentences ``sents``."""
     if not sents:
         raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
     log_sum = 0.0
     n = 0
     for s in sents:
-        mapped = [tok if tok in model.vocab else UNK for tok in s]
-        if model.pad:
-            mapped = [BOS] * (model.order - 1) + mapped + [EOS]
         # every window predicts its final symbol; <s> fills context only
-        for i in range(len(mapped) - model.order + 1):
-            gram = tuple(mapped[i:i + model.order])
+        for gram in _ngrams(s, model.vocab, model.order, model.pad):
             p = model.prob(gram)
             if p <= 0.0:
                 raise ZeroProbability(f"zero probability for {gram} (k=0 and unseen)")
@@ -201,15 +203,12 @@ def perplexity(model: NGramModel, t: Transcript) -> float:
 def perplexity_features(t: Transcript, sli_models: dict[int, NGramModel],
                         td_models: dict[int, NGramModel]) -> dict[str, float]:
     """The six perplexity features: s_* against the SLI models, d_*
-    against the TD models, orders 1-3."""
-    return {
-        "s_1g_ppl": perplexity(sli_models[1], t),
-        "s_2g_ppl": perplexity(sli_models[2], t),
-        "s_3g_ppl": perplexity(sli_models[3], t),
-        "d_1g_ppl": perplexity(td_models[1], t),
-        "d_2g_ppl": perplexity(td_models[2], t),
-        "d_3g_ppl": perplexity(td_models[3], t),
-    }
+    against the TD models, orders 1-3.  The child sentences are read once
+    and mapped through each model's vocab, as :func:`perplexity` does."""
+    sents = _child_sentences([t])
+    return {f"{prefix}_{order}g_ppl": _perplexity(models[order], sents, t)
+            for prefix, models in (("s", sli_models), ("d", td_models))
+            for order in (1, 2, 3)}
 
 
 def train_group_models(transcripts, smoothing_k: float = 1.0,
@@ -244,7 +243,9 @@ def save_model(model: NGramModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> NGramModel:
     """Read a model written by :func:`save_model`; a file that is empty,
     lacks a header field or the vocab line, or holds a malformed line
-    raises ``DataError`` naming the file."""
+    raises ``DataError`` naming the file.  So does a header that
+    :func:`train` would refuse: an order outside 1-3, a setting that
+    fails :func:`check_settings`, or a ``pad`` other than 0 or 1."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.rstrip("\n").split("\n")
     header = lines[0].split("\t")
@@ -253,11 +254,18 @@ def load_model(path: str | Path) -> NGramModel:
     fields = dict(part.split("=", 1) for part in header[1:] if "=" in part)
     try:
         order, k = int(fields["order"]), float(fields["k"])
-        threshold, pad = int(fields["unk_threshold"]), bool(int(fields["pad"]))
+        threshold, pad = int(fields["unk_threshold"]), int(fields["pad"])
     except KeyError as exc:
         raise DataError(f"{path}: header lacks field {exc}") from None
     except ValueError:
         raise DataError(f"{path}: line 1: malformed header {lines[0]!r}") from None
+    try:
+        _check_order(order)
+        check_settings(k, threshold)
+        if pad not in (0, 1):
+            raise ValueError(f"pad must be 0 or 1, got {pad}")
+    except ValueError as exc:
+        raise DataError(f"{path}: line 1: {exc}") from None
     if len(lines) < 2 or not lines[1].startswith("vocab\t"):
         raise DataError(f"{path}: line 2: expected the vocab line")
     vocab = frozenset(lines[1][len("vocab\t"):].split(" "))
@@ -271,5 +279,5 @@ def load_model(path: str | Path) -> NGramModel:
             raise DataError(f"{path}: line {lineno}: malformed n-gram line {ln!r}")
         counts[gram] = int(count_text)
         context_totals[gram[:-1]] += counts[gram]
-    return NGramModel(order, k, threshold, pad, counts,
+    return NGramModel(order, k, threshold, bool(pad), counts,
                       dict(context_totals), vocab)

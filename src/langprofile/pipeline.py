@@ -261,10 +261,23 @@ def _utf8_lines(fh, path):
         raise
 
 
+def _csv_records(fh, path):
+    """The CSV records of text file ``fh``; one that ``csv`` cannot read,
+    such as a field over its size limit, raises ``DataError`` naming the
+    file and the row (the header is row 0)."""
+    row = 0
+    try:
+        for record in csv.reader(_utf8_lines(fh, path)):
+            yield record
+            row += 1
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {row}: {exc}") from None
+
+
 def ingest_feature_csv(path: str | Path) -> Cohort:
     """Load a feature CSV whose header matches the documented schema."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
+        reader = _csv_records(fh, path)
         try:
             header = next(reader)
         except StopIteration:

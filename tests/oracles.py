@@ -28,16 +28,22 @@
 * ``per_element_feature_csv`` formats each ``np.float64`` of the feature
   matrix on its own, before ``pipeline.render_feature_csv`` formatted
   each row's Python floats.
+* ``loop_perplexity`` maps, pads and cuts the windows in its own loop,
+  and reads the transcript's child sentences on every call, before
+  ``ngram.perplexity`` and ``ngram.perplexity_features`` scored
+  ``ngram._ngrams`` windows from one read of the sentences.
 """
 
 import csv
 import io
 import itertools
+import math
 
 import numpy as np
 
 from langprofile import clustering, ngram
-from langprofile.errors import DegenerateInput, NoScorableUtterances, SingleCluster
+from langprofile.errors import (DegenerateInput, EmptyTranscript, NoScorableUtterances,
+                                SingleCluster, ZeroProbability)
 from langprofile.features import extract as fx
 from langprofile.features import scoring
 from langprofile.features.schema import FEATURE_NAMES, csv_header
@@ -142,6 +148,37 @@ def retrain_loo_models(members, smoothing_k: float = 1.0, unk_threshold: int = 1
                for o in (1, 2, 3)}
 
 
+def loop_perplexity(model: ngram.NGramModel, t) -> float:
+    """exp of mean negative log probability per scored position."""
+    sents = ngram._child_sentences([t])
+    if not sents:
+        raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
+    log_sum = 0.0
+    n = 0
+    for s in sents:
+        mapped = [tok if tok in model.vocab else ngram.UNK for tok in s]
+        if model.pad:
+            mapped = [ngram.BOS] * (model.order - 1) + mapped + [ngram.EOS]
+        # every window predicts its final symbol; <s> fills context only
+        for i in range(len(mapped) - model.order + 1):
+            gram = tuple(mapped[i:i + model.order])
+            p = model.prob(gram)
+            if p <= 0.0:
+                raise ZeroProbability(f"zero probability for {gram} (k=0 and unseen)")
+            log_sum += math.log(p)
+            n += 1
+    if n == 0:
+        raise EmptyTranscript(f"transcript {t.id!r} has no scorable positions")
+    return math.exp(-log_sum / n)
+
+
+def loop_perplexity_features(t, sli_models, td_models) -> dict[str, float]:
+    """The six perplexity features, one ``loop_perplexity`` call each."""
+    return {f"{prefix}_{order}g_ppl": loop_perplexity(models[order], t)
+            for prefix, models in (("s", sli_models), ("d", td_models))
+            for order in (1, 2, 3)}
+
+
 def _extract_all(t, stats, lms, count_fusions=False, dss_table=None,
                  ipsyn_table=None) -> fx.FeatureVector:
     flags: set[str] = set()
@@ -172,7 +209,7 @@ def _extract_all(t, stats, lms, count_fusions=False, dss_table=None,
         values["ipsyn_total"] = 0.0
         flags.add("ipsyn_total")
 
-    values.update(ngram.perplexity_features(t, lms["SLI"], lms["TD"]))
+    values.update(loop_perplexity_features(t, lms["SLI"], lms["TD"]))
     values.update(fx.zscore_features(values, stats))
 
     return fx.FeatureVector(values=values, flags=frozenset(flags))

@@ -1,4 +1,5 @@
-"""Fuzz the command line with mutated CHAT and INI files and LM flag values.
+"""Fuzz the command line with mutated CHAT, INI and feature CSV files and
+LM flag values.
 
 Whatever the input, ``cli.main`` must return one of its documented exit
 codes (0 success, 1 usage, 2 data, 3 numeric) and must not let an
@@ -33,6 +34,12 @@ INI_FRAGMENTS = (
     b"[", b"]", b"=", b":", b"%", b"%(x)s", b"\n", b" ", b"#", b";", b"..", b",", b"-",
     b"nan", b"auto", b"true", b"[clustering]\n", b"[input]\n", b"seed = ",
     b"transcripts", b"\xff",
+)
+
+# one fragment is longer than csv's 131,072-character field limit
+CSV_FRAGMENTS = (
+    b",", b'"', b'""', b"\n", b"\r", b"\r\n", b" ", b"-", b".", b"e", b"e+400", b"nan",
+    b"inf", b"-inf", b"SLI", b"TD", b"x", b"\x00", b"\xff", b"\xc3", b"9" * 140_000,
 )
 
 CONFIG = (b"[input]\nmode = csv\npath = f.csv\n\n"
@@ -97,6 +104,13 @@ def test_lm_flags_never_escape(lm_corpus, tmp_path, command, smoothing_k, unk_th
     assert "Traceback" not in err
 
 
+def _feature_csv() -> bytes:
+    matrix, groups = feature_table(30, 5)
+    cohort = pipeline.Cohort(matrix, ("synth",) * 30, tuple(groups),
+                             (None,) * 30, ("",) * 30)
+    return pipeline.render_feature_csv(cohort).encode("utf-8")
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_edits(INI_FRAGMENTS))
 def test_mutated_config_never_escapes(edits):
@@ -104,15 +118,31 @@ def test_mutated_config_never_escapes(edits):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "a" / "b"  # ".." in a mutated path stays inside tmp
         work.mkdir(parents=True)
-        matrix, groups = feature_table(30, 5)
-        cohort = pipeline.Cohort(matrix, ("synth",) * 30, tuple(groups),
-                                 (None,) * 30, ("",) * 30)
-        (work / "f.csv").write_text(pipeline.render_feature_csv(cohort), encoding="utf-8")
+        (work / "f.csv").write_bytes(_feature_csv())
         (work / "c.ini").write_bytes(_mutate(CONFIG, edits))
         os.chdir(work)
         try:
             code, err = _run(["analyze", "--config", "c.ini"])
         finally:
             os.chdir(home)
+    assert code in EXIT_CODES
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 3).map(lambda i: i == 3), _edits(CSV_FRAGMENTS))
+def test_mutated_feature_csv_never_escapes(edit_header, edits):
+    data = _feature_csv()
+    if not edit_header:  # three runs in four, so that most edits reach the cells
+        header, _, body = data.partition(b"\n")
+        data = header + b"\n" + _mutate(body, edits)
+    else:
+        data = _mutate(data, edits)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "f.csv").write_bytes(data)
+        (work / "c.ini").write_bytes(CONFIG.replace(b"f.csv", str(work / "f.csv").encode())
+                                     .replace(b"dir = out", f"dir = {work / 'out'}".encode()))
+        code, err = _run(["analyze", "--config", str(work / "c.ini")])
     assert code in EXIT_CODES
     assert "Traceback" not in err

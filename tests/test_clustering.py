@@ -277,6 +277,16 @@ class TestWard:
         assert len(set(k3[:4].tolist())) == 1
         assert k3[4] != k3[5] and k3[4] != k3[0] and k3[5] != k3[0]
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_huge_distances_raise_or_match_oracle(self, k):
+        # 2 n^2 max(D)^2 is finite at 30e150 and overflows at 30e160
+        X = np.array([[0.0], [1.0], [5.0], [6.0], [20.0], [30.0]])
+        D = _pairwise_distances(X)
+        assert np.array_equal(ward_linkage(D * 1e150, k), argmin_ward(D * 1e150, k))
+        assert np.array_equal(ward_linkage(D * 1e150, k), ward_linkage(D, k))
+        with pytest.raises(DegenerateInput, match="largest distance 3e\\+161"):
+            ward_linkage(D * 1e160, k)
+
     def test_labels_are_contiguous(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(25, 3))

@@ -7,8 +7,8 @@ from langprofile.errors import DataError, EmptyCorpus, ZeroProbability
 from langprofile.ngram import (EOS, UNK, leave_one_out, load_model, perplexity,
                                perplexity_features, save_model, train)
 from langprofile.pipeline import load_transcripts
-from tests.conftest import make_corpus, newly_rare_types, pseudo_words
-from tests.oracles import retrain_loo_models
+from tests.conftest import make_corpus, make_wordy_corpus, newly_rare_types, pseudo_words
+from tests.oracles import loop_perplexity_features, retrain_loo_models
 
 WORDS = pseudo_words(300)
 
@@ -135,6 +135,34 @@ class TestPerplexityFeatures:
         with pytest.raises(EmptyCorpus):
             ngram.train_group_models([td])
 
+    @pytest.mark.parametrize("pad", [True, False])
+    @pytest.mark.parametrize("unk_threshold", [1, 2, 3])
+    @pytest.mark.parametrize("make", [make_corpus, make_wordy_corpus])
+    def test_equals_six_loop_perplexities(self, tmp_path, make, unk_threshold, pad):
+        make(tmp_path / "corpus")
+        transcripts = load_transcripts(tmp_path / "corpus")
+        full = ngram.train_group_models(transcripts, 0.5, unk_threshold, pad)
+        model_sets = [full]
+        for label in ("SLI", "TD"):
+            members = [t for t in transcripts if t.group.value == label]
+            model_sets += [{**full, label: held}
+                           for held in leave_one_out(members, full[label])]
+        for models in model_sets:
+            for t in transcripts:
+                assert perplexity_features(t, models["SLI"], models["TD"]) \
+                    == loop_perplexity_features(t, models["SLI"], models["TD"])
+
+    def test_reads_the_child_sentences_once(self, corpus_dir, monkeypatch):
+        transcripts = load_transcripts(corpus_dir)
+        models = ngram.train_group_models(transcripts, 0.5, 2)
+        calls = []
+        read = ngram._child_sentences
+        monkeypatch.setattr(ngram, "_child_sentences",
+                            lambda ts: calls.append([t.id for t in ts]) or read(ts))
+        for t in transcripts:
+            perplexity_features(t, models["SLI"], models["TD"])
+        assert calls == [[t.id] for t in transcripts]
+
 
 class TestSaveLoad:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -182,6 +210,11 @@ class TestSaveLoad:
          "line 4"),
         ("ngram\torder=2\tk=1.0\tunk_threshold=1\tpad=1\nvocab\ta b\nx\ta b\n", "line 3"),
         ("ngram\torder=2\tk=1.0\tunk_threshold=1\tpad=1\nvocab\ta b\n1\ta\n", "line 3"),
+        ("ngram\torder=1\tk=nan\tunk_threshold=1\tpad=1\nvocab\ta\n", "line 1: smoothing_k"),
+        ("ngram\torder=1\tk=-1.0\tunk_threshold=0\tpad=1\nvocab\ta\n",
+         "line 1: smoothing_k"),
+        ("ngram\torder=1\tk=1.0\tunk_threshold=1\tpad=7\nvocab\ta\n", "line 1: pad"),
+        ("ngram\torder=5\tk=1.0\tunk_threshold=1\tpad=1\nvocab\ta\n", "line 1: order"),
     ])
     def test_malformed_file_raises_data_error(self, tmp_path, text, where):
         path = tmp_path / "m.lm"

@@ -88,6 +88,18 @@ class TestIngest:
         assert f"{csv_path}: not UTF-8: byte 0xff at offset 20000" in err
         assert "Traceback" not in err
 
+    def test_oversize_cell_names_file_and_row(self, tmp_path, capsys):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=5)
+        lines = csv_path.read_text().splitlines()
+        lines[3] = "x" * 140_000 + lines[3]  # past csv's 131,072-character field limit
+        csv_path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{csv_path}: row 3: field larger than field limit" in err
+        assert "Traceback" not in err
+
     def test_row_formatting_equals_per_element_oracle(self):
         special = [np.nan, -0.0, 0.0, 1e-300, 1e300, 5e-324, 3.0, -17.0,
                    1234567890123.0, 0.1, 1.0 / 3.0, np.inf]
