@@ -43,7 +43,7 @@ def main():
 
     m = FeatureMatrix(np.column_stack(cols), tuple(names),
                       tuple(f"row{i}" for i in range(n)))
-    std, params = standardize(m)
+    std, _ = standardize(m)
     keep = prune_correlated(std, threshold=0.95)
     pruned = std.select(keep)
     dropped = set(std.col_names) - set(pruned.col_names)

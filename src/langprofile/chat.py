@@ -268,24 +268,6 @@ def _classify_role(role: str) -> Speaker:
     return Speaker.OTHER
 
 
-class _UtteranceBuilder:
-    __slots__ = ("speaker", "code", "raw", "clean", "terminator", "events", "postcodes", "mor")
-
-    def __init__(self, speaker, code, raw, clean, terminator, events, postcodes):
-        self.speaker = speaker
-        self.code = code
-        self.raw = raw
-        self.clean = clean
-        self.terminator = terminator
-        self.events = events
-        self.postcodes = postcodes
-        self.mor: tuple[MorToken, ...] | None = None
-
-    def build(self) -> Utterance:
-        return Utterance(self.speaker, self.code, self.raw, self.clean,
-                         self.terminator, self.events, self.mor, self.postcodes)
-
-
 def _split_terminator(tokens: list[str]) -> tuple[list[str], Terminator, tuple[str, ...]]:
     """Pull utterance postcodes and the terminator off the token tail."""
     postcodes: list[str] = []
@@ -348,7 +330,7 @@ def parse_chat(text: str, transcript_id: str | None = None) -> Transcript:
     pid = ""
     child_code = ""
     warnings: list[str] = []
-    builders: list[_UtteranceBuilder] = []
+    utterances: list[Utterance] = []
 
     try:
         for lineno, line in logical:
@@ -388,8 +370,8 @@ def parse_chat(text: str, transcript_id: str | None = None) -> Transcript:
                 body, terminator, postcodes = _split_terminator(tokens)
                 clean, events = strip_annotations(body)
                 speaker = roles.get(code, _DEFAULT_ROLES.get(code, Speaker.OTHER))
-                builders.append(_UtteranceBuilder(speaker, code, tuple(body), clean,
-                                                  terminator, events, postcodes))
+                utterances.append(Utterance(speaker, code, tuple(body), clean, terminator,
+                                            events, None, postcodes))
                 continue
 
             if line.startswith("%"):
@@ -399,24 +381,28 @@ def parse_chat(text: str, transcript_id: str | None = None) -> Transcript:
                 kind = m.group(1).lower()
                 if kind != "mor":
                     continue  # other dependent tiers are out of scope
-                if not builders:
+                if not utterances:
                     raise OrphanDependentTier("%mor tier before any utterance")
-                target = builders[-1]
+                target = utterances[-1]
                 content = line[m.end():].strip()
                 try:
                     mor = tuple(tk for tk in (parse_mor_token(t) for t in content.split())
                                 if tk is not None)
                 except MalformedTier as exc:
-                    warnings.append(f"utterance {len(builders)}: mor tier dropped ({exc})")
+                    warnings.append(f"utterance {len(utterances)}: mor tier dropped ({exc})")
                     continue
-                if len(mor) != len(target.clean):
+                if len(mor) != len(target.clean_tokens):
                     warnings.append(
-                        f"utterance {len(builders)}: mor tier has {len(mor)} tokens, "
-                        f"utterance has {len(target.clean)}; mor dropped")
+                        f"utterance {len(utterances)}: mor tier has {len(mor)} tokens, "
+                        f"utterance has {len(target.clean_tokens)}; mor dropped")
                     continue
-                if target.mor is not None:
-                    warnings.append(f"utterance {len(builders)}: duplicate mor tier replaced")
-                target.mor = mor
+                if target.mor_tokens is not None:
+                    warnings.append(f"utterance {len(utterances)}: duplicate mor tier replaced")
+                # positional arguments: dataclasses.replace costs twice as much
+                utterances[-1] = Utterance(target.speaker, target.speaker_code,
+                                           target.raw_tokens, target.clean_tokens,
+                                           target.terminator, target.events, mor,
+                                           target.postcodes)
                 continue
 
             raise MalformedTier(f"unclassifiable line: {line!r}")
@@ -438,7 +424,7 @@ def parse_chat(text: str, transcript_id: str | None = None) -> Transcript:
         group=group,
         age_months=age_months,
         sex=sex,
-        utterances=tuple(b.build() for b in builders),
+        utterances=tuple(utterances),
         warnings=tuple(warnings),
     )
 
@@ -469,13 +455,11 @@ def render_chat(t: Transcript) -> str:
     lines.append(f"@ID:\teng|{t.corpus}|{child}|{age}|{sex}|{t.group.value}||Target_Child|||")
     if t.id:
         lines.append(f"@PID:\t{t.id}")
-    term_text = {Terminator.PERIOD: ".", Terminator.QUESTION: "?",
-                 Terminator.EXCLAIM: "!", Terminator.TRAIL_OFF: "+..."}
     for u in t.utterances:
-        body = " ".join(u.clean_tokens + (term_text[u.terminator],))
+        body = " ".join(u.clean_tokens + (u.terminator.value,))
         lines.append(f"*{u.speaker_code}:\t{body}")
         if u.mor_tokens is not None:
-            mor = " ".join([m.render() for m in u.mor_tokens] + [term_text[u.terminator]])
+            mor = " ".join([m.render() for m in u.mor_tokens] + [u.terminator.value])
             lines.append(f"%mor:\t{mor}")
     lines.append("@End")
     return "\n".join(lines) + "\n"

@@ -26,28 +26,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _smoothing_k(text: str) -> float:
-    try:
-        k = float(text)
-        ngram.check_settings(smoothing_k=k)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
-    return k
-
-
-def _unk_threshold(text: str) -> int:
-    try:
-        threshold = int(text)
-        ngram.check_settings(unk_threshold=threshold)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
-    return threshold
+def _lm_setting(name: str, parse):
+    """An argparse type: ``parse`` the flag's text, then range-check it as
+    ``ngram.check_settings`` argument ``name``."""
+    def setting(text: str):
+        try:
+            value = parse(text)
+            ngram.check_settings(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
+        return value
+    return setting
 
 
 def _add_lm_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--smoothing-k", type=_smoothing_k, default=1.0,
+    p.add_argument("--smoothing-k", type=_lm_setting("smoothing_k", float), default=1.0,
                    help="add-k smoothing constant (finite, >= 0)")
-    p.add_argument("--unk-threshold", type=_unk_threshold, default=1,
+    p.add_argument("--unk-threshold", type=_lm_setting("unk_threshold", int), default=1,
                    help="types rarer than this become <unk> (>= 1)")
 
 
@@ -145,7 +140,7 @@ def _render_table(rows: list[dict], title: str) -> str:
 
 def _render_report(path: Path) -> str:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8").removeprefix("\ufeff"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"{path}: not a JSON report: {exc}") from None
     if not isinstance(data, dict):

@@ -301,7 +301,7 @@ def ward_linkage(distances, k: int) -> np.ndarray:
     np.fill_diagonal(D, np.inf)
     sizes = np.ones(n)
     active = np.ones(n, dtype=bool)
-    members: list[list[int] | None] = [[i] for i in range(n)]
+    owner = np.arange(n)  # the row that holds each point's cluster
     nn = np.argmin(D, axis=1)
     nd = D[np.arange(n), nn]
     for _ in range(n - k):
@@ -323,8 +323,7 @@ def ward_linkage(distances, k: int) -> np.ndarray:
         D[j, :] = np.inf
         D[:, j] = np.inf
         sizes[i] = ni + nj
-        members[i] = members[i] + members[j]
-        members[j] = None
+        owner[owner == j] = i
         nd[j] = np.inf
         nn[i] = np.argmin(D[i])
         nd[i] = D[i, nn[i]]
@@ -339,13 +338,9 @@ def ward_linkage(distances, k: int) -> np.ndarray:
             if stale.size:
                 nn[stale] = np.argmin(D[stale], axis=1)
                 nd[stale] = D[stale, nn[stale]]
-    labels = np.empty(n, dtype=int)
-    next_label = 0
-    for i in range(n):
-        if active[i]:
-            labels[np.array(members[i])] = next_label
-            next_label += 1
-    return labels
+    # a merge keeps the lower row, so rows in ascending order number clusters
+    # by their first member
+    return np.unique(owner, return_inverse=True)[1]
 
 
 def dbscan(distances, eps: float, min_pts: int) -> np.ndarray:

@@ -34,11 +34,6 @@ _AUX_INITIAL_POS = frozenset({"aux", "cop", "mod"})
 _STRUCTURAL_NAMES = ("question", "wh_question", "aux_initial_question", "multiword")
 
 
-def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def default_dss_table() -> dict:
     ref = resources.files("langprofile.features").joinpath("data/dss_table.json")
     return json.loads(ref.read_text(encoding="utf-8"))
@@ -49,24 +44,24 @@ def default_ipsyn_table() -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def load_table(path: str | Path) -> dict:
-    """Read a custom DSS (``categories``) or IPSyn (``structures``) table.
+def load_table(path: str | Path, key: str) -> dict:
+    """Read a custom DSS table (``key`` is ``"categories"``) or IPSyn table
+    (``key`` is ``"structures"``), and validate that kind only.
 
-    A file that is not JSON, that lacks a key the scorers look up, or
-    whose values do not have the documented types (integer ``points``, a
-    non-negative integer ``cap``, one of the four ``structural`` names, a
-    non-empty ``sequence`` of token predicates, a string ``pos``, lists of
-    strings for the ``*_in`` keys, a boolean ``inflected``) raises
-    ``DataError`` naming the file and the key.
+    A file that is not JSON, that lacks ``key`` or another key the scorers
+    look up, or whose values do not have the documented types (integer
+    ``points``, a non-negative integer ``cap``, one of the four
+    ``structural`` names, a non-empty ``sequence`` of token predicates, a
+    string ``pos``, lists of strings for the ``*_in`` keys, a boolean
+    ``inflected``) raises ``DataError`` naming the file and the key.
     """
     try:
-        table = _load_json(path)
+        table = json.loads(Path(path).read_text(encoding="utf-8").removeprefix("\ufeff"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise DataError(f"{path}: not a JSON scoring table ({exc})") from None
-    if not isinstance(table, dict) or not {"categories", "structures"} & table.keys():
-        raise DataError(f"{path}: missing key 'categories' (DSS) or 'structures' (IPSyn)")
-    if "categories" in table:
-        for i, category in enumerate(_list_at(table, "categories", str(path))):
+    entries = _list_at(table, key, str(path))
+    if key == "categories":
+        for i, category in enumerate(entries):
             for j, rule in enumerate(_list_at(category, "rules",
                                               f"{path}: categories[{i}]")):
                 where = f"categories[{i}].rules[{j}]"
@@ -76,8 +71,8 @@ def load_table(path: str | Path) -> dict:
                 _require(_is_int(rule["points"]), path, f"{where}.points", "an integer",
                          rule["points"])
                 _check_shape(rule, path, where)
-    if "structures" in table:
-        for i, struct in enumerate(_list_at(table, "structures", str(path))):
+    else:
+        for i, struct in enumerate(entries):
             if not isinstance(struct, dict) \
                     or not {"token", "sequence", "structural"} & struct.keys():
                 raise DataError(f"{path}: structures[{i}]: missing key 'token' "

@@ -246,7 +246,7 @@ def load_model(path: str | Path) -> NGramModel:
     raises ``DataError`` naming the file.  So does a header that
     :func:`train` would refuse: an order outside 1-3, a setting that
     fails :func:`check_settings`, or a ``pad`` other than 0 or 1."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     lines = text.rstrip("\n").split("\n")
     header = lines[0].split("\t")
     if header[0] != "ngram":

@@ -75,16 +75,11 @@ def impute_missing(m: FeatureMatrix) -> tuple[FeatureMatrix, int]:
     return FeatureMatrix(v, m.col_names, m.row_ids), n_filled
 
 
-@dataclass(frozen=True)
-class StandardizeParams:
-    means: np.ndarray
-    sds: np.ndarray
-    retained: tuple[str, ...]
-    dropped: tuple[str, ...]
+def standardize(m: FeatureMatrix) -> tuple[FeatureMatrix, tuple[str, ...]]:
+    """Column-wise zero mean, unit sample sd; constant columns dropped.
 
-
-def standardize(m: FeatureMatrix) -> tuple[FeatureMatrix, StandardizeParams]:
-    """Column-wise zero mean, unit sample sd; constant columns dropped."""
+    Returns the standardized matrix and the names of the dropped columns.
+    """
     v = m.values
     means = v.mean(axis=0)
     sds = v.std(axis=0, ddof=1) if v.shape[0] > 1 else np.zeros(v.shape[1])
@@ -94,8 +89,7 @@ def standardize(m: FeatureMatrix) -> tuple[FeatureMatrix, StandardizeParams]:
     dropped = tuple(name for name, k in zip(m.col_names, keep) if not k)
     out = (v[:, keep] - means[keep]) / sds[keep]
     retained = tuple(name for name, k in zip(m.col_names, keep) if k)
-    params = StandardizeParams(means[keep].copy(), sds[keep].copy(), retained, dropped)
-    return FeatureMatrix(out, retained, m.row_ids), params
+    return FeatureMatrix(out, retained, m.row_ids), dropped
 
 
 def check_threshold(threshold: float) -> None:

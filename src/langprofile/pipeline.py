@@ -31,6 +31,7 @@ from .errors import (
     ConfigError,
     DataError,
     NonNumericCell,
+    NumericError,
     PipelineError,
     SchemaMismatch,
 )
@@ -123,11 +124,12 @@ class PipelineConfig:
 def load_config(path: str | Path) -> PipelineConfig:
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path, encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
+        parser.read_string(text.removeprefix("\ufeff"), source=os.fspath(path))
+    except OSError:
+        raise ConfigError(f"cannot read config file {path!r}") from None
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
 
     def get(section: str, key: str, required: bool = False) -> str:
         if parser.has_option(section, key):
@@ -276,7 +278,7 @@ def _csv_records(fh, path):
 
 def ingest_feature_csv(path: str | Path) -> Cohort:
     """Load a feature CSV whose header matches the documented schema."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = _csv_records(fh, path)
         try:
             header = next(reader)
@@ -321,7 +323,13 @@ def ingest_feature_csv(path: str | Path) -> Cohort:
             rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    matrix = FeatureMatrix(np.array(rows, dtype=float), FEATURE_NAMES, tuple(ids))
+    values = np.array(rows, dtype=float)
+    infinite = np.argwhere(np.isinf(values))  # such as 'inf' or '1e400'; 'nan' is missing
+    if infinite.size:
+        r, j = infinite[0]
+        raise NonNumericCell(f"{path}: row {r + 1}, column {FEATURE_NAMES[j]!r}: "
+                             "not a finite number")
+    matrix = FeatureMatrix(values, FEATURE_NAMES, tuple(ids))
     return Cohort(matrix, tuple(corpus), tuple(group), tuple(ages), tuple(sex))
 
 
@@ -333,20 +341,13 @@ def load_transcripts(directory: str | Path) -> list[chat.Transcript]:
         raise DataError(f"no .cha files under {directory!r}")
     out = []
     for p in paths:
-        with open(p, encoding="utf-8") as fh:
+        with open(p, encoding="utf-8-sig") as fh:
             text = "".join(_utf8_lines(fh, p))
         try:
             out.append(chat.parse_chat(text, transcript_id=p.stem))
         except ChatParseError as exc:
             raise type(exc)(f"{p}: {exc}") from None
     return out
-
-
-def _custom_table(path: str, key: str) -> dict:
-    table = scoring.load_table(path)
-    if key not in table:
-        raise DataError(f"{path}: missing key {key!r}")
-    return table
 
 
 def extract_cohort(transcripts: list[chat.Transcript],
@@ -361,10 +362,10 @@ def extract_cohort(transcripts: list[chat.Transcript],
     costs one pass over its text plus one copy of the count tables per
     member, with no retrains, and at most one held-out set per group is
     alive at a time."""
-    dss_table = _custom_table(config.dss_table, "categories") if config.dss_table \
+    dss_table = scoring.load_table(config.dss_table, "categories") if config.dss_table \
         else scoring.default_dss_table()
-    ipsyn_table = _custom_table(config.ipsyn_table, "structures") if config.ipsyn_table \
-        else scoring.default_ipsyn_table()
+    ipsyn_table = scoring.load_table(config.ipsyn_table, "structures") \
+        if config.ipsyn_table else scoring.default_ipsyn_table()
     blocks = [fx.base_features(t, config.count_fusions, dss_table, ipsyn_table)
               for t in transcripts]
     groups = [t.group.value for t in transcripts]
@@ -427,11 +428,11 @@ class ReportBundle:
 
 
 def _stage(name: str, fn, *args, **kwargs):
+    """Call ``fn``; an error that a documented input raises is reported as
+    this stage's failure, and any other exception, a fault, propagates."""
     try:
         return fn(*args, **kwargs)
-    except PipelineError:
-        raise
-    except Exception as exc:
+    except (DataError, NumericError, OSError) as exc:
         raise PipelineError(name, exc) from exc
 
 
@@ -476,7 +477,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
             f"the row count n={n}"))
 
     imputed, n_imputed = _stage("impute", numerics.impute_missing, cohort.matrix)
-    standardized, std_params = _stage("standardize", numerics.standardize, imputed)
+    standardized, dropped = _stage("standardize", numerics.standardize, imputed)
     retained_idx = _stage("prune", numerics.prune_correlated,
                           standardized, config.prune_threshold)
     pruned = standardized.select(retained_idx)
@@ -486,17 +487,14 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     scores = _stage("pca", numerics.pca_project, model, pruned)
     ratios, cum = _stage("pca", numerics.explained_variance, model.eigenvalues)
 
-    m_dims = max(1, min(config.pc_dims, scores.shape[1]))
-    space = scores[:, :m_dims]
+    space = scores[:, :config.pc_dims]
 
     distances = _stage("sweep", clustering._pairwise_distances, space)
     sweep = _stage("sweep", clustering.silhouette_sweep,
                    space, distances, config.k_range, config.seed, config.n_init)
     chosen_k, _, km = max(sweep, key=lambda fit: fit[1])  # ties: first in k_range
     order = np.argsort(-km.centroids[:, 0], kind="stable")
-    relabel = np.empty(chosen_k, dtype=int)
-    relabel[order] = np.arange(chosen_k)
-    assignments = relabel[km.assignments]
+    assignments = np.argsort(order)[km.assignments]  # the inverse permutation relabels
     centroids = km.centroids[order]
 
     ward_labels = _stage("cross_check", clustering.ward_linkage, distances, chosen_k)
@@ -534,7 +532,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         "n_rows": n,
         "preprocessing": {
             "imputed_cells": n_imputed,
-            "dropped_constant": list(std_params.dropped),
+            "dropped_constant": list(dropped),
             "prune_threshold": config.prune_threshold,
             "pruned": sorted(pruned_names),
             "retained": list(pruned.col_names),

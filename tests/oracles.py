@@ -218,8 +218,10 @@ def _extract_all(t, stats, lms, count_fusions=False, dss_table=None,
 def two_pass_extract_cohort(transcripts, config) -> Cohort:
     """Two-pass extraction: base features feed group statistics and the
     language models, then every transcript gets its full vector."""
-    dss_table = scoring.load_table(config.dss_table) if config.dss_table else None
-    ipsyn_table = scoring.load_table(config.ipsyn_table) if config.ipsyn_table else None
+    dss_table = scoring.load_table(config.dss_table, "categories") \
+        if config.dss_table else None
+    ipsyn_table = scoring.load_table(config.ipsyn_table, "structures") \
+        if config.ipsyn_table else None
     base_rows = []
     for t in transcripts:
         row: dict[str, float] = {}

@@ -107,6 +107,31 @@ class TestParseChat:
         assert len(t.warnings) == 1
         assert "mor" in t.warnings[0]
 
+    @pytest.mark.parametrize("text, lemmas, warnings", [
+        pytest.param("*CHI:\tthe dog .\n%mor:\tdet|a n|cat .\n%mor:\tdet|the n|dog .\n",
+                     [("the", "dog")], ["utterance 1: duplicate mor tier replaced"],
+                     id="duplicate-replaces-first"),
+        pytest.param("*CHI:\tthe dog .\n%mor:\tdet|the n| .\n%mor:\tdet|the n|dog .\n",
+                     [("the", "dog")],
+                     ["utterance 1: mor tier dropped (unparseable mor token 'n|')"],
+                     id="malformed-then-good"),
+        pytest.param("*CHI:\tthe dog .\n%mor:\tdet|the .\n%mor:\tdet|the n|dog .\n",
+                     [("the", "dog")],
+                     ["utterance 1: mor tier has 1 tokens, utterance has 2; mor dropped"],
+                     id="misaligned-then-good"),
+        pytest.param("*CHI:\tdog .\n*EXA:\twhat ?\n%mor:\tpro:wh|what ?\n",
+                     [None, ("what",)], [], id="examiner-tier"),
+        pytest.param("*CHI:\tdog .\n%mor:\tn|dog .\n@Comment:\tnote\n%com:\tx\n"
+                     "*CHI:\tcat .\n%mor:\tn|cat .\n%mor:\tn|cat-PL .\n",
+                     [("dog",), ("cat",)], ["utterance 2: duplicate mor tier replaced"],
+                     id="each-tier-to-its-own-utterance"),
+    ])
+    def test_mor_tier_attachment(self, text, lemmas, warnings):
+        t = parse_chat(text)
+        assert [None if u.mor_tokens is None else tuple(m.lemma for m in u.mor_tokens)
+                for u in t.utterances] == lemmas
+        assert list(t.warnings) == warnings
+
     def test_malformed_tier(self):
         with pytest.raises(MalformedTier):
             parse_chat("*CHI\tthe dog ran .\n")
@@ -278,6 +303,13 @@ class TestRoundTrip:
         assert all(u.events.total() == 0 for u in second.utterances)
         assert second.group is first.group
         assert second.age_months == first.age_months
+
+    def test_render_writes_each_terminator(self):
+        t = parse_chat("*CHI:\tdog .\n*CHI:\tdog ?\n*CHI:\tdog !\n*CHI:\tdog +...\n"
+                       "%mor:\tn|dog +...\n")
+        lines = render_chat(t).splitlines()
+        assert lines[-6:-1] == ["*CHI:\tdog .", "*CHI:\tdog ?", "*CHI:\tdog !",
+                                "*CHI:\tdog +...", "%mor:\tn|dog +..."]
 
     def test_render_is_stable(self):
         first = parse_chat(self.TEXT)

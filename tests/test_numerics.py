@@ -36,7 +36,7 @@ def fm(values, names=None):
 class TestStandardize:
     def test_two_point_column(self):
         # mean 2, sample sd sqrt(2) -> +/- 1/sqrt(2)
-        out, params = standardize(fm([[1.0], [3.0]]))
+        out, _ = standardize(fm([[1.0], [3.0]]))
         assert abs(out.values[0, 0] + 1 / math.sqrt(2)) < 1e-12
         assert abs(out.values[1, 0] - 1 / math.sqrt(2)) < 1e-12
 
@@ -48,9 +48,9 @@ class TestStandardize:
         assert np.max(np.abs(twice.values - once.values)) < 1e-12
 
     def test_constant_column_dropped(self):
-        out, params = standardize(fm([[1.0, 7.0], [2.0, 7.0]], names=("a", "b")))
+        out, dropped = standardize(fm([[1.0, 7.0], [2.0, 7.0]], names=("a", "b")))
         assert out.col_names == ("a",)
-        assert params.dropped == ("b",)
+        assert dropped == ("b",)
 
     def test_all_constant_raises(self):
         with pytest.raises(AllConstant):

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import langprofile
-from langprofile import cli, clustering, pipeline
+from langprofile import cli, clustering, ngram, numerics, pipeline
 from langprofile.errors import ConfigError, NonNumericCell, NumericError, SchemaMismatch
+from langprofile.features import scoring
 from langprofile.features.schema import FEATURE_NAMES, csv_header
-from langprofile.ngram import load_model
+from langprofile.ngram import load_model, save_model
 from langprofile.numerics import FeatureMatrix
 from langprofile.synthetic import feature_table
 from tests.oracles import per_element_feature_csv
@@ -77,6 +78,35 @@ class TestIngest:
         cohort = pipeline.ingest_feature_csv(csv_path)
         assert np.isnan(cohort.matrix.values[0, 2])
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", "-1E+999"])
+    def test_non_finite_cell_exits_two_naming_row_and_column(self, tmp_path, capsys, cell):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=60)
+        lines = csv_path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index("n_v")] = cell
+        lines[2] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{csv_path}: row 2, column 'n_v': not a finite number" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_cell_is_missing_and_imputed(self, tmp_path):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=60)
+        lines = csv_path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index("n_v")] = "nan"
+        lines[2] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
+        bundle = pipeline.run_pipeline(pipeline.load_config(cfg))
+        assert bundle.pca_report["preprocessing"]["imputed_cells"] == 1
+        assert "n_v" not in bundle.pca_report["preprocessing"]["dropped_constant"]
+
     def test_non_utf8_names_file_byte_and_offset(self, tmp_path, capsys):
         csv_path = tmp_path / "f.csv"
         write_synthetic_csv(csv_path, n=150)
@@ -127,6 +157,15 @@ class TestConfig:
         cfg.write_text("[input]\nmode = csv\npath = x.csv\n[output]\ndir = o\n")
         with pytest.raises(ConfigError):
             pipeline.load_config(cfg)
+
+    def test_required_keys_alone_give_the_dataclass_defaults(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[input]\nmode = csv\npath = x.csv\n"
+                       "[clustering]\nseed = 1\n[output]\ndir = o\n")
+        config = pipeline.load_config(cfg)
+        expected = pipeline.PipelineConfig("csv", "x.csv", "o", 1)
+        assert config == expected
+        assert config.config_hash == expected.config_hash
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.ini", "x.csv", "o", seed=42)
@@ -422,6 +461,17 @@ class TestCli:
         assert "cross_check" in err and "ami failed" in err
         assert "Traceback" not in err
 
+    def test_programming_fault_in_a_stage_propagates(self, tmp_path, monkeypatch):
+        def faulty_standardize(m):
+            raise TypeError("a fault, not a data error")
+
+        monkeypatch.setattr(numerics, "standardize", faulty_standardize)
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=40)
+        cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
+        with pytest.raises(TypeError, match="a fault, not a data error"):
+            cli.main(["analyze", "--config", str(cfg)])
+
     @pytest.mark.parametrize("command", ["extract", "train-lm"])
     @pytest.mark.parametrize("flag, text", [
         ("--smoothing-k", "nan"), ("--smoothing-k", "inf"), ("--smoothing-k", "-1"),
@@ -587,6 +637,34 @@ class TestCli:
         assert str(table) in err
         assert repr(key) in err
 
+    @pytest.mark.parametrize("flag, key, other", [
+        ("--dss-table", "categories", "structures"),
+        ("--ipsyn-table", "structures", "categories"),
+    ])
+    def test_table_without_its_key_names_that_key_only(self, corpus_dir, tmp_path, capsys,
+                                                        flag, key, other):
+        table = tmp_path / "table.json"
+        table.write_text('{"name": "neither"}', encoding="utf-8")
+        assert cli.main(["extract", str(corpus_dir), "-o", str(tmp_path / "f.csv"),
+                         flag, str(table)]) == 2
+        err = capsys.readouterr().err
+        assert f"{table}: missing key {key!r}" in err
+        assert other not in err
+
+    def test_dss_table_ignores_a_malformed_structures_half(self, corpus_dir, tmp_path):
+        table = scoring.default_dss_table()
+        plain, mixed = tmp_path / "plain.json", tmp_path / "mixed.json"
+        plain.write_text(json.dumps(table), encoding="utf-8")
+        mixed.write_text(json.dumps({**table, "structures": [{"name": "no rule"}]}),
+                         encoding="utf-8")
+        csvs = []
+        for path in (plain, mixed):
+            out = tmp_path / f"{path.stem}.csv"
+            assert cli.main(["extract", str(corpus_dir), "-o", str(out),
+                             "--dss-table", str(path)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_extract_parse_error_names_file_and_line(self, corpus_dir, capsys):
         bad = corpus_dir / "bad.cha"
         bad.write_text("@Begin\n@Participants:\tCHI Child Target_Child\n"
@@ -614,3 +692,102 @@ class TestCli:
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def _add_bom(path):
+    path.write_bytes(BOM + path.read_bytes())
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of an input file is read as
+    UTF-8: each run gives the same bytes as the file without it, at the
+    same path (the config hash covers the paths)."""
+
+    def _analyze(self, cfg, out):
+        assert cli.main(["analyze", "--config", str(cfg)]) == 0
+        return {name: (out / name).read_bytes() for name in pipeline.REPORT_FILES}
+
+    def test_feature_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=60)
+        cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
+        before = self._analyze(cfg, tmp_path / "out")
+        _add_bom(csv_path)
+        assert self._analyze(cfg, tmp_path / "out") == before
+
+    def test_config(self, tmp_path, capsys):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=60)
+        cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
+        before = self._analyze(cfg, tmp_path / "out")
+        _add_bom(cfg)
+        assert self._analyze(cfg, tmp_path / "out") == before
+
+    def _extract(self, corpus_dir, out, capsys, *flags):
+        assert cli.main(["extract", str(corpus_dir), "-o", str(out), *flags]) == 0
+        return out.read_bytes(), capsys.readouterr().err
+
+    def test_transcripts(self, corpus_dir, tmp_path, capsys):
+        (corpus_dir / "extra.cha").write_text(
+            "@Begin\n@ID:\teng|c|CHI|4;02.|male|SLI||Target_Child|||\n"
+            "*CHI:\tthe dog ran .\n%mor:\tdet|the n|dog .\n@End\n", encoding="utf-8")
+        out = tmp_path / "f.csv"
+        before = self._extract(corpus_dir, out, capsys)
+        assert "mor dropped" in before[1]
+        for path in corpus_dir.glob("*.cha"):
+            _add_bom(path)
+        assert self._extract(corpus_dir, out, capsys) == before
+
+    def test_dss_table(self, corpus_dir, tmp_path, capsys):
+        table = tmp_path / "dss.json"
+        table.write_text(json.dumps(scoring.default_dss_table()), encoding="utf-8")
+        out = tmp_path / "f.csv"
+        before = self._extract(corpus_dir, out, capsys, "--dss-table", str(table))
+        _add_bom(table)
+        assert self._extract(corpus_dir, out, capsys, "--dss-table", str(table)) == before
+
+    def test_report(self, tmp_path, capsys):
+        path = tmp_path / "r_report.json"
+        path.write_text('{"k": 2, "rows": [{"a": 1.5}]}', encoding="utf-8")
+        assert cli.main(["report", str(path)]) == 0
+        before = capsys.readouterr().out
+        _add_bom(path)
+        assert cli.main(["report", str(path)]) == 0
+        assert capsys.readouterr().out == before
+
+    def test_model_file(self, corpus_dir, tmp_path):
+        transcripts = pipeline.load_transcripts(corpus_dir)
+        path = tmp_path / "m.lm"
+        save_model(ngram.train(transcripts, 2), path)
+        before = load_model(path)
+        _add_bom(path)
+        assert load_model(path) == before
+
+    @pytest.mark.parametrize("name, body, args", [
+        pytest.param("c.ini", b"[input]\nmode = csv\xff\n", ["analyze", "--config"],
+                     id="config"),
+        pytest.param("r.json", b'{"k": "\xff"}', ["report"], id="report"),
+        pytest.param("dss.json", b'{"categories": "\xff"}', None, id="dss-table"),
+    ])
+    def test_non_utf8_position_counts_the_mark(self, corpus_dir, tmp_path, capsys,
+                                               name, body, args):
+        path = tmp_path / name
+        path.write_bytes(BOM + body)
+        args = args or ["extract", str(corpus_dir), "-o", str(tmp_path / "f.csv"),
+                        "--dss-table"]
+        assert cli.main([*args, str(path)]) == 2
+        err = capsys.readouterr().err
+        offset = (BOM + body).index(b"\xff")
+        assert str(path) in err
+        assert f"byte 0xff in position {offset}" in err
+
+    def test_non_utf8_offset_counts_the_mark(self, corpus_dir, capsys):
+        bad = corpus_dir / "bad.cha"
+        bad.write_bytes(BOM + b"@Begin\n*CHI:\tthe dog\xff runs .\n@End\n")
+        assert cli.main(["extract", str(corpus_dir), "-o",
+                         str(corpus_dir / "f.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8: byte 0xff at offset 23" in err
