@@ -296,17 +296,27 @@ def _split_terminator(tokens: list[str]) -> tuple[list[str], Terminator, tuple[s
     return tokens, terminator, tuple(postcodes)
 
 
+_UNSEEN = object()  # a mor_cache miss: None is a cached punctuation item
+
 _MAIN_TIER = re.compile(r"^\*([A-Z]{3}):")
 _DEP_TIER = re.compile(r"^%([A-Za-z]+):")
 _HEADER = re.compile(r"^@([^:]+):\s*(.*)$")
 
 
-def parse_chat(text: str, transcript_id: str | None = None) -> Transcript:
+def parse_chat(text: str, transcript_id: str | None = None, *,
+               mor_cache: dict[str, MorToken | None] | None = None) -> Transcript:
     """Parse CHAT text into an immutable :class:`Transcript`.
 
     ``transcript_id`` overrides the id derived from ``@PID``/``@ID``
     headers (callers that read files usually pass the file stem).
+    ``mor_cache`` maps each raw ``%mor`` item parsed so far to its token
+    (``None`` for punctuation), so equal items share one :class:`MorToken`;
+    pass one dict for a whole corpus.  Without it, the call uses a fresh
+    one.  A malformed item is never cached: it raises, and drops its tier
+    with a warning, at every occurrence.
     """
+    if mor_cache is None:
+        mor_cache = {}
     # logical lines: continuation lines (leading tab) join their tier; each
     # keeps the number of its first physical line for error messages
     logical: list[tuple[int, str]] = []
@@ -386,8 +396,13 @@ def parse_chat(text: str, transcript_id: str | None = None) -> Transcript:
                 target = utterances[-1]
                 content = line[m.end():].strip()
                 try:
-                    mor = tuple(tk for tk in (parse_mor_token(t) for t in content.split())
-                                if tk is not None)
+                    mor = []
+                    for item in content.split():
+                        tok = mor_cache.get(item, _UNSEEN)
+                        if tok is _UNSEEN:
+                            tok = mor_cache[item] = parse_mor_token(item)
+                        if tok is not None:
+                            mor.append(tok)
                 except MalformedTier as exc:
                     warnings.append(f"utterance {len(utterances)}: mor tier dropped ({exc})")
                     continue
@@ -401,7 +416,7 @@ def parse_chat(text: str, transcript_id: str | None = None) -> Transcript:
                 # positional arguments: dataclasses.replace costs twice as much
                 utterances[-1] = Utterance(target.speaker, target.speaker_code,
                                            target.raw_tokens, target.clean_tokens,
-                                           target.terminator, target.events, mor,
+                                           target.terminator, target.events, tuple(mor),
                                            target.postcodes)
                 continue
 

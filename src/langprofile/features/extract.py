@@ -323,9 +323,13 @@ def zscore_features(base: dict[str, float], stats: GroupStats) -> dict[str, floa
     return out
 
 
-def base_features(t: Transcript, count_fusions: bool = False, dss_table: dict | None = None,
-                  ipsyn_table: dict | None = None) -> tuple[dict[str, float], set[str]]:
-    """Every feature needing neither group statistics nor LMs, with its flags."""
+def base_features(t: Transcript, count_fusions: bool = False,
+                  dss_table: dict | scoring.CompiledTable | None = None,
+                  ipsyn_table: dict | scoring.CompiledTable | None = None
+                  ) -> tuple[dict[str, float], set[str]]:
+    """Every feature needing neither group statistics nor LMs, with its
+    flags.  Pass tables compiled once for a whole cohort; a dict is
+    compiled on every call."""
     flags: set[str] = set()
     values = production_counts(t)
     um, f = utterance_measures(t, count_fusions=count_fusions)

@@ -13,11 +13,26 @@ semantics:
 * ``sequence`` rules match consecutive mor tokens within an utterance
 * ``structural`` rules test utterance shape: ``question``,
   ``wh_question``, ``aux_initial_question``, ``multiword``
+
+One engine scores both tables.  :class:`CompiledTable` gives each
+distinct token predicate one bit and turns each rule into a bit, a tuple
+of bits (a sequence) or a structural name.  A token's mask, the OR of
+the bits of the predicates it matches, is computed once per distinct
+token and cached in the compiled table, so the cache lives as long as
+the table: ``pipeline.extract_cohort`` compiles each table once per job,
+and a plain dict passed to :func:`dss_score` or :func:`ipsyn_total` is
+compiled for that call alone.  Nothing is cached at module level.  A
+token rule then tests a bit of the utterance's masks, a sequence slides
+an AND of its bits over them, and IPSyn counts a token structure from a
+per-transcript tally of masks.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -170,76 +185,155 @@ def _structural_matches(u: Utterance, name: str) -> bool:
     raise ValueError(f"unknown structural predicate {name!r}")
 
 
-def _sequence_count(u: Utterance, preds: list[dict]) -> int:
-    toks = u.mor_tokens or ()
-    span = len(preds)
-    hits = 0
-    for i in range(len(toks) - span + 1):
-        if all(_token_matches(toks[i + j], preds[j]) for j in range(span)):
-            hits += 1
-    return hits
-
-
 def _is_scorable(u: Utterance) -> bool:
     if not u.mor_tokens:
         return False
     return any(not t.pos_classes.isdisjoint(_VERBAL_POS) for t in u.mor_tokens)
 
 
-def dss_score(t: Transcript, table: dict | None = None) -> float:
+def _predicate_key(pred: dict) -> tuple:
+    """A token predicate's keys and values, in a fixed order: the same
+    predicate written twice, or with its keys reordered, has one key."""
+    return tuple(sorted((name, tuple(value) if isinstance(value, list) else value)
+                        for name, value in pred.items() if name in _PREDICATE_TYPES))
+
+
+class _MaskCache(dict):
+    """Each distinct token's mask, the OR of the bits of the token
+    predicates it matches, computed on its first lookup.  Keyed by token
+    value, so equal tokens from different transcripts share an entry.
+
+    Each distinct predicate owns one bit and is filed under the POS
+    classes it requires (``None`` when it requires none), so a token is
+    tested only against the predicates its classes allow."""
+
+    def __init__(self):
+        super().__init__()
+        self.bits: dict[tuple, int] = {}
+        self.by_class: dict[str | None, list[tuple[int, dict]]] = {}
+
+    def bit(self, pred: dict) -> int:
+        key = _predicate_key(pred)
+        if key not in self.bits:
+            bit = self.bits[key] = 1 << len(self.bits)
+            for cls in [pred["pos"]] if "pos" in pred else pred.get("pos_in", [None]):
+                self.by_class.setdefault(cls, []).append((bit, pred))
+        return self.bits[key]
+
+    def __missing__(self, tok) -> int:
+        mask = 0
+        for cls in (None, *tok.pos_classes):
+            for bit, pred in self.by_class.get(cls, ()):
+                if _token_matches(tok, pred):
+                    mask |= bit
+        self[tok] = mask
+        return mask
+
+
+class CompiledTable:
+    """A DSS table (``key`` ``"categories"``) or IPSyn table (``key``
+    ``"structures"``) made ready for scoring.
+
+    Each rule becomes the bit of its token predicate, a tuple of bits (a
+    ``sequence``) or a ``structural`` name.  A DSS category keeps only its
+    rules worth more than 0 points, highest first, so its first hit is its
+    best.  Token masks are cached here, so they live as long as this
+    object: one job.
+    """
+
+    def __init__(self, table: dict, key: str):
+        self.masks = _MaskCache()
+        if key == "categories":
+            self.categories = [
+                sorted([(self._rule(rule, rule), rule["points"]) for rule in category["rules"]
+                        if rule["points"] > 0], key=operator.itemgetter(1), reverse=True)
+                for category in table["categories"]]
+            self.sentence_point = bool(table.get("sentence_point"))
+        else:
+            self.structures = [self._rule(struct, struct.get("token"))
+                               for struct in table["structures"]]
+            self.cap = int(table.get("cap", 2))
+
+    def _rule(self, rule: dict, token: dict | None) -> int | tuple[int, ...] | str:
+        if "structural" in rule:
+            return rule["structural"]
+        if "sequence" in rule:
+            return tuple(self.masks.bit(pred) for pred in rule["sequence"])
+        return self.masks.bit(token)
+
+
+def _compiled(table: dict | CompiledTable | None, key: str, default) -> CompiledTable:
+    if isinstance(table, CompiledTable):
+        return table
+    return CompiledTable(default() if table is None else table, key)
+
+
+def _windows(masks: list[int], bits: tuple[int, ...]) -> int:
+    """How many runs of ``len(bits)`` consecutive tokens match the
+    sequence: a sliding AND of ``bits`` over the tokens' ``masks``, which
+    keeps the starts whose j-th token has ``bits[j]``, one j at a time."""
+    starts = range(len(masks) - len(bits) + 1)
+    for j, bit in enumerate(bits):
+        starts = [i for i in starts if masks[i + j] & bit]
+    return len(starts)
+
+
+def dss_score(t: Transcript, table: dict | CompiledTable | None = None) -> float:
     """Mean per-utterance score over scorable child utterances.
 
     An utterance is scorable when its mor tier contains a verbal element.
     Each category credits the highest-scoring matching rule once per
     utterance; a sentence point is added for complete, error-free
-    utterances when the table enables it.
+    utterances when the table enables it.  A ``table`` that is a dict
+    (default: the shipped one) is compiled for this call.
     """
-    if table is None:
-        table = default_dss_table()
+    rules = _compiled(table, "categories", default_dss_table)
     scorable = [u for u in t.child_utterances() if _is_scorable(u)]
     if not scorable:
         raise NoScorableUtterances("no child utterance with a verbal mor element")
     total = 0.0
     for u in scorable:
+        masks = [rules.masks[tok] for tok in u.mor_tokens]
+        present = functools.reduce(operator.or_, masks)
         score = 0
-        for category in table["categories"]:
-            best = 0
-            for rule in category["rules"]:
-                if "structural" in rule:
-                    hit = _structural_matches(u, rule["structural"])
-                elif "sequence" in rule:
-                    hit = _sequence_count(u, rule["sequence"]) > 0
+        for category in rules.categories:
+            for rule, points in category:
+                if type(rule) is int:
+                    hit = present & rule
+                elif type(rule) is tuple:
+                    hit = _windows(masks, rule)
                 else:
-                    hit = any(_token_matches(tok, rule) for tok in u.mor_tokens)
-                if hit and rule["points"] > best:
-                    best = rule["points"]
-            score += best
-        if table.get("sentence_point") and u.events.word_errors == 0 \
+                    hit = _structural_matches(u, rule)
+                if hit:
+                    score += points
+                    break
+        if rules.sentence_point and u.events.word_errors == 0 \
                 and not u.postcodes and u.terminator is not Terminator.TRAIL_OFF:
             score += 1
         total += score
     return total / len(scorable)
 
 
-def ipsyn_total(t: Transcript, table: dict | None = None) -> float:
+def ipsyn_total(t: Transcript, table: dict | CompiledTable | None = None) -> float:
     """Checklist score: per structure, one credit per occurrence capped
-    at ``cap`` (default 2), summed over the checklist."""
-    if table is None:
-        table = default_ipsyn_table()
+    at ``cap`` (default 2), summed over the checklist.  A ``table`` that
+    is a dict (default: the shipped one) is compiled for this call."""
+    rules = _compiled(table, "structures", default_ipsyn_table)
     utts = [u for u in t.child_utterances() if u.mor_tokens]
     if not utts:
         raise NoScorableUtterances("no child utterance carries a mor tier")
-    cap = int(table.get("cap", 2))
+    masks: list[int] = []
+    for u in utts:
+        masks += [rules.masks[tok] for tok in u.mor_tokens]
+        masks.append(0)  # matches no predicate, so no sequence spans two utterances
+    tally = Counter(masks)
     total = 0
-    for struct in table["structures"]:
-        occurrences = 0
-        for u in utts:
-            if "structural" in struct:
-                occurrences += 1 if _structural_matches(u, struct["structural"]) else 0
-            elif "sequence" in struct:
-                occurrences += _sequence_count(u, struct["sequence"])
-            else:
-                occurrences += sum(1 for tok in u.mor_tokens
-                                   if _token_matches(tok, struct["token"]))
-        total += min(cap, occurrences)
+    for rule in rules.structures:
+        if type(rule) is int:
+            occurrences = sum([n for mask, n in tally.items() if mask & rule])
+        elif type(rule) is tuple:
+            occurrences = _windows(masks, rule)
+        else:
+            occurrences = sum(1 for u in utts if _structural_matches(u, rule))
+        total += min(rules.cap, occurrences)
     return float(total)

@@ -21,6 +21,7 @@ to the model :func:`train` gives on the rest of the group.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -44,7 +45,7 @@ class NGramModel:
     context_totals: dict[tuple[str, ...], int]
     vocab: frozenset[str]
 
-    @property
+    @functools.cached_property
     def vocab_size(self) -> int:
         return len(self.vocab)
 
@@ -245,8 +246,13 @@ def load_model(path: str | Path) -> NGramModel:
     lacks a header field or the vocab line, or holds a malformed line
     raises ``DataError`` naming the file.  So does a header that
     :func:`train` would refuse: an order outside 1-3, a setting that
-    fails :func:`check_settings`, or a ``pad`` other than 0 or 1."""
-    text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+    fails :func:`check_settings`, or a ``pad`` other than 0 or 1, and a
+    byte that is not UTF-8, named with its offset in the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:  # read_text decodes the whole file at once
+        raise DataError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} "
+                        f"at offset {exc.start}") from None
     lines = text.rstrip("\n").split("\n")
     header = lines[0].split("\t")
     if header[0] != "ngram":

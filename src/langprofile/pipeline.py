@@ -340,11 +340,12 @@ def load_transcripts(directory: str | Path) -> list[chat.Transcript]:
     if not paths:
         raise DataError(f"no .cha files under {directory!r}")
     out = []
+    mor_cache: dict = {}  # one per call: the corpus's equal mor items share a token
     for p in paths:
         with open(p, encoding="utf-8-sig") as fh:
             text = "".join(_utf8_lines(fh, p))
         try:
-            out.append(chat.parse_chat(text, transcript_id=p.stem))
+            out.append(chat.parse_chat(text, transcript_id=p.stem, mor_cache=mor_cache))
         except ChatParseError as exc:
             raise type(exc)(f"{p}: {exc}") from None
     return out
@@ -353,8 +354,8 @@ def load_transcripts(directory: str | Path) -> list[chat.Transcript]:
 def extract_cohort(transcripts: list[chat.Transcript],
                    config: PipelineConfig) -> Cohort:
     """One pass: each transcript's base features, computed once with tables
-    read once, give the group statistics; after LM training each gains its
-    perplexities and z-scores.
+    read and compiled once, give the group statistics; after LM training
+    each gains its perplexities and z-scores.
 
     With ``loo``, a labelled transcript is scored against its own group's
     models without it: ``ngram.leave_one_out`` subtracts its counts from
@@ -362,10 +363,12 @@ def extract_cohort(transcripts: list[chat.Transcript],
     costs one pass over its text plus one copy of the count tables per
     member, with no retrains, and at most one held-out set per group is
     alive at a time."""
-    dss_table = scoring.load_table(config.dss_table, "categories") if config.dss_table \
-        else scoring.default_dss_table()
-    ipsyn_table = scoring.load_table(config.ipsyn_table, "structures") \
-        if config.ipsyn_table else scoring.default_ipsyn_table()
+    dss_table = scoring.CompiledTable(
+        scoring.load_table(config.dss_table, "categories") if config.dss_table
+        else scoring.default_dss_table(), "categories")
+    ipsyn_table = scoring.CompiledTable(
+        scoring.load_table(config.ipsyn_table, "structures") if config.ipsyn_table
+        else scoring.default_ipsyn_table(), "structures")
     blocks = [fx.base_features(t, config.count_fusions, dss_table, ipsyn_table)
               for t in transcripts]
     groups = [t.group.value for t in transcripts]

@@ -32,6 +32,10 @@
   and reads the transcript's child sentences on every call, before
   ``ngram.perplexity`` and ``ngram.perplexity_features`` scored
   ``ngram._ngrams`` windows from one read of the sentences.
+* ``loop_dss_score``, ``loop_ipsyn_total`` and ``loop_sequence_count``
+  interpret a scoring table rule by rule, testing every token against
+  every predicate, before ``scoring.dss_score`` and
+  ``scoring.ipsyn_total`` tested bits of each distinct token's mask.
 """
 
 import csv
@@ -42,6 +46,7 @@ import math
 import numpy as np
 
 from langprofile import clustering, ngram
+from langprofile.chat import Terminator
 from langprofile.errors import (DegenerateInput, EmptyTranscript, NoScorableUtterances,
                                 SingleCluster, ZeroProbability)
 from langprofile.features import extract as fx
@@ -312,3 +317,65 @@ def per_element_feature_csv(cohort: Cohort) -> str:
                 "" if age is None else str(age), cohort.sex[i]]
         writer.writerow(meta + [_format_number(v) for v in cohort.matrix.values[i]])
     return buf.getvalue()
+
+
+def loop_sequence_count(u, preds: list[dict]) -> int:
+    toks = u.mor_tokens or ()
+    span = len(preds)
+    hits = 0
+    for i in range(len(toks) - span + 1):
+        if all(scoring._token_matches(toks[i + j], preds[j]) for j in range(span)):
+            hits += 1
+    return hits
+
+
+def loop_dss_score(t, table: dict | None = None) -> float:
+    """Mean per-utterance DSS score over scorable child utterances."""
+    if table is None:
+        table = scoring.default_dss_table()
+    scorable = [u for u in t.child_utterances() if scoring._is_scorable(u)]
+    if not scorable:
+        raise NoScorableUtterances("no child utterance with a verbal mor element")
+    total = 0.0
+    for u in scorable:
+        score = 0
+        for category in table["categories"]:
+            best = 0
+            for rule in category["rules"]:
+                if "structural" in rule:
+                    hit = scoring._structural_matches(u, rule["structural"])
+                elif "sequence" in rule:
+                    hit = loop_sequence_count(u, rule["sequence"]) > 0
+                else:
+                    hit = any(scoring._token_matches(tok, rule) for tok in u.mor_tokens)
+                if hit and rule["points"] > best:
+                    best = rule["points"]
+            score += best
+        if table.get("sentence_point") and u.events.word_errors == 0 \
+                and not u.postcodes and u.terminator is not Terminator.TRAIL_OFF:
+            score += 1
+        total += score
+    return total / len(scorable)
+
+
+def loop_ipsyn_total(t, table: dict | None = None) -> float:
+    """IPSyn checklist score: occurrences per structure capped at ``cap``."""
+    if table is None:
+        table = scoring.default_ipsyn_table()
+    utts = [u for u in t.child_utterances() if u.mor_tokens]
+    if not utts:
+        raise NoScorableUtterances("no child utterance carries a mor tier")
+    cap = int(table.get("cap", 2))
+    total = 0
+    for struct in table["structures"]:
+        occurrences = 0
+        for u in utts:
+            if "structural" in struct:
+                occurrences += 1 if scoring._structural_matches(u, struct["structural"]) else 0
+            elif "sequence" in struct:
+                occurrences += loop_sequence_count(u, struct["sequence"])
+            else:
+                occurrences += sum(1 for tok in u.mor_tokens
+                                   if scoring._token_matches(tok, struct["token"]))
+        total += min(cap, occurrences)
+    return float(total)

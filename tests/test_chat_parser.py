@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
+from langprofile import pipeline
 from langprofile.chat import (
     AnnotationEvents,
     Group,
@@ -19,6 +23,7 @@ from langprofile.errors import (
     OrphanDependentTier,
     UnbalancedScope,
 )
+from tests.conftest import make_corpus
 from tests.oracles import pos_matches
 
 _POS_TEXT = st.text(alphabet="ab:", max_size=6)
@@ -279,6 +284,58 @@ class TestMorToken:
         assert a == MorToken("n:prop", "Ann")
         assert repr(a) == "MorToken(pos_tag='n:prop', lemma='Ann', suffixes=(), fusions=())"
         assert a.render() == "n:prop|Ann"
+
+
+def _mor_tokens(transcripts) -> list[MorToken]:
+    return [tok for t in transcripts for u in t.utterances for tok in u.mor_tokens or ()]
+
+
+class TestMorInterning:
+    """One load_transcripts call parses each distinct %mor item once."""
+
+    @staticmethod
+    def _write(directory, texts):
+        directory.mkdir()
+        for i, text in enumerate(texts):
+            (directory / f"t{i}.cha").write_text(text, encoding="utf-8")
+
+    def test_equal_items_share_one_token_within_a_corpus(self, tmp_path):
+        self._write(tmp_path / "corpus", [
+            "*CHI:\tthe dog ran .\n%mor:\tdet:art|the n|dog v|run&PAST .\n"
+            "*CHI:\tdog .\n%mor:\tn|dog .\n",
+            "*CHI:\tdog ran .\n%mor:\tn|dog v|run&PAST .\n"])
+        tokens = _mor_tokens(pipeline.load_transcripts(tmp_path / "corpus"))
+        for item in ("n|dog", "v|run&PAST"):
+            same = [tok for tok in tokens if tok.render() == item]
+            assert len(same) in (2, 3)
+            assert all(tok is same[0] for tok in same)
+
+    def test_corpora_and_bare_parses_share_no_token(self, tmp_path):
+        make_corpus(tmp_path / "corpus")
+        first = _mor_tokens(pipeline.load_transcripts(tmp_path / "corpus"))
+        second = _mor_tokens(pipeline.load_transcripts(tmp_path / "corpus"))
+        assert first == second
+        assert {id(tok) for tok in first}.isdisjoint(id(tok) for tok in second)
+        text = "*CHI:\tdog .\n%mor:\tn|dog .\n"
+        assert _mor_tokens([parse_chat(text)])[0] is not _mor_tokens([parse_chat(text)])[0]
+
+    def test_malformed_item_warns_at_every_occurrence(self, tmp_path):
+        text = ("*CHI:\tdog ran .\n%mor:\tn|dog ran .\n"
+                "*CHI:\tdog ran .\n%mor:\tn|dog ran .\n")
+        self._write(tmp_path / "corpus", [text, text])
+        dropped = "mor tier dropped (unparseable mor token 'ran')"
+        for t in pipeline.load_transcripts(tmp_path / "corpus"):
+            assert t.warnings == (f"utterance 1: {dropped}", f"utterance 2: {dropped}")
+
+    def test_no_token_outlives_its_job(self, tmp_path):
+        make_corpus(tmp_path / "corpus")
+        transcripts = pipeline.load_transcripts(tmp_path / "corpus")
+        pipeline.extract_cohort(transcripts, pipeline.PipelineConfig(
+            input_mode="transcripts", input_path="corpus", output_dir=".", seed=0))
+        token = weakref.ref(_mor_tokens(transcripts)[0])
+        del transcripts
+        gc.collect()
+        assert token() is None
 
 
 class TestRoundTrip:

@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from langprofile import pipeline
-from langprofile.chat import parse_chat
+from langprofile.chat import (AnnotationEvents, Group, MorToken, Speaker, Terminator,
+                              Transcript, Utterance, parse_chat)
 from langprofile.errors import DivisionDomain, EmptyTranscript, NoScorableUtterances, ZeroSd
 from langprofile.features import scoring
 from langprofile.features.extract import (
@@ -19,6 +21,7 @@ from langprofile.features.extract import (
     zscore_features,
 )
 from langprofile.features.schema import FEATURE_NAMES
+from tests.oracles import loop_dss_score, loop_ipsyn_total
 
 
 def mk(text: str):
@@ -284,6 +287,138 @@ class TestScoring:
         # hand tally against the shipped checklist: N 2+2+1+1, V 2+2+0+1+1,
         # Q 1+0, S 2+2+1 -> 18
         assert scoring.ipsyn_total(mk(SCORING_FIXTURE)) == 18.0
+
+
+_TAGS = ("n", "n:prop", "v", "aux", "cop", "mod", "pro", "pro:wh", "det:art", "adj", "neg")
+_CLASSES = ("n", "n:prop", "v", "aux", "cop", "mod", "pro", "det", "adj", "neg")
+_LEMMAS = ("dog", "it", "he", "what", "Who", "be", "can", "run")
+_AFFIXES = ("PL", "PAST", "PROG", "3S")
+
+_AFFIX_TUPLES = st.lists(st.sampled_from(_AFFIXES), max_size=2).map(tuple)
+# fresh objects, so equal tokens are often distinct objects
+_MOR_TOKENS = st.builds(MorToken, st.sampled_from(_TAGS), st.sampled_from(_LEMMAS),
+                        _AFFIX_TUPLES, _AFFIX_TUPLES)
+
+
+@st.composite
+def _utterances(draw) -> Utterance:
+    speaker = draw(st.sampled_from([Speaker.CHILD, Speaker.CHILD, Speaker.EXAMINER]))
+    words = ("w",) * draw(st.integers(0, 3))
+    return Utterance(speaker, "CHI" if speaker is Speaker.CHILD else "EXA", words, words,
+                     draw(st.sampled_from(list(Terminator))),
+                     AnnotationEvents(word_errors=draw(st.integers(0, 1))),
+                     None if draw(st.integers(0, 3)) == 0
+                     else tuple(draw(st.lists(_MOR_TOKENS, max_size=6))),
+                     draw(st.sampled_from([(), ("[+ gram]",)])))
+
+
+_TRANSCRIPTS = st.builds(lambda utts: Transcript("t", "c", Group.TD, None, None, tuple(utts)),
+                         st.lists(_utterances(), min_size=1, max_size=6))
+
+_PREDICATES = st.fixed_dictionaries({}, optional={
+    "pos": st.sampled_from(_CLASSES),
+    "pos_in": st.lists(st.sampled_from(_CLASSES), max_size=2),
+    "lemma_in": st.lists(st.sampled_from([w.lower() for w in _LEMMAS]), max_size=2),
+    "suffix_in": st.lists(st.sampled_from(_AFFIXES), max_size=2),
+    "fusion_in": st.lists(st.sampled_from(_AFFIXES), max_size=2),
+    "inflected": st.booleans(),
+})
+
+
+@st.composite
+def _rule_lists(draw) -> tuple[list[dict], list[dict]]:
+    """Random DSS rules and IPSyn structures over a small pool of
+    predicates, each drawn with its keys in either order."""
+    pool = draw(st.lists(_PREDICATES, min_size=1, max_size=4))
+
+    def pred() -> dict:
+        chosen = draw(st.sampled_from(pool))
+        return dict(reversed(chosen.items())) if draw(st.booleans()) else dict(chosen)
+
+    def shape(token_key: str | None) -> dict:
+        kind = draw(st.sampled_from(["token", "sequence", "structural"]))
+        if kind == "structural":
+            return {"structural": draw(st.sampled_from(scoring._STRUCTURAL_NAMES))}
+        if kind == "sequence":
+            return {"sequence": [pred() for _ in range(draw(st.integers(1, 3)))]}
+        return {token_key: pred()} if token_key else pred()
+
+    categories = [{"rules": [{"points": draw(st.integers(-2, 4)), **shape(None)}
+                             for _ in range(draw(st.integers(0, 4)))]}
+                  for _ in range(draw(st.integers(0, 3)))]
+    structures = [shape("token") for _ in range(draw(st.integers(0, 5)))]
+    return categories, structures
+
+
+# every table holds these: one predicate in several rules and with its keys
+# reordered, both values of `inflected`, empty `*_in` lists, sequences of
+# 1 to 3 predicates, and zero and negative points
+_COVER_CATEGORIES = [
+    {"rules": [{"points": 2, "pos": "v", "inflected": True},
+               {"points": 1, "inflected": True, "pos": "v"},
+               {"points": 3, "pos": "pro", "lemma_in": []},
+               {"points": 0, "pos": "n"},
+               {"points": -1, "lemma_in": ["what", "who"]}]},
+    {"rules": [{"points": 1, "pos": "v", "inflected": False},
+               {"points": 4, "sequence": [{"pos": "pro"}]},
+               {"points": 2, "sequence": [{"pos_in": ["det", "adj"]}, {"pos": "n"}]},
+               {"points": 5, "sequence": [{"pos": "pro"}, {"pos_in": ["aux", "mod"]},
+                                          {"inflected": True, "pos": "v"}]},
+               {"points": 3, "structural": "wh_question"},
+               {"points": 1, "pos": "n", "suffix_in": [], "fusion_in": ["PAST"]}]},
+]
+_COVER_STRUCTURES = [
+    {"token": {"pos": "v", "inflected": True}},
+    {"token": {"inflected": True, "pos": "v"}},
+    {"token": {"inflected": False}},
+    {"token": {"pos_in": []}},
+    {"sequence": [{"pos": "n"}]},
+    {"sequence": [{"pos_in": ["det", "adj"]}, {"pos": "n"}]},
+    {"sequence": [{"pos": "pro"}, {"pos": "aux"}, {"pos": "v", "inflected": True}]},
+    {"structural": "question"},
+    {"structural": "aux_initial_question"},
+    {"structural": "multiword"},
+]
+
+
+def _outcome(score, t, table):
+    try:
+        return score(t, table)
+    except NoScorableUtterances:
+        return "no scorable utterance"
+
+
+class TestScoringEngine:
+    @pytest.mark.parametrize("cap", [0, 2, 50])
+    @pytest.mark.parametrize("sentence_point", [False, True])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(transcripts=st.lists(_TRANSCRIPTS, min_size=1, max_size=3), rules=_rule_lists())
+    def test_engine_equals_loop_oracle(self, cap, sentence_point, transcripts, rules):
+        categories, structures = rules
+        dss = {"sentence_point": sentence_point, "categories": _COVER_CATEGORIES + categories}
+        ipsyn = {"cap": cap, "structures": _COVER_STRUCTURES + structures}
+        # one compiled table per kind serves every transcript, as in a job
+        compiled_dss = scoring.CompiledTable(dss, "categories")
+        compiled_ipsyn = scoring.CompiledTable(ipsyn, "structures")
+        for t in transcripts:
+            expected = _outcome(loop_dss_score, t, dss)
+            assert _outcome(scoring.dss_score, t, compiled_dss) == expected
+            assert _outcome(scoring.dss_score, t, dss) == expected
+            expected = _outcome(loop_ipsyn_total, t, ipsyn)
+            assert _outcome(scoring.ipsyn_total, t, compiled_ipsyn) == expected
+            assert _outcome(scoring.ipsyn_total, t, ipsyn) == expected
+
+    @pytest.mark.parametrize("text", [
+        SCORING_FIXTURE,
+        "*CHI:\tdoggie .\n%mor:\tn|doggie .\n",
+        "*CHI:\tdoggie .\n*EXA:\tyou see it ?\n%mor:\tpro|you v|see pro|it ?\n",
+        "*CHI:\tdoggie .\n",
+    ])
+    def test_default_tables_equal_loop_oracle(self, text):
+        t = mk(text)
+        assert _outcome(scoring.dss_score, t, None) == _outcome(loop_dss_score, t, None)
+        assert _outcome(scoring.ipsyn_total, t, None) \
+            == _outcome(loop_ipsyn_total, t, None)
 
 
 class TestZScores:

@@ -215,10 +215,14 @@ class TestSaveLoad:
          "line 1: smoothing_k"),
         ("ngram\torder=1\tk=1.0\tunk_threshold=1\tpad=7\nvocab\ta\n", "line 1: pad"),
         ("ngram\torder=5\tk=1.0\tunk_threshold=1\tpad=1\nvocab\ta\n", "line 1: order"),
+        (b"ngram\torder=1\tk=1.0\tunk_threshold=1\tpad=1\nvocab\ta \xff\n",
+         "not UTF-8: byte 0xff at offset 50"),
+        (b"\xef\xbb\xbfngram\torder=1\tk=1.0\tunk_threshold=1\tpad=1\nvocab\ta \xff\n",
+         "not UTF-8: byte 0xff at offset 53"),
     ])
     def test_malformed_file_raises_data_error(self, tmp_path, text, where):
         path = tmp_path / "m.lm"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         with pytest.raises(DataError) as err:
             load_model(path)
         assert str(path) in str(err.value)
