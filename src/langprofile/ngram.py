@@ -6,25 +6,30 @@ and one trailing ``</s>``.  The vocabulary is the types seen at least
 ``unk_threshold`` times, plus ``<unk>`` (plus ``</s>`` when padding), so
 add-k probabilities over any context sum to one.  One rule maps tokens,
 in training and in scoring alike: a token outside the model's vocab
-becomes ``<unk>``.  :func:`_ngrams` applies it and cuts the windows.
+becomes ``<unk>``.  :func:`_map` applies it and :func:`_grams` cuts
+the n-grams.
 
 ``smoothing_k`` must be finite and at least 0 and ``unk_threshold`` at
 least 1 (:func:`check_settings`).
 
-Leave-one-out models (:func:`leave_one_out`) are not retrained: each is
-the group's full model minus the held-out transcript's n-gram counts,
-with the few types that leave the vocab without it remapped to ``<unk>``.  A
-group of n transcripts costs one pass over its text plus n copies of
-the count tables, with no retrains, and every held-out model is ``==``
-to the model :func:`train` gives on the rest of the group.
+:class:`GroupModels` reads each transcript's child sentences once.  A
+group's three models come from one walk over its text: each sentence is
+mapped through the group vocab once, and orders 1-3 are cut from that one
+mapping.  Held-out scoring copies no count table and retrains nothing: a
+member is scored against a view that reads the full counts minus the
+member's own n-gram counts, plus the small remap of the types that leave
+the vocab without it.  Those integer counts equal a retrain's on the rest
+of the group, so each probability is the same float.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .chat import Transcript
@@ -33,6 +38,8 @@ from .errors import DataError, EmptyCorpus, EmptyTranscript, ZeroProbability
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
+ORDERS = (1, 2, 3)
+_CONTEXT = operator.itemgetter(slice(None, -1))
 
 
 @dataclass(frozen=True)
@@ -58,11 +65,31 @@ class NGramModel:
         return num / den
 
 
-def _child_sentences(transcripts) -> list[list[str]]:
+@dataclass(frozen=True)
+class _HeldOut:
+    """What holding one member out changes in one order of its group's
+    model: the member's n-grams and those of the remapped sentences under
+    the full vocab leave (``removed``), the remapped sentences' n-grams
+    under the held-out vocab come in (``added``), and the vocab shrinks to
+    ``vocab_size``.  Each count table comes with its context totals."""
+    removed: Counter
+    removed_totals: Counter
+    added: Counter
+    added_totals: Counter
+    vocab_size: int
+
+
+def _child_sentences(transcripts, strings: dict[str, str] | None = None
+                     ) -> list[list[str]]:
+    """The lowercased clean tokens of each child utterance that has any.
+    Equal tokens share the string object that ``strings`` holds for them:
+    :class:`GroupModels` keeps a whole cohort's sentences from training
+    through scoring."""
+    strings = {} if strings is None else strings
     sents = []
     for t in transcripts:
         for u in t.child_utterances():
-            toks = [w.lower() for w in u.clean_tokens]
+            toks = [strings.setdefault(w, w) for w in map(str.lower, u.clean_tokens)]
             if toks:
                 sents.append(toks)
     return sents
@@ -78,7 +105,7 @@ def check_settings(smoothing_k: float = 1.0, unk_threshold: int = 1) -> None:
 
 
 def _check_order(order: int) -> None:
-    if order not in (1, 2, 3):
+    if order not in ORDERS:
         raise ValueError(f"order must be 1, 2, or 3, got {order}")
 
 
@@ -86,91 +113,158 @@ def train(transcripts, order: int, smoothing_k: float = 1.0,
           unk_threshold: int = 1, pad: bool = True) -> NGramModel:
     _check_order(order)
     check_settings(smoothing_k, unk_threshold)
-    sents = _child_sentences(transcripts)
-    if not sents:
+    sents = [_child_sentences([t]) for t in transcripts]
+    if not any(sents):
         raise EmptyCorpus("no child tokens to train on")
+    return _train(sents, smoothing_k, unk_threshold, pad)[order]
 
-    freq = Counter(tok for s in sents for tok in s)
+
+def _train(sents: list[list[list[str]]], smoothing_k: float, unk_threshold: int,
+           pad: bool) -> dict[int, NGramModel]:
+    """The models of orders 1-3 from one walk over ``sents``, each
+    transcript's child sentences: each sentence is mapped through the
+    vocab once and the three orders are cut from that one mapping, one
+    transcript at a time."""
+    freq = Counter(chain.from_iterable(chain.from_iterable(sents)))
     vocab = frozenset([tok for tok, c in freq.items() if c >= unk_threshold]
                       + ([UNK, EOS] if pad else [UNK]))
-
-    counts: dict[tuple[str, ...], int] = {}
-    context_totals: dict[tuple[str, ...], int] = {}
-    for s in sents:
-        _count(counts, context_totals, _ngrams(s, vocab, order, pad), 1)
-    return NGramModel(order, float(smoothing_k), int(unk_threshold), bool(pad),
-                      counts, context_totals, vocab)
-
-
-def _ngrams(sent: list[str], vocab, order: int, pad: bool) -> list[tuple[str, ...]]:
-    """The n-grams of one sentence, with the tokens outside ``vocab``
-    mapped to ``<unk>``.  No clean token is ``<unk>`` or ``</s>``: CHAT
-    cleaning strips a word's leading ``<`` and trailing ``>``."""
-    mapped = [tok if tok in vocab else UNK for tok in sent]
-    if pad:
-        mapped = [BOS] * (order - 1) + mapped + [EOS]
-    return [tuple(mapped[i:i + order]) for i in range(len(mapped) - order + 1)]
+    counts: list[Counter] = [Counter(), Counter(), Counter()]
+    for member in sents:
+        for c, grams in zip(counts, _grams(_map(member, vocab), pad)):
+            c.update(grams)
+    return {order: NGramModel(order, float(smoothing_k), int(unk_threshold), bool(pad),
+                              dict(c), _context_totals(c), vocab)
+            for order, c in zip(ORDERS, counts)}
 
 
-def _count(counts: dict, context_totals: dict, grams, delta: int) -> None:
-    for gram in grams:
-        counts[gram] = counts.get(gram, 0) + delta
-        context_totals[gram[:-1]] = context_totals.get(gram[:-1], 0) + delta
+def _map(sents: list[list[str]], vocab) -> list[list[str]]:
+    """``sents`` with the tokens outside ``vocab`` mapped to ``<unk>``.  No
+    clean token is ``<unk>`` or ``</s>``: CHAT cleaning strips a word's
+    leading ``<`` and trailing ``>``."""
+    return [[tok if tok in vocab else UNK for tok in s] for s in sents]
 
 
-def leave_one_out(members, full: dict[int, NGramModel]):
-    """Yield, in member order, each member's ``{1, 2, 3}`` models trained
-    on all the other members, given ``full``, the models trained on all
-    of them; the held-out models keep ``full``'s settings.
+def _grams(mapped: list[list[str]], pad: bool) -> tuple[list, list, list]:
+    """The n-grams of orders 1-3 of the ``mapped`` sentences, each order's
+    in position order.  With padding, a sentence's order-2 and order-1
+    windows are those of the order-3 padded sentence's suffixes."""
+    g1: list[tuple[str, ...]] = []
+    g2: list[tuple[str, ...]] = []
+    g3: list[tuple[str, ...]] = []
+    for m in mapped:
+        if pad:
+            m = [BOS, BOS, *m, EOS]
+            m1, m2 = m[1:], m[2:]
+            g1 += zip(m2)
+            g2 += zip(m1, m2)
+        else:
+            m1, m2 = m[1:], m[2:]
+            g1 += zip(m)
+            g2 += zip(m, m1)
+        g3 += zip(m, m1, m2)
+    return g1, g2, g3
 
-    The three orders share one vocab, read from ``full[1]``, and each
-    member's held-out vocab is built once for all three.  Each held-out
-    model starts from copies of the full counts and loses the member's
-    own n-grams.  Types the rest still holds, but fewer than
-    ``unk_threshold`` times, are *newly rare*: they leave the vocab, so
-    the other members' sentences that hold one move from the full
-    vocab's mapping to the held-out one.  That work stays small, since
-    such types are rare in the rest.  A member whose removal leaves no
-    child tokens raises ``EmptyCorpus``, as :func:`train` does.
-    """
-    unk_threshold, pad, vocab = full[1].unk_threshold, full[1].pad, full[1].vocab
-    sents = [_child_sentences([t]) for t in members]
-    own_freq = [Counter(tok for s in member for tok in s) for member in sents]
-    group_freq: Counter = Counter()
-    holders: dict[str, list[int]] = {}
-    for i, freq in enumerate(own_freq):
-        group_freq.update(freq)
-        for tok in freq:
-            holders.setdefault(tok, []).append(i)
-    n_sents = sum(map(len, sents))
 
-    for i, own in enumerate(sents):
-        if n_sents == len(own):
-            raise EmptyCorpus("no child tokens to train on")
-        rest_freq = {tok: group_freq[tok] - c for tok, c in own_freq[i].items()}
-        dropped = {tok for tok, c in rest_freq.items() if c < unk_threshold}
-        rest_vocab = vocab - dropped
-        newly_rare = {tok for tok in dropped & vocab if rest_freq[tok] > 0}
-        remapped = [s for j in sorted({j for tok in newly_rare for j in holders[tok]})
-                    if j != i for s in sents[j] if not newly_rare.isdisjoint(s)]
+def _context_totals(counts) -> dict[tuple[str, ...], int]:
+    totals: dict[tuple[str, ...], int] = {}
+    for gram, c in counts.items():
+        totals[gram[:-1]] = totals.get(gram[:-1], 0) + c
+    return totals
 
-        models = {}
-        for order in (1, 2, 3):
-            removed = [gram for s in own + remapped
-                       for gram in _ngrams(s, vocab, order, pad)]
-            counts = dict(full[order].counts)
-            context_totals = dict(full[order].context_totals)
-            _count(counts, context_totals, removed, -1)
-            _count(counts, context_totals,
-                   [gram for s in remapped for gram in _ngrams(s, rest_vocab, order, pad)], 1)
-            for gram in removed:  # a retrain holds no zero counts
-                if counts.get(gram) == 0:
-                    del counts[gram]
-                if context_totals.get(gram[:-1]) == 0:
-                    del context_totals[gram[:-1]]
-            models[order] = NGramModel(order, full[order].smoothing_k, unk_threshold,
-                                       pad, counts, context_totals, rest_vocab)
-        yield models
+
+class _Group:
+    """One group's models, orders 1-3, and its members' held-out changes.
+
+    ``sents`` holds each member's child sentences; the group keeps a
+    reference to them and no per-member counts."""
+
+    def __init__(self, label: str, members, sents: list[list[list[str]]],
+                 smoothing_k: float, unk_threshold: int, pad: bool):
+        check_settings(smoothing_k, unk_threshold)
+        self.n_sents = sum(map(len, sents))
+        if not self.n_sents:
+            raise EmptyCorpus(f"no child tokens to train on in the {label} group")
+        self.label, self.members, self.sents = label, members, sents
+        self.models = _train(sents, smoothing_k, unk_threshold, pad)
+
+    @functools.cached_property
+    def _holders(self) -> dict[str, list[int]]:
+        """The members whose sentences hold each vocab type, in member order."""
+        vocab = self.models[1].vocab
+        holders: dict[str, list[int]] = {}
+        for i, member in enumerate(self.sents):
+            for tok in vocab.intersection(chain.from_iterable(member)):
+                holders.setdefault(tok, []).append(i)
+        return holders
+
+    def held_out(self, i: int) -> tuple[list[_HeldOut], list[list[str]]]:
+        """What holding member ``i`` out changes in orders 1-3, and its own
+        sentences mapped through the held-out vocab.
+
+        The held-out vocab loses the types that the rest of the group holds
+        fewer than ``unk_threshold`` times.  Those the rest still holds are
+        *newly rare*: the other members' sentences that hold one move from
+        the full vocab's mapping to the held-out one.  That work stays
+        small, since such types are rare in the rest.  A member whose
+        removal leaves no child tokens raises ``EmptyCorpus``, as
+        :func:`train` does on the rest."""
+        own = self.sents[i]
+        if len(own) == self.n_sents:
+            raise EmptyCorpus(f"no child tokens to train on in the {self.label} group "
+                              f"without transcript {self.members[i].id!r}")
+        first = self.models[1]
+        vocab, unigrams, pad = first.vocab, first.counts, first.pad
+        # a vocab type's unigram count is its frequency in the group
+        rest = {tok: unigrams[(tok,)] - c
+                for tok, c in Counter(chain.from_iterable(own)).items() if tok in vocab}
+        dropped = {tok for tok, c in rest.items() if c < first.unk_threshold}
+        newly_rare = {tok for tok in dropped if rest[tok] > 0}
+        remapped = [s for j in sorted({j for tok in newly_rare for j in self._holders[tok]})
+                    if j != i for s in self.sents[j] if not newly_rare.isdisjoint(s)]
+        removed = _map(own + remapped, vocab)
+        moved = [[UNK if tok in dropped else tok for tok in m] for m in removed]
+        changes = [_HeldOut(Counter(out), Counter(map(_CONTEXT, out)),
+                            Counter(into), Counter(map(_CONTEXT, into)),
+                            first.vocab_size - len(dropped))
+                   for out, into in zip(_grams(removed, pad), _grams(moved[len(own):], pad))]
+        return changes, moved[:len(own)]
+
+
+def _perplexity(model: NGramModel, grams: list[tuple[str, ...]], where: str,
+                held: _HeldOut | None = None) -> float:
+    """exp of mean negative log probability per scored position of
+    ``grams`` under ``model``, or under ``model`` changed by ``held``.  A
+    zero probability raises ``ZeroProbability`` naming ``where`` and the
+    first such n-gram in position order.  The logs are added left to right
+    in position order: builtin ``sum`` compensates from Python 3.12."""
+    # NGramModel.prob's arithmetic, inlined
+    counts, totals, k = model.counts.get, model.context_totals.get, model.smoothing_k
+    log_sum = 0.0
+    if held is None:
+        k_vocab = k * model.vocab_size
+        for gram in grams:
+            num = counts(gram, 0) + k
+            den = totals(gram[:-1], 0) + k_vocab
+            if num == 0.0 or den == 0.0 or num / den <= 0.0:
+                raise ZeroProbability(f"{where}: zero probability for {gram} "
+                                      "(k=0 and unseen)")
+            log_sum += math.log(num / den)
+    else:
+        removed, added = held.removed.get, held.added.get
+        removed_totals, added_totals = held.removed_totals.get, held.added_totals.get
+        k_vocab = k * held.vocab_size
+        for gram in grams:
+            context = gram[:-1]
+            num = counts(gram, 0) - removed(gram, 0) + added(gram, 0) + k
+            den = (totals(context, 0) - removed_totals(context, 0)
+                   + added_totals(context, 0) + k_vocab)
+            if num == 0.0 or den == 0.0 or num / den <= 0.0:
+                raise ZeroProbability(f"{where}: zero probability for {gram} "
+                                      "(k=0 and unseen)")
+            log_sum += math.log(num / den)
+    if not grams:
+        raise EmptyTranscript(f"{where}: no scorable positions")
+    return math.exp(-log_sum / len(grams))
 
 
 def perplexity(model: NGramModel, t: Transcript) -> float:
@@ -179,51 +273,91 @@ def perplexity(model: NGramModel, t: Transcript) -> float:
     Padding symbols ``<s>`` only ever appear as context; ``</s>`` is a
     scored position when padding is on.
     """
-    return _perplexity(model, _child_sentences([t]), t)
-
-
-def _perplexity(model: NGramModel, sents: list[list[str]], t: Transcript) -> float:
-    """:func:`perplexity` of ``t`` from its child sentences ``sents``."""
+    sents = _child_sentences([t])
     if not sents:
         raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
-    log_sum = 0.0
-    n = 0
-    for s in sents:
-        # every window predicts its final symbol; <s> fills context only
-        for gram in _ngrams(s, model.vocab, model.order, model.pad):
-            p = model.prob(gram)
-            if p <= 0.0:
-                raise ZeroProbability(f"zero probability for {gram} (k=0 and unseen)")
-            log_sum += math.log(p)
-            n += 1
-    if n == 0:
-        raise EmptyTranscript(f"transcript {t.id!r} has no scorable positions")
-    return math.exp(-log_sum / n)
+    return _score(model, sents, f"transcript {t.id!r}, order-{model.order} model")
+
+
+def _score(model: NGramModel, sents: list[list[str]], where: str) -> float:
+    grams = _grams(_map(sents, model.vocab), model.pad)[model.order - 1]
+    return _perplexity(model, grams, where)
 
 
 def perplexity_features(t: Transcript, sli_models: dict[int, NGramModel],
                         td_models: dict[int, NGramModel]) -> dict[str, float]:
     """The six perplexity features: s_* against the SLI models, d_*
-    against the TD models, orders 1-3.  The child sentences are read once
-    and mapped through each model's vocab, as :func:`perplexity` does."""
+    against the TD models, orders 1-3, from one read of the child
+    sentences."""
     sents = _child_sentences([t])
-    return {f"{prefix}_{order}g_ppl": _perplexity(models[order], sents, t)
-            for prefix, models in (("s", sli_models), ("d", td_models))
-            for order in (1, 2, 3)}
+    if not sents:
+        raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
+    return {f"{prefix}_{order}g_ppl": _score(
+                models[order], sents, f"transcript {t.id!r}, {label} order-{order} model")
+            for prefix, label, models in (("s", "SLI", sli_models), ("d", "TD", td_models))
+            for order in ORDERS}
+
+
+class GroupModels:
+    """The six models (SLI/TD x orders 1-3) trained on the labelled
+    transcripts, and each transcript's perplexity features against them.
+
+    Each transcript's child sentences are read once, here.  A group with
+    no transcripts, or no child tokens, raises ``EmptyCorpus``: SLI is
+    checked before TD."""
+
+    def __init__(self, transcripts, smoothing_k: float = 1.0, unk_threshold: int = 1,
+                 pad: bool = True):
+        self.transcripts = list(transcripts)
+        strings: dict[str, str] = {}
+        self.sents = [_child_sentences([t], strings) for t in self.transcripts]
+        self.groups: dict[str, _Group] = {}
+        self._slot: dict[int, int] = {}  # transcript index -> index in its group
+        for label in ("SLI", "TD"):
+            idx = [i for i, t in enumerate(self.transcripts) if t.group.value == label]
+            if not idx:
+                raise EmptyCorpus(f"no transcripts labeled {label}")
+            self._slot.update((i, j) for j, i in enumerate(idx))
+            self.groups[label] = _Group(label, [self.transcripts[i] for i in idx],
+                                        [self.sents[i] for i in idx],
+                                        smoothing_k, unk_threshold, pad)
+
+    @property
+    def models(self) -> dict[str, dict[int, NGramModel]]:
+        return {label: group.models for label, group in self.groups.items()}
+
+    def perplexity_features(self, i: int, held_out: bool = False) -> dict[str, float]:
+        """Transcript ``i``'s six features, as :func:`perplexity_features`
+        gives them.  With ``held_out``, a labelled transcript is scored
+        against its own group's models without it; a group it leaves with
+        no child tokens raises ``EmptyCorpus`` before anything is scored."""
+        t, sents = self.transcripts[i], self.sents[i]
+        own = t.group.value
+        changes = None
+        if held_out and own in self.groups:
+            changes, own_mapped = self.groups[own].held_out(self._slot[i])
+        if not sents:
+            raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
+        out = {}
+        for prefix, (label, group) in zip("sd", self.groups.items()):
+            models = group.models
+            held = label == own and changes is not None
+            grams = _grams(own_mapped if held else _map(sents, models[1].vocab),
+                           models[1].pad)
+            for order, model in models.items():
+                out[f"{prefix}_{order}g_ppl"] = _perplexity(
+                    model, grams[order - 1],
+                    f"transcript {t.id!r}, {label} order-{order} model "
+                    f"({'held out' if held else 'full'})",
+                    changes[order - 1] if held else None)
+        return out
 
 
 def train_group_models(transcripts, smoothing_k: float = 1.0,
                        unk_threshold: int = 1, pad: bool = True
                        ) -> dict[str, dict[int, NGramModel]]:
     """Train the six models (SLI/TD x orders 1-3) from labeled transcripts."""
-    out: dict[str, dict[int, NGramModel]] = {}
-    for label in ("SLI", "TD"):
-        members = [t for t in transcripts if t.group.value == label]
-        if not members:
-            raise EmptyCorpus(f"no transcripts labeled {label}")
-        out[label] = {o: train(members, o, smoothing_k, unk_threshold, pad)
-                      for o in (1, 2, 3)}
-    return out
+    return GroupModels(transcripts, smoothing_k, unk_threshold, pad).models
 
 
 # -- on-disk format -------------------------------------------------------

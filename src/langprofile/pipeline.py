@@ -358,11 +358,11 @@ def extract_cohort(transcripts: list[chat.Transcript],
     each gains its perplexities and z-scores.
 
     With ``loo``, a labelled transcript is scored against its own group's
-    models without it: ``ngram.leave_one_out`` subtracts its counts from
-    copies of the full group models, one transcript at a time.  A group
-    costs one pass over its text plus one copy of the count tables per
-    member, with no retrains, and at most one held-out set per group is
-    alive at a time."""
+    models without it.  ``ngram.GroupModels`` reads each transcript's
+    child sentences once and counts each group in one walk; a held-out
+    transcript is scored against a view of the full counts minus its own,
+    with no copy of the count tables and no retrain, and at most one view
+    is alive at a time."""
     dss_table = scoring.CompiledTable(
         scoring.load_table(config.dss_table, "categories") if config.dss_table
         else scoring.default_dss_table(), "categories")
@@ -373,18 +373,11 @@ def extract_cohort(transcripts: list[chat.Transcript],
               for t in transcripts]
     groups = [t.group.value for t in transcripts]
     stats = fx.GroupStats.from_rows([values for values, _ in blocks], groups)
-    full_models = ngram.train_group_models(transcripts, config.smoothing_k,
-                                           config.unk_threshold)
-    held_out = {label: ngram.leave_one_out([t for t in transcripts
-                                            if t.group.value == label], group_models)
-                for label, group_models in full_models.items()} if config.loo else {}
+    lms = ngram.GroupModels(transcripts, config.smoothing_k, config.unk_threshold)
 
     values = np.empty((len(transcripts), len(FEATURE_NAMES)))
-    for i, (t, (base, flags)) in enumerate(zip(transcripts, blocks)):
-        models = full_models
-        if t.group.value in held_out:
-            models = {**full_models, t.group.value: next(held_out[t.group.value])}
-        ppl = ngram.perplexity_features(t, models["SLI"], models["TD"])
+    for i, (base, flags) in enumerate(blocks):
+        ppl = lms.perplexity_features(i, held_out=config.loo)
         vec = fx.FeatureVector({**base, **ppl, **fx.zscore_features(base, stats)},
                                frozenset(flags))
         values[i] = [vec.values[name] for name in FEATURE_NAMES]

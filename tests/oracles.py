@@ -14,8 +14,15 @@
   check called once per tag and class, before ``MorToken.pos_classes``
   decided each tag's classes once.
 * ``retrain_loo_models`` retrains each held-out group's three language
-  models from scratch, one retrain per member, before
-  ``ngram.leave_one_out`` built them by subtracting counts.
+  models from scratch, one retrain per member, before ``leave_one_out``
+  built them by subtracting counts.
+* ``slice_train`` walks the group's text once per order and cuts each
+  window as a slice, before ``ngram.train`` and ``ngram.GroupModels``
+  counted orders 1-3 from one mapping of each sentence.
+* ``copy_leave_one_out`` is that ``leave_one_out``: it copies the group's
+  count tables once per member and subtracts the member's n-grams, before
+  ``ngram.GroupModels`` scored each member against a view of the full
+  counts.
 * ``sorted_auto_eps`` builds its own distance matrix and sorts every row,
   before ``pipeline._auto_eps`` took the shared matrix and partitioned a
   copy.
@@ -30,8 +37,8 @@
   each row's Python floats.
 * ``loop_perplexity`` maps, pads and cuts the windows in its own loop,
   and reads the transcript's child sentences on every call, before
-  ``ngram.perplexity`` and ``ngram.perplexity_features`` scored
-  ``ngram._ngrams`` windows from one read of the sentences.
+  ``ngram.perplexity`` and ``ngram.perplexity_features`` scored windows
+  from one read of the sentences.
 * ``loop_dss_score``, ``loop_ipsyn_total`` and ``loop_sequence_count``
   interpret a scoring table rule by rule, testing every token against
   every predicate, before ``scoring.dss_score`` and
@@ -42,13 +49,14 @@ import csv
 import io
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
 from langprofile import clustering, ngram
 from langprofile.chat import Terminator
-from langprofile.errors import (DegenerateInput, EmptyTranscript, NoScorableUtterances,
-                                SingleCluster, ZeroProbability)
+from langprofile.errors import (DegenerateInput, EmptyCorpus, EmptyTranscript,
+                                NoScorableUtterances, SingleCluster, ZeroProbability)
 from langprofile.features import extract as fx
 from langprofile.features import scoring
 from langprofile.features.schema import FEATURE_NAMES, csv_header
@@ -146,11 +154,88 @@ def serial_kmeans(points, k: int, seed: int, n_init: int = 32,
 def retrain_loo_models(members, smoothing_k: float = 1.0, unk_threshold: int = 1,
                        pad: bool = True):
     """Yield, in member order, the ``{1, 2, 3}`` models retrained on all
-    the other members."""
+    the other members; a member whose removal leaves no child tokens
+    raises ``EmptyCorpus``."""
     for t in members:
         rest = [x for x in members if x is not t]
-        yield {o: ngram.train(rest, o, smoothing_k, unk_threshold, pad)
+        if not ngram._child_sentences(rest):
+            raise EmptyCorpus("no child tokens to train on")
+        yield {o: slice_train(rest, o, smoothing_k, unk_threshold, pad)
                for o in (1, 2, 3)}
+
+
+def slice_ngrams(sent, vocab, order: int, pad: bool) -> list[tuple[str, ...]]:
+    mapped = [tok if tok in vocab else ngram.UNK for tok in sent]
+    if pad:
+        mapped = [ngram.BOS] * (order - 1) + mapped + [ngram.EOS]
+    return [tuple(mapped[i:i + order]) for i in range(len(mapped) - order + 1)]
+
+
+def _count(counts: dict, context_totals: dict, grams, delta: int) -> None:
+    for gram in grams:
+        counts[gram] = counts.get(gram, 0) + delta
+        context_totals[gram[:-1]] = context_totals.get(gram[:-1], 0) + delta
+
+
+def slice_train(transcripts, order: int, smoothing_k: float = 1.0,
+                unk_threshold: int = 1, pad: bool = True) -> ngram.NGramModel:
+    sents = ngram._child_sentences(transcripts)
+    freq = Counter(tok for s in sents for tok in s)
+    vocab = frozenset([tok for tok, c in freq.items() if c >= unk_threshold]
+                      + ([ngram.UNK, ngram.EOS] if pad else [ngram.UNK]))
+    counts: dict[tuple[str, ...], int] = {}
+    context_totals: dict[tuple[str, ...], int] = {}
+    for s in sents:
+        _count(counts, context_totals, slice_ngrams(s, vocab, order, pad), 1)
+    return ngram.NGramModel(order, float(smoothing_k), int(unk_threshold), bool(pad),
+                            counts, context_totals, vocab)
+
+
+def copy_leave_one_out(members, full: dict[int, ngram.NGramModel]):
+    """Yield, in member order, each member's ``{1, 2, 3}`` models trained
+    on all the other members, given ``full``, the models trained on all
+    of them: copies of the full count tables less the member's own
+    n-grams, with the other members' sentences that hold a newly rare
+    type moved from the full vocab's mapping to the held-out one.  A
+    member whose removal leaves no child tokens raises ``EmptyCorpus``."""
+    unk_threshold, pad, vocab = full[1].unk_threshold, full[1].pad, full[1].vocab
+    sents = [ngram._child_sentences([t]) for t in members]
+    own_freq = [Counter(tok for s in member for tok in s) for member in sents]
+    group_freq: Counter = Counter()
+    holders: dict[str, list[int]] = {}
+    for i, freq in enumerate(own_freq):
+        group_freq.update(freq)
+        for tok in freq:
+            holders.setdefault(tok, []).append(i)
+    n_sents = sum(map(len, sents))
+
+    for i, own in enumerate(sents):
+        if n_sents == len(own):
+            raise EmptyCorpus("no child tokens to train on")
+        rest_freq = {tok: group_freq[tok] - c for tok, c in own_freq[i].items()}
+        dropped = {tok for tok, c in rest_freq.items() if c < unk_threshold}
+        rest_vocab = vocab - dropped
+        newly_rare = {tok for tok in dropped & vocab if rest_freq[tok] > 0}
+        remapped = [s for j in sorted({j for tok in newly_rare for j in holders[tok]})
+                    if j != i for s in sents[j] if not newly_rare.isdisjoint(s)]
+
+        models = {}
+        for order in (1, 2, 3):
+            removed = [gram for s in own + remapped
+                       for gram in slice_ngrams(s, vocab, order, pad)]
+            counts = dict(full[order].counts)
+            context_totals = dict(full[order].context_totals)
+            _count(counts, context_totals, removed, -1)
+            added = [gram for s in remapped for gram in slice_ngrams(s, rest_vocab, order, pad)]
+            _count(counts, context_totals, added, 1)
+            for gram in removed:  # a retrain holds no zero counts
+                if counts.get(gram) == 0:
+                    del counts[gram]
+                if context_totals.get(gram[:-1]) == 0:
+                    del context_totals[gram[:-1]]
+            models[order] = ngram.NGramModel(order, full[order].smoothing_k, unk_threshold,
+                                             pad, counts, context_totals, rest_vocab)
+        yield models
 
 
 def loop_perplexity(model: ngram.NGramModel, t) -> float:

@@ -96,7 +96,17 @@ def test_loo_csv_matches_retrain_oracle_when_types_turn_rare(tmp_path, capsys):
 
 
 def test_loo_trains_only_the_six_group_models(transcripts, monkeypatch):
+    # the six models come from one walk per group: no ngram.train call,
+    # and one read of each transcript's child sentences per job
     counts: dict[str, int] = {}
     _count_calls(monkeypatch, ngram, "train", counts)
-    pipeline.extract_cohort(transcripts, _config(loo=True, unk_threshold=2))
-    assert counts == {"train": 6}
+    reads = []
+    read = ngram._child_sentences
+    monkeypatch.setattr(
+        ngram, "_child_sentences",
+        lambda ts, *rest: reads.append([t.id for t in ts]) or read(ts, *rest))
+    for loo in (True, False):
+        reads.clear()
+        pipeline.extract_cohort(transcripts, _config(loo=loo, unk_threshold=2))
+        assert reads == [[t.id] for t in transcripts]
+    assert counts == {}

@@ -1,14 +1,17 @@
+import re
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from langprofile import ngram
+from langprofile import cli, ngram
 from langprofile.chat import parse_chat
-from langprofile.errors import DataError, EmptyCorpus, ZeroProbability
-from langprofile.ngram import (EOS, UNK, leave_one_out, load_model, perplexity,
+from langprofile.errors import DataError, EmptyCorpus, EmptyTranscript, ZeroProbability
+from langprofile.ngram import (EOS, UNK, GroupModels, load_model, perplexity,
                                perplexity_features, save_model, train)
 from langprofile.pipeline import load_transcripts
 from tests.conftest import make_corpus, make_wordy_corpus, newly_rare_types, pseudo_words
-from tests.oracles import loop_perplexity_features, retrain_loo_models
+from tests.oracles import (copy_leave_one_out, loop_perplexity, loop_perplexity_features,
+                           retrain_loo_models, slice_ngrams, slice_train)
 
 WORDS = pseudo_words(300)
 
@@ -130,6 +133,24 @@ class TestPerplexityFeatures:
         for order in (1, 2, 3):
             assert feats[f"d_{order}g_ppl"] < feats[f"s_{order}g_ppl"]
 
+    @pytest.mark.parametrize("pad", [True, False])
+    @pytest.mark.parametrize("unk_threshold", [1, 2, 3])
+    @pytest.mark.parametrize("make", [make_corpus, make_wordy_corpus])
+    def test_group_models_equal_train_and_save_the_same_bytes(self, tmp_path, make,
+                                                               unk_threshold, pad):
+        make(tmp_path / "corpus")
+        transcripts = load_transcripts(tmp_path / "corpus")
+        models = ngram.train_group_models(transcripts, 0.5, unk_threshold, pad)
+        for label, group in models.items():
+            members = [t for t in transcripts if t.group.value == label]
+            for order, model in group.items():
+                want = train(members, order, 0.5, unk_threshold, pad)
+                assert model == want == slice_train(members, order, 0.5, unk_threshold, pad)
+                save_model(model, tmp_path / "got.lm")
+                save_model(want, tmp_path / "want.lm")
+                assert (tmp_path / "got.lm").read_bytes() \
+                    == (tmp_path / "want.lm").read_bytes()
+
     def test_group_missing(self):
         td = chi_group("TD", "the dog ran")
         with pytest.raises(EmptyCorpus):
@@ -141,24 +162,29 @@ class TestPerplexityFeatures:
     def test_equals_six_loop_perplexities(self, tmp_path, make, unk_threshold, pad):
         make(tmp_path / "corpus")
         transcripts = load_transcripts(tmp_path / "corpus")
-        full = ngram.train_group_models(transcripts, 0.5, unk_threshold, pad)
-        model_sets = [full]
-        for label in ("SLI", "TD"):
-            members = [t for t in transcripts if t.group.value == label]
-            model_sets += [{**full, label: held}
-                           for held in leave_one_out(members, full[label])]
-        for models in model_sets:
-            for t in transcripts:
-                assert perplexity_features(t, models["SLI"], models["TD"]) \
-                    == loop_perplexity_features(t, models["SLI"], models["TD"])
+        lms = GroupModels(transcripts, 0.5, unk_threshold, pad)
+        full = lms.models
+        assert full == ngram.train_group_models(transcripts, 0.5, unk_threshold, pad)
+        held = {label: list(retrain_loo_models(
+                    [t for t in transcripts if t.group.value == label],
+                    0.5, unk_threshold, pad)) for label in ("SLI", "TD")}
+        for i, t in enumerate(transcripts):
+            want = loop_perplexity_features(t, full["SLI"], full["TD"])
+            assert perplexity_features(t, full["SLI"], full["TD"]) == want
+            assert lms.perplexity_features(i) == want
+            models = {**full, t.group.value: held[t.group.value].pop(0)} \
+                if t.group.value in held else full
+            assert lms.perplexity_features(i, held_out=True) \
+                == loop_perplexity_features(t, models["SLI"], models["TD"])
 
     def test_reads_the_child_sentences_once(self, corpus_dir, monkeypatch):
         transcripts = load_transcripts(corpus_dir)
         models = ngram.train_group_models(transcripts, 0.5, 2)
         calls = []
         read = ngram._child_sentences
-        monkeypatch.setattr(ngram, "_child_sentences",
-                            lambda ts: calls.append([t.id for t in ts]) or read(ts))
+        monkeypatch.setattr(
+            ngram, "_child_sentences",
+            lambda ts, *rest: calls.append([t.id for t in ts]) or read(ts, *rest))
         for t in transcripts:
             perplexity_features(t, models["SLI"], models["TD"])
         assert calls == [[t.id] for t in transcripts]
@@ -240,16 +266,71 @@ def _models_or_error(held_out) -> list:
     return out
 
 
+def _outcome(score):
+    """``score()``, or the class of the error it raised, with the n-gram a
+    ``ZeroProbability`` names."""
+    try:
+        return score()
+    except ZeroProbability as exc:
+        return ZeroProbability, re.search(r"zero probability for (.*) \(k=0", str(exc))[1]
+    except (EmptyCorpus, EmptyTranscript) as exc:
+        return type(exc)
+
+
+def _held_count(full, removed, added, key) -> int:
+    return full.get(key, 0) - removed.get(key, 0) + added.get(key, 0)
+
+
+TD_MEMBERS = ("ba ki lo", "ki ki mu"), ("lo ba",), ("mu mu ba ki",)
+
+
 class TestLeaveOneOut:
-    def assert_matches_retrain(self, members, smoothing_k=0.5):
-        for unk_threshold in (1, 2, 3):
-            for pad in (True, False):
-                full = {o: train(members, o, smoothing_k, unk_threshold, pad)
-                        for o in (1, 2, 3)}
-                got = _models_or_error(leave_one_out(members, full))
-                want = _models_or_error(
-                    retrain_loo_models(members, smoothing_k, unk_threshold, pad))
-                assert got == want, (unk_threshold, pad)
+    """``GroupModels`` scores a held-out member against the full counts
+    changed by what holding it out removes and adds; those must read the
+    counts of the copied and of the retrained models."""
+
+    def assert_matches_oracles(self, transcripts):
+        for smoothing_k in (0.5, 1.0, 0.0):
+            for unk_threshold in (1, 2, 3):
+                for pad in (True, False):
+                    self.assert_views_match(transcripts, smoothing_k, unk_threshold, pad)
+
+    def assert_views_match(self, transcripts, smoothing_k, unk_threshold, pad):
+        lms = GroupModels(transcripts, smoothing_k, unk_threshold, pad)
+        full = lms.models
+        for label, group in lms.groups.items():
+            members = [t for t in transcripts if t.group.value == label]
+            copies = _models_or_error(copy_leave_one_out(members, full[label]))
+            retrains = _models_or_error(
+                retrain_loo_models(members, smoothing_k, unk_threshold, pad))
+            assert len(copies) == len(retrains)
+            for j, (copy, retrain) in enumerate(zip(copies, retrains)):
+                t = members[j]
+                i = transcripts.index(t)
+                if isinstance(retrain, str):  # the rest holds no child tokens
+                    assert isinstance(copy, str)
+                    assert _outcome(lambda: group.held_out(j)) is EmptyCorpus
+                    assert _outcome(lambda: lms.perplexity_features(i, True)) is EmptyCorpus
+                    break
+                changes, mapped = group.held_out(j)
+                sents = ngram._child_sentences([t])
+                assert mapped == ngram._map(sents, retrain[1].vocab)
+                for order in (1, 2, 3):
+                    model, change = full[label][order], changes[order - 1]
+                    for gram in (g for s in sents
+                                 for g in slice_ngrams(s, retrain[order].vocab, order, pad)):
+                        got = (_held_count(model.counts, change.removed, change.added, gram),
+                               _held_count(model.context_totals, change.removed_totals,
+                                           change.added_totals, gram[:-1]),
+                               change.vocab_size)
+                        for want in (copy[order], retrain[order]):
+                            assert got == (want.counts.get(gram, 0),
+                                           want.context_totals.get(gram[:-1], 0),
+                                           want.vocab_size), (order, gram)
+                models = {**full, label: retrain}
+                assert _outcome(lambda: lms.perplexity_features(i, held_out=True)) \
+                    == _outcome(lambda: loop_perplexity_features(t, models["SLI"],
+                                                                 models["TD"]))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.lists(st.lists(st.integers(0, len(WORDS) - 1), min_size=1,
@@ -258,17 +339,15 @@ class TestLeaveOneOut:
                     min_size=1, max_size=6))
     def test_equals_retrain_on_pseudo_word_corpora(self, members):
         assume(any(members))
-        self.assert_matches_retrain(
+        self.assert_matches_oracles(
             [chi_group("SLI", *(" ".join(WORDS[w] for w in s) for s in sents))
-             for sents in members])
+             for sents in members]
+            + [chi_group("TD", *sents) for sents in TD_MEMBERS])
 
     def test_two_member_group(self):
-        members = [chi_group("TD", "ba ba ki", "ki lo"), chi_group("TD", "ba lo", "mu")]
-        self.assert_matches_retrain(members)
-        full = {o: train(members, o) for o in (1, 2, 3)}
-        first, second = leave_one_out(members, full)
-        assert first[2] == train(members[1:], 2)
-        assert second[2] == train(members[:1], 2)
+        self.assert_matches_oracles(
+            [chi_group("TD", "ba ba ki", "ki lo"), chi_group("TD", "ba lo", "mu"),
+             chi_group("SLI", "ki ki zo"), chi_group("SLI", "zo ba", "ba")])
 
     def test_member_holding_every_occurrence_of_a_type(self):
         # "zo" lives only in the first member; "ki" and "lo" occur twice in
@@ -277,16 +356,70 @@ class TestLeaveOneOut:
                    chi_group("SLI", "ba ki ba", "lo ba"),
                    chi_group("SLI", "ba ba")]
         assert newly_rare_types(members, 2) == {"ki", "lo"}
-        self.assert_matches_retrain(members)
-        full = {o: train(members, o, 1.0, 2) for o in (1, 2, 3)}
-        held = next(leave_one_out(members, full))
-        assert held[1].vocab == {"ba", UNK, EOS}
-        assert held[2].counts[("ba", UNK)] == 1
+        transcripts = members + [chi_group("TD", *sents) for sents in TD_MEMBERS]
+        self.assert_matches_oracles(transcripts)
+        group = GroupModels(transcripts, 1.0, 2).groups["SLI"]
+        changes, mapped = group.held_out(0)
+        assert changes[0].vocab_size == len({"ba", UNK, EOS})
+        assert mapped == [[UNK, UNK, UNK], [UNK, UNK]]
+        assert _held_count(group.models[2].counts, changes[1].removed, changes[1].added,
+                           ("ba", UNK)) == 1
 
     def test_one_member_group_raises_like_retrain(self):
-        members = [chi_group("TD", "ba ki")]
-        full = {o: train(members, o) for o in (1, 2, 3)}
+        transcripts = [chi_group("TD", "ba ki"), chi_group("SLI", "ba"),
+                       chi_group("SLI", "ki ba")]
+        self.assert_matches_oracles(transcripts)
+        with pytest.raises(EmptyCorpus, match="no child tokens to train on in the TD "
+                                              "group without transcript"):
+            GroupModels(transcripts).perplexity_features(0, held_out=True)
         with pytest.raises(EmptyCorpus, match="no child tokens to train on"):
-            next(leave_one_out(members, full))
-        with pytest.raises(EmptyCorpus, match="no child tokens to train on"):
-            next(retrain_loo_models(members))
+            next(retrain_loo_models(transcripts[:1]))
+
+
+class TestErrorsNameTheTranscriptAndModel:
+    """Through ``cli.main``, a scoring failure names the transcript and the
+    model it failed on, with and without ``--loo``."""
+
+    @pytest.mark.parametrize("loo", [False, True])
+    def test_zero_probability(self, corpus_dir, tmp_path, capsys, loo):
+        # a word of sli_00's own is <unk> to the SLI model without it
+        path = corpus_dir / "sli_00.cha"
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            "@End", "*CHI:\tzyzzyva .\n@End"), encoding="utf-8")
+        transcripts = load_transcripts(corpus_dir)
+        full = ngram.train_group_models(transcripts, 0.0)
+        held = {label: retrain_loo_models(
+                    [t for t in transcripts if t.group.value == label], 0.0)
+                for label in ("SLI", "TD")} if loo else {}
+        want = None
+        for t in transcripts:
+            models = {**full, t.group.value: next(held[t.group.value])} \
+                if t.group.value in held else full
+            for label in ("SLI", "TD"):
+                for order in (1, 2, 3):
+                    outcome = _outcome(lambda: loop_perplexity(models[label][order], t))
+                    if want is None and isinstance(outcome, tuple):
+                        kind = "held out" if loo and label == t.group.value else "full"
+                        want = (f"transcript {t.id!r}, {label} order-{order} model "
+                                f"({kind}): zero probability for {outcome[1]} "
+                                "(k=0 and unseen)")
+        assert want.startswith(f"transcript 'sli_00', {'SLI' if loo else 'TD'} order-1 "
+                               f"model ({'held out' if loo else 'full'})")
+        argv = ["extract", str(corpus_dir), "-o", str(tmp_path / "f.csv"),
+                "--smoothing-k", "0"]
+        assert cli.main(argv + ["--loo"] * loo) == 3
+        assert capsys.readouterr().err == f"numeric error: {want}\n"
+
+    def test_group_without_child_tokens(self, tmp_path, capsys):
+        # extract cannot get this far: base features refuse a transcript
+        # with no child tokens, and group statistics a group of one
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, group, speaker in (("a", "SLI", "EXA"), ("b", "SLI", "EXA"),
+                                     ("c", "TD", "CHI")):
+            (corpus / f"{name}.cha").write_text(
+                f"@ID:\teng|synth|CHI|5;00.|male|{group}||Target_Child|||\n"
+                f"*{speaker}:\tba ki .\n", encoding="utf-8")
+        assert cli.main(["train-lm", str(corpus), "-o", str(tmp_path / "lm")]) == 2
+        assert capsys.readouterr().err \
+            == "data error: no child tokens to train on in the SLI group\n"
