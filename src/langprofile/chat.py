@@ -71,12 +71,6 @@ _CHILD_ROLES = {"target_child", "child"}
 _EXAMINER_ROLES = {"examiner", "investigator", "interviewer", "clinician"}
 
 
-@functools.cache
-def _pos_classes(pos_tag: str) -> frozenset[str]:
-    parts = pos_tag.split(":")
-    return frozenset(":".join(parts[:i]) for i in range(1, len(parts) + 1))
-
-
 @dataclass(frozen=True)
 class MorToken:
     """One token of a %mor tier: POS tag, lemma, affix markers."""
@@ -89,9 +83,9 @@ class MorToken:
     @functools.cached_property
     def pos_classes(self) -> frozenset[str]:
         """Every POS class the tag belongs to, one per ``:``-segment prefix:
-        ``n:prop`` is in ``{"n", "n:prop"}``, and ``neg`` only in ``{"neg"}``.
-        Tokens with the same tag share one set."""
-        return _pos_classes(self.pos_tag)
+        ``n:prop`` is in ``{"n", "n:prop"}``, and ``neg`` only in ``{"neg"}``."""
+        parts = self.pos_tag.split(":")
+        return frozenset(":".join(parts[:i]) for i in range(1, len(parts) + 1))
 
     def morphemes(self, count_fusions: bool = False) -> int:
         n = 1 + len(self.suffixes)

@@ -80,15 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_extract(args) -> int:
-    transcripts = pipeline.load_transcripts(args.transcripts)
     config = pipeline.PipelineConfig(
         input_mode="transcripts", input_path=args.transcripts, output_dir=".",
         seed=0, count_fusions=args.count_fusions, dss_table=args.dss_table,
         ipsyn_table=args.ipsyn_table, smoothing_k=args.smoothing_k,
         unk_threshold=args.unk_threshold, loo=args.loo)
-    cohort = pipeline.extract_cohort(transcripts, config)
-    Path(args.output).write_text(pipeline.render_feature_csv(cohort),
-                                 encoding="utf-8")
+    cohort, transcripts = pipeline.load_cohort(config)
+    pipeline._stage("write", pipeline.write_files,
+                    {Path(args.output): pipeline.render_feature_csv(cohort)})
     for t in transcripts:
         for w in t.warnings:
             print(f"warning: {t.id}: {w}", file=sys.stderr)

@@ -267,6 +267,33 @@ def _perplexity(model: NGramModel, grams: list[tuple[str, ...]], where: str,
     return math.exp(-log_sum / len(grams))
 
 
+def _perplexity_features(t: Transcript, sents: list[list[str]],
+                         models: dict[str, dict[int, NGramModel]],
+                         held: dict[str, tuple]) -> dict[str, float]:
+    """``t``'s six features from its child sentences ``sents``, under
+    ``models["SLI"]`` (s_*) and ``models["TD"]`` (d_*).  ``held`` maps a
+    group to ``t``'s held-out changes in it, one per order, and ``sents``
+    as mapped through its held-out vocab: that group's models score them
+    changed by each order's change."""
+    if not sents:
+        raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
+    out = {}
+    for prefix, label in (("s", "SLI"), ("d", "TD")):
+        changes, mapped = held.get(label, ((None,) * len(ORDERS), None))
+        key = grams = None
+        for order in ORDERS:
+            model = models[label][order]
+            # cut again for another vocab or pad; a tuple compares identity first
+            if grams is None or (mapped is None and (model.vocab, model.pad) != key):
+                key = model.vocab, model.pad
+                grams = _grams(_map(sents, model.vocab) if mapped is None else mapped,
+                               model.pad)
+            out[f"{prefix}_{order}g_ppl"] = _perplexity(
+                model, grams[order - 1], f"transcript {t.id!r}, {label} order-{order} model "
+                f"({'full' if mapped is None else 'held out'})", changes[order - 1])
+    return out
+
+
 def perplexity(model: NGramModel, t: Transcript) -> float:
     """exp of mean negative log probability per scored position.
 
@@ -276,12 +303,8 @@ def perplexity(model: NGramModel, t: Transcript) -> float:
     sents = _child_sentences([t])
     if not sents:
         raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
-    return _score(model, sents, f"transcript {t.id!r}, order-{model.order} model")
-
-
-def _score(model: NGramModel, sents: list[list[str]], where: str) -> float:
     grams = _grams(_map(sents, model.vocab), model.pad)[model.order - 1]
-    return _perplexity(model, grams, where)
+    return _perplexity(model, grams, f"transcript {t.id!r}, order-{model.order} model")
 
 
 def perplexity_features(t: Transcript, sli_models: dict[int, NGramModel],
@@ -289,13 +312,8 @@ def perplexity_features(t: Transcript, sli_models: dict[int, NGramModel],
     """The six perplexity features: s_* against the SLI models, d_*
     against the TD models, orders 1-3, from one read of the child
     sentences."""
-    sents = _child_sentences([t])
-    if not sents:
-        raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
-    return {f"{prefix}_{order}g_ppl": _score(
-                models[order], sents, f"transcript {t.id!r}, {label} order-{order} model")
-            for prefix, label, models in (("s", "SLI", sli_models), ("d", "TD", td_models))
-            for order in ORDERS}
+    return _perplexity_features(t, _child_sentences([t]),
+                                {"SLI": sli_models, "TD": td_models}, {})
 
 
 class GroupModels:
@@ -331,26 +349,11 @@ class GroupModels:
         gives them.  With ``held_out``, a labelled transcript is scored
         against its own group's models without it; a group it leaves with
         no child tokens raises ``EmptyCorpus`` before anything is scored."""
-        t, sents = self.transcripts[i], self.sents[i]
+        t = self.transcripts[i]
         own = t.group.value
-        changes = None
-        if held_out and own in self.groups:
-            changes, own_mapped = self.groups[own].held_out(self._slot[i])
-        if not sents:
-            raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
-        out = {}
-        for prefix, (label, group) in zip("sd", self.groups.items()):
-            models = group.models
-            held = label == own and changes is not None
-            grams = _grams(own_mapped if held else _map(sents, models[1].vocab),
-                           models[1].pad)
-            for order, model in models.items():
-                out[f"{prefix}_{order}g_ppl"] = _perplexity(
-                    model, grams[order - 1],
-                    f"transcript {t.id!r}, {label} order-{order} model "
-                    f"({'held out' if held else 'full'})",
-                    changes[order - 1] if held else None)
-        return out
+        held = {own: self.groups[own].held_out(self._slot[i])} \
+            if held_out and own in self.groups else {}
+        return _perplexity_features(t, self.sents[i], self.models, held)
 
 
 def train_group_models(transcripts, smoothing_k: float = 1.0,
@@ -411,13 +414,11 @@ def load_model(path: str | Path) -> NGramModel:
     vocab = frozenset(lines[1][len("vocab\t"):].split(" "))
 
     counts: dict[tuple[str, ...], int] = {}
-    context_totals: Counter = Counter()
     for lineno, ln in enumerate(lines[2:], start=3):
         count_text, tab, gram_text = ln.partition("\t")
         gram = tuple(gram_text.split(" "))
         if not (tab and count_text.isdecimal() and len(gram) == order):
             raise DataError(f"{path}: line {lineno}: malformed n-gram line {ln!r}")
         counts[gram] = int(count_text)
-        context_totals[gram[:-1]] += counts[gram]
     return NGramModel(order, k, threshold, bool(pad), counts,
-                      dict(context_totals), vocab)
+                      _context_totals(counts), vocab)

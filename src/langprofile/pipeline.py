@@ -1,11 +1,16 @@
 """End-to-end analysis pipeline behind a flat INI-style config.
 
-Stages: load (transcript extraction or feature-CSV ingest) -> impute ->
-standardize -> correlation prune -> PCA -> silhouette sweep (one k-means
-fit per k; the chosen k keeps its sweep fit) -> Ward/DBSCAN cross-checks
-(sweep and cross-checks share one distance matrix) -> boundary cases ->
-outliers -> cross-plane agreement -> profiles and effect statistics ->
-report bundle.
+Stages: load (the .cha files of a directory, or a feature CSV) ->
+extract (transcripts only) -> impute -> standardize -> correlation prune
+-> PCA -> silhouette sweep (one k-means fit per k; the chosen k keeps its
+sweep fit) -> Ward/DBSCAN cross-checks (sweep and cross-checks share one
+distance matrix) -> boundary cases -> outliers -> cross-plane agreement
+-> profiles and effect statistics -> write (the report bundle).
+
+The CLI's ``extract`` runs the load, extract and write stages alone,
+through the same :func:`load_cohort` and :func:`write_files`.  A stage
+that fails on a documented input raises ``PipelineError`` naming the
+stage; a write that fails removes the files it opened.
 
 Every report embeds the config hash and seed; a rerun with identical
 input bytes and config produces byte-identical outputs.
@@ -235,18 +240,22 @@ def _format_number(x: float) -> str:
     return f"{x:.10g}"
 
 
-def render_feature_csv(cohort: Cohort) -> str:
+def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(csv_header())
-    for i, row_id in enumerate(cohort.matrix.row_ids):
-        age = cohort.age_months[i]
-        meta = [row_id, cohort.corpus[i], cohort.group[i],
-                "" if age is None else str(age), cohort.sex[i]]
-        # Python floats format faster than np.float64, and to the same text
-        values = cohort.matrix.values[i].tolist()
-        writer.writerow(meta + [_format_number(v) for v in values])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def render_feature_csv(cohort: Cohort) -> str:
+    meta = zip(cohort.matrix.row_ids, cohort.corpus, cohort.group, cohort.age_months,
+               cohort.sex)
+    # Python floats format faster than np.float64, and to the same text
+    return _csv_text(csv_header(), (
+        [row_id, corpus, group, "" if age is None else str(age), sex,
+         *[_format_number(v) for v in values.tolist()]]
+        for (row_id, corpus, group, age, sex), values in zip(meta, cohort.matrix.values)))
 
 
 def _utf8_lines(fh, path):
@@ -342,6 +351,11 @@ def load_transcripts(directory: str | Path) -> list[chat.Transcript]:
     out = []
     mor_cache: dict = {}  # one per call: the corpus's equal mor items share a token
     for p in paths:
+        try:  # the stem becomes the row id, which the reports write as UTF-8
+            p.name.encode("utf-8")
+        except UnicodeEncodeError:
+            shown = os.fsencode(p).decode("utf-8", "backslashreplace")
+            raise DataError(f"{shown}: file name is not UTF-8") from None
         with open(p, encoding="utf-8-sig") as fh:
             text = "".join(_utf8_lines(fh, p))
         try:
@@ -454,12 +468,32 @@ def _plane_agreement(scores: np.ndarray, k: int, seed: int, n_init: int) -> list
                                 ("pc1_pc3", "pc2_pc3"))]
 
 
-def run_pipeline(config: PipelineConfig) -> ReportBundle:
+def load_cohort(config: PipelineConfig) -> tuple[Cohort, list[chat.Transcript]]:
+    """The ``load`` stage, then in transcripts mode the ``extract`` stage:
+    the cohort, and the transcripts it was extracted from (csv mode: none)."""
     if config.input_mode == "csv":
-        cohort = _stage("load", ingest_feature_csv, config.input_path)
-    else:
-        transcripts = _stage("load", load_transcripts, config.input_path)
-        cohort = _stage("extract", extract_cohort, transcripts, config)
+        return _stage("load", ingest_feature_csv, config.input_path), []
+    transcripts = _stage("load", load_transcripts, config.input_path)
+    return _stage("extract", extract_cohort, transcripts, config), transcripts
+
+
+def write_files(files: dict[Path, str]) -> None:
+    """Write each text to its path as UTF-8.  Any failure removes every
+    file opened so far, the one being written included, and re-raises."""
+    opened: list[Path] = []
+    try:
+        for path, text in files.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                opened.append(path)
+                fh.write(text)
+    except BaseException:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
+
+
+def run_pipeline(config: PipelineConfig) -> ReportBundle:
+    cohort, _ = load_cohort(config)
 
     n = cohort.matrix.n
     bad_k = [k for k in config.k_range if not 2 <= k <= n - 1]
@@ -596,44 +630,23 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     }
 
     # ---- plot CSVs ----
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     n_plot = min(3, scores.shape[1])
-    writer.writerow(["id"] + [f"pc{j + 1}" for j in range(n_plot)]
-                    + ["cluster", "boundary", "outlier"])
-    for i, row_id in enumerate(cohort.matrix.row_ids):
-        writer.writerow([row_id]
-                        + [_format_number(v) for v in scores[i, :n_plot].tolist()]
-                        + [int(assignments[i]), int(i in flagged), int(i in outlier_set)])
-    pc_scores_csv = buf.getvalue()
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "silhouette"])
-    for k, s, _ in sweep:
-        writer.writerow([k, _format_number(s)])
-    sweep_csv = buf.getvalue()
-
     files = {
         "feature_matrix.csv": render_feature_csv(cohort),
         "pca_report.json": dumps_report(pca_report),
         "cluster_report.json": dumps_report(cluster_report),
         "boundary_report.json": dumps_report(boundary_report),
-        "pc_scores.csv": pc_scores_csv,
-        "silhouette_sweep.csv": sweep_csv,
+        "pc_scores.csv": _csv_text(
+            ["id", *[f"pc{j + 1}" for j in range(n_plot)], "cluster", "boundary", "outlier"],
+            ([row_id, *[_format_number(v) for v in scores[i, :n_plot].tolist()],
+              int(assignments[i]), int(i in flagged), int(i in outlier_set)]
+             for i, row_id in enumerate(cohort.matrix.row_ids))),
+        "silhouette_sweep.csv": _csv_text(["k", "silhouette"],
+                                          ([k, _format_number(s)] for k, s, _ in sweep)),
     }
 
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        for name, content in files.items():
-            target = out_dir / name
-            target.write_text(content, encoding="utf-8")
-            written.append(target)
-    except Exception as exc:
-        for p in written:
-            p.unlink(missing_ok=True)
-        raise PipelineError("write", exc) from exc
+    _stage("write", out_dir.mkdir, parents=True, exist_ok=True)
+    _stage("write", write_files, {out_dir / name: text for name, text in files.items()})
 
     return ReportBundle(out_dir, files, pca_report, cluster_report, boundary_report)

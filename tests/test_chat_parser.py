@@ -280,7 +280,7 @@ class TestMorToken:
 
     def test_same_tag_shares_one_class_set(self):
         a, b = parse_mor_token("n:prop|Ann"), parse_mor_token("n:prop|Bob-POSS")
-        assert a.pos_classes is b.pos_classes
+        assert a.pos_classes == b.pos_classes
         assert a == MorToken("n:prop", "Ann")
         assert repr(a) == "MorToken(pos_tag='n:prop', lemma='Ann', suffixes=(), fusions=())"
         assert a.render() == "n:prop|Ann"

@@ -408,7 +408,7 @@ class TestErrorsNameTheTranscriptAndModel:
         argv = ["extract", str(corpus_dir), "-o", str(tmp_path / "f.csv"),
                 "--smoothing-k", "0"]
         assert cli.main(argv + ["--loo"] * loo) == 3
-        assert capsys.readouterr().err == f"numeric error: {want}\n"
+        assert capsys.readouterr().err == f"error: stage 'extract' failed: {want}\n"
 
     def test_group_without_child_tokens(self, tmp_path, capsys):
         # extract cannot get this far: base features refuse a transcript

@@ -307,6 +307,23 @@ class TestRunPipeline:
         second = {n: (out / n).read_bytes() for n in pipeline.REPORT_FILES}
         assert first == second
 
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        # the same output directory on both runs: the config hash covers the paths
+        csv_path = tmp_path / "features.csv"
+        write_synthetic_csv(csv_path, n=400, seed=5)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.ini", csv_path, out)
+        src = Path(langprofile.__file__).resolve().parents[1]
+        runs = []
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "langprofile.cli", "analyze", "--config", str(cfg)],
+                capture_output=True, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads})
+            assert done.returncode == 0, done.stderr
+            runs.append({name: (out / name).read_bytes() for name in pipeline.REPORT_FILES})
+        assert runs[0] == runs[1]
+
     def test_reports_carry_hash_and_seed(self, bundle_env):
         cfg, out = bundle_env
         config = pipeline.load_config(cfg)
@@ -683,6 +700,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{bad}: not UTF-8: byte 0xff at offset 20" in err
 
+    @pytest.mark.parametrize("command", ["extract", "analyze"])
+    def test_non_utf8_file_name_exits_two_from_load(self, corpus_dir, tmp_path, capsys,
+                                                     command):
+        # the name's stem would become a row id that no report can write as UTF-8
+        try:
+            os.rename(corpus_dir / "sli_00.cha", os.fsencode(corpus_dir) + b"/ch\xffild.cha")
+        except OSError:
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        out = tmp_path / "out"
+        if command == "extract":
+            out.mkdir()
+            argv = ["extract", str(corpus_dir), "-o", str(out / "f.csv")]
+        else:
+            cfg = tmp_path / "c.ini"
+            cfg.write_text(f"[input]\nmode = transcripts\npath = {corpus_dir}\n"
+                           "[clustering]\nseed = 1\nk_range = 2..3\nn_init = 8\n"
+                           f"[output]\ndir = {out}\n")
+            argv = ["analyze", "--config", str(cfg)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (f"error: stage 'load' failed: {corpus_dir}/"
+                                           "ch\\xffild.cha: file name is not UTF-8\n")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_import_cli_loads_no_scipy(self):
         src = Path(langprofile.__file__).resolve().parents[1]
         code = ("import sys, langprofile.cli; "
@@ -692,6 +732,51 @@ class TestCli:
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+class TestWriteStage:
+    """``analyze`` and ``extract`` write their files in the ``write``
+    stage.  A failure there leaves none of the files it opened, the one
+    being written included."""
+
+    def test_os_error_partway_removes_every_report(self, tmp_path, capsys):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=40)
+        out = tmp_path / "out"
+        (out / "pc_scores.csv").mkdir(parents=True)  # the fifth of the six files
+        cfg = write_config(tmp_path / "c.ini", csv_path, out)
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'write' failed: ")
+        assert str(out / "pc_scores.csv") in err and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["pc_scores.csv"]
+        assert not any((out / "pc_scores.csv").iterdir())
+
+    def test_extract_to_a_directory_exits_two(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli.main(["extract", str(corpus_dir), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'write' failed: ") and "Traceback" not in err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["analyze", "extract"])
+    def test_programming_fault_propagates_and_leaves_no_partial_file(
+            self, corpus_dir, tmp_path, monkeypatch, command):
+        # text that is not a str fails only once its file is open
+        out = tmp_path / "out"
+        if command == "analyze":
+            monkeypatch.setattr(pipeline, "dumps_report", lambda obj: b"{}")
+            csv_path = tmp_path / "f.csv"
+            write_synthetic_csv(csv_path, n=40)
+            argv = ["analyze", "--config", str(write_config(tmp_path / "c.ini", csv_path, out))]
+        else:
+            monkeypatch.setattr(pipeline, "render_feature_csv", lambda cohort: b"id\n")
+            out.mkdir()
+            argv = ["extract", str(corpus_dir), "-o", str(out / "f.csv")]
+        with pytest.raises(TypeError):
+            cli.main(argv)
+        assert not any(out.iterdir())
 
 
 BOM = b"\xef\xbb\xbf"
