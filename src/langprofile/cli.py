@@ -96,16 +96,17 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train_lm(args) -> int:
-    transcripts = pipeline.load_transcripts(args.transcripts)
+    transcripts = pipeline._stage("load", pipeline.load_transcripts, args.transcripts)
     models = ngram.train_group_models(transcripts, args.smoothing_k,
                                       args.unk_threshold)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    for label, prefix in (("SLI", "sli"), ("TD", "td")):
-        for order, model in models[label].items():
-            path = out / f"{prefix}_{order}g.lm"
-            ngram.save_model(model, path)
-            print(f"wrote {path}")
+    files = {out / f"{prefix}_{order}g.lm": ngram.model_text(model)
+             for label, prefix in (("SLI", "sli"), ("TD", "td"))
+             for order, model in models[label].items()}
+    pipeline._stage("write", pipeline.write_files, files)
+    for path in files:
+        print(f"wrote {path}")
     return 0
 
 

@@ -8,9 +8,11 @@ precomputed ``_pairwise_distances(points)`` matrix and leave it unchanged;
 each rejects a matrix holding a NaN or inf.
 
 Determinism contract: every stochastic routine takes an explicit seed.
-k-means seeds its restarts one by one, each from its own
-``SeedSequence(seed).spawn`` child, then runs them as one batch whose
-results are ``==`` to running the restarts one at a time.
+k-means draws each restart from its own ``SeedSequence(seed).spawn``
+child. It seeds a block of restarts together, then runs their Lloyd loops
+as one batch on (restart, cluster, point) arrays, reading X's columns
+from one column-major copy when d < 8. Its results are ``==`` to running
+the restarts one at a time.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ def _as_distances(distances, n: int | None = None) -> np.ndarray:
 
 # -- k-means ----------------------------------------------------------------
 
-# restarts per batched Lloyd loop: the (restarts, n, k) buffers grow with
-# it, and past a few restarts the per-iteration interpreter cost is shared
+# restarts per batched block: the (restarts, k, n) buffers grow with it,
+# and past a few restarts the per-iteration interpreter cost is shared
 _BLOCK = 8
 
 
@@ -74,47 +76,65 @@ class ClusterResult:
     n_init: int
 
 
-def _plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = X.shape[0]
-    centroids = np.empty((k, X.shape[1]))
-    centroids[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            probs = d2 / total
-        else:
-            probs = np.full(n, 1.0 / n)
-        centroids[j] = X[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, np.sum((X - centroids[j]) ** 2, axis=1))
-    return centroids
-
-
 def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d2 = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
     return np.argmin(d2, axis=1), d2
 
 
-def _batch_assign(X: np.ndarray, C: np.ndarray, d2: np.ndarray,
-                  diff: np.ndarray) -> np.ndarray:
-    """``_assign`` for every restart's centroids ``C`` (R, k, d) at once.
+def _batch_distances(X: np.ndarray, cols: np.ndarray, C: np.ndarray, d2: np.ndarray,
+                     diff: np.ndarray) -> np.ndarray:
+    """``_assign``'s squared distances for every restart's centroids ``C``
+    (R, k, d) at once, written into and returned as ``d2`` (R, k, n), with
+    ``diff`` as scratch.
 
-    Writes the squared distances into ``d2`` (R, n, k), using ``diff`` as
-    scratch, and returns the nearest centroids (R, n). Below 8 dimensions
-    ``_assign``'s ``np.sum`` adds the terms one by one, and so does this.
-    From 8 on it adds them pairwise, in an order that follows X's memory
-    layout, so each restart calls ``_assign`` itself."""
+    Below 8 dimensions ``_assign``'s ``np.sum`` adds the terms one by one,
+    and so does this, from X's columns ``cols`` (d, n). From 8 on it adds
+    them pairwise, in an order that follows X's memory layout, so each
+    restart calls ``_assign`` on X itself. With k = 1 these are the
+    distances ``np.sum((X - c) ** 2, axis=1)`` to each restart's c."""
     if X.shape[1] < 8:
-        np.subtract(X[None, :, None, 0], C[:, None, :, 0], out=d2)
+        np.subtract(cols[0], C[:, :, 0, None], out=d2)
         np.square(d2, out=d2)
         for j in range(1, X.shape[1]):
-            np.subtract(X[None, :, None, j], C[:, None, :, j], out=diff)
+            np.subtract(cols[j], C[:, :, j, None], out=diff)
             np.square(diff, out=diff)
             d2 += diff
     else:
         for r in range(len(C)):
-            d2[r] = _assign(X, C[r])[1]
-    return np.argmin(d2, axis=2)
+            d2[r] = _assign(X, C[r])[1].T
+    return d2
+
+
+def _batch_init(X: np.ndarray, k: int, rngs: list[np.random.Generator],
+                cols: np.ndarray | None = None) -> np.ndarray:
+    """k-means++ seeding for a block of restarts, one generator each: the
+    centroids (R, k, d).
+
+    Each restart draws from its own generator in k-means++'s order: the
+    first centre from ``rng.integers(n)``, every later one from one
+    ``rng.random()`` against the cumulative distribution of the squared
+    distances to the nearest centre so far (uniform when they are all 0),
+    divided by its last entry.  The index is the count of entries <= the
+    draw, so each centre is the one ``rng.choice(n, p=...)`` picks.
+    ``cols`` holds X's columns as rows (default ``X.T``)."""
+    n, d = X.shape
+    cols = X.T if cols is None else cols
+    C = np.empty((len(rngs), k, d))
+    d2, new, diff = np.empty((3, len(rngs), 1, n))
+    nearest = d2[:, 0]  # (R, n): each point's squared distance to its nearest centre
+    C[:, 0] = X[[rng.integers(n) for rng in rngs]]
+    _batch_distances(X, cols, C[:, :1], d2, diff)
+    for j in range(1, k):
+        u = np.array([rng.random() for rng in rngs])
+        total = nearest.sum(axis=1)
+        empty = total == 0.0
+        probs = nearest / np.where(empty, 1.0, total)[:, None]
+        probs[empty] = 1.0 / n
+        cdf = np.cumsum(probs, axis=1)
+        cdf /= cdf[:, -1:]
+        C[:, j] = X[np.count_nonzero(cdf <= u[:, None], axis=1)]
+        np.minimum(d2, _batch_distances(X, cols, C[:, j:j + 1], new, diff), out=d2)
+    return C
 
 
 def _lloyd_block(X: np.ndarray, C: np.ndarray, max_iter: int, d2_buf: np.ndarray,
@@ -123,19 +143,22 @@ def _lloyd_block(X: np.ndarray, C: np.ndarray, max_iter: int, d2_buf: np.ndarray
     """Lloyd runs from the seeded centroids ``C`` (R, k, d), all at once.
 
     A restart leaves the block when its assignment stops changing.
-    ``d2_buf`` and ``diff_buf`` are ``_batch_assign``'s buffers for R
-    restarts, and ``weights[j]`` repeats ``X[:, j]`` once per restart.
-    Returns ``(assignments, centroids, inertia)`` per restart, in order."""
+    ``d2_buf`` and ``diff_buf`` are ``_batch_distances``' (R, k, n) buffers
+    for R restarts, and ``weights[j]`` repeats ``X[:, j]`` once per
+    restart, so ``weights[:, :n]`` holds X's columns.  Returns
+    ``(assignments, centroids, inertia)`` per restart, in order."""
     n, d = X.shape
     k = C.shape[1]
     rows = np.arange(n)
+    cols = weights[:, :n]
     runs: list = [None] * len(C)
     live = np.arange(len(C))  # block positions of the restarts still running
-    assign = _batch_assign(X, C, d2_buf[:live.size], diff_buf[:live.size])
+    assign = np.argmin(_batch_distances(X, cols, C, d2_buf[:live.size],
+                                        diff_buf[:live.size]), axis=1)
 
     def finish(i: int, d2: np.ndarray) -> None:
         runs[live[i]] = (assign[i].copy(), C[i].copy(),
-                         float(d2[i][rows, assign[i]].sum()))
+                         float(d2[i][assign[i], rows].sum()))
 
     for _ in range(max_iter):
         a = live.size
@@ -155,9 +178,9 @@ def _lloyd_block(X: np.ndarray, C: np.ndarray, max_iter: int, d2_buf: np.ndarray
         for i in np.flatnonzero(~filled.all(axis=1)):
             # reseed empty clusters to the points farthest from their centroids
             empty = np.flatnonzero(~filled[i])
-            order = np.argsort(-d2[i][rows, assign[i]], kind="stable")
+            order = np.argsort(-d2[i][assign[i], rows], kind="stable")
             C[i, empty] = X[order[:empty.size]]
-        new_assign = _batch_assign(X, C, d2, diff_buf[:a])
+        new_assign = np.argmin(_batch_distances(X, cols, C, d2, diff_buf[:a]), axis=1)
         done = (new_assign == assign).all(axis=1)
         assign = new_assign
         if done.any():
@@ -173,33 +196,53 @@ def _lloyd_block(X: np.ndarray, C: np.ndarray, max_iter: int, d2_buf: np.ndarray
     return runs
 
 
+def _check_points(X: np.ndarray) -> None:
+    """Raise ``DegenerateInput`` for a non-finite point, naming its row and
+    column, or for points so large that 4 d n max|x|^2 overflows: below
+    that bound no centroid sum or squared distance can."""
+    n, d = X.shape
+    top = float(np.abs(X).max())
+    if not math.isfinite(top):  # max returns NaN when any entry is NaN
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise DegenerateInput(f"point {row} holds {X[row, col]} in column {col}")
+    if not math.isfinite(4.0 * d * n * top * top):
+        raise DegenerateInput(f"largest coordinate {top!r} is too large for k-means "
+                              f"with n={n}, d={d}: 4 d n max|x|^2 overflows")
+
+
 def kmeans(points, k: int, seed: int, n_init: int = 32,
            max_iter: int = 300) -> ClusterResult:
     """Best-of-``n_init`` k-means++ / Lloyd runs, selected by inertia
     (the first restart wins ties).
 
-    Each restart is seeded on its own ``SeedSequence(seed).spawn`` stream.
-    Blocks of ``_BLOCK`` restarts then run Lloyd as one batch on
-    (restarts, n, k) arrays, and every float equals a one-at-a-time run.
-    For d < 8 the distances add their d terms one by one, as ``np.sum``
-    does; for d >= 8 each restart's distances come from ``_assign``. For
+    Each restart draws from its own ``SeedSequence(seed).spawn`` stream.
+    Blocks of ``_BLOCK`` restarts are seeded together (``_batch_init``),
+    then run Lloyd as one batch on (restart, cluster, point) arrays, so
+    each ufunc's inner loop runs over the n points. Every float equals a
+    one-at-a-time run. For d < 8 the distances add their d terms one by
+    one, as ``np.sum`` does, from one column-major copy of X; for d >= 8
+    each restart's distances come from ``np.sum`` over X itself. For
     d >= 2 the centroids are per-cluster ``bincount`` sums, added in point
-    order, over the counts; for d = 1 they are per-cluster means."""
+    order, over the counts; for d = 1 they are per-cluster means. A
+    non-finite point, or points whose squares could overflow, raise
+    ``DegenerateInput`` before any fit."""
     X = _as_points(points)
     n = X.shape[0]
     if k < 1 or n < k:
         raise DegenerateInput(f"need n >= k >= 1, got n={n} k={k}")
     if n_init < 1:
         raise ValueError(f"n_init must be at least 1, got {n_init}")
+    _check_points(X)
     size = min(n_init, _BLOCK)
-    d2_buf = np.empty((size, n, k))
-    diff_buf = np.empty((size, n, k))
+    d2_buf = np.empty((size, k, n))
+    diff_buf = np.empty((size, k, n))
     weights = np.tile(X.T, size)
+    cols = weights[:, :n]
     children = np.random.SeedSequence(seed).spawn(n_init)
     best: tuple[np.ndarray, np.ndarray, float] | None = None
     for start in range(0, n_init, _BLOCK):
-        C = np.stack([_plus_plus_init(X, k, np.random.default_rng(child))
-                      for child in children[start:start + _BLOCK]])
+        rngs = [np.random.default_rng(child) for child in children[start:start + _BLOCK]]
+        C = _batch_init(X, k, rngs, cols)
         for run in _lloyd_block(X, C, max_iter, d2_buf, diff_buf, weights):
             if best is None or run[2] < best[2]:
                 best = run

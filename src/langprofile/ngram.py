@@ -6,8 +6,9 @@ and one trailing ``</s>``.  The vocabulary is the types seen at least
 ``unk_threshold`` times, plus ``<unk>`` (plus ``</s>`` when padding), so
 add-k probabilities over any context sum to one.  One rule maps tokens,
 in training and in scoring alike: a token outside the model's vocab
-becomes ``<unk>``.  :func:`_map` applies it and :func:`_grams` cuts
-the n-grams.
+becomes ``<unk>``.  :func:`_map` applies it; :func:`_grams` cuts the
+n-grams of orders 1-3 from one mapping, and :func:`_order_grams` those of
+one order, for the single-model :func:`train` and :func:`perplexity`.
 
 ``smoothing_k`` must be finite and at least 0 and ``unk_threshold`` at
 least 1 (:func:`check_settings`).
@@ -111,12 +112,21 @@ def _check_order(order: int) -> None:
 
 def train(transcripts, order: int, smoothing_k: float = 1.0,
           unk_threshold: int = 1, pad: bool = True) -> NGramModel:
+    """The order-``order`` model, from a count of that order only."""
     _check_order(order)
     check_settings(smoothing_k, unk_threshold)
-    sents = [_child_sentences([t]) for t in transcripts]
-    if not any(sents):
+    sents = _child_sentences(transcripts)
+    if not sents:
         raise EmptyCorpus("no child tokens to train on")
-    return _train(sents, smoothing_k, unk_threshold, pad)[order]
+    vocab = _vocab(Counter(chain.from_iterable(sents)), unk_threshold, pad)
+    counts = Counter(_order_grams(_map(sents, vocab), order, pad))
+    return NGramModel(order, float(smoothing_k), int(unk_threshold), bool(pad),
+                      dict(counts), _context_totals(counts), vocab)
+
+
+def _vocab(freq: Counter, unk_threshold: int, pad: bool) -> frozenset[str]:
+    return frozenset([tok for tok, c in freq.items() if c >= unk_threshold]
+                     + ([UNK, EOS] if pad else [UNK]))
 
 
 def _train(sents: list[list[list[str]]], smoothing_k: float, unk_threshold: int,
@@ -125,9 +135,8 @@ def _train(sents: list[list[list[str]]], smoothing_k: float, unk_threshold: int,
     transcript's child sentences: each sentence is mapped through the
     vocab once and the three orders are cut from that one mapping, one
     transcript at a time."""
-    freq = Counter(chain.from_iterable(chain.from_iterable(sents)))
-    vocab = frozenset([tok for tok, c in freq.items() if c >= unk_threshold]
-                      + ([UNK, EOS] if pad else [UNK]))
+    vocab = _vocab(Counter(chain.from_iterable(chain.from_iterable(sents))),
+                   unk_threshold, pad)
     counts: list[Counter] = [Counter(), Counter(), Counter()]
     for member in sents:
         for c, grams in zip(counts, _grams(_map(member, vocab), pad)):
@@ -163,6 +172,18 @@ def _grams(mapped: list[list[str]], pad: bool) -> tuple[list, list, list]:
             g2 += zip(m, m1)
         g3 += zip(m, m1, m2)
     return g1, g2, g3
+
+
+def _order_grams(mapped: list[list[str]], order: int, pad: bool) -> list:
+    """The order-``order`` n-grams of the ``mapped`` sentences, in position
+    order: those of :func:`_grams` for that order alone."""
+    lead = [BOS] * (order - 1)
+    grams: list[tuple[str, ...]] = []
+    for m in mapped:
+        if pad:
+            m = [*lead, *m, EOS]
+        grams += zip(*(m[i:] for i in range(order)))
+    return grams
 
 
 def _context_totals(counts) -> dict[tuple[str, ...], int]:
@@ -303,7 +324,7 @@ def perplexity(model: NGramModel, t: Transcript) -> float:
     sents = _child_sentences([t])
     if not sents:
         raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
-    grams = _grams(_map(sents, model.vocab), model.pad)[model.order - 1]
+    grams = _order_grams(_map(sents, model.vocab), model.order, model.pad)
     return _perplexity(model, grams, f"transcript {t.id!r}, order-{model.order} model")
 
 
@@ -369,13 +390,18 @@ def train_group_models(transcripts, smoothing_k: float = 1.0,
 # then one line per n-gram: <count>\t<w1>[ <w2>[ <w3>]]      (sorted)
 
 
-def save_model(model: NGramModel, path: str | Path) -> None:
+def model_text(model: NGramModel) -> str:
+    """The model in the on-disk format above."""
     lines = [f"ngram\torder={model.order}\tk={model.smoothing_k!r}"
              f"\tunk_threshold={model.unk_threshold}\tpad={int(model.pad)}",
              "vocab\t" + " ".join(sorted(model.vocab))]
     for gram in sorted(model.counts):
         lines.append(f"{model.counts[gram]}\t{' '.join(gram)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def save_model(model: NGramModel, path: str | Path) -> None:
+    Path(path).write_text(model_text(model), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> NGramModel:

@@ -29,6 +29,9 @@
 * ``serial_kmeans`` runs each k-means restart's Lloyd loop (``lloyd``) on
   its own, one restart after another, before ``clustering.kmeans`` ran a
   block of restarts as one batch.
+* ``plus_plus_init`` seeds one k-means restart, drawing each centre with
+  ``Generator.choice``, before ``clustering._batch_init`` seeded a block
+  of restarts together; ``lloyd`` seeds with it.
 * ``argmin_ward`` finds each Ward merge with a flat ``argmin`` over the
   whole matrix, O(n^3) in all, before ``clustering.ward_linkage`` read it
   from cached row minima.
@@ -108,11 +111,28 @@ def sorted_auto_eps(points, min_pts: int) -> float:
     return float(np.median(kth))
 
 
+def plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding for one restart, each centre drawn by ``rng.choice``."""
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            probs = d2 / total
+        else:
+            probs = np.full(n, 1.0 / n)
+        centroids[j] = X[rng.choice(n, p=probs)]
+        d2 = np.minimum(d2, np.sum((X - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
 def lloyd(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 300,
           history: list | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """One k-means++ seeding and Lloyd run; ``history`` collects the
     inertia after each reassignment."""
-    centroids = clustering._plus_plus_init(X, k, rng)
+    centroids = plus_plus_init(X, k, rng)
     assign, d2 = clustering._assign(X, centroids)
     for _ in range(max_iter):
         # recompute centroids; repair empties by reseeding to farthest points

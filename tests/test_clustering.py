@@ -36,6 +36,7 @@ from tests.oracles import (
     lloyd,
     loop_silhouette_from_distances,
     permutation_mapping_accuracy,
+    plus_plus_init,
     serial_kmeans,
     sorted_auto_eps,
 )
@@ -141,7 +142,7 @@ class TestKMeans:
         res = kmeans(X, 6, seed=9)
         assert set(res.assignments) == set(range(6))
 
-    @pytest.mark.parametrize("case", range(48))
+    @pytest.mark.parametrize("case", range(56))
     def test_batched_restarts_equal_serial_oracle(self, case):
         rng = np.random.default_rng(case)
         d = (1, 2, 3, 7, 8, 10)[case % 6]
@@ -154,12 +155,58 @@ class TestKMeans:
             # rounded, duplicated points can leave clusters empty (the repair)
             X = np.round(X, 0)
             X[rng.integers(n, size=n // 2)] = X[0]
+        if case >= 48:
+            # from d = 8 on np.sum's order follows X's memory layout
+            d = (3, 8, 10, 12)[case % 4]
+            wide = rng.normal(size=(2 * n, d + 2)) * rng.uniform(0.01, 100)
+            X = np.asfortranarray(wide[:n, :d]) if case >= 52 else wide[::2, 1:d + 1]
         got = kmeans(X, k, case, n_init, max_iter)
         want = serial_kmeans(X, k, case, n_init, max_iter)
         assert np.array_equal(got.assignments, want.assignments)
         assert got.assignments.dtype == want.assignments.dtype
         assert np.array_equal(got.centroids, want.centroids)
         assert got.inertia == want.inertia
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_batched_seeding_equals_serial_oracle(self, case):
+        rng = np.random.default_rng(case)
+        d = case % 10 + 1
+        n = int(rng.integers(2, 300))
+        k = (1, n, int(rng.integers(1, n + 1)), int(rng.integers(1, min(n, 10) + 1)))[case % 4]
+        X = rng.normal(size=(n, d)) * rng.uniform(0.01, 100)
+        if case % 5 == 1:
+            X = np.round(X, 0)
+            X[rng.integers(n, size=n // 2)] = X[0]
+        elif case % 5 == 2:
+            X = np.full((n, d), 2.5)  # every distance 0: uniform draws
+        elif case % 5 == 3:
+            X = np.asfortranarray(X)
+        elif case % 5 == 4:
+            X = rng.normal(size=(2 * n, d + 2))[::2, 1:d + 1]
+        children = np.random.SeedSequence(case).spawn(int(rng.integers(1, 9)))
+        got = clustering._batch_init(X, k, [np.random.default_rng(c) for c in children])
+        want = np.stack([plus_plus_init(X, k, np.random.default_rng(c)) for c in children])
+        assert np.array_equal(got, want)
+        # a last-bit change in a distance rarely moves a draw: compare the distances too
+        first = want[:, :1]
+        got_d2, scratch = np.empty((2, len(first), 1, n))
+        clustering._batch_distances(X, np.ascontiguousarray(X.T), first, got_d2, scratch)
+        assert np.array_equal(got_d2[:, 0],
+                              np.stack([np.sum((X - c) ** 2, axis=1) for c in first[:, 0]]))
+
+    @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"),
+                                              (-np.inf, "-inf")])
+    def test_non_finite_point_is_named(self, value, shown):
+        X = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        X[2, 1] = value
+        with pytest.raises(DegenerateInput, match=f"point 2 holds {shown} in column 1"):
+            kmeans(X, 2, seed=0)
+
+    def test_point_whose_square_overflows_is_refused(self):
+        X = np.array([[0.0, 1.0], [1e300, 3.0], [4.0, 5.0]])
+        with pytest.raises(DegenerateInput, match=r"1e\+300 .* overflows"):
+            kmeans(X, 2, seed=0)
+        assert kmeans(X / 1e160, 2, seed=0).inertia > 0.0
 
     def test_empty_cluster_repair_equals_serial_oracle(self):
         # seven distinct points and k = 8: k-means++ seeds a duplicate

@@ -189,6 +189,21 @@ class TestPerplexityFeatures:
             perplexity_features(t, models["SLI"], models["TD"])
         assert calls == [[t.id] for t in transcripts]
 
+    def test_single_model_calls_cut_only_their_order(self, corpus_dir, monkeypatch):
+        transcripts = load_transcripts(corpus_dir)
+        models = ngram.train_group_models(transcripts, 0.5, 2)
+
+        def three_orders(*args):
+            raise AssertionError("cut all three orders")
+
+        monkeypatch.setattr(ngram, "_grams", three_orders)
+        for label, group in models.items():
+            members = [t for t in transcripts if t.group.value == label]
+            for order, model in group.items():
+                assert train(members, order, 0.5, 2) == model
+                for t in members:
+                    assert perplexity(model, t) == loop_perplexity(model, t)
+
 
 class TestSaveLoad:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -527,6 +527,23 @@ class TestCli:
         for p in out.glob("*.lm"):
             load_model(p)
 
+    def test_train_lm_failed_write_leaves_no_model(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "models"
+        (out / "td_1g.lm").mkdir(parents=True)
+        assert cli.main(["train-lm", str(corpus_dir), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: stage 'write' failed:")
+        assert [p.name for p in out.iterdir()] == ["td_1g.lm"]  # the directory
+
+    def test_train_lm_writes_save_model_bytes(self, corpus_dir, tmp_path):
+        out = tmp_path / "models"
+        assert cli.main(["train-lm", str(corpus_dir), "-o", str(out)]) == 0
+        models = ngram.train_group_models(pipeline.load_transcripts(corpus_dir))
+        for label, prefix in (("SLI", "sli"), ("TD", "td")):
+            for order, model in models[label].items():
+                save_model(model, tmp_path / "want.lm")
+                assert (out / f"{prefix}_{order}g.lm").read_bytes() \
+                    == (tmp_path / "want.lm").read_bytes()
+
     def test_report_renders_six_sig_digits(self, tmp_path, capsys):
         csv_path = tmp_path / "f.csv"
         write_synthetic_csv(csv_path, n=80)
