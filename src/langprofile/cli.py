@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import ngram, pipeline
-from .errors import DataError, NumericError, PipelineError, UsageError
+from .errors import DataError, NumericError, PipelineError, UsageError, read_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,9 +40,11 @@ def _lm_setting(name: str, parse):
 
 
 def _add_lm_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--smoothing-k", type=_lm_setting("smoothing_k", float), default=1.0,
+    p.add_argument("--smoothing-k", type=_lm_setting("smoothing_k", float),
+                   default=pipeline.PipelineConfig.smoothing_k,
                    help="add-k smoothing constant (finite, >= 0)")
-    p.add_argument("--unk-threshold", type=_lm_setting("unk_threshold", int), default=1,
+    p.add_argument("--unk-threshold", type=_lm_setting("unk_threshold", int),
+                   default=pipeline.PipelineConfig.unk_threshold,
                    help="types rarer than this become <unk> (>= 1)")
 
 
@@ -97,13 +99,13 @@ def _cmd_extract(args) -> int:
 
 def _cmd_train_lm(args) -> int:
     transcripts = pipeline._stage("load", pipeline.load_transcripts, args.transcripts)
-    models = ngram.train_group_models(transcripts, args.smoothing_k,
-                                      args.unk_threshold)
+    models = pipeline._stage("train", ngram.train_group_models, transcripts,
+                             args.smoothing_k, args.unk_threshold)
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     files = {out / f"{prefix}_{order}g.lm": ngram.model_text(model)
              for label, prefix in (("SLI", "sli"), ("TD", "td"))
              for order, model in models[label].items()}
+    pipeline._stage("write", out.mkdir, parents=True, exist_ok=True)
     pipeline._stage("write", pipeline.write_files, files)
     for path in files:
         print(f"wrote {path}")
@@ -140,8 +142,8 @@ def _render_table(rows: list[dict], title: str) -> str:
 
 def _render_report(path: Path) -> str:
     try:
-        data = json.loads(path.read_text(encoding="utf-8").removeprefix("\ufeff"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+        data = json.loads(read_text(path))
+    except ValueError as exc:  # not JSON, or an integer over int's digit limit
         raise DataError(f"{path}: not a JSON report: {exc}") from None
     if not isinstance(data, dict):
         raise DataError(f"{path}: a report is a JSON object, not a {type(data).__name__}")

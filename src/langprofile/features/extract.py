@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from ..chat import MorToken, Terminator, Transcript, Utterance
-from ..errors import EmptyTranscript, DivisionDomain, NoScorableUtterances, ZeroSd
+from ..errors import DataError, EmptyTranscript, DivisionDomain, NoScorableUtterances, ZeroSd
 from . import scoring
 from .schema import FEATURE_NAMES
 
@@ -63,14 +63,15 @@ class GroupStats:
         """Build reference stats from per-child base features.
 
         ``groups`` parallels ``rows`` with "SLI"/"TD" labels (other labels
-        are ignored).  Sample standard deviation (n-1); a zero sd makes the
-        corresponding z-scores undefined and raises ``ZeroSd``.
+        are ignored).  Sample standard deviation (n-1); a group of fewer than
+        two raises ``DataError``, and a zero sd ``ZeroSd`` (z-scores undefined).
         """
         out: dict[str, dict[str, tuple[float, float, int]]] = {}
         for g in ("SLI", "TD"):
             members = [r for r, lab in zip(rows, groups) if lab == g]
             if len(members) < 2:
-                raise ZeroSd(f"group {g} has {len(members)} samples; need >= 2")
+                raise DataError(f"group {g} needs at least 2 transcripts, "
+                                f"got {len(members)}")
             out[g] = {}
             for feat in features:
                 vals = [m[feat] for m in members]

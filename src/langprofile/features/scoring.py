@@ -37,7 +37,7 @@ from importlib import resources
 from pathlib import Path
 
 from ..chat import Terminator, Transcript, Utterance
-from ..errors import DataError, NoScorableUtterances
+from ..errors import DataError, NoScorableUtterances, read_text
 
 _WH_LEMMAS = frozenset({"who", "whom", "whose", "what", "where",
                         "when", "why", "how", "which"})
@@ -71,8 +71,8 @@ def load_table(path: str | Path, key: str) -> dict:
     ``inflected``) raises ``DataError`` naming the file and the key.
     """
     try:
-        table = json.loads(Path(path).read_text(encoding="utf-8").removeprefix("\ufeff"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        table = json.loads(read_text(path))
+    except ValueError as exc:  # not JSON, or an integer over int's digit limit
         raise DataError(f"{path}: not a JSON scoring table ({exc})") from None
     entries = _list_at(table, key, str(path))
     if key == "categories":

@@ -34,7 +34,7 @@ from itertools import chain
 from pathlib import Path
 
 from .chat import Transcript
-from .errors import DataError, EmptyCorpus, EmptyTranscript, ZeroProbability
+from .errors import DataError, EmptyCorpus, EmptyTranscript, ZeroProbability, read_text
 
 BOS = "<s>"
 EOS = "</s>"
@@ -411,12 +411,7 @@ def load_model(path: str | Path) -> NGramModel:
     :func:`train` would refuse: an order outside 1-3, a setting that
     fails :func:`check_settings`, or a ``pad`` other than 0 or 1, and a
     byte that is not UTF-8, named with its offset in the file."""
-    try:
-        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:  # read_text decodes the whole file at once
-        raise DataError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} "
-                        f"at offset {exc.start}") from None
-    lines = text.rstrip("\n").split("\n")
+    lines = read_text(path).rstrip("\n").split("\n")
     header = lines[0].split("\t")
     if header[0] != "ngram":
         raise DataError(f"{path}: not a model file (no 'ngram' header line)")

@@ -12,6 +12,9 @@ through the same :func:`load_cohort` and :func:`write_files`.  A stage
 that fails on a documented input raises ``PipelineError`` naming the
 stage; a write that fails removes the files it opened.
 
+Each input file is read once, through ``errors.read_text``.  A config key
+the file leaves out keeps its one default, the ``PipelineConfig`` field's.
+
 Every report embeds the config hash and seed; a rerun with identical
 input bytes and config produces byte-identical outputs.
 """
@@ -39,6 +42,7 @@ from .errors import (
     NumericError,
     PipelineError,
     SchemaMismatch,
+    read_text,
 )
 from .features import extract as fx
 from .features import scoring
@@ -53,17 +57,6 @@ REPORT_FILES = ("feature_matrix.csv", "pca_report.json", "cluster_report.json",
 
 
 # -- configuration -----------------------------------------------------------
-
-_DEFAULTS = {
-    "schema": {"count_fusions": "false", "dss_table": "", "ipsyn_table": ""},
-    "lm": {"smoothing_k": "1.0", "unk_threshold": "1", "loo": "false"},
-    "prune": {"threshold": "0.95"},
-    "pca": {"top_k": "5"},
-    "clustering": {"k_range": "2..10", "n_init": "32", "boundary_percentile": "5.0",
-                   "pc_dims": "3", "dbscan_eps": "auto", "dbscan_min_pts": "5",
-                   "effect_features": "child_TNW,mlu_morphemes,word_errors"},
-}
-
 
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -88,6 +81,15 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
 def _check_boundary_percentile(boundary_percentile: float) -> None:
     if not 0.0 < boundary_percentile < 50.0:
         raise ValueError("boundary_percentile must be in (0, 50)")
+
+
+def _at_least(low: int):
+    """A range check, like ``ngram.check_settings``, of one keyword argument."""
+    def check(**setting) -> None:
+        (key, number), = setting.items()
+        if number < low:
+            raise ValueError(f"{key} must be at least {low}")
+    return check
 
 
 # what each config value parser accepts, for error messages
@@ -126,50 +128,57 @@ class PipelineConfig:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
 
 
+# [section] key -> (PipelineConfig field, parser, range check or None); a
+# key the file leaves out keeps the field's default
+_SETTINGS = {
+    ("schema", "count_fusions"): ("count_fusions", _parse_bool, None),
+    ("schema", "dss_table"): ("dss_table", str, None),
+    ("schema", "ipsyn_table"): ("ipsyn_table", str, None),
+    ("lm", "smoothing_k"): ("smoothing_k", float, ngram.check_settings),
+    ("lm", "unk_threshold"): ("unk_threshold", int, ngram.check_settings),
+    ("lm", "loo"): ("loo", _parse_bool, None),
+    ("prune", "threshold"): ("prune_threshold", float, numerics.check_threshold),
+    ("pca", "top_k"): ("top_k", int, _at_least(1)),
+    ("clustering", "k_range"): ("k_range", _parse_k_range, clustering.check_k_range),
+    ("clustering", "n_init"): ("n_init", int, _at_least(1)),
+    ("clustering", "boundary_percentile"): ("boundary_percentile", float,
+                                            _check_boundary_percentile),
+    ("clustering", "pc_dims"): ("pc_dims", int, _at_least(1)),
+    ("clustering", "dbscan_min_pts"): ("dbscan_min_pts", int, _at_least(1)),
+}
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     parser = configparser.ConfigParser()
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        parser.read_string(text.removeprefix("\ufeff"), source=os.fspath(path))
+        parser.read_string(read_text(path), source=os.fspath(path))
     except OSError:
         raise ConfigError(f"cannot read config file {path!r}") from None
-    except (configparser.Error, UnicodeDecodeError) as exc:
+    except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    def get(section: str, key: str, required: bool = False) -> str:
+    def get(section: str, key: str, required: bool = False) -> str | None:
         if parser.has_option(section, key):
             try:
                 return parser.get(section, key).strip()
             except configparser.Error as exc:  # interpolation of % in the value
                 raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
-        default = _DEFAULTS.get(section, {}).get(key)
-        if default is None and required:
+        if required:
             raise ConfigError(f"missing required config key [{section}] {key}")
-        return default if default is not None else ""
+        return None
 
-    def value(section: str, key: str, parse, text: str | None = None):
-        text = get(section, key) if text is None else text
+    def value(section: str, key: str, parse, text: str, check=None):
         try:
-            return parse(text)
+            parsed = parse(text)
         except ValueError:
             raise ConfigError(f"[{section}] {key} must be {_KINDS[parse]}, "
                               f"got {text!r}") from None
-
-    def at_least(low: int, section: str, key: str, text: str | None = None) -> int:
-        text = get(section, key) if text is None else text
-        number = value(section, key, int, text)
-        if number < low:
-            raise ConfigError(f"[{section}] {key} must be at least {low}, got {text!r}")
-        return number
-
-    def checked(section: str, key: str, parse, check):
-        text = get(section, key)
-        number = value(section, key, parse, text)
-        try:
-            check(**{key: number})
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {exc}, got {text!r}") from None
-        return number
+        if check is not None:
+            try:
+                check(**{key: parsed})
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {exc}, got {text!r}") from None
+        return parsed
 
     mode = get("input", "mode", required=True).lower()
     if mode not in ("transcripts", "csv"):
@@ -181,42 +190,30 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not seed_text:
         raise ConfigError("a clustering seed is required ([clustering] seed "
                           f"or ${SEED_ENV_VAR})")
-    seed = at_least(0, "clustering", "seed", seed_text)
+    seed = value("clustering", "seed", int, seed_text, _at_least(0))
 
+    settings = {}
     eps = get("clustering", "dbscan_eps")
-    if eps != "auto" and not 0.0 < value("clustering", "dbscan_eps", float) < math.inf:
-        raise ConfigError(f"[clustering] dbscan_eps must be 'auto' or a positive number, "
-                          f"got {eps!r}")
+    if eps is not None:
+        if eps != "auto" and not 0.0 < value("clustering", "dbscan_eps", float, eps) < math.inf:
+            raise ConfigError(f"[clustering] dbscan_eps must be 'auto' or a positive "
+                              f"number, got {eps!r}")
+        settings["dbscan_eps"] = eps
 
-    effect_features = tuple(f.strip() for f in
-                            get("clustering", "effect_features").split(",") if f.strip())
-    unknown = [f for f in effect_features if f not in FEATURE_NAMES]
-    if unknown:
-        raise ConfigError(f"[clustering] effect_features: unknown features {unknown}")
+    effect_text = get("clustering", "effect_features")
+    if effect_text is not None:
+        effect_features = tuple(f.strip() for f in effect_text.split(",") if f.strip())
+        unknown = [f for f in effect_features if f not in FEATURE_NAMES]
+        if unknown:
+            raise ConfigError(f"[clustering] effect_features: unknown features {unknown}")
+        settings["effect_features"] = effect_features
 
-    return PipelineConfig(
-        input_mode=mode,
-        input_path=in_path,
-        output_dir=out_dir,
-        seed=seed,
-        count_fusions=value("schema", "count_fusions", _parse_bool),
-        dss_table=get("schema", "dss_table"),
-        ipsyn_table=get("schema", "ipsyn_table"),
-        smoothing_k=checked("lm", "smoothing_k", float, ngram.check_settings),
-        unk_threshold=checked("lm", "unk_threshold", int, ngram.check_settings),
-        loo=value("lm", "loo", _parse_bool),
-        prune_threshold=checked("prune", "threshold", float, numerics.check_threshold),
-        top_k=at_least(1, "pca", "top_k"),
-        k_range=checked("clustering", "k_range", _parse_k_range,
-                         clustering.check_k_range),
-        n_init=at_least(1, "clustering", "n_init"),
-        boundary_percentile=checked("clustering", "boundary_percentile", float,
-                                    _check_boundary_percentile),
-        pc_dims=at_least(1, "clustering", "pc_dims"),
-        dbscan_eps=eps,
-        dbscan_min_pts=at_least(1, "clustering", "dbscan_min_pts"),
-        effect_features=effect_features,
-    )
+    for (section, key), (name, parse, check) in _SETTINGS.items():
+        text = get(section, key)
+        if text is not None:
+            settings[name] = value(section, key, parse, text, check)
+    return PipelineConfig(input_mode=mode, input_path=in_path, output_dir=out_dir,
+                          seed=seed, **settings)
 
 
 # -- cohort: feature matrix plus per-row metadata ------------------------------
@@ -258,27 +255,14 @@ def render_feature_csv(cohort: Cohort) -> str:
         for (row_id, corpus, group, age, sex), values in zip(meta, cohort.matrix.values)))
 
 
-def _utf8_lines(fh, path):
-    """The lines of text file ``fh``; a byte that is not UTF-8 raises
-    ``DataError`` naming the file and the byte's offset in it."""
-    try:
-        yield from fh
-    except UnicodeDecodeError:  # its offset counts from the decoder's chunk
-        try:
-            Path(path).read_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8: byte {exc.object[exc.start]:#04x} "
-                            f"at offset {exc.start}") from None
-        raise
-
-
-def _csv_records(fh, path):
-    """The CSV records of text file ``fh``; one that ``csv`` cannot read,
-    such as a field over its size limit, raises ``DataError`` naming the
-    file and the row (the header is row 0)."""
+def _csv_records(path):
+    """The CSV records of file ``path``, split by ``csv`` itself; one that
+    ``csv`` cannot read, such as a field over its size limit, raises
+    ``DataError`` naming the file and the row (the header is row 0)."""
     row = 0
     try:
-        for record in csv.reader(_utf8_lines(fh, path)):
+        for record in csv.reader(io.StringIO(read_text(path, keep_line_ends=True),
+                                             newline="")):
             yield record
             row += 1
     except csv.Error as exc:
@@ -287,49 +271,48 @@ def _csv_records(fh, path):
 
 def ingest_feature_csv(path: str | Path) -> Cohort:
     """Load a feature CSV whose header matches the documented schema."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = _csv_records(fh, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch(f"{path}: empty file") from None
-        expected = list(csv_header())
-        if header != expected:
-            missing = [c for c in expected if c not in header]
-            extra = [c for c in header if c not in expected]
-            raise SchemaMismatch(
-                f"{path}: header mismatch; missing={missing} extra={extra} "
-                "(column order must match the documented schema)")
-        ids, corpus, group, ages, sex, rows = [], [], [], [], [], []
-        for r, row in enumerate(reader, start=1):
-            if len(row) != len(expected):
-                raise SchemaMismatch(f"{path}: row {r} has {len(row)} fields, "
-                                     f"expected {len(expected)}")
-            ids.append(row[0])
-            corpus.append(row[1])
-            glabel = row[2].strip().upper()
-            group.append(glabel if glabel in ("SLI", "TD") else "")
-            if row[3].strip():
-                try:
-                    ages.append(int(row[3]))
-                except ValueError:
-                    raise NonNumericCell(f"{path}: row {r}, column 'age_months': "
-                                         f"{row[3]!r}") from None
-            else:
-                ages.append(None)
-            sex.append(row[4].strip().upper())
-            vals = []
-            for name, cell in zip(FEATURE_NAMES, row[5:]):
-                cell = cell.strip()
-                if not cell:
-                    vals.append(float("nan"))
-                    continue
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise NonNumericCell(
-                        f"{path}: row {r}, column {name!r}: {cell!r}") from None
-            rows.append(vals)
+    reader = _csv_records(path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaMismatch(f"{path}: empty file") from None
+    expected = list(csv_header())
+    if header != expected:
+        missing = [c for c in expected if c not in header]
+        extra = [c for c in header if c not in expected]
+        raise SchemaMismatch(
+            f"{path}: header mismatch; missing={missing} extra={extra} "
+            "(column order must match the documented schema)")
+    ids, corpus, group, ages, sex, rows = [], [], [], [], [], []
+    for r, row in enumerate(reader, start=1):
+        if len(row) != len(expected):
+            raise SchemaMismatch(f"{path}: row {r} has {len(row)} fields, "
+                                 f"expected {len(expected)}")
+        ids.append(row[0])
+        corpus.append(row[1])
+        glabel = row[2].strip().upper()
+        group.append(glabel if glabel in ("SLI", "TD") else "")
+        if row[3].strip():
+            try:
+                ages.append(int(row[3]))
+            except ValueError:
+                raise NonNumericCell(f"{path}: row {r}, column 'age_months': "
+                                     f"{row[3]!r}") from None
+        else:
+            ages.append(None)
+        sex.append(row[4].strip().upper())
+        vals = []
+        for name, cell in zip(FEATURE_NAMES, row[5:]):
+            cell = cell.strip()
+            if not cell:
+                vals.append(float("nan"))
+                continue
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise NonNumericCell(
+                    f"{path}: row {r}, column {name!r}: {cell!r}") from None
+        rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no data rows")
     values = np.array(rows, dtype=float)
@@ -356,10 +339,9 @@ def load_transcripts(directory: str | Path) -> list[chat.Transcript]:
         except UnicodeEncodeError:
             shown = os.fsencode(p).decode("utf-8", "backslashreplace")
             raise DataError(f"{shown}: file name is not UTF-8") from None
-        with open(p, encoding="utf-8-sig") as fh:
-            text = "".join(_utf8_lines(fh, p))
         try:
-            out.append(chat.parse_chat(text, transcript_id=p.stem, mor_cache=mor_cache))
+            out.append(chat.parse_chat(read_text(p), transcript_id=p.stem,
+                                       mor_cache=mor_cache))
         except ChatParseError as exc:
             raise type(exc)(f"{p}: {exc}") from None
     return out

@@ -436,5 +436,5 @@ class TestErrorsNameTheTranscriptAndModel:
                 f"@ID:\teng|synth|CHI|5;00.|male|{group}||Target_Child|||\n"
                 f"*{speaker}:\tba ki .\n", encoding="utf-8")
         assert cli.main(["train-lm", str(corpus), "-o", str(tmp_path / "lm")]) == 2
-        assert capsys.readouterr().err \
-            == "data error: no child tokens to train on in the SLI group\n"
+        assert capsys.readouterr().err == ("error: stage 'train' failed: "
+                                           "no child tokens to train on in the SLI group\n")

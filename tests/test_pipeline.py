@@ -1,3 +1,5 @@
+import builtins
+import io
 import json
 import os
 import subprocess
@@ -9,12 +11,14 @@ import pytest
 
 import langprofile
 from langprofile import cli, clustering, ngram, numerics, pipeline
-from langprofile.errors import ConfigError, NonNumericCell, NumericError, SchemaMismatch
+from langprofile.errors import (ConfigError, DataError, NonNumericCell, NumericError,
+                               SchemaMismatch, read_text)
 from langprofile.features import scoring
 from langprofile.features.schema import FEATURE_NAMES, csv_header
 from langprofile.ngram import load_model, save_model
 from langprofile.numerics import FeatureMatrix
 from langprofile.synthetic import feature_table
+from tests.conftest import make_corpus
 from tests.oracles import per_element_feature_csv
 
 
@@ -567,6 +571,7 @@ class TestCli:
         pytest.param("r.json", b"[1,2]", id="top-level-list"),
         pytest.param("r.json", b'"text"', id="top-level-string"),
         pytest.param("r.json", b"\xff\xfe", id="not-utf8"),
+        pytest.param("r.json", b'{"k": ' + b"1" * 5000 + b"}", id="int-over-digit-limit"),
         pytest.param("bundle/x_report.json", b"{oops", id="bad-report-in-bundle"),
     ])
     def test_report_bad_input_exits_two_naming_file(self, tmp_path, capsys, name, body):
@@ -598,9 +603,13 @@ class TestCli:
         assert report["chosen_k"] in (7, 8)
         assert len(report["agreement"]) == 3
 
-    def test_extract_malformed_table_exits_two(self, corpus_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("body", [
+        pytest.param('{"categories": [', id="truncated-json"),
+        pytest.param('{"categories": ' + "1" * 5000 + "}", id="int-over-digit-limit"),
+    ])
+    def test_extract_malformed_table_exits_two(self, corpus_dir, tmp_path, capsys, body):
         table = tmp_path / "bad.json"
-        table.write_text('{"categories": [', encoding="utf-8")
+        table.write_text(body, encoding="utf-8")
         out_csv = tmp_path / "features.csv"
         assert cli.main(["extract", str(corpus_dir), "-o", str(out_csv),
                          "--dss-table", str(table)]) == 2
@@ -797,42 +806,55 @@ class TestWriteStage:
 
 
 BOM = b"\xef\xbb\xbf"
+ENDINGS = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
+
+# each line ending with and without a byte-order mark, but for the LF file
+# without one that each test compares against
+recodings = pytest.mark.parametrize("ending, bom", [
+    pytest.param(ending, bom, id=ending + "-bom" * bom)
+    for ending in ENDINGS for bom in (False, True) if (ending, bom) != ("lf", False)])
 
 
-def _add_bom(path):
-    path.write_bytes(BOM + path.read_bytes())
+def _recode(path, ending, bom):
+    """Rewrite the LF text file ``path`` with line ending ``ENDINGS[ending]``,
+    and with a byte-order mark in front if ``bom``."""
+    path.write_bytes(BOM * bom + path.read_bytes().replace(b"\n", ENDINGS[ending]))
 
 
 class TestByteOrderMark:
-    """A UTF-8 byte-order mark at the start of an input file is read as
-    UTF-8: each run gives the same bytes as the file without it, at the
-    same path (the config hash covers the paths)."""
+    """An input file is read as UTF-8 with or without a byte-order mark,
+    and with LF, CRLF or lone-CR line endings: each run gives the same
+    bytes as the LF file without a mark, at the same path (the config hash
+    covers the paths)."""
 
     def _analyze(self, cfg, out):
         assert cli.main(["analyze", "--config", str(cfg)]) == 0
         return {name: (out / name).read_bytes() for name in pipeline.REPORT_FILES}
 
-    def test_feature_csv(self, tmp_path, capsys):
+    @recodings
+    def test_feature_csv(self, tmp_path, capsys, ending, bom):
         csv_path = tmp_path / "f.csv"
         write_synthetic_csv(csv_path, n=60)
         cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
         before = self._analyze(cfg, tmp_path / "out")
-        _add_bom(csv_path)
+        _recode(csv_path, ending, bom)
         assert self._analyze(cfg, tmp_path / "out") == before
 
-    def test_config(self, tmp_path, capsys):
+    @recodings
+    def test_config(self, tmp_path, capsys, ending, bom):
         csv_path = tmp_path / "f.csv"
         write_synthetic_csv(csv_path, n=60)
         cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
         before = self._analyze(cfg, tmp_path / "out")
-        _add_bom(cfg)
+        _recode(cfg, ending, bom)
         assert self._analyze(cfg, tmp_path / "out") == before
 
     def _extract(self, corpus_dir, out, capsys, *flags):
         assert cli.main(["extract", str(corpus_dir), "-o", str(out), *flags]) == 0
         return out.read_bytes(), capsys.readouterr().err
 
-    def test_transcripts(self, corpus_dir, tmp_path, capsys):
+    @recodings
+    def test_transcripts(self, corpus_dir, tmp_path, capsys, ending, bom):
         (corpus_dir / "extra.cha").write_text(
             "@Begin\n@ID:\teng|c|CHI|4;02.|male|SLI||Target_Child|||\n"
             "*CHI:\tthe dog ran .\n%mor:\tdet|the n|dog .\n@End\n", encoding="utf-8")
@@ -840,56 +862,177 @@ class TestByteOrderMark:
         before = self._extract(corpus_dir, out, capsys)
         assert "mor dropped" in before[1]
         for path in corpus_dir.glob("*.cha"):
-            _add_bom(path)
+            _recode(path, ending, bom)
         assert self._extract(corpus_dir, out, capsys) == before
 
-    def test_dss_table(self, corpus_dir, tmp_path, capsys):
-        table = tmp_path / "dss.json"
-        table.write_text(json.dumps(scoring.default_dss_table()), encoding="utf-8")
+    @recodings
+    @pytest.mark.parametrize("kind", ["dss", "ipsyn"])
+    def test_scoring_table(self, corpus_dir, tmp_path, capsys, kind, ending, bom):
+        table = tmp_path / f"{kind}.json"
+        default = getattr(scoring, f"default_{kind}_table")()
+        table.write_text(json.dumps(default, indent=1), encoding="utf-8")
         out = tmp_path / "f.csv"
-        before = self._extract(corpus_dir, out, capsys, "--dss-table", str(table))
-        _add_bom(table)
-        assert self._extract(corpus_dir, out, capsys, "--dss-table", str(table)) == before
+        flags = (f"--{kind}-table", str(table))
+        before = self._extract(corpus_dir, out, capsys, *flags)
+        _recode(table, ending, bom)
+        assert self._extract(corpus_dir, out, capsys, *flags) == before
 
-    def test_report(self, tmp_path, capsys):
+    @recodings
+    def test_report(self, tmp_path, capsys, ending, bom):
         path = tmp_path / "r_report.json"
-        path.write_text('{"k": 2, "rows": [{"a": 1.5}]}', encoding="utf-8")
+        path.write_text(json.dumps({"k": 2, "rows": [{"a": 1.5}]}, indent=2) + "\n",
+                        encoding="utf-8")
         assert cli.main(["report", str(path)]) == 0
         before = capsys.readouterr().out
-        _add_bom(path)
+        _recode(path, ending, bom)
         assert cli.main(["report", str(path)]) == 0
         assert capsys.readouterr().out == before
 
-    def test_model_file(self, corpus_dir, tmp_path):
+    @recodings
+    def test_model_file(self, corpus_dir, tmp_path, ending, bom):
         transcripts = pipeline.load_transcripts(corpus_dir)
         path = tmp_path / "m.lm"
         save_model(ngram.train(transcripts, 2), path)
         before = load_model(path)
-        _add_bom(path)
+        _recode(path, ending, bom)
         assert load_model(path) == before
 
-    @pytest.mark.parametrize("name, body, args", [
-        pytest.param("c.ini", b"[input]\nmode = csv\xff\n", ["analyze", "--config"],
+    @pytest.mark.parametrize("name, body, argv", [
+        pytest.param("bad.cha", b"@Begin\n*CHI:\tthe dog\xff runs .\n@End\n",
+                     ["extract", "{corpus}", "-o", "{out}"], id="transcript"),
+        pytest.param("f.csv", b"id,corpus\nc1,\xff\n", ["analyze", "--config", "{config}"],
+                     id="feature-csv"),
+        pytest.param("bad.ini", b"[input]\nmode = csv\xff\n", ["analyze", "--config", "{path}"],
                      id="config"),
-        pytest.param("r.json", b'{"k": "\xff"}', ["report"], id="report"),
-        pytest.param("dss.json", b'{"categories": "\xff"}', None, id="dss-table"),
+        pytest.param("dss.json", b'{"categories": "\xff"}',
+                     ["extract", "{corpus}", "-o", "{out}", "--dss-table", "{path}"],
+                     id="dss-table"),
+        pytest.param("ipsyn.json", b'{"structures": "\xff"}',
+                     ["extract", "{corpus}", "-o", "{out}", "--ipsyn-table", "{path}"],
+                     id="ipsyn-table"),
+        pytest.param("r_report.json", b'{"k": "\xff"}', ["report", "{path}"], id="report"),
+        pytest.param("m.lm", b"ngram\torder=1\tk=1.0\tunk_threshold=1\tpad=1\nvocab\ta \xff\n",
+                     None, id="model"),
     ])
-    def test_non_utf8_position_counts_the_mark(self, corpus_dir, tmp_path, capsys,
-                                               name, body, args):
-        path = tmp_path / name
+    def test_non_utf8_byte_names_file_and_offset(self, corpus_dir, tmp_path, capsys,
+                                                 name, body, argv):
+        path = (corpus_dir if name.endswith(".cha") else tmp_path) / name
         path.write_bytes(BOM + body)
-        args = args or ["extract", str(corpus_dir), "-o", str(tmp_path / "f.csv"),
-                        "--dss-table"]
-        assert cli.main([*args, str(path)]) == 2
+        offset = (BOM + body).index(b"\xff")  # the mark counts
+        message = f"{path}: not UTF-8: byte 0xff at offset {offset}"
+        if argv is None:
+            with pytest.raises(DataError) as err:
+                load_model(path)
+            assert str(err.value) == message
+            return
+        config = write_config(tmp_path / "c.ini", path, tmp_path / "out")
+        argv = [arg.format(corpus=corpus_dir, out=tmp_path / "out.csv", config=config,
+                           path=path) for arg in argv]
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        offset = (BOM + body).index(b"\xff")
-        assert str(path) in err
-        assert f"byte 0xff in position {offset}" in err
+        assert message in err
+        assert "Traceback" not in err
 
-    def test_non_utf8_offset_counts_the_mark(self, corpus_dir, capsys):
-        bad = corpus_dir / "bad.cha"
-        bad.write_bytes(BOM + b"@Begin\n*CHI:\tthe dog\xff runs .\n@End\n")
-        assert cli.main(["extract", str(corpus_dir), "-o",
-                         str(corpus_dir / "f.csv")]) == 2
-        err = capsys.readouterr().err
-        assert f"{bad}: not UTF-8: byte 0xff at offset 23" in err
+
+class TestInputReads:
+    """Each input file is read once, through ``errors.read_text``."""
+
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        """The paths passed to ``read_text``, and the paths that any code
+        opened for reading, each in call order."""
+        through, opened = [], []
+
+        def recording_read(path, **kwargs):
+            through.append(Path(path))
+            return read_text(path, **kwargs)
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and "r" in mode:
+                opened.append(Path(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        real_open = io.open
+        for module in (pipeline, ngram, scoring, cli):
+            monkeypatch.setattr(module, "read_text", recording_read)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        monkeypatch.setattr(io, "open", recording_open)
+        return through, opened
+
+    @staticmethod
+    def _read_once(reads, inputs):
+        through, opened = reads
+        assert sorted(through) == sorted(inputs)
+        assert sorted(p for p in opened if p in inputs) == sorted(inputs)
+
+    def test_extract_with_tables(self, corpus_dir, tmp_path, capsys, reads):
+        tables = []
+        for kind in ("dss", "ipsyn"):
+            tables.append(tmp_path / f"{kind}.json")
+            default = getattr(scoring, f"default_{kind}_table")()
+            tables[-1].write_text(json.dumps(default), encoding="utf-8")
+        assert cli.main(["extract", str(corpus_dir), "-o", str(tmp_path / "f.csv"),
+                         "--dss-table", str(tables[0]), "--ipsyn-table", str(tables[1])]) == 0
+        self._read_once(reads, [*corpus_dir.glob("*.cha"), *tables])
+
+    def test_analyze_csv_mode(self, tmp_path, capsys, reads):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=40)
+        cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
+        assert cli.main(["analyze", "--config", str(cfg)]) == 0
+        self._read_once(reads, [cfg, csv_path])
+
+    def test_analyze_transcripts_mode(self, corpus_dir, tmp_path, capsys, reads):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[input]\nmode = transcripts\npath = {corpus_dir}\n"
+                       "[clustering]\nseed = 1\nk_range = 2..3\nn_init = 8\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(cfg)]) == 0
+        self._read_once(reads, [cfg, *corpus_dir.glob("*.cha")])
+
+    def test_report_on_a_bundle(self, tmp_path, capsys, reads):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=40)
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config",
+                         str(write_config(tmp_path / "c.ini", csv_path, out))]) == 0
+        for paths in reads:
+            paths.clear()
+        assert cli.main(["report", str(out)]) == 0
+        self._read_once(reads, list(out.glob("*_report.json")))
+
+
+class TestGroupSizes:
+    """z-scores need at least two transcripts in each group, and the n-gram
+    models at least one: a corpus short of either is a data error (exit 2)
+    that names the stage and the group."""
+
+    @pytest.mark.parametrize("n_td", [0, 1])
+    def test_extract(self, tmp_path, capsys, n_td):
+        make_corpus(tmp_path / "corpus", n_td=n_td)
+        out = tmp_path / "f.csv"
+        assert cli.main(["extract", str(tmp_path / "corpus"), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: stage 'extract' failed: group TD "
+                                           f"needs at least 2 transcripts, got {n_td}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_td", [0, 1])
+    def test_train_lm(self, tmp_path, capsys, n_td):
+        make_corpus(tmp_path / "corpus", n_td=n_td)
+        out = tmp_path / "models"
+        code = cli.main(["train-lm", str(tmp_path / "corpus"), "-o", str(out)])
+        if n_td == 0:
+            assert code == 2
+            assert capsys.readouterr().err == ("error: stage 'train' failed: "
+                                               "no transcripts labeled TD\n")
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert len(list(out.glob("td_*.lm"))) == 3
+
+    def test_train_lm_onto_a_file_fails_in_write(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "models"
+        out.write_text("not a directory\n", encoding="utf-8")
+        assert cli.main(["train-lm", str(corpus_dir), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: stage 'write' failed: "
+                                                  "[Errno 17] File exists")
