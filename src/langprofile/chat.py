@@ -111,6 +111,9 @@ class AnnotationEvents:
         return self.fillers + self.repetitions + self.retracings + self.word_errors
 
 
+_NO_EVENTS = AnnotationEvents()
+
+
 @dataclass(frozen=True)
 class Utterance:
     speaker: Speaker
@@ -147,8 +150,15 @@ def strip_annotations(raw_tokens) -> tuple[tuple[str, ...], AnnotationEvents]:
     retracings, and word errors.  ``[/]``/``[//]`` remove the preceding
     token group (a single word or a ``<...>`` scope, innermost scopes
     resolving first); ``[*]`` flags the preceding group but keeps it.
-    Unrecognized bracket codes are dropped without counting.
+    Unrecognized bracket codes are dropped without counting.  A tier
+    with no annotation (no empty token, none starting with ``[``, ``&``
+    or ``<`` and none ending with ``>``) comes back as it is.
     """
+    for tok in raw_tokens:
+        if not tok or tok[0] in "[&<" or tok[-1] == ">":
+            break
+    else:
+        return tuple(raw_tokens), _NO_EVENTS
     fillers = repetitions = retracings = word_errors = 0
     # stack of levels; each level is a list of groups (lists of words)
     stack: list[list[list[str]]] = [[]]

@@ -10,14 +10,18 @@ estimates and are listed in ``FeatureVector.flags``.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
-from ..chat import MorToken, Terminator, Transcript, Utterance
+from ..chat import Terminator, Transcript
 from ..errors import DataError, EmptyTranscript, DivisionDomain, NoScorableUtterances, ZeroSd
 from . import scoring
-from .schema import FEATURE_NAMES
+from .schema import FEATURE_CATEGORY, FEATURE_NAMES
 
 _SENTENCE_TERMINATORS = (Terminator.PERIOD, Terminator.QUESTION, Terminator.EXCLAIM)
+
+# the 14 grammatical-morpheme counts, flagged when no child utterance has %mor
+_MARKERS = tuple(name for name in FEATURE_NAMES if FEATURE_CATEGORY[name] == "morphological")
 
 # base feature feeding each z-score column
 ZSCORE_BASES = {
@@ -98,20 +102,6 @@ def syllables(word: str) -> int:
     return max(1, len(_VOWEL_GROUP.findall(w)))
 
 
-# -- token helpers -------------------------------------------------------
-
-def _is_third_singular(tok: MorToken) -> bool:
-    return "3S" in tok.suffixes or "3S" in tok.fusions
-
-
-def _is_inflected(tok: MorToken) -> bool:
-    return bool(tok.suffixes or tok.fusions)
-
-
-def _child_mor_utterances(t: Transcript) -> list[Utterance]:
-    return [u for u in t.child_utterances() if u.mor_tokens is not None]
-
-
 # -- operations ------------------------------------------------------------
 
 def production_counts(t: Transcript) -> dict[str, float]:
@@ -128,45 +118,6 @@ def production_counts(t: Transcript) -> dict[str, float]:
     }
 
 
-def utterance_measures(t: Transcript, count_fusions: bool = False
-                       ) -> tuple[dict[str, float], set[str]]:
-    kids = t.child_utterances()
-    if not kids:
-        raise EmptyTranscript(f"transcript {t.id!r} has no child utterances")
-    flags: set[str] = set()
-    tnw = sum(len(u.clean_tokens) for u in kids)
-    mlu_words = tnw / len(kids)
-
-    first = kids[:100]
-    mlu100 = sum(len(u.clean_tokens) for u in first) / len(first)
-
-    mor_utts = _child_mor_utterances(t)
-    total_morphemes = sum(tok.morphemes(count_fusions)
-                          for u in mor_utts for tok in u.mor_tokens)
-    if mor_utts:
-        mlu_morphemes = total_morphemes / len(mor_utts)
-    else:
-        mlu_morphemes = mlu_words
-        flags.update(("mlu_morphemes", "total_morphemes"))
-
-    verb_utt = sum(1 for u in mor_utts
-                   if any("v" in tok.pos_classes or "aux" in tok.pos_classes
-                          for tok in u.mor_tokens))
-    total_syl = sum(syllables(w) for u in kids for w in u.clean_tokens)
-    average_syl = total_syl / tnw if tnw else 0.0
-    if tnw == 0:
-        flags.add("average_syl")
-    return {
-        "mlu_words": mlu_words,
-        "mlu_morphemes": mlu_morphemes,
-        "mlu100_utts": mlu100,
-        "verb_utt": float(verb_utt),
-        "total_syl": float(total_syl),
-        "average_syl": average_syl,
-        "total_morphemes": float(total_morphemes),
-    }, flags
-
-
 def _fk_grade(words: float, sentences: float, syl: float) -> float:
     if words < 1 or sentences < 1:
         raise DivisionDomain("flesch_kincaid needs >= 1 word and >= 1 sentence")
@@ -178,117 +129,6 @@ def flesch_kincaid(t: Transcript) -> float:
     counts = production_counts(t)
     syl = sum(syllables(w) for u in t.child_utterances() for w in u.clean_tokens)
     return _fk_grade(counts["child_TNW"], counts["child_TNS"], syl)
-
-
-def lexical_measures(t: Transcript) -> tuple[dict[str, float], set[str]]:
-    kids = t.child_utterances()
-    tokens = [w.lower() for u in kids for w in u.clean_tokens]
-    if not tokens:
-        raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
-    flags: set[str] = set()
-    types = len(set(tokens))
-
-    mor_toks = [tok for u in _child_mor_utterances(t) for tok in u.mor_tokens]
-    verbs = [tok for tok in mor_toks if "v" in tok.pos_classes]
-    raw = sum(1 for tok in verbs if not _is_inflected(tok))
-    inflected = sum(1 for tok in verbs if _is_inflected(tok))
-    if inflected == 0:
-        flags.add("r_2_i_verbs")
-    r_2_i = raw / max(1, inflected)
-
-    return {
-        "freq_ttr": types / len(tokens),
-        "word_types": float(types),
-        "r_2_i_verbs": r_2_i,
-        "mor_words": float(len(mor_toks)),
-        "num_pos_tags": float(len({tok.pos_tag for tok in mor_toks})),
-        "verb_tokens": float(len(verbs)),
-        "noun_tokens": float(sum(1 for tok in mor_toks if "n" in tok.pos_classes)),
-        "pro_tokens": float(sum(1 for tok in mor_toks if "pro" in tok.pos_classes)),
-    }, flags
-
-
-MARKER_NAMES = (
-    "present_progressive", "propositions_in", "propositions_on", "plural_s",
-    "irregular_past_tense", "possessive_s", "uncontractible_copula", "articles",
-    "regular_past_ed", "regular_3rd_person_s", "irregular_3rd_person",
-    "uncontractible_aux", "contractible_copula", "contractible_aux",
-)
-
-
-def morpheme_markers(t: Transcript) -> tuple[dict[str, float], set[str]]:
-    """The 14 grammatical-morpheme counts over child mor tiers.
-
-    Contractibility is read off the aligned surface token: a copula or
-    auxiliary whose surface form carries an apostrophe counts as
-    contracted.
-    """
-    counts = dict.fromkeys(MARKER_NAMES, 0)
-    mor_utts = _child_mor_utterances(t)
-    if not mor_utts and t.child_utterances():
-        return {k: 0.0 for k in counts}, set(MARKER_NAMES)
-    for u in mor_utts:
-        for i, tok in enumerate(u.mor_tokens):
-            surface = u.clean_tokens[i] if i < len(u.clean_tokens) else ""
-            contracted = "'" in surface
-            if "PROG" in tok.suffixes or "ING" in tok.suffixes:
-                counts["present_progressive"] += 1
-            if "prep" in tok.pos_classes:
-                if tok.lemma.lower() == "in":
-                    counts["propositions_in"] += 1
-                elif tok.lemma.lower() == "on":
-                    counts["propositions_on"] += 1
-            if "n" in tok.pos_classes and "PL" in tok.suffixes:
-                counts["plural_s"] += 1
-            if "v" in tok.pos_classes and "PAST" in tok.fusions:
-                counts["irregular_past_tense"] += 1
-            if "POSS" in tok.suffixes:
-                counts["possessive_s"] += 1
-            if "det:art" in tok.pos_classes:
-                counts["articles"] += 1
-            if "v" in tok.pos_classes and "PAST" in tok.suffixes:
-                counts["regular_past_ed"] += 1
-            if "v" in tok.pos_classes and "3S" in tok.suffixes:
-                counts["regular_3rd_person_s"] += 1
-            if "v" in tok.pos_classes and "3S" in tok.fusions:
-                counts["irregular_3rd_person"] += 1
-            if "cop" in tok.pos_classes:
-                counts["contractible_copula" if contracted else "uncontractible_copula"] += 1
-            if "aux" in tok.pos_classes:
-                counts["contractible_aux" if contracted else "uncontractible_aux"] += 1
-    return {k: float(v) for k, v in counts.items()}, set()
-
-
-PATTERN_NAMES = ("n_v", "n_aux", "n_3s_v", "det_n_pl", "det_pl_n",
-                 "pro_aux", "pro_3s_v", "n_dos")
-
-
-def pos_patterns(t: Transcript) -> dict[str, float]:
-    """Adjacent POS-pattern counts over child mor tiers."""
-    counts = dict.fromkeys(PATTERN_NAMES, 0)
-    for u in _child_mor_utterances(t):
-        toks = u.mor_tokens
-        for tok in toks:
-            if "aux" in tok.pos_classes and tok.lemma.lower() == "do":
-                counts["n_dos"] += 1
-        for a, b in zip(toks, toks[1:]):
-            if "n" in a.pos_classes and "v" in b.pos_classes:
-                counts["n_v"] += 1
-            if "n" in a.pos_classes and "aux" in b.pos_classes:
-                counts["n_aux"] += 1
-            if "n" in a.pos_classes and "v" in b.pos_classes and _is_third_singular(b):
-                counts["n_3s_v"] += 1
-            if "det" in a.pos_classes and "n" in b.pos_classes and "PL" in b.suffixes:
-                counts["det_n_pl"] += 1
-            if "pro" in a.pos_classes and "aux" in b.pos_classes:
-                counts["pro_aux"] += 1
-            if "pro" in a.pos_classes and "v" in b.pos_classes and _is_third_singular(b):
-                counts["pro_3s_v"] += 1
-        for a, b, c in zip(toks, toks[1:], toks[2:]):
-            if "det" in a.pos_classes and ("PL" in b.suffixes or "PL" in b.fusions) \
-                    and "n" in c.pos_classes:
-                counts["det_pl_n"] += 1
-    return {k: float(v) for k, v in counts.items()}
 
 
 def fluency_and_errors(t: Transcript) -> dict[str, float]:
@@ -325,36 +165,62 @@ def zscore_features(base: dict[str, float], stats: GroupStats) -> dict[str, floa
 
 
 def base_features(t: Transcript, count_fusions: bool = False,
-                  dss_table: dict | scoring.CompiledTable | None = None,
-                  ipsyn_table: dict | scoring.CompiledTable | None = None
+                  tables: tuple[scoring.CompiledTable, ...] | None = None,
+                  syllable_counts: dict[str, int] | None = None
                   ) -> tuple[dict[str, float], set[str]]:
     """Every feature needing neither group statistics nor LMs, with its
-    flags.  Pass tables compiled once for a whole cohort; a dict is
-    compiled on every call."""
-    flags: set[str] = set()
+    flags; 27 of them are :func:`scoring.rule_counts`.  Pass ``tables``
+    from :func:`scoring.compile_tables` and one ``syllable_counts`` dict
+    (each lowercased word's syllables) for a whole cohort, so each
+    distinct token is tested and each distinct word counted once."""
+    dss, ipsyn, counts_table = tables or scoring.compile_tables()
+    if syllable_counts is None:
+        syllable_counts = {}
     values = production_counts(t)
-    um, f = utterance_measures(t, count_fusions=count_fusions)
-    values.update(um)
-    flags |= f
-    lex, f = lexical_measures(t)
-    values.update(lex)
-    flags |= f
-    markers, f = morpheme_markers(t)
-    values.update(markers)
-    flags |= f
-    values.update(pos_patterns(t))
+    kids = t.child_utterances()
+    words = Counter([w.lower() for u in kids for w in u.clean_tokens])
+    if not words:
+        raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
+    tnw = sum(words.values())
+    for w in words.keys() - syllable_counts.keys():
+        syllable_counts[w] = syllables(w)
+    total_syl = sum([syllable_counts[w] * n for w, n in words.items()])
+
+    flags: set[str] = set()
+    mor_utts = [u for u in kids if u.mor_tokens is not None]
+    mor_toks = [tok for u in mor_utts for tok in u.mor_tokens]
+    total_morphemes = sum([tok.morphemes(count_fusions) for tok in mor_toks])
+    if not mor_utts:
+        flags.update(("mlu_morphemes", "total_morphemes", *_MARKERS))
+    counts = scoring.rule_counts(t, counts_table)
+    inflected = counts.pop("inflected_verbs")
+    if inflected == 0:
+        flags.add("r_2_i_verbs")
+    values.update({name: float(n) for name, n in counts.items()})
+    values.update({
+        "mlu_words": tnw / len(kids),
+        "mlu_morphemes": total_morphemes / len(mor_utts) if mor_utts else tnw / len(kids),
+        "mlu100_utts": sum(len(u.clean_tokens) for u in kids[:100]) / len(kids[:100]),
+        "total_syl": float(total_syl),
+        "average_syl": total_syl / tnw,
+        "total_morphemes": float(total_morphemes),
+        "freq_ttr": len(words) / tnw,
+        "word_types": float(len(words)),
+        "r_2_i_verbs": (counts["verb_tokens"] - inflected) / max(1, inflected),
+        "mor_words": float(len(mor_toks)),
+        "num_pos_tags": float(len({tok.pos_tag for tok in mor_toks})),
+    })
     values.update(fluency_and_errors(t))
     values["f_k"] = _fk_grade(values["child_TNW"], values["child_TNS"], values["total_syl"])
 
     try:
-        values["dss"] = scoring.dss_score(t, dss_table)
+        values["dss"] = scoring.dss_score(t, dss)
     except NoScorableUtterances:
         values["dss"] = 0.0
         flags.add("dss")
     try:
-        values["ipsyn_total"] = scoring.ipsyn_total(t, ipsyn_table)
+        values["ipsyn_total"] = scoring.ipsyn_total(t, ipsyn)
     except NoScorableUtterances:
         values["ipsyn_total"] = 0.0
         flags.add("ipsyn_total")
     return values, flags
-

@@ -409,8 +409,9 @@ def load_model(path: str | Path) -> NGramModel:
     lacks a header field or the vocab line, or holds a malformed line
     raises ``DataError`` naming the file.  So does a header that
     :func:`train` would refuse: an order outside 1-3, a setting that
-    fails :func:`check_settings`, or a ``pad`` other than 0 or 1, and a
-    byte that is not UTF-8, named with its offset in the file."""
+    fails :func:`check_settings`, or a ``pad`` other than 0 or 1, a count
+    with more digits than ``int`` converts, and a byte that is not UTF-8,
+    named with its offset in the file."""
     lines = read_text(path).rstrip("\n").split("\n")
     header = lines[0].split("\t")
     if header[0] != "ngram":
@@ -440,6 +441,10 @@ def load_model(path: str | Path) -> NGramModel:
         gram = tuple(gram_text.split(" "))
         if not (tab and count_text.isdecimal() and len(gram) == order):
             raise DataError(f"{path}: line {lineno}: malformed n-gram line {ln!r}")
-        counts[gram] = int(count_text)
+        try:
+            counts[gram] = int(count_text)
+        except ValueError:  # more digits than int() converts
+            raise DataError(f"{path}: line {lineno}: n-gram count has {len(count_text)} "
+                            "digits, too many to read") from None
     return NGramModel(order, k, threshold, bool(pad), counts,
                       _context_totals(counts), vocab)

@@ -15,7 +15,7 @@ stage; a write that fails removes the files it opened.
 Each input file is read once, through ``errors.read_text``.  A config key
 the file leaves out keeps its one default, the ``PipelineConfig`` field's.
 
-Every report embeds the config hash and seed; a rerun with identical
+Each JSON report embeds the config hash and seed; a rerun with identical
 input bytes and config produces byte-identical outputs.
 """
 
@@ -350,8 +350,8 @@ def load_transcripts(directory: str | Path) -> list[chat.Transcript]:
 def extract_cohort(transcripts: list[chat.Transcript],
                    config: PipelineConfig) -> Cohort:
     """One pass: each transcript's base features, computed once with tables
-    read and compiled once, give the group statistics; after LM training
-    each gains its perplexities and z-scores.
+    read and compiled once on one mask cache, give the group statistics;
+    after LM training each gains its perplexities and z-scores.
 
     With ``loo``, a labelled transcript is scored against its own group's
     models without it.  ``ngram.GroupModels`` reads each transcript's
@@ -359,13 +359,11 @@ def extract_cohort(transcripts: list[chat.Transcript],
     transcript is scored against a view of the full counts minus its own,
     with no copy of the count tables and no retrain, and at most one view
     is alive at a time."""
-    dss_table = scoring.CompiledTable(
-        scoring.load_table(config.dss_table, "categories") if config.dss_table
-        else scoring.default_dss_table(), "categories")
-    ipsyn_table = scoring.CompiledTable(
-        scoring.load_table(config.ipsyn_table, "structures") if config.ipsyn_table
-        else scoring.default_ipsyn_table(), "structures")
-    blocks = [fx.base_features(t, config.count_fusions, dss_table, ipsyn_table)
+    tables = scoring.compile_tables(
+        scoring.load_table(config.dss_table, "categories") if config.dss_table else None,
+        scoring.load_table(config.ipsyn_table, "structures") if config.ipsyn_table else None)
+    syllable_counts: dict[str, int] = {}  # one per job: each distinct word counted once
+    blocks = [fx.base_features(t, config.count_fusions, tables, syllable_counts)
               for t in transcripts]
     groups = [t.group.value for t in transcripts]
     stats = fx.GroupStats.from_rows([values for values, _ in blocks], groups)

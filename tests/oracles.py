@@ -45,7 +45,19 @@
 * ``loop_dss_score``, ``loop_ipsyn_total`` and ``loop_sequence_count``
   interpret a scoring table rule by rule, testing every token against
   every predicate, before ``scoring.dss_score`` and
-  ``scoring.ipsyn_total`` tested bits of each distinct token's mask.
+  ``scoring.ipsyn_total`` tested bits of each distinct token's mask;
+  ``is_scorable`` tests each token for a verbal class, before DSS read a
+  bit of the utterance's masks.
+* ``utterance_measures``, ``lexical_measures``, ``morpheme_markers`` and
+  ``pos_patterns`` walk each transcript's child tokens once each, testing
+  every token against every count by hand and calling ``syllables`` once
+  per word, before ``extract.base_features`` read the 27 counts of
+  ``data/counts_table.json`` from the mask engine through
+  ``scoring.rule_counts`` and counted each distinct word's syllables
+  once per job.
+* ``scope_strip_annotations`` walks the scope stack for every tier,
+  before ``chat.strip_annotations`` returned a tier without annotations
+  as it is.
 """
 
 import csv
@@ -57,9 +69,11 @@ from collections import Counter
 import numpy as np
 
 from langprofile import clustering, ngram
-from langprofile.chat import Terminator
-from langprofile.errors import (DegenerateInput, EmptyCorpus, EmptyTranscript,
-                                NoScorableUtterances, SingleCluster, ZeroProbability)
+from langprofile.chat import (RETRACE, REPEAT, WORD_ERROR, AnnotationEvents, MorToken,
+                              Terminator, Transcript, Utterance)
+from langprofile.errors import (DanglingMarker, DegenerateInput, EmptyCorpus, EmptyTranscript,
+                                NoScorableUtterances, SingleCluster, UnbalancedScope,
+                                ZeroProbability)
 from langprofile.features import extract as fx
 from langprofile.features import scoring
 from langprofile.features.schema import FEATURE_NAMES, csv_header
@@ -295,16 +309,16 @@ def _extract_all(t, stats, lms, count_fusions=False, dss_table=None,
     values: dict[str, float] = {}
 
     values.update(fx.production_counts(t))
-    um, f = fx.utterance_measures(t, count_fusions=count_fusions)
+    um, f = utterance_measures(t, count_fusions=count_fusions)
     values.update(um)
     flags |= f
-    lex, f = fx.lexical_measures(t)
+    lex, f = lexical_measures(t)
     values.update(lex)
     flags |= f
-    markers, f = fx.morpheme_markers(t)
+    markers, f = morpheme_markers(t)
     values.update(markers)
     flags |= f
-    values.update(fx.pos_patterns(t))
+    values.update(pos_patterns(t))
     values.update(fx.fluency_and_errors(t))
     values["f_k"] = fx.flesch_kincaid(t)
 
@@ -336,9 +350,9 @@ def two_pass_extract_cohort(transcripts, config) -> Cohort:
     for t in transcripts:
         row: dict[str, float] = {}
         row.update(fx.production_counts(t))
-        measures, _ = fx.utterance_measures(t, config.count_fusions)
+        measures, _ = utterance_measures(t, config.count_fusions)
         row.update(measures)
-        lex, _ = fx.lexical_measures(t)
+        lex, _ = lexical_measures(t)
         row.update(lex)
         row.update(fx.fluency_and_errors(t))
         base_rows.append(row)
@@ -424,12 +438,19 @@ def per_element_feature_csv(cohort: Cohort) -> str:
     return buf.getvalue()
 
 
+def _matches_at(u, i: int, pred: dict) -> bool:
+    """Whether the i-th mor token of ``u``, with its aligned surface word
+    (``""`` past the end of the words), matches ``pred``."""
+    surface = u.clean_tokens[i] if i < len(u.clean_tokens) else ""
+    return scoring._token_matches(u.mor_tokens[i], pred, "'" in surface)
+
+
 def loop_sequence_count(u, preds: list[dict]) -> int:
     toks = u.mor_tokens or ()
     span = len(preds)
     hits = 0
     for i in range(len(toks) - span + 1):
-        if all(scoring._token_matches(toks[i + j], preds[j]) for j in range(span)):
+        if all(_matches_at(u, i + j, preds[j]) for j in range(span)):
             hits += 1
     return hits
 
@@ -438,7 +459,7 @@ def loop_dss_score(t, table: dict | None = None) -> float:
     """Mean per-utterance DSS score over scorable child utterances."""
     if table is None:
         table = scoring.default_dss_table()
-    scorable = [u for u in t.child_utterances() if scoring._is_scorable(u)]
+    scorable = [u for u in t.child_utterances() if is_scorable(u)]
     if not scorable:
         raise NoScorableUtterances("no child utterance with a verbal mor element")
     total = 0.0
@@ -452,7 +473,7 @@ def loop_dss_score(t, table: dict | None = None) -> float:
                 elif "sequence" in rule:
                     hit = loop_sequence_count(u, rule["sequence"]) > 0
                 else:
-                    hit = any(scoring._token_matches(tok, rule) for tok in u.mor_tokens)
+                    hit = any(_matches_at(u, i, rule) for i in range(len(u.mor_tokens)))
                 if hit and rule["points"] > best:
                     best = rule["points"]
             score += best
@@ -480,7 +501,236 @@ def loop_ipsyn_total(t, table: dict | None = None) -> float:
             elif "sequence" in struct:
                 occurrences += loop_sequence_count(u, struct["sequence"])
             else:
-                occurrences += sum(1 for tok in u.mor_tokens
-                                   if scoring._token_matches(tok, struct["token"]))
+                occurrences += sum(1 for i in range(len(u.mor_tokens))
+                                   if _matches_at(u, i, struct["token"]))
         total += min(cap, occurrences)
     return float(total)
+
+
+def is_scorable(u) -> bool:
+    """A DSS-scorable utterance: a non-empty mor tier with a verbal token."""
+    if not u.mor_tokens:
+        return False
+    return any(not t.pos_classes.isdisjoint(scoring._VERBAL_POS) for t in u.mor_tokens)
+
+
+# -- the per-token walks behind the 27 counts of data/counts_table.json ----------
+
+def _is_third_singular(tok: MorToken) -> bool:
+    return "3S" in tok.suffixes or "3S" in tok.fusions
+
+
+def _is_inflected(tok: MorToken) -> bool:
+    return bool(tok.suffixes or tok.fusions)
+
+
+def _child_mor_utterances(t: Transcript) -> list[Utterance]:
+    return [u for u in t.child_utterances() if u.mor_tokens is not None]
+
+
+def utterance_measures(t: Transcript, count_fusions: bool = False
+                       ) -> tuple[dict[str, float], set[str]]:
+    kids = t.child_utterances()
+    if not kids:
+        raise EmptyTranscript(f"transcript {t.id!r} has no child utterances")
+    flags: set[str] = set()
+    tnw = sum(len(u.clean_tokens) for u in kids)
+    mlu_words = tnw / len(kids)
+
+    first = kids[:100]
+    mlu100 = sum(len(u.clean_tokens) for u in first) / len(first)
+
+    mor_utts = _child_mor_utterances(t)
+    total_morphemes = sum(tok.morphemes(count_fusions)
+                          for u in mor_utts for tok in u.mor_tokens)
+    if mor_utts:
+        mlu_morphemes = total_morphemes / len(mor_utts)
+    else:
+        mlu_morphemes = mlu_words
+        flags.update(("mlu_morphemes", "total_morphemes"))
+
+    verb_utt = sum(1 for u in mor_utts
+                   if any("v" in tok.pos_classes or "aux" in tok.pos_classes
+                          for tok in u.mor_tokens))
+    total_syl = sum(fx.syllables(w) for u in kids for w in u.clean_tokens)
+    average_syl = total_syl / tnw if tnw else 0.0
+    if tnw == 0:
+        flags.add("average_syl")
+    return {
+        "mlu_words": mlu_words,
+        "mlu_morphemes": mlu_morphemes,
+        "mlu100_utts": mlu100,
+        "verb_utt": float(verb_utt),
+        "total_syl": float(total_syl),
+        "average_syl": average_syl,
+        "total_morphemes": float(total_morphemes),
+    }, flags
+
+
+def lexical_measures(t: Transcript) -> tuple[dict[str, float], set[str]]:
+    kids = t.child_utterances()
+    tokens = [w.lower() for u in kids for w in u.clean_tokens]
+    if not tokens:
+        raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
+    flags: set[str] = set()
+    types = len(set(tokens))
+
+    mor_toks = [tok for u in _child_mor_utterances(t) for tok in u.mor_tokens]
+    verbs = [tok for tok in mor_toks if "v" in tok.pos_classes]
+    raw = sum(1 for tok in verbs if not _is_inflected(tok))
+    inflected = sum(1 for tok in verbs if _is_inflected(tok))
+    if inflected == 0:
+        flags.add("r_2_i_verbs")
+    r_2_i = raw / max(1, inflected)
+
+    return {
+        "freq_ttr": types / len(tokens),
+        "word_types": float(types),
+        "r_2_i_verbs": r_2_i,
+        "mor_words": float(len(mor_toks)),
+        "num_pos_tags": float(len({tok.pos_tag for tok in mor_toks})),
+        "verb_tokens": float(len(verbs)),
+        "noun_tokens": float(sum(1 for tok in mor_toks if "n" in tok.pos_classes)),
+        "pro_tokens": float(sum(1 for tok in mor_toks if "pro" in tok.pos_classes)),
+    }, flags
+
+
+MARKER_NAMES = (
+    "present_progressive", "propositions_in", "propositions_on", "plural_s",
+    "irregular_past_tense", "possessive_s", "uncontractible_copula", "articles",
+    "regular_past_ed", "regular_3rd_person_s", "irregular_3rd_person",
+    "uncontractible_aux", "contractible_copula", "contractible_aux",
+)
+
+
+def morpheme_markers(t: Transcript) -> tuple[dict[str, float], set[str]]:
+    """The 14 grammatical-morpheme counts over child mor tiers.
+
+    Contractibility is read off the aligned surface token: a copula or
+    auxiliary whose surface form carries an apostrophe counts as
+    contracted.
+    """
+    counts = dict.fromkeys(MARKER_NAMES, 0)
+    mor_utts = _child_mor_utterances(t)
+    if not mor_utts and t.child_utterances():
+        return {k: 0.0 for k in counts}, set(MARKER_NAMES)
+    for u in mor_utts:
+        for i, tok in enumerate(u.mor_tokens):
+            surface = u.clean_tokens[i] if i < len(u.clean_tokens) else ""
+            contracted = "'" in surface
+            if "PROG" in tok.suffixes or "ING" in tok.suffixes:
+                counts["present_progressive"] += 1
+            if "prep" in tok.pos_classes:
+                if tok.lemma.lower() == "in":
+                    counts["propositions_in"] += 1
+                elif tok.lemma.lower() == "on":
+                    counts["propositions_on"] += 1
+            if "n" in tok.pos_classes and "PL" in tok.suffixes:
+                counts["plural_s"] += 1
+            if "v" in tok.pos_classes and "PAST" in tok.fusions:
+                counts["irregular_past_tense"] += 1
+            if "POSS" in tok.suffixes:
+                counts["possessive_s"] += 1
+            if "det:art" in tok.pos_classes:
+                counts["articles"] += 1
+            if "v" in tok.pos_classes and "PAST" in tok.suffixes:
+                counts["regular_past_ed"] += 1
+            if "v" in tok.pos_classes and "3S" in tok.suffixes:
+                counts["regular_3rd_person_s"] += 1
+            if "v" in tok.pos_classes and "3S" in tok.fusions:
+                counts["irregular_3rd_person"] += 1
+            if "cop" in tok.pos_classes:
+                counts["contractible_copula" if contracted else "uncontractible_copula"] += 1
+            if "aux" in tok.pos_classes:
+                counts["contractible_aux" if contracted else "uncontractible_aux"] += 1
+    return {k: float(v) for k, v in counts.items()}, set()
+
+
+PATTERN_NAMES = ("n_v", "n_aux", "n_3s_v", "det_n_pl", "det_pl_n",
+                 "pro_aux", "pro_3s_v", "n_dos")
+
+
+def pos_patterns(t: Transcript) -> dict[str, float]:
+    """Adjacent POS-pattern counts over child mor tiers."""
+    counts = dict.fromkeys(PATTERN_NAMES, 0)
+    for u in _child_mor_utterances(t):
+        toks = u.mor_tokens
+        for tok in toks:
+            if "aux" in tok.pos_classes and tok.lemma.lower() == "do":
+                counts["n_dos"] += 1
+        for a, b in zip(toks, toks[1:]):
+            if "n" in a.pos_classes and "v" in b.pos_classes:
+                counts["n_v"] += 1
+            if "n" in a.pos_classes and "aux" in b.pos_classes:
+                counts["n_aux"] += 1
+            if "n" in a.pos_classes and "v" in b.pos_classes and _is_third_singular(b):
+                counts["n_3s_v"] += 1
+            if "det" in a.pos_classes and "n" in b.pos_classes and "PL" in b.suffixes:
+                counts["det_n_pl"] += 1
+            if "pro" in a.pos_classes and "aux" in b.pos_classes:
+                counts["pro_aux"] += 1
+            if "pro" in a.pos_classes and "v" in b.pos_classes and _is_third_singular(b):
+                counts["pro_3s_v"] += 1
+        for a, b, c in zip(toks, toks[1:], toks[2:]):
+            if "det" in a.pos_classes and ("PL" in b.suffixes or "PL" in b.fusions) \
+                    and "n" in c.pos_classes:
+                counts["det_pl_n"] += 1
+    return {k: float(v) for k, v in counts.items()}
+
+
+def scope_strip_annotations(raw_tokens) -> tuple[tuple[str, ...], AnnotationEvents]:
+    """``chat.strip_annotations`` with the scope-stack walk for every tier."""
+    fillers = repetitions = retracings = word_errors = 0
+    # stack of levels; each level is a list of groups (lists of words)
+    stack: list[list[list[str]]] = [[]]
+    in_unknown_code = False
+
+    for tok in raw_tokens:
+        if in_unknown_code:
+            if tok.endswith("]"):
+                in_unknown_code = False
+            continue
+        if tok == REPEAT or tok == RETRACE:
+            if not stack[-1]:
+                raise DanglingMarker(f"{tok} with no preceding material")
+            stack[-1].pop()
+            if tok == REPEAT:
+                repetitions += 1
+            else:
+                retracings += 1
+            continue
+        if tok == WORD_ERROR:
+            if not stack[-1]:
+                raise DanglingMarker("[*] with no preceding material")
+            word_errors += 1
+            continue
+        if tok.startswith("["):
+            # unknown bracket code; swallow through the closing bracket
+            if not tok.endswith("]"):
+                in_unknown_code = True
+            continue
+        if tok.startswith("&"):
+            fillers += 1
+            continue
+
+        opens = len(tok) - len(tok.lstrip("<"))
+        word = tok[opens:]
+        closes = len(word) - len(word.rstrip(">"))
+        if closes:
+            word = word[:-closes]
+        for _ in range(opens):
+            stack.append([])
+        if word:
+            stack[-1].append([word])
+        for _ in range(closes):
+            if len(stack) == 1:
+                raise UnbalancedScope("'>' without matching '<'")
+            level = stack.pop()
+            merged = [w for grp in level for w in grp]
+            stack[-1].append(merged)
+
+    if len(stack) > 1:
+        raise UnbalancedScope("'<' without matching '>'")
+    clean = tuple(w for grp in stack[0] for w in grp)
+    events = AnnotationEvents(fillers, repetitions, retracings, word_errors)
+    return clean, events

@@ -26,12 +26,9 @@ from langprofile.clustering import (
 )
 from langprofile.chat import parse_chat
 from langprofile.features.extract import (
+    base_features,
     fluency_and_errors,
-    lexical_measures,
-    morpheme_markers,
-    pos_patterns,
     production_counts,
-    utterance_measures,
     flesch_kincaid,
 )
 from langprofile.ngram import perplexity, train
@@ -219,17 +216,17 @@ def test_feature_extraction_goldens():
         "*CHI:\the jumped .\n%mor:\tpro|he v|jump-PAST .\n")
     counts = production_counts(two)
     assert counts["child_TNW"] == 5 and counts["child_TNS"] == 2
-    measures, _ = utterance_measures(two)
+    measures, _ = base_features(two)
     assert measures["mlu_words"] == 2.5
     assert measures["mlu_morphemes"] == 3.0
-    measures_fused, _ = utterance_measures(two, count_fusions=True)
+    measures_fused, _ = base_features(two, count_fusions=True)
     assert measures_fused["mlu_morphemes"] == 3.5
-    lex, _ = lexical_measures(parse_chat("*CHI:\ta b a c .\n"))
+    lex, _ = base_features(parse_chat("*CHI:\ta b a c .\n"))
     assert lex["freq_ttr"] == 0.75
     fk = flesch_kincaid(parse_chat("*CHI:\tthe dog ran .\n"))
     assert abs(fk - (-2.62)) < 1e-9
 
-    markers, _ = morpheme_markers(parse_chat(
+    markers, _ = base_features(parse_chat(
         "*CHI:\the is going .\n%mor:\tpro|he aux|be&3S part|go-PROG .\n"
         "*CHI:\tshe 's running .\n%mor:\tpro|she aux|be&3S part|run-PROG .\n"
         "*CHI:\tit is big .\n%mor:\tpro|it cop|be&3S adj|big .\n"
@@ -238,23 +235,25 @@ def test_feature_extraction_goldens():
         "%mor:\tdet:art|the n|dog-PL v|play-PAST prep|in prep|on .\n"
         "*CHI:\tdaddys hat fell .\n%mor:\tn|daddy-POSS n|hat v|fall&PAST .\n"
         "*CHI:\the runs and goes .\n%mor:\tpro|he v|run-3S conj|and v|go&3S .\n"))
-    assert markers == {
+    expected = {
         "present_progressive": 2, "propositions_in": 1, "propositions_on": 1,
         "plural_s": 1, "irregular_past_tense": 1, "possessive_s": 1,
         "uncontractible_copula": 1, "articles": 1, "regular_past_ed": 1,
         "regular_3rd_person_s": 1, "irregular_3rd_person": 1,
         "uncontractible_aux": 1, "contractible_copula": 1, "contractible_aux": 1,
     }
+    assert {name: markers[name] for name in expected} == expected
 
-    patterns = pos_patterns(parse_chat(
+    patterns, _ = base_features(parse_chat(
         "*CHI:\tdog runs .\n%mor:\tn|dog v|run-3S .\n"
         "*CHI:\tdog is going .\n%mor:\tn|dog aux|be&3S part|go-PROG .\n"
         "*CHI:\tthe dogs bark .\n%mor:\tdet:art|the n|dog-PL v|bark .\n"
         "*CHI:\tthe boys dog ran .\n%mor:\tdet:art|the n|boy-PL n|dog v|run&PAST .\n"
         "*CHI:\the does go .\n%mor:\tpro|he aux|do-3S v|go .\n"
         "*CHI:\tshe sees .\n%mor:\tpro|she v|see-3S .\n"))
-    assert patterns == {"n_v": 3, "n_aux": 1, "n_3s_v": 1, "det_n_pl": 2,
-                        "det_pl_n": 1, "pro_aux": 1, "pro_3s_v": 1, "n_dos": 1}
+    expected = {"n_v": 3, "n_aux": 1, "n_3s_v": 1, "det_n_pl": 2,
+                "det_pl_n": 1, "pro_aux": 1, "pro_3s_v": 1, "n_dos": 1}
+    assert {name: patterns[name] for name in expected} == expected
 
     fluency = fluency_and_errors(parse_chat(
         "*CHI:\t&-um the the [/] dog <fell down> [//] fell .\n"

@@ -2,7 +2,7 @@ import gc
 import weakref
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from langprofile import pipeline
 from langprofile.chat import (
@@ -24,7 +24,7 @@ from langprofile.errors import (
     UnbalancedScope,
 )
 from tests.conftest import make_corpus
-from tests.oracles import pos_matches
+from tests.oracles import pos_matches, scope_strip_annotations
 
 _POS_TEXT = st.text(alphabet="ab:", max_size=6)
 
@@ -243,6 +243,24 @@ class TestStripAnnotations:
         assert list(clean) == tokens
         assert ev == AnnotationEvents(fillers=1)
         assert len(clean) <= len(with_filler)
+
+    _TOKENS = st.lists(st.sampled_from(["the", "dog", "ran", "", "<a", "b>", "<", ">", "[/]",
+                                        "[//]", "[*]", "[+", "x]", "[:", "&um", "rock&roll"]),
+                       max_size=8)
+
+    @staticmethod
+    def _outcome(strip, tokens):
+        try:
+            return strip(tokens)
+        except (DanglingMarker, UnbalancedScope) as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_TOKENS)
+    def test_equals_scope_stack_walk(self, tokens):
+        # the clean tuple and events, or the error's type and text
+        assert self._outcome(strip_annotations, tokens) \
+            == self._outcome(scope_strip_annotations, tokens)
 
 
 class TestMorToken:

@@ -61,25 +61,25 @@ def _count_calls(monkeypatch, module, name, counts):
 
 
 def test_each_extractor_and_table_runs_once(transcripts, monkeypatch):
+    # one count pass per transcript, each table read once per job, and
+    # each distinct lowercased child word's syllables counted once per job
     counts: dict[str, int] = {}
-    extractors = ("production_counts", "utterance_measures", "lexical_measures",
-                  "morpheme_markers", "pos_patterns", "fluency_and_errors",
-                  "flesch_kincaid", "syllables")
-    for name in extractors:
+    for name in ("production_counts", "fluency_and_errors", "flesch_kincaid", "syllables"):
         _count_calls(monkeypatch, fx, name, counts)
-    for name in ("dss_score", "ipsyn_total", "default_dss_table", "default_ipsyn_table"):
+    for name in ("dss_score", "ipsyn_total", "rule_counts", "default_dss_table",
+                 "default_ipsyn_table", "default_counts_table"):
         _count_calls(monkeypatch, scoring, name, counts)
 
     for calls in (1, 2):
         pipeline.extract_cohort(transcripts, _config(loo=True))
         n = len(transcripts) * calls
-        words = sum(len(u.clean_tokens) for t in transcripts
-                    for u in t.child_utterances()) * calls
+        words = len({w.lower() for t in transcripts
+                     for u in t.child_utterances() for w in u.clean_tokens}) * calls
         assert counts == {
-            "production_counts": n, "utterance_measures": n, "lexical_measures": n,
-            "morpheme_markers": n, "pos_patterns": n, "fluency_and_errors": n,
-            "syllables": words, "dss_score": n, "ipsyn_total": n,
+            "production_counts": n, "fluency_and_errors": n, "syllables": words,
+            "dss_score": n, "ipsyn_total": n, "rule_counts": n,
             "default_dss_table": calls, "default_ipsyn_table": calls,
+            "default_counts_table": calls,
         }
 
 

@@ -10,22 +10,24 @@ from langprofile.errors import DivisionDomain, EmptyTranscript, NoScorableUttera
 from langprofile.features import scoring
 from langprofile.features.extract import (
     GroupStats,
+    base_features,
     flesch_kincaid,
     fluency_and_errors,
-    lexical_measures,
-    morpheme_markers,
-    pos_patterns,
     production_counts,
     syllables,
-    utterance_measures,
     zscore_features,
 )
 from langprofile.features.schema import FEATURE_NAMES
-from tests.oracles import loop_dss_score, loop_ipsyn_total
+from tests.oracles import (MARKER_NAMES, lexical_measures, loop_dss_score, loop_ipsyn_total,
+                           morpheme_markers, pos_patterns, utterance_measures)
 
 
 def mk(text: str):
     return parse_chat(text)
+
+
+def features(text: str, count_fusions: bool = False) -> tuple[dict[str, float], set[str]]:
+    return base_features(mk(text), count_fusions)
 
 
 TWO_UTTS = (
@@ -75,33 +77,33 @@ class TestSyllables:
 
 class TestUtteranceMeasures:
     def test_mlu_words(self):
-        m, _ = utterance_measures(mk(TWO_UTTS))
+        m, _ = features(TWO_UTTS)
         assert m["mlu_words"] == 5 / 2
 
     def test_mlu_morphemes_both_conventions(self):
         # fusions off: run&PAST = 1 morpheme -> (3 + 3) / 2
-        m, _ = utterance_measures(mk(TWO_UTTS), count_fusions=False)
+        m, _ = features(TWO_UTTS, count_fusions=False)
         assert m["mlu_morphemes"] == 3.0
         # fusions on: run&PAST = 2 morphemes -> (4 + 3) / 2
-        m, _ = utterance_measures(mk(TWO_UTTS), count_fusions=True)
+        m, _ = features(TWO_UTTS, count_fusions=True)
         assert m["mlu_morphemes"] == 3.5
 
     def test_syllable_totals(self):
-        m, _ = utterance_measures(mk(TWO_UTTS))
+        m, _ = features(TWO_UTTS)
         # the+dog+ran+he = 1 each, jumped = 2
         assert m["total_syl"] == 6
         assert m["average_syl"] == 6 / 5
 
     def test_verb_utt(self):
-        m, _ = utterance_measures(mk(TWO_UTTS))
+        m, _ = features(TWO_UTTS)
         assert m["verb_utt"] == 2
 
     def test_mlu100_equals_mlu_under_100_utts(self):
-        m, _ = utterance_measures(mk(TWO_UTTS))
+        m, _ = features(TWO_UTTS)
         assert m["mlu100_utts"] == m["mlu_words"]
 
     def test_missing_mor_degrades(self):
-        m, flags = utterance_measures(mk("*CHI:\tthe dog ran .\n"))
+        m, flags = features("*CHI:\tthe dog ran .\n")
         assert m["mlu_morphemes"] == m["mlu_words"]
         assert "mlu_morphemes" in flags
 
@@ -124,25 +126,25 @@ class TestFleschKincaid:
 
 class TestLexicalMeasures:
     def test_ttr(self):
-        m, _ = lexical_measures(mk("*CHI:\ta b a c .\n"))
+        m, _ = features("*CHI:\ta b a c .\n")
         assert m["freq_ttr"] == 3 / 4
         assert m["word_types"] == 3
 
     def test_verb_ratio(self):
         text = ("*CHI:\trun ran jumped .\n"
                 "%mor:\tv|run v|run&PAST v|jump-PAST .\n")
-        m, _ = lexical_measures(mk(text))
+        m, _ = features(text)
         assert m["r_2_i_verbs"] == 1 / 2
         assert m["verb_tokens"] == 3
 
     def test_verb_ratio_degenerate(self):
         text = "*CHI:\trun .\n%mor:\tv|run .\n"
-        m, flags = lexical_measures(mk(text))
+        m, flags = features(text)
         assert m["r_2_i_verbs"] == 1.0  # max(1, inflected) guard
         assert "r_2_i_verbs" in flags
 
     def test_pos_tag_count(self):
-        m, _ = lexical_measures(mk(TWO_UTTS))
+        m, _ = features(TWO_UTTS)
         # det:art, n, v, pro
         assert m["num_pos_tags"] == 4
         assert m["mor_words"] == 5
@@ -151,27 +153,27 @@ class TestLexicalMeasures:
 class TestMorphemeMarkers:
     def test_progressive_and_aux(self):
         text = "*CHI:\the is going .\n%mor:\tpro|he aux|be&3S part|go-PROG .\n"
-        m, _ = morpheme_markers(mk(text))
+        m, _ = features(text)
         assert m["present_progressive"] == 1
         assert m["uncontractible_aux"] == 1
         assert m["contractible_aux"] == 0
 
     def test_contracted_aux_surface_form(self):
         text = "*CHI:\the 's going .\n%mor:\tpro|he aux|be&3S part|go-PROG .\n"
-        m, _ = morpheme_markers(mk(text))
+        m, _ = features(text)
         assert m["contractible_aux"] == 1
         assert m["uncontractible_aux"] == 0
 
     def test_article_and_plural(self):
         text = "*CHI:\tthe dogs .\n%mor:\tdet:art|the n|dog-PL .\n"
-        m, _ = morpheme_markers(mk(text))
+        m, _ = features(text)
         assert m["articles"] == 1
         assert m["plural_s"] == 1
 
     def test_copula_and_prepositions(self):
         text = ("*CHI:\tit is in on .\n"
                 "%mor:\tpro|it cop|be&3S prep|in prep|on .\n")
-        m, _ = morpheme_markers(mk(text))
+        m, _ = features(text)
         assert m["uncontractible_copula"] == 1
         assert m["propositions_in"] == 1
         assert m["propositions_on"] == 1
@@ -179,7 +181,7 @@ class TestMorphemeMarkers:
     def test_past_and_third_person(self):
         text = ("*CHI:\tjumped fell runs goes boys .\n"
                 "%mor:\tv|jump-PAST v|fall&PAST v|run-3S v|go&3S n|boy-POSS .\n")
-        m, _ = morpheme_markers(mk(text))
+        m, _ = features(text)
         assert m["regular_past_ed"] == 1
         assert m["irregular_past_tense"] == 1
         assert m["regular_3rd_person_s"] == 1
@@ -187,41 +189,43 @@ class TestMorphemeMarkers:
         assert m["possessive_s"] == 1
 
     def test_no_mor_all_flagged(self):
-        m, flags = morpheme_markers(mk("*CHI:\tthe dog ran .\n"))
-        assert all(v == 0 for v in m.values())
-        assert len(flags) == 14
+        m, flags = features("*CHI:\tthe dog ran .\n")
+        assert all(m[name] == 0 for name in MARKER_NAMES)
+        assert len(MARKER_NAMES) == 14
+        assert flags == {*MARKER_NAMES, "mlu_morphemes", "total_morphemes", "r_2_i_verbs",
+                         "dss", "ipsyn_total"}
 
     def test_neg_pos_is_not_a_noun(self):
         text = "*CHI:\tnot dogs .\n%mor:\tneg|not n|dog-PL .\n"
-        m, _ = morpheme_markers(mk(text))
+        m, _ = features(text)
         assert m["plural_s"] == 1  # only the real noun counts
 
 
 class TestPosPatterns:
     def test_noun_verb(self):
         text = "*CHI:\tdog run .\n%mor:\tn|dog v|run .\n"
-        assert pos_patterns(mk(text))["n_v"] == 1
+        assert features(text)[0]["n_v"] == 1
 
     def test_pro_aux_and_do(self):
         text = "*CHI:\the do go .\n%mor:\tpro|he aux|do v|go .\n"
-        p = pos_patterns(mk(text))
+        p, _ = features(text)
         assert p["pro_aux"] == 1
         assert p["n_dos"] == 1
 
     def test_det_noun_plural(self):
         text = "*CHI:\tthe dogs bark .\n%mor:\tdet|the n|dog-PL v|bark .\n"
-        p = pos_patterns(mk(text))
+        p, _ = features(text)
         assert p["det_n_pl"] == 1
         assert p["n_v"] == 1
 
     def test_det_pl_n_window(self):
         text = "*CHI:\tthe boys dog .\n%mor:\tdet:art|the n|boy-PL n|dog .\n"
-        p = pos_patterns(mk(text))
+        p, _ = features(text)
         assert p["det_pl_n"] == 1
 
     def test_third_singular_sequences(self):
         text = "*CHI:\tdog runs he goes .\n%mor:\tn|dog v|run-3S pro|he v|go&3S .\n"
-        p = pos_patterns(mk(text))
+        p, _ = features(text)
         assert p["n_3s_v"] == 1
         assert p["pro_3s_v"] == 1
         assert p["n_v"] == 1
@@ -303,7 +307,7 @@ _MOR_TOKENS = st.builds(MorToken, st.sampled_from(_TAGS), st.sampled_from(_LEMMA
 @st.composite
 def _utterances(draw) -> Utterance:
     speaker = draw(st.sampled_from([Speaker.CHILD, Speaker.CHILD, Speaker.EXAMINER]))
-    words = ("w",) * draw(st.integers(0, 3))
+    words = tuple(draw(st.lists(st.sampled_from(["w", "w's"]), max_size=3)))
     return Utterance(speaker, "CHI" if speaker is Speaker.CHILD else "EXA", words, words,
                      draw(st.sampled_from(list(Terminator))),
                      AnnotationEvents(word_errors=draw(st.integers(0, 1))),
@@ -321,7 +325,9 @@ _PREDICATES = st.fixed_dictionaries({}, optional={
     "lemma_in": st.lists(st.sampled_from([w.lower() for w in _LEMMAS]), max_size=2),
     "suffix_in": st.lists(st.sampled_from(_AFFIXES), max_size=2),
     "fusion_in": st.lists(st.sampled_from(_AFFIXES), max_size=2),
+    "affix_in": st.lists(st.sampled_from(_AFFIXES), max_size=2),
     "inflected": st.booleans(),
+    "contracted": st.booleans(),
 })
 
 
@@ -421,6 +427,68 @@ class TestScoringEngine:
             == _outcome(loop_ipsyn_total, t, None)
 
 
+# count-table cases: contracted surfaces, PL/3S/PAST as suffix and as
+# fusion, n:prop and det:art, in/on in mixed case, mor tiers that are
+# absent, empty or shorter than the utterance
+_COUNT_TAGS = ("n", "n:prop", "v", "aux", "cop", "pro", "det", "det:art", "prep", "mod",
+               "neg", "part")
+_COUNT_LEMMAS = ("dog", "in", "In", "on", "ON", "do", "Do", "be", "he")
+_SURFACES = ("he", "he's", "can't", "'s", "dogs", "In", "on")
+_COUNT_TOKENS = st.builds(
+    MorToken, st.sampled_from(_COUNT_TAGS), st.sampled_from(_COUNT_LEMMAS),
+    st.lists(st.sampled_from(("PL", "3S", "PAST", "PROG", "ING", "POSS")), max_size=2).map(tuple),
+    st.lists(st.sampled_from(("PL", "3S", "PAST")), max_size=2).map(tuple))
+
+
+@st.composite
+def _count_utterance(draw, speaker: Speaker, with_mor: bool) -> Utterance:
+    mor = tuple(draw(st.lists(_COUNT_TOKENS, max_size=6)))
+    words = len(mor) - draw(st.sampled_from([0, 0, 0, 1])) if mor else 0
+    clean = tuple(draw(st.lists(st.sampled_from(_SURFACES), min_size=words, max_size=words)))
+    return Utterance(speaker, "CHI" if speaker is Speaker.CHILD else "EXA", clean, clean,
+                     Terminator.PERIOD, AnnotationEvents(),
+                     mor if with_mor and draw(st.integers(0, 3)) else None)
+
+
+@st.composite
+def _count_transcripts(draw) -> Transcript:
+    """Transcripts whose first child utterance has a word and a sentence,
+    so every feature is defined; one in five carries no %mor at all."""
+    with_mor = draw(st.integers(0, 4)) > 0
+    first = Utterance(Speaker.CHILD, "CHI", ("dog",), ("dog",), Terminator.PERIOD,
+                      AnnotationEvents(), (MorToken("n", "dog"),) if with_mor else None)
+    rest = draw(st.lists(st.sampled_from([Speaker.CHILD, Speaker.CHILD, Speaker.EXAMINER])
+                         .flatmap(lambda speaker: _count_utterance(speaker, with_mor)),
+                         max_size=6))
+    return Transcript("t", "c", Group.TD, None, None, (first, *rest))
+
+
+class TestCountEngine:
+    @pytest.mark.parametrize("count_fusions", [False, True])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(transcripts=st.lists(_count_transcripts(), min_size=1, max_size=3))
+    def test_engine_equals_walk_oracles(self, count_fusions, transcripts):
+        # one job: the compiled tables and the syllable cache serve every transcript
+        tables = scoring.compile_tables()
+        syllable_counts: dict[str, int] = {}
+        for t in transcripts:
+            values, flags = base_features(t, count_fusions, tables, syllable_counts)
+            expected: dict[str, float] = dict(pos_patterns(t))
+            expected_flags: set[str] = set()
+            for walk in (utterance_measures(t, count_fusions), lexical_measures(t),
+                         morpheme_markers(t)):
+                expected.update(walk[0])
+                expected_flags |= walk[1]
+            assert {name: values[name] for name in expected} == expected
+            assert flags - {"dss", "ipsyn_total"} == expected_flags
+
+    def test_count_table_holds_the_27_counts(self):
+        counts = scoring.rule_counts(mk(TWO_UTTS))
+        assert len(counts) == 27
+        assert set(counts) - set(FEATURE_NAMES) == {"inflected_verbs"}
+        assert counts["inflected_verbs"] == 2 and counts["verb_tokens"] == 2
+
+
 class TestZScores:
     STATS = GroupStats(stats={
         "SLI": {"mlu_words": (8.0, 2.0, 5), "word_errors": (8.0, 2.0, 5),
@@ -513,17 +581,17 @@ class TestDoublingProperties:
         c1, c2 = production_counts(mk(single)), production_counts(mk(double))
         assert c2["child_TNW"] == 2 * c1["child_TNW"]
         assert c2["child_TNS"] == 2 * c1["child_TNS"]
-        m1, _ = utterance_measures(mk(single))
-        m2, _ = utterance_measures(mk(double))
+        m1, _ = features(single)
+        m2, _ = features(double)
         assert m2["total_syl"] == 2 * m1["total_syl"]
         assert m2["mlu_words"] == m1["mlu_words"]
         assert m2["average_syl"] == m1["average_syl"]
-        k1, _ = morpheme_markers(mk(single))
-        k2, _ = morpheme_markers(mk(double))
-        assert all(k2[name] == 2 * k1[name] for name in k1)
+        k1, _ = features(single)
+        k2, _ = features(double)
+        assert all(k2[name] == 2 * k1[name] for name in MARKER_NAMES)
 
     def test_ttr_halves_exactly(self):
         single, double = self._doubled()
-        l1, _ = lexical_measures(mk(single))
-        l2, _ = lexical_measures(mk(double))
+        l1, _ = features(single)
+        l2, _ = features(double)
         assert l2["freq_ttr"] == l1["freq_ttr"] / 2

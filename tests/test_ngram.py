@@ -269,6 +269,15 @@ class TestSaveLoad:
         assert str(path) in str(err.value)
         assert where in str(err.value)
 
+    def test_count_over_the_digit_limit_raises_data_error(self, tmp_path):
+        # isdecimal() passes, but int() refuses more than 4300 digits
+        path = tmp_path / "m.lm"
+        path.write_text("ngram\torder=1\tk=1.0\tunk_threshold=1\tpad=1\nvocab\ta\n"
+                        + "1" * 5000 + "\ta\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: line 3: n-gram count has 5000 digits, too many to read"
+
 
 def _models_or_error(held_out) -> list:
     """The yielded model sets, then the message of an ``EmptyCorpus``

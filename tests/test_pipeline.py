@@ -669,6 +669,12 @@ class TestCli:
         pytest.param("--ipsyn-table",
                      {"structures": [{"token": {"pos": "v", "inflected": "yes"}}]},
                      "structures[0].token.inflected", id="ipsyn-inflected-str"),
+        pytest.param("--ipsyn-table", {"structures": [{"token": {"affix_in": "PL"}}]},
+                     "structures[0].token.affix_in", id="ipsyn-affix-in-str"),
+        pytest.param("--dss-table",
+                     {"categories": [{"rules": [{"points": 1, "pos": "cop",
+                                                 "contracted": 1}]}]},
+                     "categories[0].rules[0].contracted", id="dss-contracted-int"),
     ])
     def test_extract_table_missing_key_exits_two(self, corpus_dir, tmp_path, capsys,
                                                   flag, body, key):
