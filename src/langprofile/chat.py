@@ -136,7 +136,9 @@ class Transcript:
     utterances: tuple[Utterance, ...]
     warnings: tuple[str, ...] = ()
 
+    @functools.cached_property
     def child_utterances(self) -> tuple[Utterance, ...]:
+        """The child's utterances, in order: built once per transcript."""
         return tuple(u for u in self.utterances if u.speaker is Speaker.CHILD)
 
     def examiner_utterances(self) -> tuple[Utterance, ...]:

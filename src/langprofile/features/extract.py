@@ -105,7 +105,7 @@ def syllables(word: str) -> int:
 # -- operations ------------------------------------------------------------
 
 def production_counts(t: Transcript) -> dict[str, float]:
-    kids = t.child_utterances()
+    kids = t.child_utterances
     if not kids:
         raise EmptyTranscript(f"transcript {t.id!r} has no child utterances")
     exam = t.examiner_utterances()
@@ -124,20 +124,13 @@ def _fk_grade(words: float, sentences: float, syl: float) -> float:
     return 0.39 * (words / sentences) + 11.8 * (syl / words) - 15.59
 
 
-def flesch_kincaid(t: Transcript) -> float:
-    """Grade-level readability from word, sentence, and syllable totals."""
-    counts = production_counts(t)
-    syl = sum(syllables(w) for u in t.child_utterances() for w in u.clean_tokens)
-    return _fk_grade(counts["child_TNW"], counts["child_TNS"], syl)
-
-
 def fluency_and_errors(t: Transcript) -> dict[str, float]:
     """Event totals over child utterances.
 
     total_error = word-level errors plus utterance-level error postcodes,
     where every ``[+ ...]`` postcode counts.
     """
-    kids = t.child_utterances()
+    kids = t.child_utterances
     fillers = sum(u.events.fillers for u in kids)
     repetition = sum(u.events.repetitions for u in kids)
     retracing = sum(u.events.retracings for u in kids)
@@ -177,7 +170,7 @@ def base_features(t: Transcript, count_fusions: bool = False,
     if syllable_counts is None:
         syllable_counts = {}
     values = production_counts(t)
-    kids = t.child_utterances()
+    kids = t.child_utterances
     words = Counter([w.lower() for u in kids for w in u.clean_tokens])
     if not words:
         raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")

@@ -292,7 +292,7 @@ class _MaskCache(dict):
         cache look its tokens up once."""
         last, masks = self._last
         if last is not t:
-            utts = [u for u in t.child_utterances() if u.mor_tokens]
+            utts = [u for u in t.child_utterances if u.mor_tokens]
             # a token past the end of its utterance's words has surface ""
             per = [[self[tok, "'" in word] for tok, word
                     in zip(u.mor_tokens, itertools.chain(u.clean_tokens, itertools.repeat("")))]

@@ -7,8 +7,9 @@ and one trailing ``</s>``.  The vocabulary is the types seen at least
 add-k probabilities over any context sum to one.  One rule maps tokens,
 in training and in scoring alike: a token outside the model's vocab
 becomes ``<unk>``.  :func:`_map` applies it; :func:`_grams` cuts the
-n-grams of orders 1-3 from one mapping, and :func:`_order_grams` those of
-one order, for the single-model :func:`train` and :func:`perplexity`.
+n-grams of orders 1-3 from one mapping.  :func:`_train` counts them, and
+the single-model :func:`train` and :func:`perplexity` take one order of
+its models and cuts.
 
 ``smoothing_k`` must be finite and at least 0 and ``unk_threshold`` at
 least 1 (:func:`check_settings`).
@@ -57,14 +58,6 @@ class NGramModel:
     def vocab_size(self) -> int:
         return len(self.vocab)
 
-    def prob(self, ngram: tuple[str, ...]) -> float:
-        k = self.smoothing_k
-        num = self.counts.get(ngram, 0) + k
-        den = self.context_totals.get(ngram[:-1], 0) + k * self.vocab_size
-        if num == 0.0 or den == 0.0:
-            return 0.0
-        return num / den
-
 
 @dataclass(frozen=True)
 class _HeldOut:
@@ -89,7 +82,7 @@ def _child_sentences(transcripts, strings: dict[str, str] | None = None
     strings = {} if strings is None else strings
     sents = []
     for t in transcripts:
-        for u in t.child_utterances():
+        for u in t.child_utterances:
             toks = [strings.setdefault(w, w) for w in map(str.lower, u.clean_tokens)]
             if toks:
                 sents.append(toks)
@@ -112,16 +105,14 @@ def _check_order(order: int) -> None:
 
 def train(transcripts, order: int, smoothing_k: float = 1.0,
           unk_threshold: int = 1, pad: bool = True) -> NGramModel:
-    """The order-``order`` model, from a count of that order only."""
+    """The order-``order`` model of :func:`_train` on the child sentences
+    of ``transcripts``, taken as one group."""
     _check_order(order)
     check_settings(smoothing_k, unk_threshold)
     sents = _child_sentences(transcripts)
     if not sents:
         raise EmptyCorpus("no child tokens to train on")
-    vocab = _vocab(Counter(chain.from_iterable(sents)), unk_threshold, pad)
-    counts = Counter(_order_grams(_map(sents, vocab), order, pad))
-    return NGramModel(order, float(smoothing_k), int(unk_threshold), bool(pad),
-                      dict(counts), _context_totals(counts), vocab)
+    return _train([sents], smoothing_k, unk_threshold, pad)[order]
 
 
 def _vocab(freq: Counter, unk_threshold: int, pad: bool) -> frozenset[str]:
@@ -172,18 +163,6 @@ def _grams(mapped: list[list[str]], pad: bool) -> tuple[list, list, list]:
             g2 += zip(m, m1)
         g3 += zip(m, m1, m2)
     return g1, g2, g3
-
-
-def _order_grams(mapped: list[list[str]], order: int, pad: bool) -> list:
-    """The order-``order`` n-grams of the ``mapped`` sentences, in position
-    order: those of :func:`_grams` for that order alone."""
-    lead = [BOS] * (order - 1)
-    grams: list[tuple[str, ...]] = []
-    for m in mapped:
-        if pad:
-            m = [*lead, *m, EOS]
-        grams += zip(*(m[i:] for i in range(order)))
-    return grams
 
 
 def _context_totals(counts) -> dict[tuple[str, ...], int]:
@@ -258,7 +237,8 @@ def _perplexity(model: NGramModel, grams: list[tuple[str, ...]], where: str,
     zero probability raises ``ZeroProbability`` naming ``where`` and the
     first such n-gram in position order.  The logs are added left to right
     in position order: builtin ``sum`` compensates from Python 3.12."""
-    # NGramModel.prob's arithmetic, inlined
+    # the add-k probability (count + k) / (context total + k * vocab size),
+    # inlined in each loop: a call per n-gram slows extract's scoring
     counts, totals, k = model.counts.get, model.context_totals.get, model.smoothing_k
     log_sum = 0.0
     if held is None:
@@ -324,7 +304,7 @@ def perplexity(model: NGramModel, t: Transcript) -> float:
     sents = _child_sentences([t])
     if not sents:
         raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
-    grams = _order_grams(_map(sents, model.vocab), model.order, model.pad)
+    grams = _grams(_map(sents, model.vocab), model.pad)[model.order - 1]
     return _perplexity(model, grams, f"transcript {t.id!r}, order-{model.order} model")
 
 
@@ -410,8 +390,9 @@ def load_model(path: str | Path) -> NGramModel:
     raises ``DataError`` naming the file.  So does a header that
     :func:`train` would refuse: an order outside 1-3, a setting that
     fails :func:`check_settings`, or a ``pad`` other than 0 or 1, a count
-    with more digits than ``int`` converts, and a byte that is not UTF-8,
-    named with its offset in the file."""
+    with more digits than ``int`` converts, an n-gram on a second line
+    (named with both line numbers), and a byte that is not UTF-8, named
+    with its offset in the file."""
     lines = read_text(path).rstrip("\n").split("\n")
     header = lines[0].split("\t")
     if header[0] != "ngram":
@@ -441,6 +422,10 @@ def load_model(path: str | Path) -> NGramModel:
         gram = tuple(gram_text.split(" "))
         if not (tab and count_text.isdecimal() and len(gram) == order):
             raise DataError(f"{path}: line {lineno}: malformed n-gram line {ln!r}")
+        if gram in counts:
+            first = next(n for n, earlier in enumerate(lines[2:], start=3)
+                         if earlier.partition("\t")[2] == gram_text)
+            raise DataError(f"{path}: line {lineno}: n-gram {gram_text!r} repeats line {first}")
         try:
             counts[gram] = int(count_text)
         except ValueError:  # more digits than int() converts

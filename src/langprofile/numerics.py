@@ -236,10 +236,6 @@ def pca_project(model: PcaModel, m: FeatureMatrix) -> np.ndarray:
     return m.values @ model.components
 
 
-def pca_reconstruct(model: PcaModel, scores: np.ndarray) -> np.ndarray:
-    return scores @ model.components.T
-
-
 def explained_variance(eigenvalues, total: float | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Per-component variance percentages and their running cumulative.
@@ -254,11 +250,6 @@ def explained_variance(eigenvalues, total: float | None = None
         raise ZeroTotal("total variance is zero")
     ratios = w / total * 100.0
     return ratios, np.cumsum(ratios)
-
-
-def cumulative(ratios) -> np.ndarray:
-    """Running sum of already-computed percentage ratios."""
-    return np.cumsum(np.asarray(ratios, dtype=float))
 
 
 def kaiser_count(eigenvalues) -> int:

@@ -42,6 +42,13 @@
   and reads the transcript's child sentences on every call, before
   ``ngram.perplexity`` and ``ngram.perplexity_features`` scored windows
   from one read of the sentences.
+* ``add_k_prob`` is ``NGramModel.prob``, the add-k probability of one
+  n-gram, before ``ngram._perplexity`` kept the formula's only copy in
+  ``src/``; ``loop_perplexity`` and the probability-sum tests call it.
+* ``flesch_kincaid`` counts the grade level's words, sentences and
+  syllables itself, before ``extract.base_features`` read them from the
+  totals it had already computed; ``two_pass_extract_cohort`` calls it,
+  so it is the reference for ``f_k``.
 * ``loop_dss_score``, ``loop_ipsyn_total`` and ``loop_sequence_count``
   interpret a scoring table rule by rule, testing every token against
   every predicate, before ``scoring.dss_score`` and
@@ -272,6 +279,17 @@ def copy_leave_one_out(members, full: dict[int, ngram.NGramModel]):
         yield models
 
 
+def add_k_prob(model: ngram.NGramModel, gram: tuple[str, ...]) -> float:
+    """The add-k probability of ``gram`` under ``model``: (count + k) /
+    (context total + k * vocab size), or 0.0 where either is zero."""
+    k = model.smoothing_k
+    num = model.counts.get(gram, 0) + k
+    den = model.context_totals.get(gram[:-1], 0) + k * model.vocab_size
+    if num == 0.0 or den == 0.0:
+        return 0.0
+    return num / den
+
+
 def loop_perplexity(model: ngram.NGramModel, t) -> float:
     """exp of mean negative log probability per scored position."""
     sents = ngram._child_sentences([t])
@@ -286,7 +304,7 @@ def loop_perplexity(model: ngram.NGramModel, t) -> float:
         # every window predicts its final symbol; <s> fills context only
         for i in range(len(mapped) - model.order + 1):
             gram = tuple(mapped[i:i + model.order])
-            p = model.prob(gram)
+            p = add_k_prob(model, gram)
             if p <= 0.0:
                 raise ZeroProbability(f"zero probability for {gram} (k=0 and unseen)")
             log_sum += math.log(p)
@@ -294,6 +312,13 @@ def loop_perplexity(model: ngram.NGramModel, t) -> float:
     if n == 0:
         raise EmptyTranscript(f"transcript {t.id!r} has no scorable positions")
     return math.exp(-log_sum / n)
+
+
+def flesch_kincaid(t: Transcript) -> float:
+    """Grade-level readability from word, sentence, and syllable totals."""
+    counts = fx.production_counts(t)
+    syl = sum(fx.syllables(w) for u in t.child_utterances for w in u.clean_tokens)
+    return fx._fk_grade(counts["child_TNW"], counts["child_TNS"], syl)
 
 
 def loop_perplexity_features(t, sli_models, td_models) -> dict[str, float]:
@@ -320,7 +345,7 @@ def _extract_all(t, stats, lms, count_fusions=False, dss_table=None,
     flags |= f
     values.update(pos_patterns(t))
     values.update(fx.fluency_and_errors(t))
-    values["f_k"] = fx.flesch_kincaid(t)
+    values["f_k"] = flesch_kincaid(t)
 
     try:
         values["dss"] = scoring.dss_score(t, dss_table)
@@ -459,7 +484,7 @@ def loop_dss_score(t, table: dict | None = None) -> float:
     """Mean per-utterance DSS score over scorable child utterances."""
     if table is None:
         table = scoring.default_dss_table()
-    scorable = [u for u in t.child_utterances() if is_scorable(u)]
+    scorable = [u for u in t.child_utterances if is_scorable(u)]
     if not scorable:
         raise NoScorableUtterances("no child utterance with a verbal mor element")
     total = 0.0
@@ -488,7 +513,7 @@ def loop_ipsyn_total(t, table: dict | None = None) -> float:
     """IPSyn checklist score: occurrences per structure capped at ``cap``."""
     if table is None:
         table = scoring.default_ipsyn_table()
-    utts = [u for u in t.child_utterances() if u.mor_tokens]
+    utts = [u for u in t.child_utterances if u.mor_tokens]
     if not utts:
         raise NoScorableUtterances("no child utterance carries a mor tier")
     cap = int(table.get("cap", 2))
@@ -525,12 +550,12 @@ def _is_inflected(tok: MorToken) -> bool:
 
 
 def _child_mor_utterances(t: Transcript) -> list[Utterance]:
-    return [u for u in t.child_utterances() if u.mor_tokens is not None]
+    return [u for u in t.child_utterances if u.mor_tokens is not None]
 
 
 def utterance_measures(t: Transcript, count_fusions: bool = False
                        ) -> tuple[dict[str, float], set[str]]:
-    kids = t.child_utterances()
+    kids = t.child_utterances
     if not kids:
         raise EmptyTranscript(f"transcript {t.id!r} has no child utterances")
     flags: set[str] = set()
@@ -568,7 +593,7 @@ def utterance_measures(t: Transcript, count_fusions: bool = False
 
 
 def lexical_measures(t: Transcript) -> tuple[dict[str, float], set[str]]:
-    kids = t.child_utterances()
+    kids = t.child_utterances
     tokens = [w.lower() for u in kids for w in u.clean_tokens]
     if not tokens:
         raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
@@ -612,7 +637,7 @@ def morpheme_markers(t: Transcript) -> tuple[dict[str, float], set[str]]:
     """
     counts = dict.fromkeys(MARKER_NAMES, 0)
     mor_utts = _child_mor_utterances(t)
-    if not mor_utts and t.child_utterances():
+    if not mor_utts and t.child_utterances:
         return {k: 0.0 for k in counts}, set(MARKER_NAMES)
     for u in mor_utts:
         for i, tok in enumerate(u.mor_tokens):

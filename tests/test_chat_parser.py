@@ -77,6 +77,12 @@ class TestParseChat:
         t = parse_chat("*MOT:\tcome here .\n")
         assert t.utterances[0].speaker is Speaker.OTHER
 
+    def test_child_utterances_are_built_once(self):
+        t = parse_chat("*CHI:\tdog .\n*EXA:\twhat ?\n*CHI:\tcat .\n")
+        kids = t.child_utterances
+        assert kids == (t.utterances[0], t.utterances[2])
+        assert t.child_utterances is kids
+
     def test_missing_diagnosis_is_unknown(self):
         text = "@ID:\teng|enni|CHI|5;00.|female|||Target_Child|||\n*CHI:\thi .\n"
         t = parse_chat(text)

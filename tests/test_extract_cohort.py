@@ -64,7 +64,7 @@ def test_each_extractor_and_table_runs_once(transcripts, monkeypatch):
     # one count pass per transcript, each table read once per job, and
     # each distinct lowercased child word's syllables counted once per job
     counts: dict[str, int] = {}
-    for name in ("production_counts", "fluency_and_errors", "flesch_kincaid", "syllables"):
+    for name in ("production_counts", "fluency_and_errors", "syllables"):
         _count_calls(monkeypatch, fx, name, counts)
     for name in ("dss_score", "ipsyn_total", "rule_counts", "default_dss_table",
                  "default_ipsyn_table", "default_counts_table"):
@@ -74,7 +74,7 @@ def test_each_extractor_and_table_runs_once(transcripts, monkeypatch):
         pipeline.extract_cohort(transcripts, _config(loo=True))
         n = len(transcripts) * calls
         words = len({w.lower() for t in transcripts
-                     for u in t.child_utterances() for w in u.clean_tokens}) * calls
+                     for u in t.child_utterances for w in u.clean_tokens}) * calls
         assert counts == {
             "production_counts": n, "fluency_and_errors": n, "syllables": words,
             "dss_score": n, "ipsyn_total": n, "rule_counts": n,

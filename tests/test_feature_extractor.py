@@ -11,15 +11,15 @@ from langprofile.features import scoring
 from langprofile.features.extract import (
     GroupStats,
     base_features,
-    flesch_kincaid,
     fluency_and_errors,
     production_counts,
     syllables,
     zscore_features,
 )
 from langprofile.features.schema import FEATURE_NAMES
-from tests.oracles import (MARKER_NAMES, lexical_measures, loop_dss_score, loop_ipsyn_total,
-                           morpheme_markers, pos_patterns, utterance_measures)
+from tests.oracles import (MARKER_NAMES, flesch_kincaid, lexical_measures, loop_dss_score,
+                           loop_ipsyn_total, morpheme_markers, pos_patterns,
+                           utterance_measures)
 
 
 def mk(text: str):
@@ -112,6 +112,7 @@ class TestFleschKincaid:
     def test_single_sentence(self):
         # 3 words, 1 sentence, 3 syllables
         val = flesch_kincaid(mk("*CHI:\tthe dog ran .\n"))
+        assert features("*CHI:\tthe dog ran .\n")[0]["f_k"] == val
         assert abs(val - (0.39 * 3 + 11.8 * 1 - 15.59)) < 1e-12
         assert abs(val - (-2.62)) < 1e-9
 
@@ -122,6 +123,8 @@ class TestFleschKincaid:
     def test_no_sentences_raises(self):
         with pytest.raises(DivisionDomain):
             flesch_kincaid(mk("*CHI:\tthe dog +...\n"))
+        with pytest.raises(DivisionDomain):
+            features("*CHI:\tthe dog +...\n")
 
 
 class TestLexicalMeasures:
