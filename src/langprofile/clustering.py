@@ -11,8 +11,10 @@ Determinism contract: every stochastic routine takes an explicit seed.
 k-means draws each restart from its own ``SeedSequence(seed).spawn``
 child. It seeds a block of restarts together, then runs their Lloyd loops
 as one batch on (restart, cluster, point) arrays, reading X's columns
-from one column-major copy when d < 8. Its results are ``==`` to running
-the restarts one at a time.
+from one column-major copy when d < 8. A silhouette sweep seeds each
+block once, at its largest k, and starts every k from the first k of
+those centres. Its results are ``==`` to running the restarts one at a
+time, k by k.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ def _as_distances(distances, n: int | None = None) -> np.ndarray:
 # restarts per batched block: the (restarts, k, n) buffers grow with it,
 # and past a few restarts the per-iteration interpreter cost is shared
 _BLOCK = 8
+_MAX_ITER = 300  # Lloyd iterations per restart, for kmeans and the sweep
 
 
 @dataclass(frozen=True)
@@ -210,8 +213,46 @@ def _check_points(X: np.ndarray) -> None:
                               f"with n={n}, d={d}: 4 d n max|x|^2 overflows")
 
 
+def _fits(X: np.ndarray, ks: tuple[int, ...], seed: int, n_init: int,
+          max_iter: int) -> dict[int, ClusterResult]:
+    """``kmeans``'s fit at each k in ``ks``, from one seeding per block.
+
+    k-means++ draws centre j from centres 0..j-1 alone, so each block of
+    restarts is seeded once at ``max(ks)`` and every k starts Lloyd from
+    the first k of those centres: the centres a seeding at k would draw.
+    The (restart, cluster, point) buffers are allocated once for
+    ``max(ks)``, and each k runs on a contiguous prefix of them."""
+    n = X.shape[0]
+    for k in ks:
+        if k < 1 or n < k:
+            raise DegenerateInput(f"need n >= k >= 1, got n={n} k={k}")
+    if n_init < 1:
+        raise ValueError(f"n_init must be at least 1, got {n_init}")
+    _check_points(X)
+    if not ks:
+        return {}
+    kmax = max(ks)
+    size = min(n_init, _BLOCK)
+    d2_flat, diff_flat = np.empty((2, size * kmax * n))
+    weights = np.tile(X.T, size)
+    cols = weights[:, :n]
+    children = np.random.SeedSequence(seed).spawn(n_init)
+    best: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+    for start in range(0, n_init, _BLOCK):
+        rngs = [np.random.default_rng(child) for child in children[start:start + _BLOCK]]
+        seeded = _batch_init(X, kmax, rngs, cols)
+        for k in ks:
+            d2_buf = d2_flat[:size * k * n].reshape(size, k, n)
+            diff_buf = diff_flat[:size * k * n].reshape(size, k, n)
+            for run in _lloyd_block(X, seeded[:, :k].copy(), max_iter, d2_buf, diff_buf,
+                                    weights):
+                if k not in best or run[2] < best[k][2]:
+                    best[k] = run
+    return {k: ClusterResult(k, *best[k], seed, n_init) for k in ks}
+
+
 def kmeans(points, k: int, seed: int, n_init: int = 32,
-           max_iter: int = 300) -> ClusterResult:
+           max_iter: int = _MAX_ITER) -> ClusterResult:
     """Best-of-``n_init`` k-means++ / Lloyd runs, selected by inertia
     (the first restart wins ties).
 
@@ -226,28 +267,7 @@ def kmeans(points, k: int, seed: int, n_init: int = 32,
     order, over the counts; for d = 1 they are per-cluster means. A
     non-finite point, or points whose squares could overflow, raise
     ``DegenerateInput`` before any fit."""
-    X = _as_points(points)
-    n = X.shape[0]
-    if k < 1 or n < k:
-        raise DegenerateInput(f"need n >= k >= 1, got n={n} k={k}")
-    if n_init < 1:
-        raise ValueError(f"n_init must be at least 1, got {n_init}")
-    _check_points(X)
-    size = min(n_init, _BLOCK)
-    d2_buf = np.empty((size, k, n))
-    diff_buf = np.empty((size, k, n))
-    weights = np.tile(X.T, size)
-    cols = weights[:, :n]
-    children = np.random.SeedSequence(seed).spawn(n_init)
-    best: tuple[np.ndarray, np.ndarray, float] | None = None
-    for start in range(0, n_init, _BLOCK):
-        rngs = [np.random.default_rng(child) for child in children[start:start + _BLOCK]]
-        C = _batch_init(X, k, rngs, cols)
-        for run in _lloyd_block(X, C, max_iter, d2_buf, diff_buf, weights):
-            if best is None or run[2] < best[2]:
-                best = run
-    assign, centroids, inertia = best
-    return ClusterResult(k, assign, centroids, inertia, seed, n_init)
+    return _fits(_as_points(points), (k,), seed, n_init, max_iter)[k]
 
 
 # -- silhouette ---------------------------------------------------------------
@@ -292,19 +312,17 @@ def check_k_range(k_range: tuple[int, ...]) -> None:
 
 def silhouette_sweep(points, distances, k_range, seed: int, n_init: int = 32
                      ) -> list[tuple[int, float, ClusterResult]]:
-    """``(k, mean silhouette, fit)`` for a fresh k-means fit at each k
-    (fixed seed); callers take the fit at their chosen k from here.
-    ``distances`` is ``_pairwise_distances(points)``. A repeated k raises
-    ``ValueError`` before any fit."""
+    """``(k, mean silhouette, fit)`` for a k-means fit at each k (fixed
+    seed), equal to ``kmeans(points, k, seed, n_init)``; callers take the
+    fit at their chosen k from here. Each block of restarts is seeded once,
+    at the largest k. ``distances`` is ``_pairwise_distances(points)``. A
+    repeated k raises ``ValueError`` before any fit."""
     k_range = tuple(k_range)
     check_k_range(k_range)
     X = _as_points(points)
     D = _as_distances(distances, len(X))
-    out = []
-    for k in k_range:
-        res = kmeans(X, k, seed, n_init)
-        out.append((k, _silhouette_from_distances(D, res.assignments), res))
-    return out
+    fits = _fits(X, k_range, seed, n_init, _MAX_ITER)
+    return [(k, _silhouette_from_distances(D, fits[k].assignments), fits[k]) for k in k_range]
 
 
 # -- hierarchical (Ward) and DBSCAN cross-checks ------------------------------

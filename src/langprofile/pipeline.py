@@ -30,6 +30,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -231,28 +232,31 @@ class Cohort:
         return np.array([1.0 if g == "SLI" else 0.0 for g in self.group])
 
 
-def _format_number(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return f"{x:.10g}"
+def _csv_text(header, lead, numbers: np.ndarray) -> str:
+    """The CSV of ``header`` and, per row i, the text fields ``lead[i]``
+    followed by the floats ``numbers[i]`` as ``f"{x:.10g}"`` writes them,
+    with a NaN written as ``""``.
 
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    ``csv`` quotes the text fields as it needs; the numbers never need it,
+    so each row of them is formatted in one ``"%.10g"`` call. The only
+    letters that writes are ``e``, ``inf`` and ``nan``, so ``nan`` in a row
+    of numbers can only be a NaN cell."""
+    lines: list[str] = []
+    # csv writes each row with one write() call; the empty last field leaves
+    # the row's line ending in the comma before its numbers
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    writer.writerows([*fields, ""] for fields in lead)
+    fmt = ",".join(["%.10g"] * numbers.shape[1])
+    return lines[0] + "".join(line[:-1] + (fmt % tuple(row)).replace("nan", "") + "\n"
+                              for line, row in zip(lines[1:], numbers.tolist()))
 
 
 def render_feature_csv(cohort: Cohort) -> str:
-    meta = zip(cohort.matrix.row_ids, cohort.corpus, cohort.group, cohort.age_months,
-               cohort.sex)
-    # Python floats format faster than np.float64, and to the same text
-    return _csv_text(csv_header(), (
-        [row_id, corpus, group, "" if age is None else str(age), sex,
-         *[_format_number(v) for v in values.tolist()]]
-        for (row_id, corpus, group, age, sex), values in zip(meta, cohort.matrix.values)))
+    return _csv_text(csv_header(), zip(
+        cohort.matrix.row_ids, cohort.corpus, cohort.group,
+        ["" if age is None else str(age) for age in cohort.age_months], cohort.sex),
+        cohort.matrix.values)
 
 
 def _csv_records(path):
@@ -267,6 +271,23 @@ def _csv_records(path):
             row += 1
     except csv.Error as exc:
         raise DataError(f"{path}: row {row}: {exc}") from None
+
+
+def _row_cells(path, r: int, cells: list[str]) -> list[float]:
+    """Row ``r``'s feature cells cell by cell: a blank cell is NaN, and a
+    cell that is not a number raises ``NonNumericCell`` naming it."""
+    vals = []
+    for name, cell in zip(FEATURE_NAMES, cells):
+        cell = cell.strip()
+        if not cell:
+            vals.append(float("nan"))
+            continue
+        try:
+            vals.append(float(cell))
+        except ValueError:
+            raise NonNumericCell(
+                f"{path}: row {r}, column {name!r}: {cell!r}") from None
+    return vals
 
 
 def ingest_feature_csv(path: str | Path) -> Cohort:
@@ -301,18 +322,11 @@ def ingest_feature_csv(path: str | Path) -> Cohort:
         else:
             ages.append(None)
         sex.append(row[4].strip().upper())
-        vals = []
-        for name, cell in zip(FEATURE_NAMES, row[5:]):
-            cell = cell.strip()
-            if not cell:
-                vals.append(float("nan"))
-                continue
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                raise NonNumericCell(
-                    f"{path}: row {r}, column {name!r}: {cell!r}") from None
-        rows.append(vals)
+        try:
+            # float() ignores the whitespace around a number itself
+            rows.append(list(map(float, row[5:])))
+        except ValueError:
+            rows.append(_row_cells(path, r, row[5:]))
     if not rows:
         raise DataError(f"{path}: no data rows")
     values = np.array(rows, dtype=float)
@@ -561,8 +575,6 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                                                     n_components=min(5, scores.shape[1])),
     }
 
-    flagged = set(boundary.indices)
-    outlier_set = set(int(i) for i in outliers)
     boundary_pcs = {}
     for j in range(min(3, scores.shape[1])):
         col = scores[list(boundary.indices), j] if boundary.indices else np.array([0.0])
@@ -616,13 +628,15 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         "pca_report.json": dumps_report(pca_report),
         "cluster_report.json": dumps_report(cluster_report),
         "boundary_report.json": dumps_report(boundary_report),
+        # cluster labels and 0/1 flags are small integers, which "%.10g" writes as such
         "pc_scores.csv": _csv_text(
             ["id", *[f"pc{j + 1}" for j in range(n_plot)], "cluster", "boundary", "outlier"],
-            ([row_id, *[_format_number(v) for v in scores[i, :n_plot].tolist()],
-              int(assignments[i]), int(i in flagged), int(i in outlier_set)]
-             for i, row_id in enumerate(cohort.matrix.row_ids))),
-        "silhouette_sweep.csv": _csv_text(["k", "silhouette"],
-                                          ([k, _format_number(s)] for k, s, _ in sweep)),
+            ([row_id] for row_id in cohort.matrix.row_ids),
+            np.column_stack([scores[:, :n_plot], assignments,
+                             np.isin(np.arange(n), boundary.indices),
+                             np.isin(np.arange(n), outliers)])),
+        "silhouette_sweep.csv": _csv_text(["k", "silhouette"], ([k] for k, _, _ in sweep),
+                                          np.array([[s] for _, s, _ in sweep])),
     }
 
     out_dir = Path(config.output_dir)

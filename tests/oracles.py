@@ -36,8 +36,9 @@
   whole matrix, O(n^3) in all, before ``clustering.ward_linkage`` read it
   from cached row minima.
 * ``per_element_feature_csv`` formats each ``np.float64`` of the feature
-  matrix on its own, before ``pipeline.render_feature_csv`` formatted
-  each row's Python floats.
+  matrix on its own through ``format_number``, before
+  ``pipeline.render_feature_csv`` formatted each row in one ``"%.10g"``
+  call.
 * ``loop_perplexity`` maps, pads and cuts the windows in its own loop,
   and reads the transcript's child sentences on every call, before
   ``ngram.perplexity`` and ``ngram.perplexity_features`` scored windows
@@ -85,7 +86,7 @@ from langprofile.features import extract as fx
 from langprofile.features import scoring
 from langprofile.features.schema import FEATURE_NAMES, csv_header
 from langprofile.numerics import FeatureMatrix
-from langprofile.pipeline import Cohort, _format_number
+from langprofile.pipeline import Cohort
 
 
 def permutation_mapping_accuracy(a, b) -> float:
@@ -450,6 +451,13 @@ def argmin_ward(distances, k: int) -> np.ndarray:
     return labels
 
 
+def format_number(x: float) -> str:
+    """One value as the CSVs write it: ``""`` for NaN, else ``f"{x:.10g}"``."""
+    if isinstance(x, float) and math.isnan(x):
+        return ""
+    return f"{x:.10g}"
+
+
 def per_element_feature_csv(cohort: Cohort) -> str:
     """The feature CSV with every matrix value formatted as an ``np.float64``."""
     buf = io.StringIO()
@@ -459,7 +467,7 @@ def per_element_feature_csv(cohort: Cohort) -> str:
         age = cohort.age_months[i]
         meta = [row_id, cohort.corpus[i], cohort.group[i],
                 "" if age is None else str(age), cohort.sex[i]]
-        writer.writerow(meta + [_format_number(v) for v in cohort.matrix.values[i]])
+        writer.writerow(meta + [format_number(v) for v in cohort.matrix.values[i]])
     return buf.getvalue()
 
 

@@ -194,6 +194,23 @@ class TestKMeans:
         assert np.array_equal(got_d2[:, 0],
                               np.stack([np.sum((X - c) ** 2, axis=1) for c in first[:, 0]]))
 
+    @pytest.mark.parametrize("case", range(12))
+    def test_seeding_at_a_larger_k_starts_with_the_smaller_ks_centres(self, case):
+        # the sweep seeds once at its largest k and starts each k from a prefix
+        rng = np.random.default_rng(case)
+        d = (1, 2, 3, 8, 10, 12)[case % 6]
+        n = int(rng.integers(2, 120))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.01, 100)
+        if case % 3 == 0:
+            X = np.round(X, 0)
+            X[rng.integers(n, size=n // 2)] = X[0]
+        kmax = (n, int(rng.integers(1, n + 1)))[case % 2]
+        children = np.random.SeedSequence(case).spawn(int(rng.integers(1, 9)))
+        full = clustering._batch_init(X, kmax, [np.random.default_rng(c) for c in children])
+        for k in {k for k in (1, 2, kmax // 2, kmax) if 1 <= k <= kmax}:
+            alone = clustering._batch_init(X, k, [np.random.default_rng(c) for c in children])
+            assert np.array_equal(full[:, :k], alone)
+
     @pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"),
                                               (-np.inf, "-inf")])
     def test_non_finite_point_is_named(self, value, shown):
@@ -272,7 +289,7 @@ class TestSilhouette:
     def test_sweep_rejects_repeated_k_before_any_fit(self, monkeypatch):
         X, _ = two_blobs(120, seed=3)
         calls = []
-        monkeypatch.setattr(clustering, "kmeans", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(clustering, "_fits", lambda *a, **kw: calls.append(a))
         with pytest.raises(ValueError, match=r"repeats k \[3\]"):
             silhouette_sweep(X, _pairwise_distances(X), (3, 3, 2), seed=1, n_init=4)
         assert calls == []
@@ -288,6 +305,49 @@ class TestSilhouette:
             assert np.array_equal(fit.centroids, fresh.centroids)
             assert fit.inertia == fresh.inertia
             assert (fit.seed, fit.n_init) == (11, 4)
+
+    def test_sweep_checks_every_k_and_n_init_before_any_fit(self, monkeypatch):
+        X = np.random.default_rng(4).normal(size=(10, 2))
+        D = _pairwise_distances(X)
+        calls = []
+        monkeypatch.setattr(clustering, "_lloyd_block", lambda *a: calls.append(a))
+        with pytest.raises(DegenerateInput, match=r"need n >= k >= 1, got n=10 k=12"):
+            silhouette_sweep(X, D, (2, 12), seed=1, n_init=4)
+        with pytest.raises(ValueError, match="n_init must be at least 1, got 0"):
+            silhouette_sweep(X, D, (2, 3), seed=1, n_init=0)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["unsorted", "n_init_17", "k_is_n", "duplicates",
+                                      "d8", "d10_fortran"])
+    def test_sweep_fits_equal_serial_oracle(self, case):
+        rng = np.random.default_rng(3)
+        k_range, n_init = (5, 2, 3), 11
+        if case in ("unsorted", "n_init_17"):
+            X, _ = two_blobs(90, seed=3, dims=3)
+            if case == "n_init_17":
+                k_range, n_init = (4, 2, 7), 17
+        elif case == "k_is_n":
+            X = rng.normal(size=(9, 2))
+            k_range = (9, 2, 5)
+        elif case == "duplicates":
+            # seven distinct points: every restart at k = 8 repairs an empty cluster
+            X = np.vstack([np.repeat([[0.0, 0.0], [5.0, 1.0], [9.0, 9.0]], 10, axis=0),
+                           [[1.0, 0.5], [6.0, 2.0], [8.0, 9.5]]])
+            k_range = (8, 2, 3)
+        elif case == "d8":
+            X = rng.normal(size=(70, 8)) * 3.0
+        else:
+            X = np.asfortranarray(rng.normal(size=(60, 10)))
+        D = _pairwise_distances(X)
+        sweep = silhouette_sweep(X, D, k_range, seed=7, n_init=n_init)
+        assert [k for k, _, _ in sweep] == list(k_range)
+        for k, s, fit in sweep:
+            want = serial_kmeans(X, k, 7, n_init)
+            assert np.array_equal(fit.assignments, want.assignments)
+            assert np.array_equal(fit.centroids, want.centroids)
+            assert fit.inertia == want.inertia
+            assert (fit.k, fit.seed, fit.n_init) == (k, 7, n_init)
+            assert s == _silhouette_from_distances(D, want.assignments)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_array_silhouette_equals_loop_oracle(self, seed):

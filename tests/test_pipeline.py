@@ -1,6 +1,8 @@
 import builtins
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from langprofile.ngram import load_model, save_model
 from langprofile.numerics import FeatureMatrix
 from langprofile.synthetic import feature_table
 from tests.conftest import make_corpus
-from tests.oracles import per_element_feature_csv
+from tests.oracles import format_number, per_element_feature_csv
 
 
 def write_synthetic_csv(path, n=150, seed=5):
@@ -146,6 +148,79 @@ class TestIngest:
         text = pipeline.render_feature_csv(cohort)
         assert text == per_element_feature_csv(cohort)
         assert ",-0,0,1e-300,1e+300,4.940656458e-324,3,-17,1.23456789e+12," in text
+
+    def test_text_fields_quoted_and_numbers_formatted_as_per_element_csv(self):
+        # ids that csv must quote, an empty id, and rows with and without NaN
+        lead = [["a,b", "x"], ['q"t', ""], ["line\nbreak", "cr\rhere"], ["", " pad "]]
+        numbers = np.array([[1.5, -0.0, 5e-324], [np.nan, 2.0, 1e300],
+                            [0.1, np.nan, np.nan], [3.0, -17.0, 1.0 / 3.0]])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id", "tag", "u", "v", "w"])
+        for fields, row in zip(lead, numbers):
+            writer.writerow([*fields, *[format_number(v) for v in row]])
+        text = pipeline._csv_text(["id", "tag", "u", "v", "w"], lead, numbers)
+        assert text == buf.getvalue()
+        assert '"q""t",,,2,1e+300\n' in text and ",0.1,,\n" in text
+
+    @pytest.mark.parametrize("cell, value", [(" 1.5 ", 1.5), ("\t-2e3", -2000.0),
+                                             ("  ", np.nan), (" nan ", np.nan),
+                                             ("-0.0", -0.0), ("5e-324", 5e-324),
+                                             ("1_000", 1000.0)])
+    def test_padded_and_special_cells_parse_as_today(self, tmp_path, cell, value):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=3)
+        lines = csv_path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[9] = cell
+        lines[2] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        got = pipeline.ingest_feature_csv(csv_path).matrix.values[1, 4]
+        assert got == value or (np.isnan(value) and np.isnan(got))
+        assert math.copysign(1.0, got) == math.copysign(1.0, value)
+
+    @pytest.mark.parametrize("cell", [" inf", "1e400 "])
+    def test_padded_infinite_cell_is_refused(self, tmp_path, cell):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=3)
+        lines = csv_path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[6] = cell
+        lines[3] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonNumericCell, match=f"row 3, column {FEATURE_NAMES[1]!r}: "
+                                                 "not a finite number"):
+            pipeline.ingest_feature_csv(csv_path)
+
+    def test_bad_cell_after_a_blank_one_is_named(self, tmp_path):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=3)
+        lines = csv_path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[6] = ""
+        cells[11] = " 1.2.3 "
+        lines[2] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonNumericCell) as err:
+            pipeline.ingest_feature_csv(csv_path)
+        assert str(err.value) == f"{csv_path}: row 2, column {FEATURE_NAMES[6]!r}: '1.2.3'"
+
+    def test_render_then_ingest_reads_back_every_written_float(self, tmp_path):
+        special = [np.nan, -0.0, 0.0, 5e-324, 1e-300, 1e300, 3.0, 0.1, 1.0 / 3.0]
+        values = np.resize(np.array(special), (4, len(FEATURE_NAMES)))
+        values[3] = np.arange(len(FEATURE_NAMES), dtype=float) / 8.0
+        ids = ("a", "b,c", "d", "")
+        cohort = pipeline.Cohort(FeatureMatrix(values, FEATURE_NAMES, ids), ("x",) * 4,
+                                 ("SLI", "TD", "", "TD"), (40, None, 51, 60), ("F", "", "M", ""))
+        csv_path = tmp_path / "f.csv"
+        csv_path.write_text(pipeline.render_feature_csv(cohort), encoding="utf-8")
+        loaded = pipeline.ingest_feature_csv(csv_path)
+        assert loaded.matrix.row_ids == ids
+        got = loaded.matrix.values
+        want = np.array([[float(f"{v:.10g}") for v in row] for row in values.tolist()])
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got[~np.isnan(want)], want[~np.isnan(want)])
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_round_trip(self, tmp_path):
         csv_path = tmp_path / "f.csv"
@@ -375,17 +450,19 @@ class TestRunPipeline:
     def test_kmeans_fitted_once_per_k_plus_three_planes(self, bundle_env, monkeypatch):
         cfg, _ = bundle_env
         config = pipeline.load_config(cfg)
-        fitted_k = []
-        kmeans = clustering.kmeans
+        fitted_ks = []
+        fits = clustering._fits
 
-        def counting_kmeans(points, k, *args, **kwargs):
-            fitted_k.append(k)
-            return kmeans(points, k, *args, **kwargs)
+        def counting_fits(X, ks, *args, **kwargs):
+            fitted_ks.append(tuple(ks))
+            return fits(X, ks, *args, **kwargs)
 
-        monkeypatch.setattr(clustering, "kmeans", counting_kmeans)
+        monkeypatch.setattr(clustering, "_fits", counting_fits)
         bundle = pipeline.run_pipeline(config)
-        assert len(fitted_k) == len(config.k_range) + 3
-        assert fitted_k == list(config.k_range) + [bundle.cluster_report["chosen_k"]] * 3
+        # one sweep call fits every k once; each plane then fits the chosen k
+        chosen = bundle.cluster_report["chosen_k"]
+        assert fitted_ks == [tuple(config.k_range)] + [(chosen,)] * 3
+        assert sum(map(len, fitted_ks)) == len(config.k_range) + 3
 
     def test_distances_built_once(self, bundle_env, monkeypatch):
         cfg, _ = bundle_env
