@@ -26,24 +26,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _lm_setting(name: str, parse):
-    """An argparse type: ``parse`` the flag's text, then range-check it as
-    ``ngram.check_settings`` argument ``name``."""
+def _lm_setting(name: str):
+    """An argparse type: the flag's text read as ``PipelineConfig`` field
+    ``name`` declares."""
     def setting(text: str):
         try:
-            value = parse(text)
-            ngram.check_settings(**{name: value})
+            return pipeline.parse_setting(name, text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"invalid value {text!r}: {exc}") from None
-        return value
     return setting
 
 
 def _add_lm_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--smoothing-k", type=_lm_setting("smoothing_k", float),
+    p.add_argument("--smoothing-k", type=_lm_setting("smoothing_k"),
                    default=pipeline.PipelineConfig.smoothing_k,
                    help="add-k smoothing constant (finite, >= 0)")
-    p.add_argument("--unk-threshold", type=_lm_setting("unk_threshold", int),
+    p.add_argument("--unk-threshold", type=_lm_setting("unk_threshold"),
                    default=pipeline.PipelineConfig.unk_threshold,
                    help="types rarer than this become <unk> (>= 1)")
 
@@ -66,18 +64,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="count fused affixes as morphemes")
     p.add_argument("--dss-table", default="", help="custom DSS scoring table (JSON)")
     p.add_argument("--ipsyn-table", default="", help="custom IPSyn checklist (JSON)")
+    p.set_defaults(run=_cmd_extract)
 
     p = sub.add_parser("train-lm", help="train and save the six group "
                                         "language models")
     p.add_argument("transcripts", help="directory containing .cha files")
     p.add_argument("-o", "--output", required=True, help="output directory")
     _add_lm_flags(p)
+    p.set_defaults(run=_cmd_train_lm)
 
     p = sub.add_parser("analyze", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True, help="pipeline config file")
+    p.set_defaults(run=_cmd_analyze)
 
     p = sub.add_parser("report", help="render report JSON as readable tables")
     p.add_argument("path", help="a report .json file or a bundle directory")
+    p.set_defaults(run=_cmd_report)
     return parser
 
 
@@ -181,15 +183,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "extract":
-            return _cmd_extract(args)
-        if args.command == "train-lm":
-            return _cmd_train_lm(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

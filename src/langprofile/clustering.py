@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -529,8 +531,9 @@ def ari(a, b) -> float:
 
 
 def _entropy(sizes: np.ndarray, n: int) -> float:
-    # written as p * log(n / count) to share rounding with the MI terms
-    return float(sum((c / n) * math.log(n / c) for c in sizes if c > 0))
+    # written as p * log(n / count) to share rounding with the MI terms, and
+    # added left to right: builtin sum compensates from Python 3.12
+    return float(reduce(add, ((c / n) * math.log(n / c) for c in sizes if c > 0), 0.0))
 
 
 def _mutual_information(C: np.ndarray, rows: np.ndarray, cols: np.ndarray,

@@ -12,6 +12,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from ..chat import Terminator, Transcript
 from ..errors import DataError, EmptyTranscript, DivisionDomain, NoScorableUtterances, ZeroSd
@@ -80,8 +82,9 @@ class GroupStats:
             for feat in features:
                 vals = [m[feat] for m in members]
                 n = len(vals)
-                mean = sum(vals) / n
-                var = sum((v - mean) ** 2 for v in vals) / (n - 1)
+                # added left to right: builtin sum compensates from Python 3.12
+                mean = reduce(add, vals, 0.0) / n
+                var = reduce(add, ((v - mean) ** 2 for v in vals), 0.0) / (n - 1)
                 sd = var ** 0.5
                 if sd == 0.0:
                     raise ZeroSd(f"feature {feat} is constant within group {g}")

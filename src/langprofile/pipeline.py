@@ -12,8 +12,9 @@ through the same :func:`load_cohort` and :func:`write_files`.  A stage
 that fails on a documented input raises ``PipelineError`` naming the
 stage; a write that fails removes the files it opened.
 
-Each input file is read once, through ``errors.read_text``.  A config key
-the file leaves out keeps its one default, the ``PipelineConfig`` field's.
+Each input file is read once, through ``errors.read_text``.  Each config
+key is declared once, on its ``PipelineConfig`` field: its ``[section]
+key``, parser, range check and default.
 
 Each JSON report embeds the config hash and seed; a rerun with identical
 input bytes and config produces byte-identical outputs.
@@ -28,7 +29,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -60,16 +61,20 @@ REPORT_FILES = ("feature_matrix.csv", "pca_report.json", "cluster_report.json",
 # -- configuration -----------------------------------------------------------
 
 def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+def _parse_mode(text: str) -> str:
+    mode = text.lower()
+    if mode not in ("transcripts", "csv"):
+        raise ValueError(f"not an input mode: {text!r}")
+    return mode
 
 
 def _parse_k_range(text: str) -> tuple[int, ...]:
-    text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
@@ -79,9 +84,25 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+def _parse_eps(text: str) -> str:
+    if text != "auto" and not 0.0 < float(text) < math.inf:
+        raise ValueError(f"not a positive number: {text!r}")
+    return text
+
+
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
 def _check_boundary_percentile(boundary_percentile: float) -> None:
     if not 0.0 < boundary_percentile < 50.0:
         raise ValueError("boundary_percentile must be in (0, 50)")
+
+
+def _check_features(effect_features: tuple[str, ...]) -> None:
+    unknown = [name for name in effect_features if name not in FEATURE_NAMES]
+    if unknown:
+        raise ValueError(f"effect_features has unknown features {unknown}")
 
 
 def _at_least(low: int):
@@ -95,30 +116,45 @@ def _at_least(low: int):
 
 # what each config value parser accepts, for error messages
 _KINDS = {int: "an integer", float: "a number", _parse_bool: "a boolean",
+          _parse_mode: "'transcripts' or 'csv'", _parse_eps: "'auto' or a positive number",
           _parse_k_range: "a range lo..hi or a comma list of integers"}
+
+
+def _key(section: str, key: str, parse, check=None, default=MISSING):
+    """A ``PipelineConfig`` field read from config key ``[section] key`` by
+    ``parse`` and range-checked by ``check(key=value)``; a field given no
+    ``default`` is a required key."""
+    return field(default=default, metadata={"section": section, "key": key,
+                                            "parse": parse, "check": check})
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    input_mode: str                 # "transcripts" | "csv"
-    input_path: str
-    output_dir: str
-    seed: int
-    count_fusions: bool = False
-    dss_table: str = ""
-    ipsyn_table: str = ""
-    smoothing_k: float = 1.0
-    unk_threshold: int = 1
-    loo: bool = False
-    prune_threshold: float = 0.95
-    top_k: int = 5
-    k_range: tuple[int, ...] = tuple(range(2, 11))
-    n_init: int = 32
-    boundary_percentile: float = 5.0
-    pc_dims: int = 3
-    dbscan_eps: str = "auto"        # "auto" or a float literal
-    dbscan_min_pts: int = 5
-    effect_features: tuple[str, ...] = ("child_TNW", "mlu_morphemes", "word_errors")
+    input_mode: str = _key("input", "mode", _parse_mode)  # "transcripts" | "csv"
+    input_path: str = _key("input", "path", str)
+    output_dir: str = _key("output", "dir", str)
+    seed: int = _key("clustering", "seed", int, _at_least(0))
+    count_fusions: bool = _key("schema", "count_fusions", _parse_bool, default=False)
+    dss_table: str = _key("schema", "dss_table", str, default="")
+    ipsyn_table: str = _key("schema", "ipsyn_table", str, default="")
+    smoothing_k: float = _key("lm", "smoothing_k", float, ngram.check_settings, default=1.0)
+    unk_threshold: int = _key("lm", "unk_threshold", int, ngram.check_settings, default=1)
+    loo: bool = _key("lm", "loo", _parse_bool, default=False)
+    prune_threshold: float = _key("prune", "threshold", float, numerics.check_threshold,
+                                  default=0.95)
+    top_k: int = _key("pca", "top_k", int, _at_least(1), default=5)
+    k_range: tuple[int, ...] = _key("clustering", "k_range", _parse_k_range,
+                                    clustering.check_k_range, default=tuple(range(2, 11)))
+    n_init: int = _key("clustering", "n_init", int, _at_least(1), default=32)
+    boundary_percentile: float = _key("clustering", "boundary_percentile", float,
+                                      _check_boundary_percentile, default=5.0)
+    pc_dims: int = _key("clustering", "pc_dims", int, _at_least(1), default=3)
+    dbscan_eps: str = _key("clustering", "dbscan_eps", _parse_eps,
+                           default="auto")  # "auto" or a float literal
+    dbscan_min_pts: int = _key("clustering", "dbscan_min_pts", int, _at_least(1), default=5)
+    effect_features: tuple[str, ...] = _key(
+        "clustering", "effect_features", _parse_names, _check_features,
+        default=("child_TNW", "mlu_morphemes", "word_errors"))
 
     def canonical(self) -> str:
         pairs = sorted((k, v) for k, v in self.__dict__.items())
@@ -129,27 +165,24 @@ class PipelineConfig:
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
 
 
-# [section] key -> (PipelineConfig field, parser, range check or None); a
-# key the file leaves out keeps the field's default
-_SETTINGS = {
-    ("schema", "count_fusions"): ("count_fusions", _parse_bool, None),
-    ("schema", "dss_table"): ("dss_table", str, None),
-    ("schema", "ipsyn_table"): ("ipsyn_table", str, None),
-    ("lm", "smoothing_k"): ("smoothing_k", float, ngram.check_settings),
-    ("lm", "unk_threshold"): ("unk_threshold", int, ngram.check_settings),
-    ("lm", "loo"): ("loo", _parse_bool, None),
-    ("prune", "threshold"): ("prune_threshold", float, numerics.check_threshold),
-    ("pca", "top_k"): ("top_k", int, _at_least(1)),
-    ("clustering", "k_range"): ("k_range", _parse_k_range, clustering.check_k_range),
-    ("clustering", "n_init"): ("n_init", int, _at_least(1)),
-    ("clustering", "boundary_percentile"): ("boundary_percentile", float,
-                                            _check_boundary_percentile),
-    ("clustering", "pc_dims"): ("pc_dims", int, _at_least(1)),
-    ("clustering", "dbscan_min_pts"): ("dbscan_min_pts", int, _at_least(1)),
-}
+def parse_setting(name: str, text: str):
+    """``text`` read as ``PipelineConfig`` field ``name`` declares: parsed,
+    then range-checked.  A bad text raises ``ValueError`` whose message
+    starts with the field's config key."""
+    meta = PipelineConfig.__dataclass_fields__[name].metadata
+    parse, check, key = meta["parse"], meta["check"], meta["key"]
+    try:
+        value = parse(text)
+    except ValueError:
+        raise ValueError(f"{key} must be {_KINDS[parse]}") from None
+    if check is not None:
+        check(**{key: value})
+    return value
 
 
 def load_config(path: str | Path) -> PipelineConfig:
+    """The config of file ``path``; a key it leaves out keeps its field's
+    default, and ``$LANGPROFILE_SEED``, when set, overrides the seed."""
     parser = configparser.ConfigParser()
     try:
         parser.read_string(read_text(path), source=os.fspath(path))
@@ -158,63 +191,28 @@ def load_config(path: str | Path) -> PipelineConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    def get(section: str, key: str, required: bool = False) -> str | None:
-        if parser.has_option(section, key):
-            try:
-                return parser.get(section, key).strip()
-            except configparser.Error as exc:  # interpolation of % in the value
-                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
-        if required:
-            raise ConfigError(f"missing required config key [{section}] {key}")
-        return None
-
-    def value(section: str, key: str, parse, text: str, check=None):
-        try:
-            parsed = parse(text)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be {_KINDS[parse]}, "
-                              f"got {text!r}") from None
-        if check is not None:
-            try:
-                check(**{key: parsed})
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {exc}, got {text!r}") from None
-        return parsed
-
-    mode = get("input", "mode", required=True).lower()
-    if mode not in ("transcripts", "csv"):
-        raise ConfigError(f"input mode must be 'transcripts' or 'csv', got {mode!r}")
-    in_path = get("input", "path", required=True)
-    out_dir = get("output", "dir", required=True)
-
-    seed_text = os.environ.get(SEED_ENV_VAR, "").strip() or get("clustering", "seed")
-    if not seed_text:
-        raise ConfigError("a clustering seed is required ([clustering] seed "
-                          f"or ${SEED_ENV_VAR})")
-    seed = value("clustering", "seed", int, seed_text, _at_least(0))
-
     settings = {}
-    eps = get("clustering", "dbscan_eps")
-    if eps is not None:
-        if eps != "auto" and not 0.0 < value("clustering", "dbscan_eps", float, eps) < math.inf:
-            raise ConfigError(f"[clustering] dbscan_eps must be 'auto' or a positive "
-                              f"number, got {eps!r}")
-        settings["dbscan_eps"] = eps
-
-    effect_text = get("clustering", "effect_features")
-    if effect_text is not None:
-        effect_features = tuple(f.strip() for f in effect_text.split(",") if f.strip())
-        unknown = [f for f in effect_features if f not in FEATURE_NAMES]
-        if unknown:
-            raise ConfigError(f"[clustering] effect_features: unknown features {unknown}")
-        settings["effect_features"] = effect_features
-
-    for (section, key), (name, parse, check) in _SETTINGS.items():
-        text = get(section, key)
-        if text is not None:
-            settings[name] = value(section, key, parse, text, check)
-    return PipelineConfig(input_mode=mode, input_path=in_path, output_dir=out_dir,
-                          seed=seed, **settings)
+    for f in fields(PipelineConfig):
+        section, key = f.metadata["section"], f.metadata["key"]
+        try:
+            text = parser.get(section, key, fallback=None)
+        except configparser.Error as exc:  # interpolation of % in the value
+            raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
+        text = text if text is None else text.strip()
+        if f.name == "seed":
+            text = os.environ.get(SEED_ENV_VAR, "").strip() or text
+            if not text:
+                raise ConfigError("a clustering seed is required ([clustering] seed "
+                                  f"or ${SEED_ENV_VAR})")
+        if text is None:
+            if f.default is MISSING:
+                raise ConfigError(f"missing required config key [{section}] {key}")
+            continue
+        try:
+            settings[f.name] = parse_setting(f.name, text)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}, got {text!r}") from None
+    return PipelineConfig(**settings)
 
 
 # -- cohort: feature matrix plus per-row metadata ------------------------------
@@ -409,10 +407,6 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.10g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 

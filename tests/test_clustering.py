@@ -638,6 +638,17 @@ class TestAgreement:
                                                              average_method="max")
             assert abs(ami(a, b) - ref) < 1e-8
 
+    def test_entropy_adds_left_to_right(self):
+        # for these cluster sizes the running sum of the terms and their
+        # exact sum, as builtin sum gives from Python 3.12, differ in the last bit
+        sizes, n = (1, 2, 11), 14
+        terms = [(c / n) * math.log(n / c) for c in sizes]
+        running = 0.0
+        for term in terms:
+            running += term
+        assert running != math.fsum(terms)
+        assert clustering._entropy(np.array(sizes), n) == running
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             ari([0, 1], [0, 1, 2])

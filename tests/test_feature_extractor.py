@@ -530,6 +530,20 @@ class TestZScores:
         assert mean == 3.0 and n == 2
         assert abs(sd - math.sqrt(2.0)) < 1e-12
 
+    def test_from_rows_adds_left_to_right(self):
+        # left to right, 1e16 + 1.0 rounds back to 1e16 and the mean is 0.25;
+        # an exact sum, as builtin sum gives from Python 3.12, makes it 0.5
+        vals = [1e16, 1.0, -1e16, 1.0]
+        rows = [{"mlu_words": v} for v in vals + [1.0, 2.0]]
+        stats = GroupStats.from_rows(rows, ["SLI"] * 4 + ["TD"] * 2,
+                                     features=("mlu_words",))
+        mean, sd, _ = stats.get("SLI", "mlu_words")
+        assert mean == 0.25
+        squares = 0.0
+        for v in vals:
+            squares += (v - mean) ** 2
+        assert sd == (squares / 3) ** 0.5
+
 
 class TestExtractAll:
     @pytest.fixture()

@@ -1,5 +1,6 @@
 import builtins
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from langprofile.features.schema import FEATURE_NAMES, csv_header
 from langprofile.ngram import load_model, save_model
 from langprofile.numerics import FeatureMatrix
 from langprofile.synthetic import feature_table
-from tests.conftest import make_corpus
+from tests.conftest import build_cha, make_corpus
 from tests.oracles import format_number, per_element_feature_csv
 
 
@@ -277,6 +278,60 @@ class TestConfig:
                        "[output]\ndir = o\n")
         assert pipeline.load_config(cfg).k_range == (2, 4, 6)
 
+    @staticmethod
+    def _config_with(tmp_path, section, key, text):
+        """A config of the required keys, mode csv and seed 1, with
+        ``[section] key = text`` set."""
+        values = {"input": {"mode": "csv", "path": "x.csv"},
+                  "clustering": {"seed": "1"}, "output": {"dir": "o"}}
+        values.setdefault(section, {})[key] = text
+        lines = []
+        for name, pairs in values.items():
+            lines += [f"[{name}]"] + [f"{k} = {v}" for k, v in pairs.items()]
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("\n".join(lines) + "\n")
+        return cfg
+
+    # for each PipelineConfig field: its key, a valid text for it, and the
+    # value read, which is not the one the required-keys config gives
+    NON_DEFAULT = [
+        ("input_mode", "input", "mode", "Transcripts", "transcripts"),
+        ("input_path", "input", "path", "in put.csv", "in put.csv"),
+        ("output_dir", "output", "dir", "out dir", "out dir"),
+        ("seed", "clustering", "seed", "7", 7),
+        ("count_fusions", "schema", "count_fusions", "Yes", True),
+        ("dss_table", "schema", "dss_table", "dss.json", "dss.json"),
+        ("ipsyn_table", "schema", "ipsyn_table", "ipsyn.json", "ipsyn.json"),
+        ("smoothing_k", "lm", "smoothing_k", "0.5", 0.5),
+        ("unk_threshold", "lm", "unk_threshold", "2", 2),
+        ("loo", "lm", "loo", "on", True),
+        ("prune_threshold", "prune", "threshold", "0.8", 0.8),
+        ("top_k", "pca", "top_k", "3", 3),
+        ("k_range", "clustering", "k_range", "2..4", (2, 3, 4)),
+        ("n_init", "clustering", "n_init", "4", 4),
+        ("boundary_percentile", "clustering", "boundary_percentile", "10", 10.0),
+        ("pc_dims", "clustering", "pc_dims", "2", 2),
+        ("dbscan_eps", "clustering", "dbscan_eps", "0.7", "0.7"),
+        ("dbscan_min_pts", "clustering", "dbscan_min_pts", "3", 3),
+        ("effect_features", "clustering", "effect_features", " word_errors, child_TNW,",
+         ("word_errors", "child_TNW")),
+    ]
+
+    def test_every_field_has_a_non_default_case(self):
+        assert [case[0] for case in self.NON_DEFAULT] == \
+            [f.name for f in dataclasses.fields(pipeline.PipelineConfig)]
+
+    @pytest.mark.parametrize("name, section, key, text, value", NON_DEFAULT + [
+        ("input_mode", "input", "mode", "CSV", "csv"),
+        ("count_fusions", "schema", "count_fusions", "0", False),
+    ])
+    def test_valid_value_sets_its_field_alone(self, tmp_path, name, section, key, text,
+                                              value):
+        config = pipeline.load_config(self._config_with(tmp_path, section, key, text))
+        assert getattr(config, name) == value
+        required = pipeline.PipelineConfig("csv", "x.csv", "o", 1)
+        assert config == dataclasses.replace(required, **{name: value})
+
     @pytest.mark.parametrize("section, key, text", [
         ("clustering", "n_init", "abc"),
         ("clustering", "dbscan_eps", "zz"),
@@ -307,14 +362,7 @@ class TestConfig:
         ("clustering", "boundary_percentile", "nan"),
     ])
     def test_bad_value_exits_two_naming_key(self, tmp_path, capsys, section, key, text):
-        values = {"input": {"mode": "csv", "path": "x.csv"},
-                  "clustering": {"seed": "1"}, "output": {"dir": "o"}}
-        values.setdefault(section, {})[key] = text
-        lines = []
-        for name, pairs in values.items():
-            lines += [f"[{name}]"] + [f"{k} = {v}" for k, v in pairs.items()]
-        cfg = tmp_path / "c.ini"
-        cfg.write_text("\n".join(lines) + "\n")
+        cfg = self._config_with(tmp_path, section, key, text)
         assert cli.main(["analyze", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"[{section}] {key}" in err
@@ -1119,3 +1167,86 @@ class TestGroupSizes:
         assert cli.main(["train-lm", str(corpus_dir), "-o", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: stage 'write' failed: "
                                                   "[Errno 17] File exists")
+
+
+def _analyze_csv(tmp_path, edit):
+    """The argv that analyzes a 40-row synthetic feature CSV after
+    ``edit(lines)`` rewrote its lines, and the CSV's path."""
+    csv_path = tmp_path / "f.csv"
+    write_synthetic_csv(csv_path, n=40)
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    csv_path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+    cfg = write_config(tmp_path / "c.ini", csv_path, tmp_path / "out")
+    return ["analyze", "--config", str(cfg)], csv_path
+
+
+def _set_cell(lines, row, column, text):
+    cells = lines[row].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    lines[row] = ",".join(cells)
+
+
+def _missing_config(tmp_path):
+    cfg = tmp_path / "none.ini"
+    return ["analyze", "--config", str(cfg)], 2, f"data error: cannot read config file {str(cfg)!r}"
+
+
+def _empty_csv(tmp_path):
+    argv, csv_path = _analyze_csv(tmp_path, lambda lines: [])
+    return argv, 2, f"error: stage 'load' failed: {csv_path}: empty file"
+
+
+def _header_only_csv(tmp_path):
+    argv, csv_path = _analyze_csv(tmp_path, lambda lines: lines[:1])
+    return argv, 2, f"error: stage 'load' failed: {csv_path}: no data rows"
+
+
+def _non_integer_age(tmp_path):
+    def edit(lines):
+        _set_cell(lines, 1, "age_months", "abc")
+        return lines
+    argv, csv_path = _analyze_csv(tmp_path, edit)
+    return argv, 2, f"error: stage 'load' failed: {csv_path}: row 1, column 'age_months': 'abc'"
+
+
+def _blank_column(tmp_path):
+    def edit(lines):
+        for row in range(1, len(lines)):
+            _set_cell(lines, row, "n_aux", "")
+        return lines
+    argv, _ = _analyze_csv(tmp_path, edit)
+    return argv, 3, "error: stage 'impute' failed: column 'n_aux' has no observed values"
+
+
+def _no_cha_files(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "notes.txt").write_text("not a transcript\n", encoding="utf-8")
+    return (["extract", str(corpus), "-o", str(tmp_path / "f.csv")], 2,
+            f"error: stage 'load' failed: no .cha files under {str(corpus)!r}")
+
+
+def _no_reports(tmp_path):
+    (tmp_path / "notes.json").write_text("{}\n", encoding="utf-8")
+    return ["report", str(tmp_path)], 2, f"data error: no *_report.json files in {tmp_path}"
+
+
+def _wordless_transcript(tmp_path):
+    corpus = tmp_path / "corpus"
+    make_corpus(corpus)
+    (corpus / "z.cha").write_text(build_cha("z", "TD", "5;00.", "male", [], 0).replace(
+        "@End", "*CHI:\t&-um .\n@End"), encoding="utf-8")
+    return (["extract", str(corpus), "-o", str(tmp_path / "f.csv")], 2,
+            "error: stage 'extract' failed: transcript 'z' has no child tokens")
+
+
+@pytest.mark.parametrize("case", [
+    _missing_config, _empty_csv, _header_only_csv, _non_integer_age, _blank_column,
+    _no_cha_files, _no_reports, _wordless_transcript,
+], ids=lambda case: case.__name__.strip("_"))
+def test_documented_failure_exits_with_one_message(tmp_path, capsys, case):
+    """Each documented bad input ends in its exit code and one message that
+    names the file, column or transcript, with no traceback."""
+    argv, code, message = case(tmp_path)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == message + "\n"
