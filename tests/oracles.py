@@ -66,6 +66,10 @@
 * ``scope_strip_annotations`` walks the scope stack for every tier,
   before ``chat.strip_annotations`` returned a tier without annotations
   as it is.
+* ``stdtr_two_sided`` is the two-sided Student-t tail through
+  ``scipy.special.stdtr``, before ``clustering._t_two_sided_p`` computed
+  it from the incomplete beta's continued fraction and ``analyze``
+  stopped loading scipy.
 """
 
 import csv
@@ -456,6 +460,13 @@ def format_number(x: float) -> str:
     if isinstance(x, float) and math.isnan(x):
         return ""
     return f"{x:.10g}"
+
+
+def stdtr_two_sided(t: float, df: float) -> float:
+    """``P(|T| >= |t|)`` for Student's t with ``df`` degrees of freedom."""
+    from scipy.special import stdtr  # test-only dependency
+
+    return 2.0 * float(stdtr(df, -abs(t)))
 
 
 def per_element_feature_csv(cohort: Cohort) -> str:

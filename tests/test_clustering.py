@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from langprofile import clustering
 from langprofile.clustering import (
     _pairwise_distances,
     _silhouette_from_distances,
+    _t_two_sided_p,
     ami,
     ari,
     best_mapping_accuracy,
@@ -39,6 +41,7 @@ from tests.oracles import (
     plus_plus_init,
     serial_kmeans,
     sorted_auto_eps,
+    stdtr_two_sided,
 )
 
 FOUR = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
@@ -724,9 +727,14 @@ class TestProfilesAndEffects:
     def test_against_high_precision_oracle(self):
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(18)
-        for _ in range(5):
-            x0 = rng.normal(0, 1, size=int(rng.integers(4, 20)))
-            x1 = rng.normal(0.5, 2, size=int(rng.integers(4, 20)))
+        cases = [(rng.normal(0, 1, size=int(rng.integers(4, 20))),
+                  rng.normal(0.5, 2, size=int(rng.integers(4, 20)))) for _ in range(5)]
+        # p below 1e-30, down to a paper-scale cohort (n = 1163, d about 3)
+        # near the smallest normal double
+        cases += [(rng.normal(0, 1, size=40), rng.normal(5, 1, size=45)),
+                  (rng.normal(0, 1, size=434), rng.normal(3, 1, size=729))]
+        ps = []
+        for x0, x1 in cases:
             p, _ = welch_cohen(x0, x1)
             n0, n1 = len(x0), len(x1)
             v0, v1 = x0.var(ddof=1), x1.var(ddof=1)
@@ -734,9 +742,54 @@ class TestProfilesAndEffects:
             t = (x0.mean() - x1.mean()) / math.sqrt(se2)
             df = se2 ** 2 / ((v0 / n0) ** 2 / (n0 - 1) + (v1 / n1) ** 2 / (n1 - 1))
             # two-sided p via the regularized incomplete beta function
-            ref = float(mp.betainc(df / 2, mp.mpf(1) / 2,
-                                   0, df / (df + t * t), regularized=True))
-            assert abs(p - ref) < 1e-6
+            with mp.workdps(40):
+                dfm = mp.mpf(float(df))
+                ref = mp.betainc(dfm / 2, mp.mpf(1) / 2, 0, dfm / (dfm + mp.mpf(float(t)) ** 2),
+                                 regularized=True)
+                assert abs(p - ref) <= 1e-12 * ref, (p, ref)
+            ps.append(p)
+        assert sum(p < 1e-30 for p in ps) == 2 and 0.0 < min(ps) < 1e-200
+
+    def test_t_tail_matches_scipy_on_a_grid(self):
+        """``_t_two_sided_p`` against ``scipy.special.stdtr``, which it
+        replaced, over non-integer df from 1 to 5000 and |t| from 0 to 60.
+        The largest relative difference on this grid is 4.5e-13, at df
+        4999.7 and t 1.98; below the smallest normal double either side
+        may underflow first, so there both need only be that small."""
+        pytest.importorskip("scipy.special")
+        bound = 1e-12
+        for df in np.geomspace(1.03, 4999.7, 80):
+            for t in np.concatenate(([0.0], np.geomspace(1e-4, 60.0, 200))):
+                p = _t_two_sided_p(float(t), float(df))
+                ref = stdtr_two_sided(float(t), float(df))
+                if ref >= sys.float_info.min:
+                    assert abs(p - ref) <= bound * ref, (df, t, p, ref)
+                else:
+                    assert p < 2.3e-308, (df, t, p, ref)
+
+    def test_t_tail_edges_return_values(self):
+        for df in (0.5, 1.0, 7.3, 1e6):
+            assert _t_two_sided_p(0.0, df) == 1.0
+            assert _t_two_sided_p(-0.0, df) == 1.0
+            # t^2 overflows, so x = df / (df + t^2) is 0.0
+            assert _t_two_sided_p(1e200, df) == 0.0
+            assert _t_two_sided_p(-1e200, df) == 0.0
+
+    def test_welch_edges_return_values(self):
+        # equal means with spread: t is exactly 0
+        assert welch_cohen([1.0, 2.0, 3.0], [0.0, 2.0, 4.0]) == (1.0, 0.0)
+        # t is -2e157, whose square overflows; Welch df is 1
+        p, d = welch_cohen([0.0, 1e-77], [1e80, 1e80])
+        assert p == 0.0 and math.isfinite(d) and d < 0.0
+        # n = 2 with a wide spread against 1000 tight values: Welch df is
+        # within 1e-6 of 1, where the tail is Cauchy's
+        x0 = np.array([0.0, 100.0])
+        x1 = np.random.default_rng(20).normal(0.0, 1.0, size=1000)
+        p, _ = welch_cohen(x0, x1)
+        se2 = x0.var(ddof=1) / 2 + x1.var(ddof=1) / 1000
+        t = (x0.mean() - x1.mean()) / math.sqrt(se2)
+        assert abs(p - 2.0 / math.pi * math.atan(1.0 / abs(t))) < 1e-6
+        assert 0.0 < p < 1.0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(19)

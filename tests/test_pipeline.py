@@ -880,15 +880,24 @@ class TestCli:
                                            "ch\\xffild.cha: file name is not UTF-8\n")
         assert not out.exists() or not any(out.iterdir())
 
-    def test_import_cli_loads_no_scipy(self):
+    def test_import_cli_loads_no_scipy(self, tmp_path):
+        """Importing the CLI and running ``analyze`` to its effect table
+        (Welch p-values included) leave scipy unimported."""
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=40)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.ini", csv_path, out)
         src = Path(langprofile.__file__).resolve().parents[1]
         code = ("import sys, langprofile.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                f"rc = langprofile.cli.main(['analyze', '--config', {str(cfg)!r}]); "
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=60,
+                              text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.splitlines()[-1] == "0 []"
+        effects = json.loads((out / "cluster_report.json").read_text())["effects"]
+        assert effects and all(0.0 <= e["p_value"] <= 1.0 for e in effects)
 
 
 class TestWriteStage:
