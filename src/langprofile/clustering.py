@@ -20,6 +20,7 @@ time, k by k.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -307,7 +308,7 @@ def silhouette(points, assignments) -> float:
 
 def check_k_range(k_range: tuple[int, ...]) -> None:
     """Raise ``ValueError`` naming every k that ``k_range`` repeats."""
-    repeated = sorted({k for k in k_range if k_range.count(k) > 1})
+    repeated = sorted(k for k, c in Counter(k_range).items() if c > 1)
     if repeated:
         raise ValueError(f"k_range repeats k {repeated}")
 
@@ -457,7 +458,7 @@ def boundary_cases(points, centroids, outcomes=None,
     C = _as_points(centroids)
     if C.shape[0] < 2:
         raise DegenerateInput("boundary analysis needs >= 2 centroids")
-    d = np.sqrt(np.sum((X[:, None, :] - C[None, :, :]) ** 2, axis=2))
+    d = np.sqrt(_assign(X, C)[1])
     d.sort(axis=1)
     deltas = np.abs(d[:, 1] - d[:, 0])
     threshold = float(np.percentile(deltas, percentile))

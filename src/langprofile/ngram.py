@@ -14,7 +14,9 @@ its models and cuts.
 ``smoothing_k`` must be finite and at least 0 and ``unk_threshold`` at
 least 1 (:func:`check_settings`).
 
-:class:`GroupModels` reads each transcript's child sentences once.  A
+:class:`GroupModels` is the one class for the six group models: it reads
+each transcript's child sentences once and names every transcript by its
+index in the cohort, in training, held-out views and scoring alike.  A
 group's three models come from one walk over its text: each sentence is
 mapped through the group vocab once, and orders 1-3 are cut from that one
 mapping.  Held-out scoring copies no count table and retrains nothing: a
@@ -172,34 +174,54 @@ def _context_totals(counts) -> dict[tuple[str, ...], int]:
     return totals
 
 
-class _Group:
-    """One group's models, orders 1-3, and its members' held-out changes.
+class GroupModels:
+    """The six models (SLI/TD x orders 1-3) trained on the labelled
+    transcripts, each transcript's perplexity features against them, and
+    each labelled transcript's held-out changes in its own group's models.
 
-    ``sents`` holds each member's child sentences; the group keeps a
-    reference to them and no per-member counts."""
+    Each transcript's child sentences are read once, here, and every
+    transcript is named by its index in ``transcripts``.  For each label,
+    ``members`` holds the group's indices, ``n_sents`` their sentence count
+    and ``models`` its three models; no per-member counts are kept.  A
+    group with no transcripts, or no child tokens, raises ``EmptyCorpus``:
+    SLI is checked before TD."""
 
-    def __init__(self, label: str, members, sents: list[list[list[str]]],
-                 smoothing_k: float, unk_threshold: int, pad: bool):
-        check_settings(smoothing_k, unk_threshold)
-        self.n_sents = sum(map(len, sents))
-        if not self.n_sents:
-            raise EmptyCorpus(f"no child tokens to train on in the {label} group")
-        self.label, self.members, self.sents = label, members, sents
-        self.models = _train(sents, smoothing_k, unk_threshold, pad)
+    def __init__(self, transcripts, smoothing_k: float = 1.0, unk_threshold: int = 1,
+                 pad: bool = True):
+        self.transcripts = list(transcripts)
+        strings: dict[str, str] = {}
+        self.sents = [_child_sentences([t], strings) for t in self.transcripts]
+        self.members: dict[str, list[int]] = {}
+        self.n_sents: dict[str, int] = {}
+        self.models: dict[str, dict[int, NGramModel]] = {}
+        for label in ("SLI", "TD"):
+            idx = [i for i, t in enumerate(self.transcripts) if t.group.value == label]
+            if not idx:
+                raise EmptyCorpus(f"no transcripts labeled {label}")
+            # here, so a corpus with no SLI transcripts is named before a bad setting
+            check_settings(smoothing_k, unk_threshold)
+            sents = [self.sents[i] for i in idx]
+            self.n_sents[label] = sum(map(len, sents))
+            if not self.n_sents[label]:
+                raise EmptyCorpus(f"no child tokens to train on in the {label} group")
+            self.members[label] = idx
+            self.models[label] = _train(sents, smoothing_k, unk_threshold, pad)
 
     @functools.cached_property
-    def _holders(self) -> dict[str, list[int]]:
-        """The members whose sentences hold each vocab type, in member order."""
-        vocab = self.models[1].vocab
-        holders: dict[str, list[int]] = {}
-        for i, member in enumerate(self.sents):
-            for tok in vocab.intersection(chain.from_iterable(member)):
-                holders.setdefault(tok, []).append(i)
+    def _holders(self) -> dict[str, dict[str, list[int]]]:
+        """For each group, the members whose sentences hold each vocab type,
+        in index order."""
+        holders: dict[str, dict[str, list[int]]] = {}
+        for label, idx in self.members.items():
+            vocab, by_type = self.models[label][1].vocab, holders.setdefault(label, {})
+            for i in idx:
+                for tok in vocab.intersection(chain.from_iterable(self.sents[i])):
+                    by_type.setdefault(tok, []).append(i)
         return holders
 
     def held_out(self, i: int) -> tuple[list[_HeldOut], list[list[str]]]:
-        """What holding member ``i`` out changes in orders 1-3, and its own
-        sentences mapped through the held-out vocab.
+        """What holding labelled transcript ``i`` out of its group changes in
+        orders 1-3, and its own sentences mapped through the held-out vocab.
 
         The held-out vocab loses the types that the rest of the group holds
         fewer than ``unk_threshold`` times.  Those the rest still holds are
@@ -208,18 +230,18 @@ class _Group:
         small, since such types are rare in the rest.  A member whose
         removal leaves no child tokens raises ``EmptyCorpus``, as
         :func:`train` does on the rest."""
-        own = self.sents[i]
-        if len(own) == self.n_sents:
-            raise EmptyCorpus(f"no child tokens to train on in the {self.label} group "
-                              f"without transcript {self.members[i].id!r}")
-        first = self.models[1]
+        label, own = self.transcripts[i].group.value, self.sents[i]
+        if len(own) == self.n_sents[label]:
+            raise EmptyCorpus(f"no child tokens to train on in the {label} group "
+                              f"without transcript {self.transcripts[i].id!r}")
+        first = self.models[label][1]
         vocab, unigrams, pad = first.vocab, first.counts, first.pad
         # a vocab type's unigram count is its frequency in the group
         rest = {tok: unigrams[(tok,)] - c
                 for tok, c in Counter(chain.from_iterable(own)).items() if tok in vocab}
         dropped = {tok for tok, c in rest.items() if c < first.unk_threshold}
         newly_rare = {tok for tok in dropped if rest[tok] > 0}
-        remapped = [s for j in sorted({j for tok in newly_rare for j in self._holders[tok]})
+        remapped = [s for j in sorted({j for tok in newly_rare for j in self._holders[label][tok]})
                     if j != i for s in self.sents[j] if not newly_rare.isdisjoint(s)]
         removed = _map(own + remapped, vocab)
         moved = [[UNK if tok in dropped else tok for tok in m] for m in removed]
@@ -229,20 +251,38 @@ class _Group:
                    for out, into in zip(_grams(removed, pad), _grams(moved[len(own):], pad))]
         return changes, moved[:len(own)]
 
+    def perplexity_features(self, i: int, held_out: bool = False) -> dict[str, float]:
+        """Transcript ``i``'s six features, as :func:`perplexity_features`
+        gives them.  With ``held_out``, a labelled transcript is scored
+        against its own group's models without it; a group it leaves with
+        no child tokens raises ``EmptyCorpus`` before anything is scored."""
+        t = self.transcripts[i]
+        own = t.group.value
+        held = {own: self.held_out(i)} if held_out and own in self.models else {}
+        return _perplexity_features(t, self.sents[i], self.models, held)
+
 
 def _perplexity(model: NGramModel, grams: list[tuple[str, ...]], where: str,
                 held: _HeldOut | None = None) -> float:
     """exp of mean negative log probability per scored position of
     ``grams`` under ``model``, or under ``model`` changed by ``held``.  A
     zero probability raises ``ZeroProbability`` naming ``where`` and the
-    first such n-gram in position order.  The logs are added left to right
-    in position order: builtin ``sum`` compensates from Python 3.12."""
+    first such n-gram in position order; so does a ``smoothing_k`` whose
+    product with the vocab size overflows, which would make every
+    probability 0.  The logs are added left to right in position order:
+    builtin ``sum`` compensates from Python 3.12."""
+    if not grams:
+        raise EmptyTranscript(f"{where}: no scorable positions")
     # the add-k probability (count + k) / (context total + k * vocab size),
     # inlined in each loop: a call per n-gram slows extract's scoring
     counts, totals, k = model.counts.get, model.context_totals.get, model.smoothing_k
+    vocab_size = model.vocab_size if held is None else held.vocab_size
+    k_vocab = k * vocab_size
+    if not math.isfinite(k_vocab):
+        raise ZeroProbability(f"{where}: smoothing_k={k!r} times the vocab size "
+                              f"{vocab_size} overflows, so every probability is 0")
     log_sum = 0.0
     if held is None:
-        k_vocab = k * model.vocab_size
         for gram in grams:
             num = counts(gram, 0) + k
             den = totals(gram[:-1], 0) + k_vocab
@@ -253,7 +293,6 @@ def _perplexity(model: NGramModel, grams: list[tuple[str, ...]], where: str,
     else:
         removed, added = held.removed.get, held.added.get
         removed_totals, added_totals = held.removed_totals.get, held.added_totals.get
-        k_vocab = k * held.vocab_size
         for gram in grams:
             context = gram[:-1]
             num = counts(gram, 0) - removed(gram, 0) + added(gram, 0) + k
@@ -263,8 +302,6 @@ def _perplexity(model: NGramModel, grams: list[tuple[str, ...]], where: str,
                 raise ZeroProbability(f"{where}: zero probability for {gram} "
                                       "(k=0 and unseen)")
             log_sum += math.log(num / den)
-    if not grams:
-        raise EmptyTranscript(f"{where}: no scorable positions")
     return math.exp(-log_sum / len(grams))
 
 
@@ -315,46 +352,6 @@ def perplexity_features(t: Transcript, sli_models: dict[int, NGramModel],
     sentences."""
     return _perplexity_features(t, _child_sentences([t]),
                                 {"SLI": sli_models, "TD": td_models}, {})
-
-
-class GroupModels:
-    """The six models (SLI/TD x orders 1-3) trained on the labelled
-    transcripts, and each transcript's perplexity features against them.
-
-    Each transcript's child sentences are read once, here.  A group with
-    no transcripts, or no child tokens, raises ``EmptyCorpus``: SLI is
-    checked before TD."""
-
-    def __init__(self, transcripts, smoothing_k: float = 1.0, unk_threshold: int = 1,
-                 pad: bool = True):
-        self.transcripts = list(transcripts)
-        strings: dict[str, str] = {}
-        self.sents = [_child_sentences([t], strings) for t in self.transcripts]
-        self.groups: dict[str, _Group] = {}
-        self._slot: dict[int, int] = {}  # transcript index -> index in its group
-        for label in ("SLI", "TD"):
-            idx = [i for i, t in enumerate(self.transcripts) if t.group.value == label]
-            if not idx:
-                raise EmptyCorpus(f"no transcripts labeled {label}")
-            self._slot.update((i, j) for j, i in enumerate(idx))
-            self.groups[label] = _Group(label, [self.transcripts[i] for i in idx],
-                                        [self.sents[i] for i in idx],
-                                        smoothing_k, unk_threshold, pad)
-
-    @property
-    def models(self) -> dict[str, dict[int, NGramModel]]:
-        return {label: group.models for label, group in self.groups.items()}
-
-    def perplexity_features(self, i: int, held_out: bool = False) -> dict[str, float]:
-        """Transcript ``i``'s six features, as :func:`perplexity_features`
-        gives them.  With ``held_out``, a labelled transcript is scored
-        against its own group's models without it; a group it leaves with
-        no child tokens raises ``EmptyCorpus`` before anything is scored."""
-        t = self.transcripts[i]
-        own = t.group.value
-        held = {own: self.groups[own].held_out(self._slot[i])} \
-            if held_out and own in self.groups else {}
-        return _perplexity_features(t, self.sents[i], self.models, held)
 
 
 def train_group_models(transcripts, smoothing_k: float = 1.0,

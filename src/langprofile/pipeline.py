@@ -486,8 +486,10 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     n = cohort.matrix.n
     bad_k = [k for k in config.k_range if not 2 <= k <= n - 1]
     if bad_k:
+        named = bad_k if len(bad_k) <= 10 else \
+            f"({len(bad_k)} of them, from {min(bad_k)} to {max(bad_k)})"
         raise PipelineError("load", DataError(
-            f"k_range values {bad_k} outside [2, n-1] for n={n}"))
+            f"k_range values {named} outside [2, n-1] for n={n}"))
     if config.dbscan_min_pts > n:
         # no row could have that many neighbours: DBSCAN would call every row noise
         raise PipelineError("load", DataError(
@@ -569,11 +571,10 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
                                                     n_components=min(5, scores.shape[1])),
     }
 
-    boundary_pcs = {}
-    for j in range(min(3, scores.shape[1])):
-        col = scores[list(boundary.indices), j] if boundary.indices else np.array([0.0])
-        boundary_pcs[f"pc{j + 1}_mean"] = float(col.mean())
-        boundary_pcs[f"pc{j + 1}_sd"] = float(col.std(ddof=1)) if col.size > 1 else 0.0
+    # the row with the smallest delta is always flagged
+    boundary_pcs = {f"pc{j + 1}_{stat}": row[stat] for j, row in enumerate(
+        numerics.component_stats(scores[list(boundary.indices)], n_components=3))
+        for stat in ("mean", "sd")}
 
     boundary_report = {
         **meta,

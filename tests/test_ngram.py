@@ -9,6 +9,7 @@ from langprofile.errors import DataError, EmptyCorpus, EmptyTranscript, ZeroProb
 from langprofile.ngram import (EOS, UNK, GroupModels, load_model, perplexity,
                                perplexity_features, save_model, train)
 from langprofile.pipeline import load_transcripts
+from perfbench import gen
 from tests.conftest import make_corpus, make_wordy_corpus, newly_rare_types, pseudo_words
 from tests.oracles import (add_k_prob, copy_leave_one_out, loop_perplexity,
                            loop_perplexity_features, retrain_loo_models, slice_ngrams,
@@ -156,6 +157,21 @@ class TestPerplexityFeatures:
         td = chi_group("TD", "the dog ran")
         with pytest.raises(EmptyCorpus):
             ngram.train_group_models([td])
+
+    def test_error_order(self):
+        # a missing SLI group, then a bad setting, then an SLI group with no
+        # child tokens, then a missing TD group
+        sli, td = chi_group("SLI", "the dog ran"), chi_group("TD", "the dog ran")
+        mute = parse_chat("@ID:\teng|synth|CHI|5;00.|male|SLI||Target_Child|||\n"
+                          "*EXA:\tba ki .\n")
+        with pytest.raises(EmptyCorpus, match="no transcripts labeled SLI"):
+            GroupModels([td], smoothing_k=-1.0)
+        with pytest.raises(ValueError, match="smoothing_k"):
+            GroupModels([mute], smoothing_k=-1.0)
+        with pytest.raises(EmptyCorpus, match="no child tokens to train on in the SLI group"):
+            GroupModels([mute])
+        with pytest.raises(EmptyCorpus, match="no transcripts labeled TD"):
+            GroupModels([sli])
 
     @pytest.mark.parametrize("pad", [True, False])
     @pytest.mark.parametrize("unk_threshold", [1, 2, 3])
@@ -322,7 +338,7 @@ class TestLeaveOneOut:
     def assert_views_match(self, transcripts, smoothing_k, unk_threshold, pad):
         lms = GroupModels(transcripts, smoothing_k, unk_threshold, pad)
         full = lms.models
-        for label, group in lms.groups.items():
+        for label in lms.models:
             members = [t for t in transcripts if t.group.value == label]
             copies = _models_or_error(copy_leave_one_out(members, full[label]))
             retrains = _models_or_error(
@@ -333,10 +349,10 @@ class TestLeaveOneOut:
                 i = transcripts.index(t)
                 if isinstance(retrain, str):  # the rest holds no child tokens
                     assert isinstance(copy, str)
-                    assert _outcome(lambda: group.held_out(j)) is EmptyCorpus
+                    assert _outcome(lambda: lms.held_out(i)) is EmptyCorpus
                     assert _outcome(lambda: lms.perplexity_features(i, True)) is EmptyCorpus
                     break
-                changes, mapped = group.held_out(j)
+                changes, mapped = lms.held_out(i)
                 sents = ngram._child_sentences([t])
                 assert mapped == ngram._map(sents, retrain[1].vocab)
                 for order in (1, 2, 3):
@@ -382,11 +398,11 @@ class TestLeaveOneOut:
         assert newly_rare_types(members, 2) == {"ki", "lo"}
         transcripts = members + [chi_group("TD", *sents) for sents in TD_MEMBERS]
         self.assert_matches_oracles(transcripts)
-        group = GroupModels(transcripts, 1.0, 2).groups["SLI"]
-        changes, mapped = group.held_out(0)
+        lms = GroupModels(transcripts, 1.0, 2)
+        changes, mapped = lms.held_out(0)
         assert changes[0].vocab_size == len({"ba", UNK, EOS})
         assert mapped == [[UNK, UNK, UNK], [UNK, UNK]]
-        assert _held_count(group.models[2].counts, changes[1].removed, changes[1].added,
+        assert _held_count(lms.models["SLI"][2].counts, changes[1].removed, changes[1].added,
                            ("ba", UNK)) == 1
 
     def test_one_member_group_raises_like_retrain(self):
@@ -433,6 +449,23 @@ class TestErrorsNameTheTranscriptAndModel:
                 "--smoothing-k", "0"]
         assert cli.main(argv + ["--loo"] * loo) == 3
         assert capsys.readouterr().err == f"error: stage 'extract' failed: {want}\n"
+
+    @pytest.mark.parametrize("loo", [False, True])
+    def test_smoothing_k_overflowing_with_the_vocab_size(self, tmp_path, capsys, loo):
+        # k times the vocab size is inf, so every add-k ratio would read 0
+        # although k is far from 0
+        gen.chat_corpus(tmp_path / "corpus", 40, 1, (8, 20))
+        argv = ["extract", str(tmp_path / "corpus"), "-o", str(tmp_path / "f.csv"),
+                "--smoothing-k", "1e308"]
+        assert cli.main(argv + ["--loo"] * loo) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: stage 'extract' failed: transcript '\w+', SLI order-1 "
+                            r"model \((full|held out)\): smoothing_k=1e\+308 "
+                            r"times the vocab size \d+ overflows, so every probability is 0\n",
+                            err), err
+        t = load_transcripts(tmp_path / "corpus")[0]
+        with pytest.raises(ZeroProbability, match="smoothing_k=1e\\+308 times the vocab"):
+            perplexity(train([t], 1, smoothing_k=1e308), t)
 
     def test_group_without_child_tokens(self, tmp_path, capsys):
         # extract cannot get this far: base features refuse a transcript

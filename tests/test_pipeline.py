@@ -494,6 +494,24 @@ class TestRunPipeline:
         with pytest.raises(pipeline.PipelineError) as err:
             pipeline.run_pipeline(pipeline.load_config(cfg))
         assert err.value.stage == "load"
+        assert str(err.value.cause) == "k_range values [5, 6] outside [2, n-1] for n=5"
+
+    def test_long_k_range_exits_two_quickly_with_a_short_message(self, tmp_path):
+        # every k above n - 1 is out of range: the repeat check must not take
+        # quadratic time, and the error must not name each of them
+        csv_path = tmp_path / "features.csv"
+        write_synthetic_csv(csv_path, n=40)
+        cfg = write_config(tmp_path / "cfg.ini", csv_path, tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace("k_range = 2..6", "k_range = 2..100000"))
+        src = Path(langprofile.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "langprofile.cli", "analyze", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2
+        assert len(done.stderr) < 300
+        assert "k_range values (99961 of them, from 40 to 100000) outside [2, n-1] " \
+            "for n=40" in done.stderr
 
     def test_kmeans_fitted_once_per_k_plus_three_planes(self, bundle_env, monkeypatch):
         cfg, _ = bundle_env
