@@ -6,44 +6,162 @@ and one trailing ``</s>``.  The vocabulary is the types seen at least
 ``unk_threshold`` times, plus ``<unk>`` (plus ``</s>`` when padding), so
 add-k probabilities over any context sum to one.  One rule maps tokens,
 in training and in scoring alike: a token outside the model's vocab
-becomes ``<unk>``.  :func:`_map` applies it; :func:`_grams` cuts the
-n-grams of orders 1-3 from one mapping.  :func:`_train` counts them, and
-the single-model :func:`train` and :func:`perplexity` take one order of
-its models and cuts.
+becomes ``<unk>``.  ``smoothing_k`` must be finite and at least 0 and
+``unk_threshold`` at least 1 (:func:`check_settings`).
 
-``smoothing_k`` must be finite and at least 0 and ``unk_threshold`` at
-least 1 (:func:`check_settings`).
+Training counts strings.  :func:`_map` applies the rule, :func:`_grams`
+cuts the n-grams of orders 1-3 from one mapping, and :func:`_train`
+counts them into each model's ``counts`` and ``context_totals``, the
+tables that the ``.lm`` format saves.
+
+Scoring reads integers: one engine serves the single-model
+:func:`perplexity`, :func:`perplexity_features` and :class:`GroupModels`.
+Each model caches a :class:`_Table` built from its counts, with its
+symbols numbered and its contexts and n-grams keyed as sorted int64
+arrays (:func:`_index`).  Text is mapped to those ids once per vocab and
+cut into windows by array arithmetic (:func:`_cut`); ``np.searchsorted``
+reads each n-gram's count and context total (:func:`_lookup`), and
+:func:`_score` turns them into perplexities in one pass over a batch of
+transcripts.  Each perplexity is the float that the dict loops kept in
+``tests/oracles.py`` give: the add-k ratio is the same float64
+arithmetic, the logs come from ``math.log`` and each transcript's logs
+are added left to right.
 
 :class:`GroupModels` is the one class for the six group models: it reads
 each transcript's child sentences once and names every transcript by its
 index in the cohort, in training, held-out views and scoring alike.  A
-group's three models come from one walk over its text: each sentence is
-mapped through the group vocab once, and orders 1-3 are cut from that one
-mapping.  Held-out scoring copies no count table and retrains nothing: a
-member is scored against a view that reads the full counts minus the
-member's own n-gram counts, plus the small remap of the types that leave
-the vocab without it.  Those integer counts equal a retrain's on the rest
-of the group, so each probability is the same float.
+group's three models come from one walk over its text.  Held-out scoring
+copies no count table and retrains nothing: a member is scored against
+the full counts plus a signed delta, what holding it out adds less what
+it removes, keyed by the member in the same id space.  The deltas of all
+the members scored together are built in one pass.  Those integer counts
+equal a retrain's on the rest of the group, so each probability is the
+same float.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
+import numpy as np
+
 from .chat import Transcript
-from .errors import DataError, EmptyCorpus, EmptyTranscript, ZeroProbability, read_text
+from .errors import (DataError, EmptyCorpus, EmptyTranscript, ZeroProbability,
+                     read_text)
 
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 ORDERS = (1, 2, 3)
-_CONTEXT = operator.itemgetter(slice(None, -1))
+_SPECIALS = (BOS, UNK, EOS)  # ids 0-2 in every model: a zero-filled stream is all <s>
+_UNK_ID, _EOS_ID = 1, 2
+_END = np.iinfo(np.int64).max  # closes each sorted key array, so every search lands inside
+_BATCH_TOKENS = 2**13  # tokens scored in one batch, which holds about 20 arrays of its n-grams
+
+
+@dataclass(frozen=True)
+class _Index:
+    """Counts keyed as int64 for ``np.searchsorted``: the sorted context
+    keys with their ``totals``, and the sorted n-gram ``keys`` with their
+    ``counts``.  An n-gram's key is its context's rank in ``ctx_keys``
+    times ``width`` plus its last symbol's id.  Each key array ends in one
+    ``_END``, whose total or count is 0."""
+    width: int
+    ctx_keys: np.ndarray
+    totals: np.ndarray
+    keys: np.ndarray
+    counts: np.ndarray
+
+
+def _index(width: int, ctx: np.ndarray, last: np.ndarray, counts: np.ndarray) -> _Index:
+    """The index of the n-grams with context keys ``ctx`` and last ids
+    ``last``, each counted ``counts`` times; an n-gram listed twice adds
+    its counts, which may be negative.
+
+    Keying an n-gram by its context's rank keeps every key below
+    ``len(ctx_keys) * width``, where ``id1 * width**2 + id2 * width + id3``
+    would wrap int64 once ``width`` passes about 2**21.  So the keys fit
+    while ``width`` is below 2**31, an order-3 context key being
+    ``id1 * width + id2``, and there are fewer than 2**32 contexts.  The
+    sums are exact while they stay below 2**53, as the add-k ratio needs
+    of them anyway."""
+    ctx_keys = _distinct(ctx)
+    rank = np.searchsorted(ctx_keys, ctx)
+    gram_keys = rank * width + last
+    keys = _distinct(gram_keys)
+    return _Index(width, np.append(ctx_keys, _END), _sums(rank, counts, len(ctx_keys)),
+                  np.append(keys, _END),
+                  _sums(np.searchsorted(keys, gram_keys), counts, len(keys)))
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, sorted.  ``np.unique`` gives the same, but
+    with numpy 2.4 its first calls raise an ``extract`` process's peak
+    RSS by about 1 MB, and a sort's by 0.4 MB."""
+    ordered = np.sort(values)
+    first = np.ones(len(ordered), bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
+
+
+def _sums(at: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The sum of ``values`` at each of ``n`` places, then a closing 0."""
+    return np.append(np.bincount(at, values, n).astype(np.int64), 0)
+
+
+def _lookup(index: _Index, ctx: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The count and the context total of each n-gram (``ctx``, ``last``)
+    in ``index``; 0 for what it lacks, and a context key of -1 it lacks."""
+    at = np.searchsorted(index.ctx_keys, ctx)
+    unseen = index.ctx_keys[at] != ctx
+    totals = index.totals[at]
+    totals[unseen] = 0
+    at *= index.width
+    at += last
+    at[unseen] = -1  # each n-gram's key, -1 under an unseen context
+    hit = np.searchsorted(index.keys, at)
+    counts = index.counts[hit]
+    counts[index.keys[hit] != at] = 0
+    return counts, totals
+
+
+def _context_keys(prev: list[np.ndarray], width: int, n: int) -> np.ndarray:
+    """The key of each of ``n`` contexts, given the ids of their symbols
+    in ``prev``: 0 for order 1's empty context, the id for order 2's and
+    ``id1 * width + id2`` for order 3's."""
+    if not prev:
+        return np.zeros(n, np.int64)
+    return prev[0] if len(prev) == 1 else prev[0] * width + prev[1]
+
+
+@dataclass(frozen=True)
+class _Table:
+    """A model's symbols numbered and its counts indexed.  ``<s>``,
+    ``<unk>`` and ``</s>`` are 0-2 and the other vocab types 3 up in
+    sorted order, so models with equal vocabs number alike.  The last id,
+    ``index.width - 1``, stands for every other symbol that a loaded
+    file's n-gram may name: no scored n-gram holds it, yet its counts add
+    to their contexts' totals.  Totals are summed from the counts, as
+    :func:`_context_totals` sums ``context_totals``."""
+    symbols: tuple[str, ...]
+    ids: dict[str, int]
+    index: _Index
+
+    def gram(self, order: int, ctx: int, last: int) -> tuple[str, ...]:
+        """The n-gram that context key ``ctx`` and id ``last`` stand for."""
+        prev = divmod(ctx, self.index.width) if order == 3 else (ctx,) * (order - 1)
+        return tuple(self.symbols[i] for i in (*prev, last))
+
+    def encode(self, tokens, n: int) -> np.ndarray:
+        """The id of each of the ``n`` ``tokens``, ``<unk>``'s outside the
+        vocab.  No clean token is ``<s>``, ``<unk>`` or ``</s>``: CHAT
+        cleaning strips a word's leading ``<`` and trailing ``>``."""
+        return np.fromiter(map(self.ids.get, tokens, repeat(_UNK_ID)), np.int64, n)
 
 
 @dataclass(frozen=True)
@@ -60,19 +178,16 @@ class NGramModel:
     def vocab_size(self) -> int:
         return len(self.vocab)
 
-
-@dataclass(frozen=True)
-class _HeldOut:
-    """What holding one member out changes in one order of its group's
-    model: the member's n-grams and those of the remapped sentences under
-    the full vocab leave (``removed``), the remapped sentences' n-grams
-    under the held-out vocab come in (``added``), and the vocab shrinks to
-    ``vocab_size``.  Each count table comes with its context totals."""
-    removed: Counter
-    removed_totals: Counter
-    added: Counter
-    added_totals: Counter
-    vocab_size: int
+    @functools.cached_property
+    def _table(self) -> _Table:
+        symbols = (*_SPECIALS, *sorted(self.vocab.difference(_SPECIALS)))
+        ids = dict(zip(symbols, range(len(symbols))))
+        n, other = len(self.counts), len(symbols)
+        *prev, last = np.fromiter(map(ids.get, chain.from_iterable(self.counts), repeat(other)),
+                                  np.int64, n * self.order).reshape(n, self.order).T
+        width = other + 1
+        return _Table(symbols, ids, _index(width, _context_keys(prev, width, n), last,
+                                           np.fromiter(self.counts.values(), np.int64, n)))
 
 
 def _child_sentences(transcripts, strings: dict[str, str] | None = None
@@ -174,17 +289,114 @@ def _context_totals(counts) -> dict[tuple[str, ...], int]:
     return totals
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``range(start, start + length)`` for each start and length, end to
+    end."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _cut(tokens: np.ndarray, lengths: np.ndarray, pad: bool, width: int, orders=ORDERS):
+    """For each of ``orders`` in turn: the context keys and last ids of the
+    n-grams of the sentences that ``tokens`` holds end to end, ``lengths``
+    long each, in position order, and each sentence's n-gram count.
+
+    With padding the orders share one padded stream and one array of
+    window ends, a sentence's tokens and its ``</s>``; without, order n's
+    windows end at each sentence's n-th token and after."""
+    n = len(lengths)
+    if pad:
+        stream = np.zeros(len(tokens) + 3 * n, np.int64)  # all <s> until filled
+        stream[np.repeat(3 * np.arange(n) + 2, lengths) + np.arange(len(tokens))] = tokens
+        stream[np.cumsum(lengths + 3) - 1] = _EOS_ID
+        ends = np.repeat(2 * np.arange(n) + 2, lengths + 1) + np.arange(len(tokens) + n)
+        last, per_sentence = stream[ends], lengths + 1
+        for order in orders:
+            ctx = _context_keys([stream[ends - back] for back in range(order - 1, 0, -1)],
+                                width, len(ends))
+            yield ctx, last, per_sentence
+    else:
+        offset = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        for order in orders:
+            ends = np.flatnonzero(offset >= order - 1)
+            ctx = _context_keys([tokens[ends - back] for back in range(order - 1, 0, -1)],
+                                width, len(ends))
+            yield ctx, tokens[ends], np.maximum(lengths - order + 1, 0)
+
+
+def _spans(per_sentence: np.ndarray, sents_per_row: np.ndarray) -> list[int]:
+    """Where each row's n-grams start, then where the last row's end: row
+    ``r`` holds n-grams ``spans[r]:spans[r + 1]``."""
+    starts = np.concatenate(([0], np.cumsum(per_sentence)))
+    return starts[np.concatenate(([0], np.cumsum(sents_per_row)))].tolist()
+
+
+def _score(counts: np.ndarray, totals: np.ndarray, k: float, vocab_sizes: np.ndarray,
+           spans: list[int], where, gram) -> list:
+    """Each row's perplexity under one model: exp of the mean negative log
+    of (count + k) / (context total + k * vocab size) over its n-grams,
+    row ``r`` holding ``spans[r]:spans[r + 1]`` of ``counts`` and
+    ``totals``, with vocab size ``vocab_sizes[r]``.
+
+    A row that cannot be scored holds, in its place, the error it raises:
+    ``EmptyTranscript`` for no n-grams, ``ZeroProbability`` for a ``k``
+    whose product with the vocab size overflows (every probability would
+    be 0), else ``ZeroProbability`` naming its first zero-probability
+    n-gram in position order.  ``where(r)`` names row ``r`` and the model
+    in a message, ``gram(i)`` gives n-gram ``i``.
+
+    The float is the dict loops': the ratio is the same IEEE float64
+    arithmetic on integers below 2**53; the logs come from ``math.log``,
+    one call per distinct probability (``np.log`` differs from it in the
+    last bit on some CPUs); and ``np.cumsum`` adds each row's logs left to
+    right, where builtin ``sum`` compensates from Python 3.12 and
+    ``np.sum`` is pairwise."""
+    with np.errstate(all="ignore"):  # inf and 0/0 are failures, found below
+        k_vocab = k * vocab_sizes
+        num = counts + k
+        den = totals + np.repeat(k_vocab, np.diff(spans))
+        prob = num / den
+    bad = np.flatnonzero((num == 0.0) | (den == 0.0) | (prob <= 0.0))
+    rows = np.searchsorted(spans, bad, "right") - 1
+    first_bad = dict(zip(rows.tolist()[::-1], bad.tolist()[::-1]))  # the first in a row wins
+    prob[bad] = 1.0  # their rows fail
+    values = _distinct(prob)
+    logs = np.fromiter(map(math.log, values.tolist()), np.float64,
+                       len(values))[np.searchsorted(values, prob)]
+    why = "(k=0 and unseen)" if k == 0 else \
+        f"(smoothing_k={k!r} is above 0, but the add-k probability underflows to 0)"
+    out = []
+    for r, (a, b) in enumerate(zip(spans, spans[1:])):
+        if a == b:
+            out.append(EmptyTranscript(f"{where(r)}: no scorable positions"))
+        elif not math.isfinite(k_vocab[r]):
+            out.append(ZeroProbability(f"{where(r)}: smoothing_k={k!r} times the vocab size "
+                                       f"{int(vocab_sizes[r])} overflows, so every "
+                                       "probability is 0"))
+        elif r in first_bad:
+            out.append(ZeroProbability(f"{where(r)}: zero probability for "
+                                       f"{gram(first_bad[r])} {why}"))
+        else:
+            out.append(math.exp(-float(np.cumsum(logs[a:b])[-1]) / (b - a)))
+    return out
+
+
 class GroupModels:
     """The six models (SLI/TD x orders 1-3) trained on the labelled
     transcripts, each transcript's perplexity features against them, and
-    each labelled transcript's held-out changes in its own group's models.
+    each labelled transcript's held-out view of its own group's models.
 
     Each transcript's child sentences are read once, here, and every
     transcript is named by its index in ``transcripts``.  For each label,
     ``members`` holds the group's indices, ``n_sents`` their sentence count
     and ``models`` its three models; no per-member counts are kept.  A
     group with no transcripts, or no child tokens, raises ``EmptyCorpus``:
-    SLI is checked before TD."""
+    SLI is checked before TD.
+
+    Every composite key below (a member and a type, a type and a
+    sentence, a member and a sentence, a member and a context rank) stays
+    under 2**63 while the vocabs have fewer than 2**31 types and the
+    cohort fewer than 2**31 transcripts and 2**31 sentences."""
 
     def __init__(self, transcripts, smoothing_k: float = 1.0, unk_threshold: int = 1,
                  pad: bool = True):
@@ -206,129 +418,239 @@ class GroupModels:
                 raise EmptyCorpus(f"no child tokens to train on in the {label} group")
             self.members[label] = idx
             self.models[label] = _train(sents, smoothing_k, unk_threshold, pad)
+        # the cohort's sentences end to end: each one's length and first
+        # token, each transcript's sentence count and first sentence
+        self._lengths = np.fromiter(map(len, chain.from_iterable(self.sents)), np.int64)
+        self._starts = np.cumsum(self._lengths) - self._lengths
+        self._sents_per_row = np.fromiter(map(len, self.sents), np.int64, len(self.sents))
+        self._first_sent = np.cumsum(self._sents_per_row) - self._sents_per_row
+        self._row_tokens = [sum(map(len, sents)) for sents in self.sents]
 
     @functools.cached_property
-    def _holders(self) -> dict[str, dict[str, list[int]]]:
-        """For each group, the members whose sentences hold each vocab type,
-        in index order."""
-        holders: dict[str, dict[str, list[int]]] = {}
+    def _codes(self) -> dict[str, np.ndarray]:
+        """Each cohort token's id in each group's vocab, end to end."""
+        return {label: models[1]._table.encode(
+                    chain.from_iterable(chain.from_iterable(self.sents)), sum(self._row_tokens))
+                for label, models in self.models.items()}
+
+    @functools.cached_property
+    def _holders(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """For each group, every pair of a vocab type and a member's sentence
+        that holds it, as a type array and a sentence array, sorted by type
+        and then sentence."""
+        n = len(self._lengths)
+        holders = {}
         for label, idx in self.members.items():
-            vocab, by_type = self.models[label][1].vocab, holders.setdefault(label, {})
-            for i in idx:
-                for tok in vocab.intersection(chain.from_iterable(self.sents[i])):
-                    by_type.setdefault(tok, []).append(i)
+            sents = self._sentences(idx)
+            tokens, lengths = self._text(label, sents)
+            real = tokens != _UNK_ID
+            pairs = _distinct(tokens[real] * n + np.repeat(sents, lengths)[real])
+            holders[label] = pairs // n, pairs % n
         return holders
 
-    def held_out(self, i: int) -> tuple[list[_HeldOut], list[list[str]]]:
-        """What holding labelled transcript ``i`` out of its group changes in
-        orders 1-3, and its own sentences mapped through the held-out vocab.
+    def _sentences(self, rows) -> np.ndarray:
+        """The cohort indices of the sentences of transcripts ``rows``."""
+        return _ranges(self._first_sent[rows], self._sents_per_row[rows])
 
-        The held-out vocab loses the types that the rest of the group holds
-        fewer than ``unk_threshold`` times.  Those the rest still holds are
-        *newly rare*: the other members' sentences that hold one move from
-        the full vocab's mapping to the held-out one.  That work stays
-        small, since such types are rare in the rest.  A member whose
-        removal leaves no child tokens raises ``EmptyCorpus``, as
-        :func:`train` does on the rest."""
-        label, own = self.transcripts[i].group.value, self.sents[i]
-        if len(own) == self.n_sents[label]:
-            raise EmptyCorpus(f"no child tokens to train on in the {label} group "
-                              f"without transcript {self.transcripts[i].id!r}")
+    def _text(self, label: str, sents: np.ndarray, owners: np.ndarray | None = None,
+              dropped: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The ids in ``label``'s vocab of sentences ``sents``, end to end,
+        and their lengths.  With ``owners``, a sentence whose owner is a
+        held member (not -1) maps the types that member's view drops to
+        ``<unk>``: ``dropped`` holds the sorted keys ``member * width +
+        id``, then ``_END``."""
+        lengths = self._lengths[sents]
+        tokens = self._codes[label][_ranges(self._starts[sents], lengths)]
+        if owners is not None and len(dropped) > 1:
+            key = np.repeat(owners, lengths) * self.models[label][1]._table.index.width + tokens
+            tokens = np.where(dropped[np.searchsorted(dropped, key)] == key, _UNK_ID, tokens)
+        return tokens, lengths
+
+    def _held_out_error(self, i: int) -> EmptyCorpus | None:
+        """``EmptyCorpus`` if holding labelled transcript ``i`` out of its
+        group leaves no child tokens to train on, as :func:`train` on the
+        rest would raise."""
+        label = self.transcripts[i].group.value
+        if len(self.sents[i]) == self.n_sents[label]:
+            return EmptyCorpus(f"no child tokens to train on in the {label} group "
+                               f"without transcript {self.transcripts[i].id!r}")
+        return None
+
+    def _held_changes(self, label: str, held: list[int]):
+        """What holding out each of ``held``, members of group ``label``,
+        changes: the types its view drops, keyed ``member * width + id``
+        and closed by ``_END``; how many it drops; its own sentences with
+        their members; and the other members' sentences that the view maps
+        anew, with the members they change.
+
+        A view drops the types that the rest of the group holds fewer than
+        ``unk_threshold`` times.  Those the rest still holds are *newly
+        rare*: the rest's sentences that hold one move from the full
+        vocab's mapping to the view's.  That work stays small, since such
+        types are rare in the rest."""
         first = self.models[label][1]
-        vocab, unigrams, pad = first.vocab, first.counts, first.pad
+        table = first._table
+        width = table.index.width
+        own = self._sentences(held)
+        own_members = np.repeat(np.arange(len(held)), self._sents_per_row[held])
+        tokens, lengths = self._text(label, own)
+        real = tokens != _UNK_ID
+        keys = np.repeat(own_members, lengths)[real] * width + tokens[real]
+        pairs = _distinct(keys)
+        own_counts = np.bincount(np.searchsorted(pairs, keys), minlength=len(pairs))
         # a vocab type's unigram count is its frequency in the group
-        rest = {tok: unigrams[(tok,)] - c
-                for tok, c in Counter(chain.from_iterable(own)).items() if tok in vocab}
-        dropped = {tok for tok, c in rest.items() if c < first.unk_threshold}
-        newly_rare = {tok for tok in dropped if rest[tok] > 0}
-        remapped = [s for j in sorted({j for tok in newly_rare for j in self._holders[label][tok]})
-                    if j != i for s in self.sents[j] if not newly_rare.isdisjoint(s)]
-        removed = _map(own + remapped, vocab)
-        moved = [[UNK if tok in dropped else tok for tok in m] for m in removed]
-        changes = [_HeldOut(Counter(out), Counter(map(_CONTEXT, out)),
-                            Counter(into), Counter(map(_CONTEXT, into)),
-                            first.vocab_size - len(dropped))
-                   for out, into in zip(_grams(removed, pad), _grams(moved[len(own):], pad))]
-        return changes, moved[:len(own)]
+        rest = _lookup(table.index, np.zeros(len(pairs), np.int64), pairs % width)[0] - own_counts
+        dropped = rest < first.unk_threshold
+        rare = pairs[dropped & (rest > 0)]
+        moved = moved_members = np.zeros(0, np.int64)
+        if len(rare):
+            types, holders = self._holders[label]
+            lo = np.searchsorted(types, rare % width)
+            n_holders = np.searchsorted(types, rare % width, "right") - lo
+            sents = holders[_ranges(lo, n_holders)]
+            members = np.repeat(rare // width, n_holders)
+            rows = np.repeat(np.arange(len(self.sents)), self._sents_per_row)
+            other = rows[sents] != np.asarray(held)[members]
+            n = len(self._lengths)
+            pairs_moved = _distinct(members[other] * n + sents[other])
+            moved, moved_members = pairs_moved % n, pairs_moved // n
+        return (np.append(pairs[dropped], _END),
+                np.bincount(pairs[dropped] // width, minlength=len(held)),
+                own, own_members, moved, moved_members)
+
+    def _views(self, label: str, rows: list[int], held_out: bool):
+        """For orders 1-3 in turn, how ``label``'s models score transcripts
+        ``rows``: the context keys and last ids of their n-grams in
+        position order, the count and context total of each, the rows'
+        spans (:func:`_spans`) and vocab sizes, and which rows are held
+        out.
+
+        With ``held_out``, the group's members among ``rows`` are scored
+        against their held-out views, the full counts plus a signed delta
+        keyed by the member: their own n-grams and those of their moved
+        sentences under the full vocab count -1, the moved sentences'
+        n-grams under the view count +1."""
+        indexes = [self.models[label][order]._table.index for order in ORDERS]
+        first = self.models[label][1]
+        width = indexes[0].width
+        held = [r for r, i in enumerate(rows)
+                if held_out and self.transcripts[i].group.value == label]
+        member = np.full(len(rows), -1)
+        member[held] = np.arange(len(held))
+        vocab_sizes = np.full(len(rows), first.vocab_size)
+        sents = self._sentences(rows)
+        owners = np.repeat(member, self._sents_per_row[rows])
+        deltas = repeat(None)
+        if held:
+            dropped, n_dropped, own, own_members, moved, moved_members = \
+                self._held_changes(label, [rows[r] for r in held])
+            vocab_sizes[held] -= n_dropped
+            d_members = np.concatenate((own_members, moved_members, moved_members))
+            d_signs = np.repeat([-1, -1, 1], [len(own), len(moved), len(moved)])
+            d_tokens, d_lengths = self._text(label, np.concatenate((own, moved, moved)),
+                                             np.where(d_signs > 0, d_members, -1), dropped)
+            deltas = _cut(d_tokens, d_lengths, first.pad, width)
+            tokens, lengths = self._text(label, sents, owners, dropped)
+        else:
+            tokens, lengths = self._text(label, sents)
+        for index, (ctx, last, per_sentence), delta in zip(
+                indexes, _cut(tokens, lengths, first.pad, width), deltas):
+            counts, totals = _lookup(index, ctx, last)
+            if delta is not None:
+                d_ctx, d_last, d_per_sentence = delta
+                contexts = _distinct(d_ctx)
+                changes = _index(width, np.repeat(d_members, d_per_sentence) * len(contexts)
+                                 + np.searchsorted(contexts, d_ctx),
+                                 d_last, np.repeat(d_signs, d_per_sentence))
+                contexts = np.append(contexts, _END)
+                at = np.searchsorted(contexts, ctx)
+                gram_members = np.repeat(owners, per_sentence)
+                query = np.where((contexts[at] == ctx) & (gram_members >= 0),
+                                 gram_members * (len(contexts) - 1) + at, -1)
+                d_counts, d_totals = _lookup(changes, query, last)
+                counts, totals = counts + d_counts, totals + d_totals
+            yield (ctx, last, counts, totals, _spans(per_sentence, self._sents_per_row[rows]),
+                   vocab_sizes, member >= 0)
 
     def perplexity_features(self, i: int, held_out: bool = False) -> dict[str, float]:
         """Transcript ``i``'s six features, as :func:`perplexity_features`
         gives them.  With ``held_out``, a labelled transcript is scored
         against its own group's models without it; a group it leaves with
         no child tokens raises ``EmptyCorpus`` before anything is scored."""
-        t = self.transcripts[i]
-        own = t.group.value
-        held = {own: self.held_out(i)} if held_out and own in self.models else {}
-        return _perplexity_features(t, self.sents[i], self.models, held)
+        features = self.outcomes([i], held_out)[0]
+        if not isinstance(features, dict):
+            raise features
+        return features
+
+    def outcomes(self, rows=None, held_out: bool = False) -> list:
+        """For each of transcripts ``rows`` (all by default), its
+        :meth:`perplexity_features`, or the error that call would raise.
+        Each model scores the rows in batches of consecutive transcripts,
+        one array pass per batch; a batch holds at most ``_BATCH_TOKENS``
+        tokens (or one longer transcript), which bounds its arrays."""
+        rows = list(range(len(self.transcripts)) if rows is None else rows)
+        out: list = []
+        for i in rows:
+            t = self.transcripts[i]
+            error = held_out and t.group.value in self.models and self._held_out_error(i)
+            if not error and not self.sents[i]:
+                error = EmptyTranscript(f"transcript {t.id!r} has no child tokens")
+            out.append(error or {})
+        for batch in self._batches([r for r, features in enumerate(out)
+                                    if isinstance(features, dict)], rows):
+            scored = [rows[r] for r in batch]
+            for prefix, label in (("s", "SLI"), ("d", "TD")):
+                for order, (ctx, last, counts, totals, spans, vocab_sizes, held) in zip(
+                        ORDERS, self._views(label, scored, held_out)):
+                    model = self.models[label][order]
+                    table, name = model._table, f"{prefix}_{order}g_ppl"
+                    results = _score(
+                        counts, totals, model.smoothing_k, vocab_sizes, spans,
+                        lambda r: (f"transcript {self.transcripts[scored[r]].id!r}, {label} "
+                                   f"order-{order} model ({'held out' if held[r] else 'full'})"),
+                        lambda j: table.gram(order, int(ctx[j]), int(last[j])))
+                    for r, value in zip(batch, results):
+                        if isinstance(out[r], dict):  # the first failure stands
+                            if isinstance(value, float):
+                                out[r][name] = value
+                            else:
+                                out[r] = value
+        return out
+
+    def _batches(self, at: list[int], rows: list[int]):
+        """``at``, places in ``rows``, cut into runs that hold at most
+        ``_BATCH_TOKENS`` tokens between them, a longer transcript alone."""
+        batch, size = [], 0
+        for r in at:
+            tokens = self._row_tokens[rows[r]]
+            if batch and size + tokens > _BATCH_TOKENS:
+                yield batch
+                batch, size = [], 0
+            batch.append(r)
+            size += tokens
+        if batch:
+            yield batch
 
 
-def _perplexity(model: NGramModel, grams: list[tuple[str, ...]], where: str,
-                held: _HeldOut | None = None) -> float:
-    """exp of mean negative log probability per scored position of
-    ``grams`` under ``model``, or under ``model`` changed by ``held``.  A
-    zero probability raises ``ZeroProbability`` naming ``where`` and the
-    first such n-gram in position order; so does a ``smoothing_k`` whose
-    product with the vocab size overflows, which would make every
-    probability 0.  The logs are added left to right in position order:
-    builtin ``sum`` compensates from Python 3.12."""
-    if not grams:
-        raise EmptyTranscript(f"{where}: no scorable positions")
-    # the add-k probability (count + k) / (context total + k * vocab size),
-    # inlined in each loop: a call per n-gram slows extract's scoring
-    counts, totals, k = model.counts.get, model.context_totals.get, model.smoothing_k
-    vocab_size = model.vocab_size if held is None else held.vocab_size
-    k_vocab = k * vocab_size
-    if not math.isfinite(k_vocab):
-        raise ZeroProbability(f"{where}: smoothing_k={k!r} times the vocab size "
-                              f"{vocab_size} overflows, so every probability is 0")
-    log_sum = 0.0
-    if held is None:
-        for gram in grams:
-            num = counts(gram, 0) + k
-            den = totals(gram[:-1], 0) + k_vocab
-            if num == 0.0 or den == 0.0 or num / den <= 0.0:
-                raise ZeroProbability(f"{where}: zero probability for {gram} "
-                                      "(k=0 and unseen)")
-            log_sum += math.log(num / den)
-    else:
-        removed, added = held.removed.get, held.added.get
-        removed_totals, added_totals = held.removed_totals.get, held.added_totals.get
-        for gram in grams:
-            context = gram[:-1]
-            num = counts(gram, 0) - removed(gram, 0) + added(gram, 0) + k
-            den = (totals(context, 0) - removed_totals(context, 0)
-                   + added_totals(context, 0) + k_vocab)
-            if num == 0.0 or den == 0.0 or num / den <= 0.0:
-                raise ZeroProbability(f"{where}: zero probability for {gram} "
-                                      "(k=0 and unseen)")
-            log_sum += math.log(num / den)
-    return math.exp(-log_sum / len(grams))
-
-
-def _perplexity_features(t: Transcript, sents: list[list[str]],
-                         models: dict[str, dict[int, NGramModel]],
-                         held: dict[str, tuple]) -> dict[str, float]:
-    """``t``'s six features from its child sentences ``sents``, under
-    ``models["SLI"]`` (s_*) and ``models["TD"]`` (d_*).  ``held`` maps a
-    group to ``t``'s held-out changes in it, one per order, and ``sents``
-    as mapped through its held-out vocab: that group's models score them
-    changed by each order's change."""
+def _score_one(t: Transcript, sents: list[list[str]], models) -> list[float]:
+    """``t``'s perplexity under each of ``models``, pairs of a name for
+    messages and a model, from its child sentences ``sents``; the first
+    failure raises."""
     if not sents:
         raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
-    out = {}
-    for prefix, label in (("s", "SLI"), ("d", "TD")):
-        changes, mapped = held.get(label, ((None,) * len(ORDERS), None))
-        key = grams = None
-        for order in ORDERS:
-            model = models[label][order]
-            # cut again for another vocab or pad; a tuple compares identity first
-            if grams is None or (mapped is None and (model.vocab, model.pad) != key):
-                key = model.vocab, model.pad
-                grams = _grams(_map(sents, model.vocab) if mapped is None else mapped,
-                               model.pad)
-            out[f"{prefix}_{order}g_ppl"] = _perplexity(
-                model, grams[order - 1], f"transcript {t.id!r}, {label} order-{order} model "
-                f"({'full' if mapped is None else 'held out'})", changes[order - 1])
+    flat = list(chain.from_iterable(sents))
+    lengths = np.fromiter(map(len, sents), np.int64, len(sents))
+    out = []
+    for where, model in models:
+        table = model._table
+        (ctx, last, _), = _cut(table.encode(flat, len(flat)), lengths, model.pad,
+                               table.index.width, (model.order,))
+        value, = _score(*_lookup(table.index, ctx, last), model.smoothing_k,
+                        np.array([model.vocab_size]), [0, len(last)], lambda r: where,
+                        lambda j: table.gram(model.order, int(ctx[j]), int(last[j])))
+        if not isinstance(value, float):
+            raise value
+        out.append(value)
     return out
 
 
@@ -338,11 +660,8 @@ def perplexity(model: NGramModel, t: Transcript) -> float:
     Padding symbols ``<s>`` only ever appear as context; ``</s>`` is a
     scored position when padding is on.
     """
-    sents = _child_sentences([t])
-    if not sents:
-        raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
-    grams = _grams(_map(sents, model.vocab), model.pad)[model.order - 1]
-    return _perplexity(model, grams, f"transcript {t.id!r}, order-{model.order} model")
+    return _score_one(t, _child_sentences([t]),
+                      [(f"transcript {t.id!r}, order-{model.order} model", model)])[0]
 
 
 def perplexity_features(t: Transcript, sli_models: dict[int, NGramModel],
@@ -350,8 +669,11 @@ def perplexity_features(t: Transcript, sli_models: dict[int, NGramModel],
     """The six perplexity features: s_* against the SLI models, d_*
     against the TD models, orders 1-3, from one read of the child
     sentences."""
-    return _perplexity_features(t, _child_sentences([t]),
-                                {"SLI": sli_models, "TD": td_models}, {})
+    models = {f"{prefix}_{order}g_ppl": (
+                  f"transcript {t.id!r}, {label} order-{order} model (full)", group[order])
+              for prefix, label, group in (("s", "SLI", sli_models), ("d", "TD", td_models))
+              for order in ORDERS}
+    return dict(zip(models, _score_one(t, _child_sentences([t]), models.values())))
 
 
 def train_group_models(transcripts, smoothing_k: float = 1.0,

@@ -367,10 +367,16 @@ def extract_cohort(transcripts: list[chat.Transcript],
 
     With ``loo``, a labelled transcript is scored against its own group's
     models without it.  ``ngram.GroupModels`` reads each transcript's
-    child sentences once and counts each group in one walk; a held-out
-    transcript is scored against a view of the full counts minus its own,
-    with no copy of the count tables and no retrain, and at most one view
-    is alive at a time."""
+    child sentences once and counts each group in one walk.  Its scoring
+    engine codes the n-grams as integers and scores each model in one
+    numpy pass per batch of transcripts; a held-out transcript reads the
+    full counts plus its own signed delta, with no copy of the count
+    tables and no retrain.  The bytes stay those of one dict lookup per
+    n-gram: the add-k ratio is the same float64 arithmetic, the logs come
+    from ``math.log`` and each transcript's logs are added left to right.
+    ``GroupModels.outcomes`` gives each transcript's features or error,
+    raised here in transcript order, so a transcript's scoring error still
+    comes before the next one's and before its own z-scores."""
     tables = scoring.compile_tables(
         scoring.load_table(config.dss_table, "categories") if config.dss_table else None,
         scoring.load_table(config.ipsyn_table, "structures") if config.ipsyn_table else None)
@@ -382,8 +388,9 @@ def extract_cohort(transcripts: list[chat.Transcript],
     lms = ngram.GroupModels(transcripts, config.smoothing_k, config.unk_threshold)
 
     values = np.empty((len(transcripts), len(FEATURE_NAMES)))
-    for i, (base, flags) in enumerate(blocks):
-        ppl = lms.perplexity_features(i, held_out=config.loo)
+    for i, ((base, flags), ppl) in enumerate(zip(blocks, lms.outcomes(held_out=config.loo))):
+        if not isinstance(ppl, dict):
+            raise ppl
         vec = fx.FeatureVector({**base, **ppl, **fx.zscore_features(base, stats)},
                                frozenset(flags))
         values[i] = [vec.values[name] for name in FEATURE_NAMES]

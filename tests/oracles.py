@@ -66,6 +66,12 @@
 * ``scope_strip_annotations`` walks the scope stack for every tier,
   before ``chat.strip_annotations`` returned a tier without annotations
   as it is.
+* ``dict_perplexity`` holds the two add-k loops, full and held-out, that
+  scored n-grams one at a time from the count dicts, and
+  ``dict_perplexity_features`` and ``dict_group_features`` the six
+  features built on them, before ``ngram._score`` read integer-coded
+  n-grams from sorted arrays.  ``counter_held_out`` builds the held-out
+  changes those loops read, as ``Counter`` tables of string n-grams.
 * ``stdtr_two_sided`` is the two-sided Student-t tail through
   ``scipy.special.stdtr``, before ``clustering._t_two_sided_p`` computed
   it from the incomplete beta's continued fraction and ``analyze``
@@ -77,6 +83,8 @@ import io
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -317,6 +325,118 @@ def loop_perplexity(model: ngram.NGramModel, t) -> float:
     if n == 0:
         raise EmptyTranscript(f"transcript {t.id!r} has no scorable positions")
     return math.exp(-log_sum / n)
+
+
+@dataclass(frozen=True)
+class CounterHeldOut:
+    """What holding one member out changes in one order of its group's
+    model: the member's n-grams and those of the remapped sentences under
+    the full vocab leave (``removed``), the remapped sentences' n-grams
+    under the held-out vocab come in (``added``), and the vocab shrinks to
+    ``vocab_size``.  Each count table comes with its context totals."""
+    removed: Counter
+    removed_totals: Counter
+    added: Counter
+    added_totals: Counter
+    vocab_size: int
+
+
+def counter_held_out(lms: ngram.GroupModels, i: int) -> tuple[list[CounterHeldOut],
+                                                               list[list[str]]]:
+    """What holding labelled transcript ``i`` out of its group changes in
+    orders 1-3 of ``lms``, and its own sentences mapped through the
+    held-out vocab; ``EmptyCorpus`` if the rest holds no child tokens."""
+    label, own = lms.transcripts[i].group.value, lms.sents[i]
+    if len(own) == lms.n_sents[label]:
+        raise EmptyCorpus(f"no child tokens to train on in the {label} group "
+                          f"without transcript {lms.transcripts[i].id!r}")
+    first = lms.models[label][1]
+    vocab, unigrams, pad = first.vocab, first.counts, first.pad
+    rest = {tok: unigrams[(tok,)] - c
+            for tok, c in Counter(chain.from_iterable(own)).items() if tok in vocab}
+    dropped = {tok for tok, c in rest.items() if c < first.unk_threshold}
+    newly_rare = {tok for tok in dropped if rest[tok] > 0}
+    remapped = [s for j in lms.members[label] if j != i
+                for s in lms.sents[j] if not newly_rare.isdisjoint(s)]
+    removed = ngram._map(own + remapped, vocab)
+    moved = [[ngram.UNK if tok in dropped else tok for tok in m] for m in removed]
+    changes = [CounterHeldOut(Counter(out), Counter(g[:-1] for g in out),
+                              Counter(into), Counter(g[:-1] for g in into),
+                              first.vocab_size - len(dropped))
+               for out, into in zip(ngram._grams(removed, pad),
+                                    ngram._grams(moved[len(own):], pad))]
+    return changes, moved[:len(own)]
+
+
+def dict_perplexity(model: ngram.NGramModel, grams: list[tuple[str, ...]], where: str,
+                    held: CounterHeldOut | None = None) -> float:
+    """exp of mean negative log probability per scored position of
+    ``grams`` under ``model``, or under ``model`` changed by ``held``: the
+    add-k ratio inlined in a loop over the n-grams, with the logs added
+    left to right.  Its errors and messages are those of the engine for
+    ``smoothing_k`` 0 and any ``k`` whose add-k probabilities do not
+    underflow."""
+    if not grams:
+        raise EmptyTranscript(f"{where}: no scorable positions")
+    counts, totals, k = model.counts.get, model.context_totals.get, model.smoothing_k
+    vocab_size = model.vocab_size if held is None else held.vocab_size
+    k_vocab = k * vocab_size
+    if not math.isfinite(k_vocab):
+        raise ZeroProbability(f"{where}: smoothing_k={k!r} times the vocab size "
+                              f"{vocab_size} overflows, so every probability is 0")
+    log_sum = 0.0
+    if held is None:
+        for gram in grams:
+            num = counts(gram, 0) + k
+            den = totals(gram[:-1], 0) + k_vocab
+            if num == 0.0 or den == 0.0 or num / den <= 0.0:
+                raise ZeroProbability(f"{where}: zero probability for {gram} "
+                                      "(k=0 and unseen)")
+            log_sum += math.log(num / den)
+    else:
+        removed, added = held.removed.get, held.added.get
+        removed_totals, added_totals = held.removed_totals.get, held.added_totals.get
+        for gram in grams:
+            context = gram[:-1]
+            num = counts(gram, 0) - removed(gram, 0) + added(gram, 0) + k
+            den = (totals(context, 0) - removed_totals(context, 0)
+                   + added_totals(context, 0) + k_vocab)
+            if num == 0.0 or den == 0.0 or num / den <= 0.0:
+                raise ZeroProbability(f"{where}: zero probability for {gram} "
+                                      "(k=0 and unseen)")
+            log_sum += math.log(num / den)
+    return math.exp(-log_sum / len(grams))
+
+
+def dict_perplexity_features(t, sents: list[list[str]], models: dict, held: dict
+                             ) -> dict[str, float]:
+    """``t``'s six features from its child sentences ``sents``, under
+    ``models["SLI"]`` (s_*) and ``models["TD"]`` (d_*).  ``held`` maps a
+    group to ``t``'s ``counter_held_out`` in it: that group's models score
+    the held-out mapping, changed by each order's change."""
+    if not sents:
+        raise EmptyTranscript(f"transcript {t.id!r} has no child tokens")
+    out = {}
+    for prefix, label in (("s", "SLI"), ("d", "TD")):
+        changes, mapped = held.get(label, ((None,) * 3, None))
+        for order in (1, 2, 3):
+            model = models[label][order]
+            grams = ngram._grams(ngram._map(sents, model.vocab) if mapped is None else mapped,
+                                 model.pad)
+            out[f"{prefix}_{order}g_ppl"] = dict_perplexity(
+                model, grams[order - 1], f"transcript {t.id!r}, {label} order-{order} model "
+                f"({'full' if mapped is None else 'held out'})", changes[order - 1])
+    return out
+
+
+def dict_group_features(lms: ngram.GroupModels, i: int, held_out: bool = False
+                        ) -> dict[str, float]:
+    """Transcript ``i``'s six features as ``lms.perplexity_features``
+    gives them, from the dict loops."""
+    t = lms.transcripts[i]
+    own = t.group.value
+    held = {own: counter_held_out(lms, i)} if held_out and own in lms.models else {}
+    return dict_perplexity_features(t, lms.sents[i], lms.models, held)
 
 
 def flesch_kincaid(t: Transcript) -> float:

@@ -1,5 +1,8 @@
 import re
+from collections import Counter
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -11,7 +14,8 @@ from langprofile.ngram import (EOS, UNK, GroupModels, load_model, perplexity,
 from langprofile.pipeline import load_transcripts
 from perfbench import gen
 from tests.conftest import make_corpus, make_wordy_corpus, newly_rare_types, pseudo_words
-from tests.oracles import (add_k_prob, copy_leave_one_out, loop_perplexity,
+from tests.oracles import (add_k_prob, copy_leave_one_out, dict_group_features,
+                           dict_perplexity, dict_perplexity_features, loop_perplexity,
                            loop_perplexity_features, retrain_loo_models, slice_ngrams,
                            slice_train)
 
@@ -317,8 +321,20 @@ def _outcome(score):
         return type(exc)
 
 
-def _held_count(full, removed, added, key) -> int:
-    return full.get(key, 0) - removed.get(key, 0) + added.get(key, 0)
+def _held_view(lms, i):
+    """Labelled transcript ``i``'s held-out view of its own group's models,
+    as ``GroupModels._views`` gives it to scoring: for each order, its
+    n-grams in position order with the count and context total of each,
+    and the view's vocab size."""
+    label = lms.transcripts[i].group.value
+    grams, counts, totals = [], [], []
+    for order, (ctx, last, order_counts, order_totals, _, vocab_sizes, _) in zip(
+            (1, 2, 3), lms._views(label, [i], True)):
+        table = lms.models[label][order]._table
+        grams.append([table.gram(order, c, w) for c, w in zip(ctx.tolist(), last.tolist())])
+        counts.append(order_counts.tolist())
+        totals.append(order_totals.tolist())
+    return grams, counts, totals, int(vocab_sizes[0])
 
 
 TD_MEMBERS = ("ba ki lo", "ki ki mu"), ("lo ba",), ("mu mu ba ki",)
@@ -349,24 +365,23 @@ class TestLeaveOneOut:
                 i = transcripts.index(t)
                 if isinstance(retrain, str):  # the rest holds no child tokens
                     assert isinstance(copy, str)
-                    assert _outcome(lambda: lms.held_out(i)) is EmptyCorpus
+                    assert isinstance(lms._held_out_error(i), EmptyCorpus)
                     assert _outcome(lambda: lms.perplexity_features(i, True)) is EmptyCorpus
                     break
-                changes, mapped = lms.held_out(i)
+                view_grams, view_counts, view_totals, vocab_size = _held_view(lms, i)
                 sents = ngram._child_sentences([t])
-                assert mapped == ngram._map(sents, retrain[1].vocab)
                 for order in (1, 2, 3):
-                    model, change = full[label][order], changes[order - 1]
-                    for gram in (g for s in sents
-                                 for g in slice_ngrams(s, retrain[order].vocab, order, pad)):
-                        got = (_held_count(model.counts, change.removed, change.added, gram),
-                               _held_count(model.context_totals, change.removed_totals,
-                                           change.added_totals, gram[:-1]),
-                               change.vocab_size)
+                    # every n-gram the view scores, in position order and
+                    # mapped through the held-out vocab: none is dropped
+                    grams = [g for s in sents
+                             for g in slice_ngrams(s, retrain[order].vocab, order, pad)]
+                    assert view_grams[order - 1] == grams
+                    for gram, count, total in zip(grams, view_counts[order - 1],
+                                                  view_totals[order - 1]):
                         for want in (copy[order], retrain[order]):
-                            assert got == (want.counts.get(gram, 0),
-                                           want.context_totals.get(gram[:-1], 0),
-                                           want.vocab_size), (order, gram)
+                            assert (count, total, vocab_size) == (
+                                want.counts.get(gram, 0), want.context_totals.get(gram[:-1], 0),
+                                want.vocab_size), (order, gram)
                 models = {**full, label: retrain}
                 assert _outcome(lambda: lms.perplexity_features(i, held_out=True)) \
                     == _outcome(lambda: loop_perplexity_features(t, models["SLI"],
@@ -399,11 +414,13 @@ class TestLeaveOneOut:
         transcripts = members + [chi_group("TD", *sents) for sents in TD_MEMBERS]
         self.assert_matches_oracles(transcripts)
         lms = GroupModels(transcripts, 1.0, 2)
-        changes, mapped = lms.held_out(0)
-        assert changes[0].vocab_size == len({"ba", UNK, EOS})
-        assert mapped == [[UNK, UNK, UNK], [UNK, UNK]]
-        assert _held_count(lms.models["SLI"][2].counts, changes[1].removed, changes[1].added,
-                           ("ba", UNK)) == 1
+        grams, counts, totals, vocab_size = _held_view(lms, 0)
+        assert vocab_size == len({"ba", UNK, EOS})
+        assert grams[0] == [(UNK,), (UNK,), (UNK,), (EOS,), (UNK,), (UNK,), (EOS,)]
+        # "lo ba" turns into "<unk> ba" in the rest: (<s>, <unk>) comes in,
+        # and (<s>, <s>) heads each of its three sentences
+        assert grams[1][0] == (ngram.BOS, UNK) and counts[1][0] == 1
+        assert grams[2][0] == (ngram.BOS, ngram.BOS, UNK) and totals[2][0] == 3
 
     def test_one_member_group_raises_like_retrain(self):
         transcripts = [chi_group("TD", "ba ki"), chi_group("SLI", "ba"),
@@ -414,6 +431,95 @@ class TestLeaveOneOut:
             GroupModels(transcripts).perplexity_features(0, held_out=True)
         with pytest.raises(EmptyCorpus, match="no child tokens to train on"):
             next(retrain_loo_models(transcripts[:1]))
+
+
+def _result(score):
+    """``score()``, or the class and message of the data error it raised."""
+    try:
+        return score()
+    except (ZeroProbability, EmptyCorpus, EmptyTranscript) as exc:
+        return type(exc), str(exc)
+
+
+def _as_result(outcome):
+    return outcome if isinstance(outcome, dict) else (type(outcome), str(outcome))
+
+
+MEMBER = st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=6), max_size=4)
+
+
+class TestCodedEngineEqualsDictLoops:
+    """The integer-coded engine gives the dict loops' floats, with ``==``,
+    and their errors, message for message, full and held out."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(MEMBER, min_size=1, max_size=4), st.lists(MEMBER, min_size=1, max_size=4),
+           st.lists(MEMBER, max_size=1), st.booleans(), st.sampled_from([0.0, 0.5, 1.0]),
+           st.integers(1, 3))
+    def test_on_pseudo_word_corpora(self, sli, td, unlabelled, pad, smoothing_k,
+                                    unk_threshold):
+        def text(member):
+            return [" ".join(WORDS[w] for w in s) for s in member]
+        transcripts = ([chi_group("SLI", *text(m)) for m in sli]
+                       + [chi_group("TD", *text(m)) for m in td]
+                       + [chi(*text(m)) for m in unlabelled])
+        assume(any(map(any, sli)) and any(map(any, td)))
+        lms = GroupModels(transcripts, smoothing_k, unk_threshold, pad)
+        full = lms.models
+        for held_out in (False, True):
+            want = [_result(lambda: dict_group_features(lms, i, held_out))
+                    for i in range(len(transcripts))]
+            assert [_result(lambda: lms.perplexity_features(i, held_out))
+                    for i in range(len(transcripts))] == want
+            assert list(map(_as_result, lms.outcomes(held_out=held_out))) == want
+            with mock.patch.object(ngram, "_BATCH_TOKENS", 7):  # a transcript or two a batch
+                assert list(map(_as_result, lms.outcomes(held_out=held_out))) == want
+        for t in transcripts:
+            sents = ngram._child_sentences([t])
+            assert _result(lambda: perplexity_features(t, full["SLI"], full["TD"])) \
+                == _result(lambda: dict_perplexity_features(t, sents, full, {}))
+            for model in (full["SLI"][3], full["TD"][2]):
+                grams = ngram._grams(ngram._map(sents, model.vocab), model.pad)
+                want = _result(lambda: dict_perplexity(
+                    model, grams[model.order - 1],
+                    f"transcript {t.id!r}, order-{model.order} model")) if sents else \
+                    (EmptyTranscript, f"transcript {t.id!r} has no child tokens")
+                assert _result(lambda: perplexity(model, t)) == want
+
+
+class TestIntegerKeys:
+    def test_ids_above_two_to_the_21_do_not_wrap(self):
+        # ids near 2**31, where id1 * width**2 + id2 * width + id3 would
+        # pass 2**63; repeated trigrams and shared contexts add up
+        width = 2**31 - 1
+        rng = np.random.default_rng(5)
+        a, b, w = rng.integers(2**21, width, size=(3, 300))
+        a[100:200], b[100:200] = a[:100], b[:100]
+        a[200:250], b[200:250], w[200:250] = a[:50], b[:50], w[:50]
+        counts = rng.integers(1, 9, 300)
+        assert max(x * width**2 + y * width + z for x, y, z in zip(
+            a.tolist(), b.tolist(), w.tolist())) > 2**63
+        index = ngram._index(width, a * width + b, w, counts)
+        keys = index.keys[:-1]
+        assert (np.diff(keys) > 0).all() and keys[0] >= 0
+        ranks, last = np.divmod(keys, width)
+        contexts = index.ctx_keys[ranks]
+        decoded = list(zip((contexts // width).tolist(), (contexts % width).tolist(),
+                           last.tolist()))
+        want_counts, want_totals = Counter(), Counter()
+        for x, y, z, c in zip(a.tolist(), b.tolist(), w.tolist(), counts.tolist()):
+            want_counts[x, y, z] += c
+            want_totals[x, y] += c
+        assert decoded == sorted(want_counts)
+        got_counts, got_totals = ngram._lookup(index, a * width + b, w)
+        assert got_counts.tolist() == [want_counts[g] for g in zip(a.tolist(), b.tolist(),
+                                                                   w.tolist())]
+        assert got_totals.tolist() == [want_totals[g] for g in zip(a.tolist(), b.tolist())]
+        # a trigram not counted, under a seen and an unseen context
+        got_counts, got_totals = ngram._lookup(
+            index, np.array([a[0] * width + b[0], 5 * width + 7, -1]), np.array([3, w[0], 0]))
+        assert got_counts.tolist() == [0, 0, 0]
+        assert got_totals.tolist() == [want_totals[a[0], b[0]], 0, 0]
 
 
 class TestErrorsNameTheTranscriptAndModel:
@@ -466,6 +572,27 @@ class TestErrorsNameTheTranscriptAndModel:
         t = load_transcripts(tmp_path / "corpus")[0]
         with pytest.raises(ZeroProbability, match="smoothing_k=1e\\+308 times the vocab"):
             perplexity(train([t], 1, smoothing_k=1e308), t)
+
+    @pytest.mark.parametrize("loo", [False, True])
+    def test_subnormal_smoothing_k_names_the_underflow(self, tmp_path, capsys, loo):
+        # k = 5e-324 is above 0, but an unseen n-gram's (0 + k) / (total + k * V)
+        # rounds to 0
+        gen.chat_corpus(tmp_path / "corpus", 40, 1, (8, 20))
+        argv = ["extract", str(tmp_path / "corpus"), "-o", str(tmp_path / "f.csv"),
+                "--smoothing-k", "5e-324"]
+        assert cli.main(argv + ["--loo"] * loo) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: stage 'extract' failed: transcript '\w+', (SLI|TD) order-1 "
+                            r"model \((full|held out)\): zero probability for \('<unk>',\) "
+                            r"\(smoothing_k=5e-324 is above 0, but the add-k probability "
+                            r"underflows to 0\)\n", err), err
+        assert "k=0 and unseen" not in err
+        transcripts = load_transcripts(tmp_path / "corpus")
+        model = train([t for t in transcripts if t.group.value == "SLI"], 1,
+                      smoothing_k=5e-324)
+        with pytest.raises(ZeroProbability, match="smoothing_k=5e-324 is above 0"):
+            for t in transcripts:
+                perplexity(model, t)
 
     def test_group_without_child_tokens(self, tmp_path, capsys):
         # extract cannot get this far: base features refuse a transcript
