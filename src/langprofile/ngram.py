@@ -9,43 +9,48 @@ in training and in scoring alike: a token outside the model's vocab
 becomes ``<unk>``.  ``smoothing_k`` must be finite and at least 0 and
 ``unk_threshold`` at least 1 (:func:`check_settings`).
 
-Training counts strings.  :func:`_map` applies the rule, :func:`_grams`
-cuts the n-grams of orders 1-3 from one mapping, and :func:`_train`
-counts them into each model's ``counts`` and ``context_totals``, the
-tables that the ``.lm`` format saves.
+Training counts integers.  :func:`_number` numbers a text's distinct
+tokens in sorted order, and :func:`_count` turns the numbered text of one
+group into its models of orders 1-3: the vocab is the types seen at least
+``unk_threshold`` times, one array maps every number to its vocab id (or
+``<unk>``'s), and each order's n-grams are cut from the mapped text
+(:func:`_cut`) and counted into the sorted int64 arrays that scoring reads
+(:func:`_index`).  A trained model's ``counts`` and ``context_totals``,
+the tables that the ``.lm`` format saves, are decoded from those arrays the
+first time something reads them; scoring never does.
 
 Scoring reads integers: one engine serves the single-model
 :func:`perplexity`, :func:`perplexity_features` and :class:`GroupModels`.
-Each model caches a :class:`_Table` built from its counts, with its
-symbols numbered and its contexts and n-grams keyed as sorted int64
-arrays (:func:`_index`).  Text is mapped to those ids once per vocab and
-cut into windows by array arithmetic (:func:`_cut`); ``np.searchsorted``
-reads each n-gram's count and context total (:func:`_lookup`), and
-:func:`_score` turns them into perplexities in one pass over a batch of
-transcripts.  Each perplexity is the float that the dict loops kept in
-``tests/oracles.py`` give: the add-k ratio is the same float64
-arithmetic, the logs come from ``math.log`` and each transcript's logs
-are added left to right.
+Each model holds a :class:`_Table`, its symbols numbered and its contexts
+and n-grams keyed as sorted int64 arrays (:func:`_index`): training
+counts into it, and a model built from count dicts, as :func:`load_model`
+builds one, caches one built from them.  Text is mapped to those ids
+once per vocab and cut into windows by array arithmetic (:func:`_cut`);
+``np.searchsorted`` reads each n-gram's count and context total
+(:func:`_lookup`), and :func:`_score` turns them into perplexities in one
+pass over a batch of transcripts.  Each perplexity is the float that the
+dict loops kept in ``tests/oracles.py`` give: the add-k ratio is the
+same float64 arithmetic, the logs come from ``math.log`` and each
+transcript's logs are added left to right.
 
 :class:`GroupModels` is the one class for the six group models: it reads
-each transcript's child sentences once and names every transcript by its
-index in the cohort, in training, held-out views and scoring alike.  A
-group's three models come from one walk over its text.  Held-out scoring
-copies no count table and retrains nothing: a member is scored against
-the full counts plus a signed delta, what holding it out adds less what
-it removes, keyed by the member in the same id space.  The deltas of all
-the members scored together are built in one pass.  Those integer counts
-equal a retrain's on the rest of the group, so each probability is the
-same float.
+each transcript's child sentences once, numbers the cohort's tokens once
+and names every transcript by its index in the cohort, in training,
+held-out views and scoring alike.  A group's three models are counted
+from one mapping of its text.  Held-out scoring copies no count table
+and retrains nothing: a member is scored against the full counts plus a
+signed delta, what holding it out adds less what it removes, keyed by
+the member in the same id space.  The deltas of all the members scored
+together are built in one pass.  Those integer counts equal a retrain's
+on the rest of the group, so each probability is the same float.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -78,18 +83,17 @@ class _Index:
     counts: np.ndarray
 
 
-def _index(width: int, ctx: np.ndarray, last: np.ndarray, counts: np.ndarray) -> _Index:
+def _index(width: int, ctx: np.ndarray, last: np.ndarray, counts=1) -> _Index:
     """The index of the n-grams with context keys ``ctx`` and last ids
-    ``last``, each counted ``counts`` times; an n-gram listed twice adds
-    its counts, which may be negative.
+    ``last``, each counted ``counts`` times (an array, or one count for
+    all); an n-gram listed twice adds its counts, which may be negative.
 
     Keying an n-gram by its context's rank keeps every key below
     ``len(ctx_keys) * width``, where ``id1 * width**2 + id2 * width + id3``
     would wrap int64 once ``width`` passes about 2**21.  So the keys fit
     while ``width`` is below 2**31, an order-3 context key being
     ``id1 * width + id2``, and there are fewer than 2**32 contexts.  The
-    sums are exact while they stay below 2**53, as the add-k ratio needs
-    of them anyway."""
+    sums are int64 additions, exact while they stay below 2**63."""
     ctx_keys = _distinct(ctx)
     rank = np.searchsorted(ctx_keys, ctx)
     gram_keys = rank * width + last
@@ -109,9 +113,12 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def _sums(at: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """The sum of ``values`` at each of ``n`` places, then a closing 0."""
-    return np.append(np.bincount(at, values, n).astype(np.int64), 0)
+def _sums(at: np.ndarray, values, n: int) -> np.ndarray:
+    """The sum of ``values`` at each of ``n`` places, then a closing 0.
+    ``np.bincount`` would add them as float64, inexact from 2**53."""
+    sums = np.zeros(n + 1, np.int64)
+    np.add.at(sums, at, values)
+    return sums
 
 
 def _lookup(index: _Index, ctx: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,15 +154,33 @@ class _Table:
     ``index.width - 1``, stands for every other symbol that a loaded
     file's n-gram may name: no scored n-gram holds it, yet its counts add
     to their contexts' totals.  Totals are summed from the counts, as
-    :func:`_context_totals` sums ``context_totals``."""
+    :func:`load_model` sums ``context_totals``."""
     symbols: tuple[str, ...]
     ids: dict[str, int]
     index: _Index
 
+    def _grams(self, order: int, ctx, *last) -> list[tuple[str, ...]]:
+        """The n-gram, or with no ``last`` the context, that each context
+        key in ``ctx`` (and id in ``last``) stands for."""
+        prev = np.divmod(ctx, self.index.width) if order == 3 else (ctx,) * (order - 1)
+        if not prev and not last:
+            return [()] * len(ctx)
+        names = np.array(self.symbols, object)  # indexed by ids, it makes no Python int per id
+        return list(zip(*[names[ids].tolist() for ids in (*prev, *last)]))
+
     def gram(self, order: int, ctx: int, last: int) -> tuple[str, ...]:
         """The n-gram that context key ``ctx`` and id ``last`` stand for."""
-        prev = divmod(ctx, self.index.width) if order == 3 else (ctx,) * (order - 1)
-        return tuple(self.symbols[i] for i in (*prev, last))
+        return self._grams(order, [ctx], [last])[0]
+
+    def decode(self, order: int) -> tuple[dict[tuple[str, ...], int],
+                                          dict[tuple[str, ...], int]]:
+        """The ``counts`` and ``context_totals`` of the order-``order``
+        model that this table indexes."""
+        index = self.index
+        rank, last = np.divmod(index.keys[:-1], index.width)
+        return (dict(zip(self._grams(order, index.ctx_keys[rank], last),
+                         index.counts[:-1].tolist())),
+                dict(zip(self._grams(order, index.ctx_keys[:-1]), index.totals[:-1].tolist())))
 
     def encode(self, tokens, n: int) -> np.ndarray:
         """The id of each of the ``n`` ``tokens``, ``<unk>``'s outside the
@@ -174,6 +199,27 @@ class NGramModel:
     context_totals: dict[tuple[str, ...], int]
     vocab: frozenset[str]
 
+    @classmethod
+    def _counted(cls, order: int, smoothing_k: float, unk_threshold: int, pad: bool,
+                 vocab: frozenset[str], table: _Table) -> NGramModel:
+        """The model that ``table`` indexes, as :func:`_count` trains it:
+        its ``counts`` and ``context_totals`` are left out, for
+        :meth:`__getattr__` to decode."""
+        model = object.__new__(cls)
+        model.__dict__.update(order=order, smoothing_k=float(smoothing_k),
+                              unk_threshold=int(unk_threshold), pad=bool(pad), vocab=vocab,
+                              _table=table)
+        return model
+
+    def __getattr__(self, name: str):
+        """Decode a counted model's ``counts`` and ``context_totals`` the
+        first time one is read; called only for a name the model lacks."""
+        if name not in ("counts", "context_totals") or "_table" not in self.__dict__:
+            raise AttributeError(name)
+        counts, totals = self._table.decode(self.order)
+        self.__dict__.update(counts=counts, context_totals=totals)
+        return self.__dict__[name]
+
     @functools.cached_property
     def vocab_size(self) -> int:
         return len(self.vocab)
@@ -190,20 +236,61 @@ class NGramModel:
                                            np.fromiter(self.counts.values(), np.int64, n)))
 
 
-def _child_sentences(transcripts, strings: dict[str, str] | None = None
-                     ) -> list[list[str]]:
-    """The lowercased clean tokens of each child utterance that has any.
-    Equal tokens share the string object that ``strings`` holds for them:
-    :class:`GroupModels` keeps a whole cohort's sentences from training
-    through scoring."""
-    strings = {} if strings is None else strings
+def _child_sentences(transcripts) -> list[list[str]]:
+    """The lowercased clean tokens of each child utterance that has any."""
     sents = []
     for t in transcripts:
         for u in t.child_utterances:
-            toks = [strings.setdefault(w, w) for w in map(str.lower, u.clean_tokens)]
+            toks = list(map(str.lower, u.clean_tokens))
             if toks:
                 sents.append(toks)
     return sents
+
+
+def _number(rows) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct tokens of ``rows``, each a list of sentences, sorted;
+    each token's place among them, end to end; each sentence's length;
+    and each row's sentence count.  One row is read at a time, and no
+    token string is kept but the distinct ones."""
+    first_seen: dict[str, int] = {}
+    numbers: list[int] = []
+    lengths: list[int] = []
+    per_row: list[int] = []
+    for sents in rows:
+        flat = list(chain.from_iterable(sents))
+        first_seen.update(zip(set(flat).difference(first_seen), count(len(first_seen))))
+        numbers.extend(map(first_seen.__getitem__, flat))
+        lengths.extend(map(len, sents))
+        per_row.append(len(sents))
+    types = sorted(first_seen)
+    rank = np.empty(len(types), np.int64)
+    rank[np.fromiter(map(first_seen.__getitem__, types), np.int64, len(types))] = \
+        np.arange(len(types))
+    return (types, rank[np.array(numbers, np.int64)], np.array(lengths, np.int64),
+            np.array(per_row, np.int64))
+
+
+def _count(types: list[str], tokens: np.ndarray, lengths: np.ndarray, smoothing_k: float,
+           unk_threshold: int, pad: bool) -> tuple[np.ndarray, dict[int, NGramModel]]:
+    """The models of orders 1-3 trained on sentences ``lengths`` long
+    whose tokens, each named by its place in ``types`` (sorted), ``tokens``
+    holds end to end; and the vocab id of each of ``types``.
+
+    The vocab keeps the types seen at least ``unk_threshold`` times,
+    numbered from 3 in sorted order as :class:`_Table` numbers them, and
+    maps every other type to ``<unk>``.  Each order's n-grams are cut from
+    the one mapped text and counted straight into its table's index."""
+    kept = np.bincount(tokens, minlength=len(types)) >= unk_threshold
+    to_vocab = np.where(kept, np.cumsum(kept) + (len(_SPECIALS) - 1), _UNK_ID)
+    kept_types = list(compress(types, kept.tolist()))
+    symbols = (*_SPECIALS, *kept_types)
+    ids = dict(zip(symbols, range(len(symbols))))
+    vocab = frozenset(kept_types + ([UNK, EOS] if pad else [UNK]))
+    width = len(symbols) + 1  # the last id stands for no symbol, as in _Table
+    return to_vocab, {
+        order: NGramModel._counted(order, smoothing_k, unk_threshold, pad, vocab,
+                                   _Table(symbols, ids, _index(width, ctx, last)))
+        for order, (ctx, last, _) in zip(ORDERS, _cut(to_vocab[tokens], lengths, pad, width))}
 
 
 def check_settings(smoothing_k: float = 1.0, unk_threshold: int = 1) -> None:
@@ -222,71 +309,14 @@ def _check_order(order: int) -> None:
 
 def train(transcripts, order: int, smoothing_k: float = 1.0,
           unk_threshold: int = 1, pad: bool = True) -> NGramModel:
-    """The order-``order`` model of :func:`_train` on the child sentences
+    """The order-``order`` model of :func:`_count` on the child sentences
     of ``transcripts``, taken as one group."""
     _check_order(order)
     check_settings(smoothing_k, unk_threshold)
-    sents = _child_sentences(transcripts)
-    if not sents:
+    types, tokens, lengths, _ = _number([_child_sentences(transcripts)])
+    if not len(lengths):
         raise EmptyCorpus("no child tokens to train on")
-    return _train([sents], smoothing_k, unk_threshold, pad)[order]
-
-
-def _vocab(freq: Counter, unk_threshold: int, pad: bool) -> frozenset[str]:
-    return frozenset([tok for tok, c in freq.items() if c >= unk_threshold]
-                     + ([UNK, EOS] if pad else [UNK]))
-
-
-def _train(sents: list[list[list[str]]], smoothing_k: float, unk_threshold: int,
-           pad: bool) -> dict[int, NGramModel]:
-    """The models of orders 1-3 from one walk over ``sents``, each
-    transcript's child sentences: each sentence is mapped through the
-    vocab once and the three orders are cut from that one mapping, one
-    transcript at a time."""
-    vocab = _vocab(Counter(chain.from_iterable(chain.from_iterable(sents))),
-                   unk_threshold, pad)
-    counts: list[Counter] = [Counter(), Counter(), Counter()]
-    for member in sents:
-        for c, grams in zip(counts, _grams(_map(member, vocab), pad)):
-            c.update(grams)
-    return {order: NGramModel(order, float(smoothing_k), int(unk_threshold), bool(pad),
-                              dict(c), _context_totals(c), vocab)
-            for order, c in zip(ORDERS, counts)}
-
-
-def _map(sents: list[list[str]], vocab) -> list[list[str]]:
-    """``sents`` with the tokens outside ``vocab`` mapped to ``<unk>``.  No
-    clean token is ``<unk>`` or ``</s>``: CHAT cleaning strips a word's
-    leading ``<`` and trailing ``>``."""
-    return [[tok if tok in vocab else UNK for tok in s] for s in sents]
-
-
-def _grams(mapped: list[list[str]], pad: bool) -> tuple[list, list, list]:
-    """The n-grams of orders 1-3 of the ``mapped`` sentences, each order's
-    in position order.  With padding, a sentence's order-2 and order-1
-    windows are those of the order-3 padded sentence's suffixes."""
-    g1: list[tuple[str, ...]] = []
-    g2: list[tuple[str, ...]] = []
-    g3: list[tuple[str, ...]] = []
-    for m in mapped:
-        if pad:
-            m = [BOS, BOS, *m, EOS]
-            m1, m2 = m[1:], m[2:]
-            g1 += zip(m2)
-            g2 += zip(m1, m2)
-        else:
-            m1, m2 = m[1:], m[2:]
-            g1 += zip(m)
-            g2 += zip(m, m1)
-        g3 += zip(m, m1, m2)
-    return g1, g2, g3
-
-
-def _context_totals(counts) -> dict[tuple[str, ...], int]:
-    totals: dict[tuple[str, ...], int] = {}
-    for gram, c in counts.items():
-        totals[gram[:-1]] = totals.get(gram[:-1], 0) + c
-    return totals
+    return _count(types, tokens, lengths, smoothing_k, unk_threshold, pad)[1][order]
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -386,12 +416,12 @@ class GroupModels:
     transcripts, each transcript's perplexity features against them, and
     each labelled transcript's held-out view of its own group's models.
 
-    Each transcript's child sentences are read once, here, and every
-    transcript is named by its index in ``transcripts``.  For each label,
-    ``members`` holds the group's indices, ``n_sents`` their sentence count
-    and ``models`` its three models; no per-member counts are kept.  A
-    group with no transcripts, or no child tokens, raises ``EmptyCorpus``:
-    SLI is checked before TD.
+    Each transcript's child sentences are read once, here, and only their
+    tokens' numbers are kept; every transcript is named by its index in
+    ``transcripts``.  For each label, ``members`` holds the group's
+    indices, ``n_sents`` their sentence count and ``models`` its three
+    models; no per-member counts are kept.  A group with no transcripts,
+    or no child tokens, raises ``EmptyCorpus``: SLI is checked before TD.
 
     Every composite key below (a member and a type, a type and a
     sentence, a member and a sentence, a member and a context rank) stays
@@ -401,37 +431,35 @@ class GroupModels:
     def __init__(self, transcripts, smoothing_k: float = 1.0, unk_threshold: int = 1,
                  pad: bool = True):
         self.transcripts = list(transcripts)
-        strings: dict[str, str] = {}
-        self.sents = [_child_sentences([t], strings) for t in self.transcripts]
+        # the cohort's sentences end to end: each token's place among the
+        # cohort's types, each sentence's length and first token, each
+        # transcript's sentence count, first sentence and token count
+        types, tokens, self._lengths, self._sents_per_row = _number(
+            _child_sentences([t]) for t in self.transcripts)
+        self._starts = np.cumsum(self._lengths) - self._lengths
+        self._first_sent = np.cumsum(self._sents_per_row) - self._sents_per_row
+        ends = np.append(0, np.cumsum(self._lengths))
+        self._row_tokens = (ends[self._first_sent + self._sents_per_row]
+                            - ends[self._first_sent]).tolist()
         self.members: dict[str, list[int]] = {}
         self.n_sents: dict[str, int] = {}
         self.models: dict[str, dict[int, NGramModel]] = {}
+        self._codes: dict[str, np.ndarray] = {}  # each cohort token's id in each group's vocab
         for label in ("SLI", "TD"):
             idx = [i for i, t in enumerate(self.transcripts) if t.group.value == label]
             if not idx:
                 raise EmptyCorpus(f"no transcripts labeled {label}")
             # here, so a corpus with no SLI transcripts is named before a bad setting
             check_settings(smoothing_k, unk_threshold)
-            sents = [self.sents[i] for i in idx]
-            self.n_sents[label] = sum(map(len, sents))
-            if not self.n_sents[label]:
+            sents = self._sentences(idx)
+            self.n_sents[label] = len(sents)
+            if not len(sents):
                 raise EmptyCorpus(f"no child tokens to train on in the {label} group")
             self.members[label] = idx
-            self.models[label] = _train(sents, smoothing_k, unk_threshold, pad)
-        # the cohort's sentences end to end: each one's length and first
-        # token, each transcript's sentence count and first sentence
-        self._lengths = np.fromiter(map(len, chain.from_iterable(self.sents)), np.int64)
-        self._starts = np.cumsum(self._lengths) - self._lengths
-        self._sents_per_row = np.fromiter(map(len, self.sents), np.int64, len(self.sents))
-        self._first_sent = np.cumsum(self._sents_per_row) - self._sents_per_row
-        self._row_tokens = [sum(map(len, sents)) for sents in self.sents]
-
-    @functools.cached_property
-    def _codes(self) -> dict[str, np.ndarray]:
-        """Each cohort token's id in each group's vocab, end to end."""
-        return {label: models[1]._table.encode(
-                    chain.from_iterable(chain.from_iterable(self.sents)), sum(self._row_tokens))
-                for label, models in self.models.items()}
+            to_vocab, self.models[label] = _count(
+                types, tokens[_ranges(self._starts[sents], self._lengths[sents])],
+                self._lengths[sents], smoothing_k, unk_threshold, pad)
+            self._codes[label] = to_vocab[tokens]
 
     @functools.cached_property
     def _holders(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -471,7 +499,7 @@ class GroupModels:
         group leaves no child tokens to train on, as :func:`train` on the
         rest would raise."""
         label = self.transcripts[i].group.value
-        if len(self.sents[i]) == self.n_sents[label]:
+        if self._sents_per_row[i] == self.n_sents[label]:
             return EmptyCorpus(f"no child tokens to train on in the {label} group "
                                f"without transcript {self.transcripts[i].id!r}")
         return None
@@ -509,7 +537,7 @@ class GroupModels:
             n_holders = np.searchsorted(types, rare % width, "right") - lo
             sents = holders[_ranges(lo, n_holders)]
             members = np.repeat(rare // width, n_holders)
-            rows = np.repeat(np.arange(len(self.sents)), self._sents_per_row)
+            rows = np.repeat(np.arange(len(self.transcripts)), self._sents_per_row)
             other = rows[sents] != np.asarray(held)[members]
             n = len(self._lengths)
             pairs_moved = _distinct(members[other] * n + sents[other])
@@ -593,7 +621,7 @@ class GroupModels:
         for i in rows:
             t = self.transcripts[i]
             error = held_out and t.group.value in self.models and self._held_out_error(i)
-            if not error and not self.sents[i]:
+            if not error and not self._sents_per_row[i]:
                 error = EmptyTranscript(f"transcript {t.id!r} has no child tokens")
             out.append(error or {})
         for batch in self._batches([r for r, features in enumerate(out)
@@ -709,9 +737,10 @@ def load_model(path: str | Path) -> NGramModel:
     raises ``DataError`` naming the file.  So does a header that
     :func:`train` would refuse: an order outside 1-3, a setting that
     fails :func:`check_settings`, or a ``pad`` other than 0 or 1, a count
-    with more digits than ``int`` converts, an n-gram on a second line
-    (named with both line numbers), and a byte that is not UTF-8, named
-    with its offset in the file."""
+    with more digits than ``int`` converts, a count that takes its
+    context's total to 2**63 or more (scoring reads them as int64), an
+    n-gram on a second line (named with both line numbers), and a byte
+    that is not UTF-8, named with its offset in the file."""
     lines = read_text(path).rstrip("\n").split("\n")
     header = lines[0].split("\t")
     if header[0] != "ngram":
@@ -736,6 +765,7 @@ def load_model(path: str | Path) -> NGramModel:
     vocab = frozenset(lines[1][len("vocab\t"):].split(" "))
 
     counts: dict[tuple[str, ...], int] = {}
+    totals: dict[tuple[str, ...], int] = {}
     for lineno, ln in enumerate(lines[2:], start=3):
         count_text, tab, gram_text = ln.partition("\t")
         gram = tuple(gram_text.split(" "))
@@ -750,5 +780,11 @@ def load_model(path: str | Path) -> NGramModel:
         except ValueError:  # more digits than int() converts
             raise DataError(f"{path}: line {lineno}: n-gram count has {len(count_text)} "
                             "digits, too many to read") from None
-    return NGramModel(order, k, threshold, bool(pad), counts,
-                      _context_totals(counts), vocab)
+        if counts[gram] >= 2**63:
+            raise DataError(f"{path}: line {lineno}: n-gram count is 2**63 or more, "
+                            "too large to score")
+        totals[gram[:-1]] = totals.get(gram[:-1], 0) + counts[gram]
+        if totals[gram[:-1]] >= 2**63:
+            raise DataError(f"{path}: line {lineno}: n-gram count takes the total of its "
+                            "context to 2**63 or more, too large to score")
+    return NGramModel(order, k, threshold, bool(pad), counts, totals, vocab)

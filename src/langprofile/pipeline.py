@@ -367,13 +367,16 @@ def extract_cohort(transcripts: list[chat.Transcript],
 
     With ``loo``, a labelled transcript is scored against its own group's
     models without it.  ``ngram.GroupModels`` reads each transcript's
-    child sentences once and counts each group in one walk.  Its scoring
-    engine codes the n-grams as integers and scores each model in one
-    numpy pass per batch of transcripts; a held-out transcript reads the
-    full counts plus its own signed delta, with no copy of the count
-    tables and no retrain.  The bytes stay those of one dict lookup per
-    n-gram: the add-k ratio is the same float64 arithmetic, the logs come
-    from ``math.log`` and each transcript's logs are added left to right.
+    child sentences once and numbers the cohort's tokens once; it counts
+    each group's three models from one mapping of those numbers, straight
+    into the int64 tables that scoring reads, and builds no string count
+    dict.  Its scoring engine codes the n-grams as integers and scores
+    each model in one numpy pass per batch of transcripts; a held-out
+    transcript reads the full counts plus its own signed delta, with no
+    copy of the count tables and no retrain.  The bytes stay those of one
+    dict lookup per n-gram: the add-k ratio is the same float64
+    arithmetic, the logs come from ``math.log`` and each transcript's logs
+    are added left to right.
     ``GroupModels.outcomes`` gives each transcript's features or error,
     raised here in transcript order, so a transcript's scoring error still
     comes before the next one's and before its own z-scores."""

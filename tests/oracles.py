@@ -72,6 +72,12 @@
   features built on them, before ``ngram._score`` read integer-coded
   n-grams from sorted arrays.  ``counter_held_out`` builds the held-out
   changes those loops read, as ``Counter`` tables of string n-grams.
+* ``counter_train`` counts the string n-grams of orders 1-3 of each
+  group into ``Counter`` tables, from one mapping of each sentence
+  through the vocab (``string_vocab``, ``map_unk``, ``cut_grams``), and
+  sums the context totals in a loop over them (``context_totals``),
+  before ``ngram.train`` and ``ngram.GroupModels`` numbered the tokens
+  and counted each order into the int64 index that scoring reads.
 * ``stdtr_two_sided`` is the two-sided Student-t tail through
   ``scipy.special.stdtr``, before ``clustering._t_two_sided_p`` computed
   it from the incomplete beta's continued fraction and ``analyze``
@@ -346,7 +352,7 @@ def counter_held_out(lms: ngram.GroupModels, i: int) -> tuple[list[CounterHeldOu
     """What holding labelled transcript ``i`` out of its group changes in
     orders 1-3 of ``lms``, and its own sentences mapped through the
     held-out vocab; ``EmptyCorpus`` if the rest holds no child tokens."""
-    label, own = lms.transcripts[i].group.value, lms.sents[i]
+    label, own = lms.transcripts[i].group.value, ngram._child_sentences([lms.transcripts[i]])
     if len(own) == lms.n_sents[label]:
         raise EmptyCorpus(f"no child tokens to train on in the {label} group "
                           f"without transcript {lms.transcripts[i].id!r}")
@@ -357,14 +363,14 @@ def counter_held_out(lms: ngram.GroupModels, i: int) -> tuple[list[CounterHeldOu
     dropped = {tok for tok, c in rest.items() if c < first.unk_threshold}
     newly_rare = {tok for tok in dropped if rest[tok] > 0}
     remapped = [s for j in lms.members[label] if j != i
-                for s in lms.sents[j] if not newly_rare.isdisjoint(s)]
-    removed = ngram._map(own + remapped, vocab)
+                for s in ngram._child_sentences([lms.transcripts[j]])
+                if not newly_rare.isdisjoint(s)]
+    removed = map_unk(own + remapped, vocab)
     moved = [[ngram.UNK if tok in dropped else tok for tok in m] for m in removed]
     changes = [CounterHeldOut(Counter(out), Counter(g[:-1] for g in out),
                               Counter(into), Counter(g[:-1] for g in into),
                               first.vocab_size - len(dropped))
-               for out, into in zip(ngram._grams(removed, pad),
-                                    ngram._grams(moved[len(own):], pad))]
+               for out, into in zip(cut_grams(removed, pad), cut_grams(moved[len(own):], pad))]
     return changes, moved[:len(own)]
 
 
@@ -421,8 +427,8 @@ def dict_perplexity_features(t, sents: list[list[str]], models: dict, held: dict
         changes, mapped = held.get(label, ((None,) * 3, None))
         for order in (1, 2, 3):
             model = models[label][order]
-            grams = ngram._grams(ngram._map(sents, model.vocab) if mapped is None else mapped,
-                                 model.pad)
+            grams = cut_grams(map_unk(sents, model.vocab) if mapped is None else mapped,
+                              model.pad)
             out[f"{prefix}_{order}g_ppl"] = dict_perplexity(
                 model, grams[order - 1], f"transcript {t.id!r}, {label} order-{order} model "
                 f"({'full' if mapped is None else 'held out'})", changes[order - 1])
@@ -436,7 +442,7 @@ def dict_group_features(lms: ngram.GroupModels, i: int, held_out: bool = False
     t = lms.transcripts[i]
     own = t.group.value
     held = {own: counter_held_out(lms, i)} if held_out and own in lms.models else {}
-    return dict_perplexity_features(t, lms.sents[i], lms.models, held)
+    return dict_perplexity_features(t, ngram._child_sentences([t]), lms.models, held)
 
 
 def flesch_kincaid(t: Transcript) -> float:
@@ -898,3 +904,60 @@ def scope_strip_annotations(raw_tokens) -> tuple[tuple[str, ...], AnnotationEven
     clean = tuple(w for grp in stack[0] for w in grp)
     events = AnnotationEvents(fillers, repetitions, retracings, word_errors)
     return clean, events
+
+
+def string_vocab(freq: Counter, unk_threshold: int, pad: bool) -> frozenset[str]:
+    return frozenset([tok for tok, c in freq.items() if c >= unk_threshold]
+                     + ([ngram.UNK, ngram.EOS] if pad else [ngram.UNK]))
+
+
+def counter_train(sents: list[list[list[str]]], smoothing_k: float, unk_threshold: int,
+                  pad: bool) -> dict[int, ngram.NGramModel]:
+    """The models of orders 1-3 from one walk over ``sents``, each
+    transcript's child sentences: each sentence is mapped through the
+    vocab once and the three orders are cut from that one mapping, one
+    transcript at a time."""
+    vocab = string_vocab(Counter(chain.from_iterable(chain.from_iterable(sents))),
+                         unk_threshold, pad)
+    counts: list[Counter] = [Counter(), Counter(), Counter()]
+    for member in sents:
+        for c, grams in zip(counts, cut_grams(map_unk(member, vocab), pad)):
+            c.update(grams)
+    return {order: ngram.NGramModel(order, float(smoothing_k), int(unk_threshold), bool(pad),
+                                    dict(c), context_totals(c), vocab)
+            for order, c in zip(ngram.ORDERS, counts)}
+
+
+def map_unk(sents: list[list[str]], vocab) -> list[list[str]]:
+    """``sents`` with the tokens outside ``vocab`` mapped to ``<unk>``.  No
+    clean token is ``<unk>`` or ``</s>``: CHAT cleaning strips a word's
+    leading ``<`` and trailing ``>``."""
+    return [[tok if tok in vocab else ngram.UNK for tok in s] for s in sents]
+
+
+def cut_grams(mapped: list[list[str]], pad: bool) -> tuple[list, list, list]:
+    """The n-grams of orders 1-3 of the ``mapped`` sentences, each order's
+    in position order.  With padding, a sentence's order-2 and order-1
+    windows are those of the order-3 padded sentence's suffixes."""
+    g1: list[tuple[str, ...]] = []
+    g2: list[tuple[str, ...]] = []
+    g3: list[tuple[str, ...]] = []
+    for m in mapped:
+        if pad:
+            m = [ngram.BOS, ngram.BOS, *m, ngram.EOS]
+            m1, m2 = m[1:], m[2:]
+            g1 += zip(m2)
+            g2 += zip(m1, m2)
+        else:
+            m1, m2 = m[1:], m[2:]
+            g1 += zip(m)
+            g2 += zip(m, m1)
+        g3 += zip(m, m1, m2)
+    return g1, g2, g3
+
+
+def context_totals(counts) -> dict[tuple[str, ...], int]:
+    totals: dict[tuple[str, ...], int] = {}
+    for gram, c in counts.items():
+        totals[gram[:-1]] = totals.get(gram[:-1], 0) + c
+    return totals

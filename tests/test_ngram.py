@@ -1,5 +1,7 @@
 import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,10 +16,10 @@ from langprofile.ngram import (EOS, UNK, GroupModels, load_model, perplexity,
 from langprofile.pipeline import load_transcripts
 from perfbench import gen
 from tests.conftest import make_corpus, make_wordy_corpus, newly_rare_types, pseudo_words
-from tests.oracles import (add_k_prob, copy_leave_one_out, dict_group_features,
-                           dict_perplexity, dict_perplexity_features, loop_perplexity,
-                           loop_perplexity_features, retrain_loo_models, slice_ngrams,
-                           slice_train)
+from tests.oracles import (add_k_prob, copy_leave_one_out, counter_train, cut_grams,
+                           dict_group_features, dict_perplexity, dict_perplexity_features,
+                           loop_perplexity, loop_perplexity_features, map_unk,
+                           retrain_loo_models, slice_ngrams, slice_train)
 
 WORDS = pseudo_words(300)
 
@@ -289,6 +291,41 @@ class TestSaveLoad:
         assert str(path) in str(err.value)
         assert where in str(err.value)
 
+    def test_count_of_two_to_the_63_raises_data_error(self, tmp_path):
+        # scoring reads counts as int64, so 2**63 does not fit; one less
+        # loads and scores as the dict loop does
+        path = tmp_path / "m.lm"
+        header = "ngram\torder=1\tk=1.0\tunk_threshold=1\tpad=1\nvocab\t</s> <unk> a\n"
+        path.write_text(header + f"{2**63}\ta\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            load_model(path)
+        assert str(err.value) == \
+            f"{path}: line 3: n-gram count is 2**63 or more, too large to score"
+        path.write_text(header + f"{2**63 - 1}\ta\n", encoding="utf-8")
+        model, t = load_model(path), chi("a b")
+        assert perplexity(model, t) == loop_perplexity(model, t)
+
+    def test_context_total_of_two_to_the_63_raises_data_error(self, tmp_path):
+        # 2**62 twice under the empty context: its total would wrap int64
+        path = tmp_path / "m.lm"
+        header = "ngram\torder=1\tk=1.0\tunk_threshold=1\tpad=1\nvocab\t</s> <unk> a b\n"
+        path.write_text(header + f"{2**62}\ta\n{2**62}\tb\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            load_model(path)
+        assert str(err.value) == (f"{path}: line 4: n-gram count takes the total of its "
+                                  "context to 2**63 or more, too large to score")
+        # a total of 2**63 - 1, which float64 rounds up to 2**63, still scores
+        path.write_text(header + f"{2**62}\ta\n{2**62 - 1}\tb\n", encoding="utf-8")
+        model, t = load_model(path), chi("a b c")
+        assert model.context_totals == {(): 2**63 - 1}
+        assert perplexity(model, t) == loop_perplexity(model, t)
+        # under two contexts, two counts of 2**62 load
+        path.write_text("ngram\torder=2\tk=1.0\tunk_threshold=1\tpad=1\n"
+                        f"vocab\t</s> <unk> a b\n{2**62}\ta b\n{2**62}\tb a\n",
+                        encoding="utf-8")
+        model, t = load_model(path), chi("a b a")
+        assert perplexity(model, t) == loop_perplexity(model, t)
+
     def test_count_over_the_digit_limit_raises_data_error(self, tmp_path):
         # isdecimal() passes, but int() refuses more than 4300 digits
         path = tmp_path / "m.lm"
@@ -479,12 +516,59 @@ class TestCodedEngineEqualsDictLoops:
             assert _result(lambda: perplexity_features(t, full["SLI"], full["TD"])) \
                 == _result(lambda: dict_perplexity_features(t, sents, full, {}))
             for model in (full["SLI"][3], full["TD"][2]):
-                grams = ngram._grams(ngram._map(sents, model.vocab), model.pad)
+                grams = cut_grams(map_unk(sents, model.vocab), model.pad)
                 want = _result(lambda: dict_perplexity(
                     model, grams[model.order - 1],
                     f"transcript {t.id!r}, order-{model.order} model")) if sents else \
                     (EmptyTranscript, f"transcript {t.id!r} has no child tokens")
                 assert _result(lambda: perplexity(model, t)) == want
+
+
+def assert_same_table(got, want):
+    assert (got.symbols, got.ids, got.index.width) == (want.symbols, want.ids, want.index.width)
+    for name in ("ctx_keys", "totals", "keys", "counts"):
+        a, b = getattr(got.index, name), getattr(want.index, name)
+        assert (a.dtype, a.tolist()) == (b.dtype, b.tolist()), name
+
+
+class TestCodedCountingEqualsCounterTrain:
+    """Training counts numbered tokens straight into each model's index;
+    the models, their saved text and their tables are those of counting
+    string n-grams into ``Counter`` tables, and a load of the saved text
+    rebuilds the same table from the decoded count dicts."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(MEMBER, min_size=1, max_size=4), st.lists(MEMBER, min_size=1, max_size=4),
+           st.lists(MEMBER, max_size=1), st.booleans(), st.integers(1, 3), st.booleans())
+    def test_on_pseudo_word_corpora(self, sli, td, unlabelled, pad, unk_threshold, one_token):
+        def text(member):
+            # one-token sentences leave orders 2-3 no n-grams without padding
+            return [" ".join(WORDS[w] for w in (s[:1] if one_token else s)) for s in member]
+        groups = {"SLI": [chi_group("SLI", *text(m)) for m in sli],
+                  "TD": [chi_group("TD", *text(m)) for m in td]}
+        assume(any(map(any, sli)) and any(map(any, td)))
+        lms = GroupModels([*groups["SLI"], *groups["TD"], *(chi(*text(m)) for m in unlabelled)],
+                          0.5, unk_threshold, pad)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.lm"
+            for label, members in groups.items():
+                want = counter_train([ngram._child_sentences([t]) for t in members], 0.5,
+                                     unk_threshold, pad)
+                for order in ngram.ORDERS:
+                    got = lms.models[label][order]
+                    assert "counts" not in vars(got)  # decoded only when read
+                    assert_same_table(got._table, want[order]._table)
+                    assert got == want[order] == train(members, order, 0.5, unk_threshold, pad)
+                    assert ngram.model_text(got) == ngram.model_text(want[order])
+                    save_model(got, path)
+                    assert_same_table(load_model(path)._table, got._table)
+
+    def test_scoring_decodes_no_count_dict(self, corpus_dir):
+        lms = GroupModels(load_transcripts(corpus_dir), 0.5, 2)
+        lms.outcomes()
+        lms.outcomes(held_out=True)
+        assert not any("counts" in vars(model) or "context_totals" in vars(model)
+                       for group in lms.models.values() for model in group.values())
 
 
 class TestIntegerKeys:
