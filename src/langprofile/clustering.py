@@ -340,14 +340,21 @@ def ward_linkage(distances, k: int) -> np.ndarray:
 
     The minimum is read from a row-minimum cache: ``nn[r]`` is the first
     column holding row r's minimum and ``nd[r]`` that minimum, so the pair
-    is ``(argmin(nd), nn[argmin(nd)])``. After a merge only the merged
-    row, and the rows whose ``nn`` was one of the merged pair, rescan;
-    every other row compares its one updated entry with ``nd``. Memory is
-    O(n^2); time is O(n^2) when few rows go stale per merge and O(n^3) at
-    worst. The cache changes only how the pair is found, not how any
-    entry is computed, so the merges are those of a flat ``argmin`` over
-    the whole matrix at every step. A NaN or inf distance raises
-    ``DegenerateInput``.
+    is ``(argmin(nd), nn[argmin(nd)])``. A merged-away row keeps
+    ``nd = inf`` and ``nn = -1``. After a merge only the merged row, and
+    the rows whose ``nn`` was one of the merged pair, rescan; every other
+    row compares its one updated entry with ``nd``.
+
+    Each merge computes the Lance-Williams update over the whole of rows
+    i and j, into two preallocated n-vectors, with no gather of the live
+    rows: a merged-away column and the diagonal hold inf, and the update
+    keeps them inf. A merge records ``parent[j] = i``, and the clusters
+    are the roots of those links, found once at the end. Memory is the
+    squared n x n matrix plus O(n) vectors; time is O(n^2) when few rows
+    go stale per merge and O(n^3) at worst. The cache changes only how
+    the pair is found, not how any entry is computed, so the merges are
+    those of a flat ``argmin`` over the whole matrix at every step. A NaN
+    or inf distance raises ``DegenerateInput``.
 
     No Lance-Williams term exceeds n^2 max(D)^2, so the squares cannot
     overflow while 2 n^2 max(D)^2 is a finite float; a larger distance
@@ -364,72 +371,86 @@ def ward_linkage(distances, k: int) -> np.ndarray:
     D = D ** 2
     np.fill_diagonal(D, np.inf)
     sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
-    owner = np.arange(n)  # the row that holds each point's cluster
+    parent = np.arange(n)  # a merged-away row links to the row it merged into
     nn = np.argmin(D, axis=1)
     nd = D[np.arange(n), nn]
+    upd, tmp = np.empty((2, n))
     for _ in range(n - k):
-        # inactive rows hold inf, so the smallest cached minimum is the merge pair
+        # dead rows hold inf, so the smallest cached minimum is the merge pair
         i = int(np.argmin(nd))
         j = int(nn[i])
         if i > j:
             i, j = j, i
         ni, nj, dij = sizes[i], sizes[j], D[i, j]
-        others = np.flatnonzero(active)
-        others = others[(others != i) & (others != j)]
-        if others.size:
-            nl = sizes[others]
-            upd = ((ni + nl) * D[i, others] + (nj + nl) * D[j, others]
-                   - nl * dij) / (ni + nj + nl)
-            D[i, others] = upd
-            D[others, i] = upd
-        active[j] = False
-        D[j, :] = np.inf
+        # row i always rescans: on asymmetric input its minimum need not sit at j
+        stale = (nn == i) | (nn == j)
+        stale[i] = True
+        stale[j] = False
+        # ((ni + nl) D[i] + (nj + nl) D[j] - nl dij) / (ni + nj + nl), one
+        # operation at a time; a dead column or the diagonal stays inf
+        np.add(ni, sizes, out=upd)
+        upd *= D[i]
+        np.add(nj, sizes, out=tmp)
+        tmp *= D[j]
+        upd += tmp
+        np.multiply(sizes, dij, out=tmp)
+        upd -= tmp
+        np.add(ni + nj, sizes, out=tmp)
+        upd /= tmp
+        D[i] = upd
+        D[:, i] = upd
+        D[j] = np.inf
         D[:, j] = np.inf
         sizes[i] = ni + nj
-        owner[owner == j] = i
+        parent[j] = i
+        nn[j] = -1
         nd[j] = np.inf
-        nn[i] = np.argmin(D[i])
-        nd[i] = D[i, nn[i]]
-        if others.size:
-            near = nn[others]
-            # column i, the only entry that changed, wins when it is lower or
-            # equal and further left; a row whose minimum sat at i or j rescans
-            take = (upd < nd[others]) | ((upd == nd[others]) & (i < near))
-            nn[others[take]] = i
-            nd[others[take]] = upd[take]
-            stale = others[(near == i) | (near == j)]
-            if stale.size:
-                nn[stale] = np.argmin(D[stale], axis=1)
-                nd[stale] = D[stale, nn[stale]]
-    # a merge keeps the lower row, so rows in ascending order number clusters
+        # column i, the only entry that changed, wins when it is lower or
+        # equal and further left; nn = -1 keeps dead rows out
+        take = (upd < nd) | ((upd == nd) & (i < nn))
+        nn[take] = i
+        nd[take] = upd[take]
+        rows = np.flatnonzero(stale)
+        nn[rows] = np.argmin(D[rows], axis=1)
+        nd[rows] = D[rows, nn[rows]]
+    # every link points to a lower row: jump until each row reads its root
+    while (parent[parent] != parent).any():
+        parent = parent[parent]
+    # a merge keeps the lower row, so roots in ascending order number clusters
     # by their first member
-    return np.unique(owner, return_inverse=True)[1]
+    return np.unique(parent, return_inverse=True)[1]
 
 
 def dbscan(distances, eps: float, min_pts: int) -> np.ndarray:
-    """Core/border/noise labeling from a distance matrix; noise rows get -1."""
+    """Core/border/noise labeling from a distance matrix; noise rows get -1.
+
+    One boolean matrix ``near = D <= eps`` holds every neighbourhood (n^2
+    bools, 1.35 MB at 1,163 rows), and a point is core when its row holds
+    at least ``min_pts`` entries. Clusters are numbered in the order of
+    their first core point. Each grows one frontier at a time: the points
+    not yet labelled that some frontier point lists as near, and the core
+    points among them form the next frontier. A cluster is every point
+    still unlabelled that is density-reachable from its first core point,
+    so the labels are those of a point-by-point FIFO expansion."""
     if eps <= 0 or min_pts < 1:
         raise DegenerateInput("need eps > 0 and min_pts >= 1")
     D = _as_distances(distances)
-    n = D.shape[0]
-    neighbors = [np.flatnonzero(D[i] <= eps) for i in range(n)]
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
-    labels = np.full(n, -1, dtype=int)
+    near = D <= eps
+    core = np.count_nonzero(near, axis=1) >= min_pts
+    labels = np.full(D.shape[0], -1, dtype=int)
+    free = np.ones(D.shape[0], dtype=bool)
     cluster = 0
-    for i in range(n):
-        if labels[i] != -1 or not core[i]:
+    for i in np.flatnonzero(core):
+        if not free[i]:
             continue
         labels[i] = cluster
-        frontier = list(neighbors[i])
-        pos = 0
-        while pos < len(frontier):
-            j = int(frontier[pos])
-            pos += 1
-            if labels[j] == -1:
-                labels[j] = cluster
-                if core[j]:
-                    frontier.extend(neighbors[j])
+        free[i] = False
+        frontier = np.array([i])
+        while frontier.size:
+            grown = near[frontier].any(axis=0) & free
+            labels[grown] = cluster
+            free &= ~grown
+            frontier = np.flatnonzero(grown & core)
         cluster += 1
     return labels
 
@@ -549,18 +570,24 @@ def _mutual_information(C: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 
 def _expected_mi(rows: np.ndarray, cols: np.ndarray, n: int) -> float:
-    """Hypergeometric expectation of MI under fixed marginals."""
-    lg = math.lgamma
+    """Hypergeometric expectation of MI under fixed marginals.
+
+    ``log_fact[m]`` is ``math.lgamma(m + 1)``, log m!, for m from 0 to n:
+    a list of n + 1 floats built once per call. Each hypergeometric
+    log-probability adds its five marginal terms once per ``(ai, bj)``
+    pair, then subtracts the four terms of the cell count, left to right
+    as one expression over nine terms would; the MI terms are summed one
+    by one, in the order of the pairs and counts."""
+    log_fact = [math.lgamma(m + 1) for m in range(n + 1)]
     emi = 0.0
     for ai in (int(x) for x in rows):
         for bj in (int(x) for x in cols):
-            lo = max(1, ai + bj - n)
-            hi = min(ai, bj)
-            for nij in range(lo, hi + 1):
+            marginal = (log_fact[ai] + log_fact[bj] + log_fact[n - ai] + log_fact[n - bj]
+                        - log_fact[n])
+            for nij in range(max(1, ai + bj - n), min(ai, bj) + 1):
                 term = (nij / n) * math.log((n * nij) / (ai * bj))
-                log_p = (lg(ai + 1) + lg(bj + 1) + lg(n - ai + 1) + lg(n - bj + 1)
-                         - lg(n + 1) - lg(nij + 1) - lg(ai - nij + 1)
-                         - lg(bj - nij + 1) - lg(n - ai - bj + nij + 1))
+                log_p = (marginal - log_fact[nij] - log_fact[ai - nij]
+                         - log_fact[bj - nij] - log_fact[n - ai - bj + nij])
                 emi += term * math.exp(log_p)
     return emi
 

@@ -102,7 +102,8 @@ def prune_correlated(m: FeatureMatrix, threshold: float = 0.95) -> tuple[int, ..
     """Greedy multicollinearity pruning in column order.
 
     Scanning columns left to right, any later column whose |Pearson r|
-    with a retained earlier column exceeds the threshold is dropped.
+    with a retained earlier column exceeds the threshold is dropped: each
+    retained column marks its later neighbours in one array step.
     Returns the retained column indices.
     """
     check_threshold(threshold)
@@ -110,14 +111,10 @@ def prune_correlated(m: FeatureMatrix, threshold: float = 0.95) -> tuple[int, ..
     r = np.corrcoef(v, rowvar=False)
     if r.ndim == 0:  # single column
         return (0,)
-    p = v.shape[1]
-    dropped = np.zeros(p, dtype=bool)
-    for j in range(p):
-        if dropped[j]:
-            continue
-        for l in range(j + 1, p):
-            if not dropped[l] and abs(r[j, l]) > threshold:
-                dropped[l] = True
+    dropped = np.zeros(v.shape[1], dtype=bool)
+    for j in range(v.shape[1]):
+        if not dropped[j]:
+            dropped[j + 1:] |= np.abs(r[j, j + 1:]) > threshold
     return tuple(int(i) for i in np.flatnonzero(~dropped))
 
 

@@ -40,6 +40,7 @@ from .errors import (
     ChatParseError,
     ConfigError,
     DataError,
+    DegenerateInput,
     NonNumericCell,
     NumericError,
     PipelineError,
@@ -450,6 +451,20 @@ def _auto_eps(distances: np.ndarray, min_pts: int) -> float:
     return float(np.median(np.partition(distances, kth, axis=1)[:, kth]))
 
 
+def _dbscan_eps(config: PipelineConfig, distances: np.ndarray) -> float:
+    """The configured ``dbscan_eps``, or ``_auto_eps`` for ``auto``; an
+    automatic eps of 0 raises ``DegenerateInput`` naming the key."""
+    if config.dbscan_eps != "auto":
+        return float(config.dbscan_eps)
+    eps = _auto_eps(distances, config.dbscan_min_pts)
+    if eps == 0.0:
+        raise DegenerateInput(
+            f"[clustering] dbscan_eps = auto gave 0.0 at dbscan_min_pts = "
+            f"{config.dbscan_min_pts}: too many rows coincide in the clustering space; "
+            f"set a positive dbscan_eps")
+    return eps
+
+
 def _plane_agreement(scores: np.ndarray, k: int, seed: int, n_init: int) -> list[dict]:
     """k-means on each plane of the first three PCs, and how far each pair
     of planes agrees."""
@@ -528,8 +543,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     centroids = km.centroids[order]
 
     ward_labels = _stage("cross_check", clustering.ward_linkage, distances, chosen_k)
-    eps = float(config.dbscan_eps) if config.dbscan_eps != "auto" \
-        else _stage("cross_check", _auto_eps, distances, config.dbscan_min_pts)
+    eps = _stage("cross_check", _dbscan_eps, config, distances)
     db_labels = _stage("cross_check", clustering.dbscan,
                        distances, eps, config.dbscan_min_pts)
     del distances  # its last reader is done: free it before the later stages allocate

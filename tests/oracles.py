@@ -82,6 +82,16 @@
   ``scipy.special.stdtr``, before ``clustering._t_two_sided_p`` computed
   it from the incomplete beta's continued fraction and ``analyze``
   stopped loading scipy.
+* ``fifo_dbscan`` lists each point's neighbours on its own and grows
+  every cluster through a first-in, first-out queue of points, before
+  ``clustering.dbscan`` read one boolean neighbour matrix and grew each
+  cluster a frontier at a time.
+* ``lgamma_expected_mi`` calls ``math.lgamma`` nine times for every
+  cell count, before ``clustering._expected_mi`` read a table of log
+  factorials and added the five marginal terms once per pair of labels.
+* ``pairwise_prune_correlated`` tests each pair of columns on its own,
+  before ``numerics.prune_correlated`` marked a retained column's later
+  neighbours in one array step.
 """
 
 import csv
@@ -579,6 +589,66 @@ def argmin_ward(distances, k: int) -> np.ndarray:
             labels[np.array(members[i])] = next_label
             next_label += 1
     return labels
+
+
+def fifo_dbscan(distances, eps: float, min_pts: int) -> np.ndarray:
+    """DBSCAN labels, each cluster grown point by point from a FIFO queue."""
+    if eps <= 0 or min_pts < 1:
+        raise DegenerateInput("need eps > 0 and min_pts >= 1")
+    D = clustering._as_distances(distances)
+    n = D.shape[0]
+    neighbors = [np.flatnonzero(D[i] <= eps) for i in range(n)]
+    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    labels = np.full(n, -1, dtype=int)
+    cluster = 0
+    for i in range(n):
+        if labels[i] != -1 or not core[i]:
+            continue
+        labels[i] = cluster
+        frontier = list(neighbors[i])
+        pos = 0
+        while pos < len(frontier):
+            j = int(frontier[pos])
+            pos += 1
+            if labels[j] == -1:
+                labels[j] = cluster
+                if core[j]:
+                    frontier.extend(neighbors[j])
+        cluster += 1
+    return labels
+
+
+def lgamma_expected_mi(rows: np.ndarray, cols: np.ndarray, n: int) -> float:
+    """Hypergeometric expectation of MI, nine ``lgamma`` calls per cell count."""
+    lg = math.lgamma
+    emi = 0.0
+    for ai in (int(x) for x in rows):
+        for bj in (int(x) for x in cols):
+            lo = max(1, ai + bj - n)
+            hi = min(ai, bj)
+            for nij in range(lo, hi + 1):
+                term = (nij / n) * math.log((n * nij) / (ai * bj))
+                log_p = (lg(ai + 1) + lg(bj + 1) + lg(n - ai + 1) + lg(n - bj + 1)
+                         - lg(n + 1) - lg(nij + 1) - lg(ai - nij + 1)
+                         - lg(bj - nij + 1) - lg(n - ai - bj + nij + 1))
+                emi += term * math.exp(log_p)
+    return emi
+
+
+def pairwise_prune_correlated(m: FeatureMatrix, threshold: float = 0.95) -> tuple[int, ...]:
+    """Greedy pruning in column order, one pair of columns at a time."""
+    r = np.corrcoef(m.values, rowvar=False)
+    if r.ndim == 0:  # single column
+        return (0,)
+    p = m.values.shape[1]
+    dropped = np.zeros(p, dtype=bool)
+    for j in range(p):
+        if dropped[j]:
+            continue
+        for l in range(j + 1, p):
+            if not dropped[l] and abs(r[j, l]) > threshold:
+                dropped[l] = True
+    return tuple(int(i) for i in np.flatnonzero(~dropped))
 
 
 def format_number(x: float) -> str:

@@ -35,6 +35,8 @@ from langprofile.pipeline import _auto_eps
 from langprofile.synthetic import two_blobs
 from tests.oracles import (
     argmin_ward,
+    fifo_dbscan,
+    lgamma_expected_mi,
     lloyd,
     loop_silhouette_from_distances,
     permutation_mapping_accuracy,
@@ -478,6 +480,28 @@ class TestDbscan:
         with pytest.raises(DegenerateInput):
             dbscan(_pairwise_distances(FOUR), eps=0.0, min_pts=2)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_fifo_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 80))
+        X = rng.normal(size=(n, int(rng.integers(1, 4))))
+        if seed % 4 == 0:
+            X = np.round(X, 1)  # tied distances
+        if seed % 4 == 1:
+            X[rng.integers(n, size=n // 2)] = X[0]  # duplicate points
+        D = _pairwise_distances(X)
+        if seed % 4 == 3:
+            D = D * rng.uniform(0.8, 1.2, size=D.shape)  # asymmetric neighbourhoods
+        gaps = D[D > 0]
+        smallest = float(gaps.min()) if gaps.size else 1.0
+        diameter = float(D.max())
+        for eps in (smallest / 2, smallest, float(np.median(D)), diameter, diameter * 2 + 1):
+            if eps <= 0.0:  # one point: the median and the diameter are 0
+                continue
+            for min_pts in sorted({1, 2, 3, max(1, n // 2), n}):
+                assert np.array_equal(dbscan(D, eps, min_pts),
+                                      fifo_dbscan(D, eps, min_pts)), (eps, min_pts)
+
 
 
 class TestSharedDistances:
@@ -497,6 +521,19 @@ class TestSharedDistances:
         before = D.copy()
         self.CONSUMERS[consumer](X, D)
         assert np.array_equal(D, before)
+
+    @pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+    def test_reads_a_read_only_matrix(self, consumer):
+        # DBSCAN (six clusters and noise here) builds its neighbour matrix
+        # from D, and Ward squares a copy: no consumer writes to D at all
+        X, _ = two_blobs(60, seed=12, dims=3)
+        D = _pairwise_distances(X)
+        expected = self.CONSUMERS[consumer](X, D.copy())
+        D.setflags(write=False)
+        got = self.CONSUMERS[consumer](X, D)
+        if consumer == "sweep":
+            got, expected = [fit[:2] for fit in got], [fit[:2] for fit in expected]
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("shape", [(59, 59), (60, 59), (59, 60), (60,), ()])
     def test_sweep_rejects_wrong_shape(self, shape):
@@ -651,6 +688,26 @@ class TestAgreement:
             running += term
         assert running != math.fsum(terms)
         assert clustering._entropy(np.array(sizes), n) == running
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_expected_mi_equals_lgamma_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 501))
+        ka = 1 if seed % 5 == 0 else int(rng.integers(1, min(n, 12) + 1))
+        kb = int(rng.integers(1, min(n, 12) + 1))
+        a = rng.integers(0, ka, size=n)
+        b = rng.integers(0, kb, size=n)
+        _, rows, cols = clustering._contingency(a, b)
+        assert clustering._expected_mi(rows, cols, n) == lgamma_expected_mi(rows, cols, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 500])
+    def test_expected_mi_at_the_extremes_equals_lgamma_oracle(self, n):
+        # one label against singletons, and one label on both sides
+        for rows, cols in (([n], [1] * n), ([n], [n]), ([1] * n, [1] * n),
+                           ([1, n - 1], [n - 1, 1])):
+            rows, cols = np.array(rows), np.array(cols)
+            assert clustering._expected_mi(rows, cols, n) == \
+                lgamma_expected_mi(rows, cols, n)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -23,6 +23,7 @@ from langprofile.numerics import (
     prune_correlated,
     standardize,
 )
+from tests.oracles import pairwise_prune_correlated
 
 
 def fm(values, names=None):
@@ -106,6 +107,23 @@ class TestPrune:
     def test_threshold_domain(self):
         with pytest.raises(ValueError):
             prune_correlated(fm([[1.0], [2.0]]), 0.0)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_pairwise_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(3, 60)), int(rng.integers(1, 40))
+        values = rng.normal(size=(n, p))
+        for j in rng.integers(0, p, size=p // 2):
+            source = int(rng.integers(0, p))
+            if seed % 3 == 0:
+                values[:, j] = values[:, source]  # duplicated column
+            elif seed % 3 == 1:
+                values[:, j] = -2.0 * values[:, source] + 1.0  # perfectly correlated
+            else:
+                values[:, j] = values[:, source] + 0.3 * rng.normal(size=n)
+        m = fm(values)
+        for threshold in (0.05, 0.5, 0.9, 0.95, 0.999, 1.0):
+            assert prune_correlated(m, threshold) == pairwise_prune_correlated(m, threshold)
 
 
 class TestEigSym:

@@ -1245,6 +1245,18 @@ def _blank_column(tmp_path):
     return argv, 3, "error: stage 'impute' failed: column 'n_aux' has no observed values"
 
 
+def _mostly_duplicate_rows(tmp_path):
+    def edit(lines):
+        features = lines[1].split(",")[5:]
+        for row in range(1, 31):
+            lines[row] = ",".join(lines[row].split(",")[:5] + features)
+        return lines
+    argv, _ = _analyze_csv(tmp_path, edit)
+    return argv, 3, ("error: stage 'cross_check' failed: [clustering] dbscan_eps = auto gave "
+                     "0.0 at dbscan_min_pts = 5: too many rows coincide in the clustering "
+                     "space; set a positive dbscan_eps")
+
+
 def _no_cha_files(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -1269,7 +1281,7 @@ def _wordless_transcript(tmp_path):
 
 @pytest.mark.parametrize("case", [
     _missing_config, _empty_csv, _header_only_csv, _non_integer_age, _blank_column,
-    _no_cha_files, _no_reports, _wordless_transcript,
+    _mostly_duplicate_rows, _no_cha_files, _no_reports, _wordless_transcript,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_documented_failure_exits_with_one_message(tmp_path, capsys, case):
     """Each documented bad input ends in its exit code and one message that
