@@ -90,8 +90,8 @@ def _cmd_extract(args) -> int:
         ipsyn_table=args.ipsyn_table, smoothing_k=args.smoothing_k,
         unk_threshold=args.unk_threshold, loo=args.loo)
     cohort, transcripts = pipeline.load_cohort(config)
-    pipeline._stage("write", pipeline.write_files,
-                    {Path(args.output): pipeline.render_feature_csv(cohort)})
+    with pipeline._stage("write"):
+        pipeline.write_files({Path(args.output): pipeline.render_feature_csv(cohort)})
     for t in transcripts:
         for w in t.warnings:
             print(f"warning: {t.id}: {w}", file=sys.stderr)
@@ -100,15 +100,17 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train_lm(args) -> int:
-    transcripts = pipeline._stage("load", pipeline.load_transcripts, args.transcripts)
-    models = pipeline._stage("train", ngram.train_group_models, transcripts,
-                             args.smoothing_k, args.unk_threshold)
+    with pipeline._stage("load"):
+        transcripts = pipeline.load_transcripts(args.transcripts)
+    with pipeline._stage("train"):
+        models = ngram.train_group_models(transcripts, args.smoothing_k, args.unk_threshold)
     out = Path(args.output)
     files = {out / f"{prefix}_{order}g.lm": ngram.model_text(model)
              for label, prefix in (("SLI", "sli"), ("TD", "td"))
              for order, model in models[label].items()}
-    pipeline._stage("write", out.mkdir, parents=True, exist_ok=True)
-    pipeline._stage("write", pipeline.write_files, files)
+    with pipeline._stage("write"):
+        out.mkdir(parents=True, exist_ok=True)
+        pipeline.write_files(files)
     for path in files:
         print(f"wrote {path}")
     return 0

@@ -17,7 +17,8 @@ group into its models of orders 1-3: the vocab is the types seen at least
 (:func:`_cut`) and counted into the sorted int64 arrays that scoring reads
 (:func:`_index`).  A trained model's ``counts`` and ``context_totals``,
 the tables that the ``.lm`` format saves, are decoded from those arrays the
-first time something reads them; scoring never does.
+first time something reads them (:func:`model_text`, ``==``); scoring, and
+so ``extract``, never does.
 
 Scoring reads integers: one engine serves the single-model
 :func:`perplexity`, :func:`perplexity_features` and :class:`GroupModels`.
@@ -27,8 +28,9 @@ counts into it, and a model built from count dicts, as :func:`load_model`
 builds one, caches one built from them.  Text is mapped to those ids
 once per vocab and cut into windows by array arithmetic (:func:`_cut`);
 ``np.searchsorted`` reads each n-gram's count and context total
-(:func:`_lookup`), and :func:`_score` turns them into perplexities in one
-pass over a batch of transcripts.  Each perplexity is the float that the
+(:func:`_lookup`), and :func:`_score`, the one copy of the add-k formula,
+turns them into perplexities in one pass over each batch of transcripts
+(up to ``_BATCH_TOKENS`` tokens, or one longer transcript).  Each perplexity is the float that the
 dict loops kept in ``tests/oracles.py`` give: the add-k ratio is the
 same float64 arithmetic, the logs come from ``math.log`` and each
 transcript's logs are added left to right.

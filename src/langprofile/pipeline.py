@@ -1,16 +1,20 @@
 """End-to-end analysis pipeline behind a flat INI-style config.
 
 Stages: load (the .cha files of a directory, or a feature CSV) ->
-extract (transcripts only) -> impute -> standardize -> correlation prune
--> PCA -> silhouette sweep (one k-means fit per k; the chosen k keeps its
-sweep fit) -> Ward/DBSCAN cross-checks (sweep and cross-checks share one
-distance matrix) -> boundary cases -> outliers -> cross-plane agreement
--> profiles and effect statistics -> write (the report bundle).
+extract (transcripts only) -> impute -> standardize -> prune (correlated
+columns) -> pca -> sweep (one k-means fit per k; the chosen k keeps its
+sweep fit) -> cross_check (Ward and DBSCAN on the sweep's distance
+matrix, then k-means on the three planes of PCs 1-3 and how far they
+agree) -> boundary -> outliers -> profiles -> effects -> write (the
+report bundle).
 
-The CLI's ``extract`` runs the load, extract and write stages alone,
-through the same :func:`load_cohort` and :func:`write_files`.  A stage
-that fails on a documented input raises ``PipelineError`` naming the
-stage; a write that fails removes the files it opened.
+Each stage is one ``with _stage(name):`` block around the calls it runs,
+and a block that computes report values builds the report fields itself.
+An error that a documented input raises inside a block becomes a
+``PipelineError`` naming the stage; a write that fails removes the files
+it opened.  The CLI's ``extract`` runs the load, extract and write
+stages alone, through the same :func:`load_cohort` and
+:func:`write_files`.
 
 Each input file is read once, through ``errors.read_text``.  Each config
 key is declared once, on its ``PipelineConfig`` field: its ``[section]
@@ -29,6 +33,7 @@ import io
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -318,6 +323,9 @@ def ingest_feature_csv(path: str | Path) -> Cohort:
             except ValueError:
                 raise NonNumericCell(f"{path}: row {r}, column 'age_months': "
                                      f"{row[3]!r}") from None
+            if ages[-1] <= 0:
+                raise DataError(f"{path}: row {r}, column 'age_months': "
+                                f"non-positive age {row[3]!r}")
         else:
             ages.append(None)
         sex.append(row[4].strip().upper())
@@ -364,23 +372,12 @@ def extract_cohort(transcripts: list[chat.Transcript],
                    config: PipelineConfig) -> Cohort:
     """One pass: each transcript's base features, computed once with tables
     read and compiled once on one mask cache, give the group statistics;
-    after LM training each gains its perplexities and z-scores.
-
+    each then gains its perplexities from ``ngram.GroupModels`` (the
+    ``ngram`` module docstring describes that engine) and its z-scores.
     With ``loo``, a labelled transcript is scored against its own group's
-    models without it.  ``ngram.GroupModels`` reads each transcript's
-    child sentences once and numbers the cohort's tokens once; it counts
-    each group's three models from one mapping of those numbers, straight
-    into the int64 tables that scoring reads, and builds no string count
-    dict.  Its scoring engine codes the n-grams as integers and scores
-    each model in one numpy pass per batch of transcripts; a held-out
-    transcript reads the full counts plus its own signed delta, with no
-    copy of the count tables and no retrain.  The bytes stay those of one
-    dict lookup per n-gram: the add-k ratio is the same float64
-    arithmetic, the logs come from ``math.log`` and each transcript's logs
-    are added left to right.
-    ``GroupModels.outcomes`` gives each transcript's features or error,
-    raised here in transcript order, so a transcript's scoring error still
-    comes before the next one's and before its own z-scores."""
+    models without it.  A transcript's scoring error is raised in
+    transcript order, before the next transcript's and before its own
+    z-scores."""
     tables = scoring.compile_tables(
         scoring.load_table(config.dss_table, "categories") if config.dss_table else None,
         scoring.load_table(config.ipsyn_table, "structures") if config.ipsyn_table else None)
@@ -436,11 +433,13 @@ class ReportBundle:
     boundary_report: dict = field(default_factory=dict)
 
 
-def _stage(name: str, fn, *args, **kwargs):
-    """Call ``fn``; an error that a documented input raises is reported as
-    this stage's failure, and any other exception, a fault, propagates."""
+@contextmanager
+def _stage(name: str):
+    """Run the block as stage ``name``: an error that a documented input
+    raises is reported as this stage's failure, and any other exception, a
+    fault, propagates."""
     try:
-        return fn(*args, **kwargs)
+        yield
     except (DataError, NumericError, OSError) as exc:
         raise PipelineError(name, exc) from exc
 
@@ -484,10 +483,12 @@ def _plane_agreement(scores: np.ndarray, k: int, seed: int, n_init: int) -> list
 def load_cohort(config: PipelineConfig) -> tuple[Cohort, list[chat.Transcript]]:
     """The ``load`` stage, then in transcripts mode the ``extract`` stage:
     the cohort, and the transcripts it was extracted from (csv mode: none)."""
-    if config.input_mode == "csv":
-        return _stage("load", ingest_feature_csv, config.input_path), []
-    transcripts = _stage("load", load_transcripts, config.input_path)
-    return _stage("extract", extract_cohort, transcripts, config), transcripts
+    with _stage("load"):
+        if config.input_mode == "csv":
+            return ingest_feature_csv(config.input_path), []
+        transcripts = load_transcripts(config.input_path)
+    with _stage("extract"):
+        return extract_cohort(transcripts, config), transcripts
 
 
 def write_files(files: dict[Path, str]) -> None:
@@ -507,65 +508,86 @@ def write_files(files: dict[Path, str]) -> None:
 
 def run_pipeline(config: PipelineConfig) -> ReportBundle:
     cohort, _ = load_cohort(config)
-
     n = cohort.matrix.n
-    bad_k = [k for k in config.k_range if not 2 <= k <= n - 1]
-    if bad_k:
-        named = bad_k if len(bad_k) <= 10 else \
-            f"({len(bad_k)} of them, from {min(bad_k)} to {max(bad_k)})"
-        raise PipelineError("load", DataError(
-            f"k_range values {named} outside [2, n-1] for n={n}"))
-    if config.dbscan_min_pts > n:
-        # no row could have that many neighbours: DBSCAN would call every row noise
-        raise PipelineError("load", DataError(
-            f"[clustering] dbscan_min_pts {config.dbscan_min_pts} is above "
-            f"the row count n={n}"))
+    with _stage("load"):
+        bad_k = [k for k in config.k_range if not 2 <= k <= n - 1]
+        if bad_k:
+            named = bad_k if len(bad_k) <= 10 else \
+                f"({len(bad_k)} of them, from {min(bad_k)} to {max(bad_k)})"
+            raise DataError(f"k_range values {named} outside [2, n-1] for n={n}")
+        if config.dbscan_min_pts > n:
+            # no row could have that many neighbours: DBSCAN would call every row noise
+            raise DataError(f"[clustering] dbscan_min_pts {config.dbscan_min_pts} is "
+                            f"above the row count n={n}")
 
-    imputed, n_imputed = _stage("impute", numerics.impute_missing, cohort.matrix)
-    standardized, dropped = _stage("standardize", numerics.standardize, imputed)
-    retained_idx = _stage("prune", numerics.prune_correlated,
-                          standardized, config.prune_threshold)
-    pruned = standardized.select(retained_idx)
-    pruned_names = set(standardized.col_names) - set(pruned.col_names)
+    with _stage("impute"):
+        imputed, n_imputed = numerics.impute_missing(cohort.matrix)
+    with _stage("standardize"):
+        standardized, dropped = numerics.standardize(imputed)
+    with _stage("prune"):
+        pruned = standardized.select(numerics.prune_correlated(standardized, config.prune_threshold))
+        preprocessing = {
+            "imputed_cells": n_imputed,
+            "dropped_constant": list(dropped),
+            "prune_threshold": config.prune_threshold,
+            "pruned": sorted(set(standardized.col_names) - set(pruned.col_names)),
+            "retained": list(pruned.col_names),
+        }
 
-    model = _stage("pca", numerics.pca_fit, pruned)
-    scores = _stage("pca", numerics.pca_project, model, pruned)
-    ratios, cum = _stage("pca", numerics.explained_variance, model.eigenvalues)
-
+    with _stage("pca"):
+        model = numerics.pca_fit(pruned)
+        scores = numerics.pca_project(model, pruned)
+        ratios, cum = numerics.explained_variance(model.eigenvalues)
     space = scores[:, :config.pc_dims]
 
-    distances = _stage("sweep", clustering._pairwise_distances, space)
-    sweep = _stage("sweep", clustering.silhouette_sweep,
-                   space, distances, config.k_range, config.seed, config.n_init)
+    with _stage("sweep"):
+        distances = clustering._pairwise_distances(space)
+        sweep = clustering.silhouette_sweep(space, distances, config.k_range,
+                                            config.seed, config.n_init)
     chosen_k, _, km = max(sweep, key=lambda fit: fit[1])  # ties: first in k_range
     order = np.argsort(-km.centroids[:, 0], kind="stable")
     assignments = np.argsort(order)[km.assignments]  # the inverse permutation relabels
     centroids = km.centroids[order]
 
-    ward_labels = _stage("cross_check", clustering.ward_linkage, distances, chosen_k)
-    eps = _stage("cross_check", _dbscan_eps, config, distances)
-    db_labels = _stage("cross_check", clustering.dbscan,
-                       distances, eps, config.dbscan_min_pts)
-    del distances  # its last reader is done: free it before the later stages allocate
-    non_noise = db_labels >= 0
-    dbscan_ari = _stage("cross_check", clustering.ari, assignments[non_noise],
-                        db_labels[non_noise]) if non_noise.sum() > 1 else 0.0
-    ward_ari = _stage("cross_check", clustering.ari, assignments, ward_labels)
-    ward_ami = _stage("cross_check", clustering.ami, assignments, ward_labels)
+    with _stage("cross_check"):
+        ward_labels = clustering.ward_linkage(distances, chosen_k)
+        eps = _dbscan_eps(config, distances)
+        db_labels = clustering.dbscan(distances, eps, config.dbscan_min_pts)
+        del distances  # its last reader is done: free it before the later stages allocate
+        non_noise = db_labels >= 0
+        cross_checks = {
+            "ward_ari": clustering.ari(assignments, ward_labels),
+            "ward_ami": clustering.ami(assignments, ward_labels),
+            "dbscan_eps": eps,
+            "dbscan_min_pts": config.dbscan_min_pts,
+            "dbscan_clusters": int(db_labels.max() + 1),
+            "dbscan_noise": int((~non_noise).sum()),
+            "dbscan_ari_non_noise": clustering.ari(assignments[non_noise], db_labels[non_noise])
+            if non_noise.sum() > 1 else 0.0,
+        }
+        agreement = _plane_agreement(scores, chosen_k, config.seed, config.n_init) \
+            if scores.shape[1] >= 3 else []
 
     outcomes = cohort.outcomes
-    boundary = _stage("boundary", clustering.boundary_cases,
-                      space, centroids, outcomes, config.boundary_percentile)
-    outliers = _stage("outliers", clustering.detect_outliers, space, centroids)
-
-    agreement = _stage("cross_check", _plane_agreement, scores, chosen_k,
-                       config.seed, config.n_init) if scores.shape[1] >= 3 else []
-
-    profiles = _stage("profiles", clustering.cluster_profiles,
-                      assignments, scores, outcomes)
-    effects = _stage("effects", clustering.compare_features,
-                     imputed.values, imputed.col_names, assignments,
-                     config.effect_features)
+    with _stage("boundary"):
+        boundary = clustering.boundary_cases(space, centroids, outcomes,
+                                             config.boundary_percentile)
+    with _stage("outliers"):
+        outliers = clustering.detect_outliers(space, centroids)
+    with _stage("profiles"):
+        clusters = [
+            {"cluster": p.cluster, "size": p.size,
+             **{f"pc{j + 1}_mean": p.pc_means[j] for j in range(len(p.pc_means))},
+             "y_ratio": p.outcome_ratio}
+            for p in clustering.cluster_profiles(assignments, scores, outcomes)
+        ]
+    with _stage("effects"):
+        effects = [
+            {"feature": e.feature, "cluster0_mean": e.mean0, "cluster1_mean": e.mean1,
+             "p_value": e.p_value, "cohens_d": e.cohens_d}
+            for e in clustering.compare_features(imputed.values, imputed.col_names,
+                                                 assignments, config.effect_features)
+        ]
 
     # ---- assemble reports ----
     meta = {"schema_version": SCHEMA_VERSION, "config_hash": config.config_hash,
@@ -574,13 +596,7 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     pca_report = {
         **meta,
         "n_rows": n,
-        "preprocessing": {
-            "imputed_cells": n_imputed,
-            "dropped_constant": list(dropped),
-            "prune_threshold": config.prune_threshold,
-            "pruned": sorted(pruned_names),
-            "retained": list(pruned.col_names),
-        },
+        "preprocessing": preprocessing,
         "components": [
             {"component": f"PC{i + 1}", "eigenvalue": float(model.eigenvalues[i]),
              "variance_pct": float(ratios[i]), "cumulative_pct": float(cum[i])}
@@ -617,27 +633,10 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
         "chosen_k": chosen_k,
         "n_init": config.n_init,
         "inertia": km.inertia,
-        "clusters": [
-            {"cluster": p.cluster, "size": p.size,
-             **{f"pc{j + 1}_mean": p.pc_means[j] for j in range(len(p.pc_means))},
-             "y_ratio": p.outcome_ratio}
-            for p in profiles
-        ],
-        "effects": [
-            {"feature": e.feature, "cluster0_mean": e.mean0, "cluster1_mean": e.mean1,
-             "p_value": e.p_value, "cohens_d": e.cohens_d}
-            for e in effects
-        ],
+        "clusters": clusters,
+        "effects": effects,
         "agreement": agreement,
-        "cross_checks": {
-            "ward_ari": ward_ari,
-            "ward_ami": ward_ami,
-            "dbscan_eps": eps,
-            "dbscan_min_pts": config.dbscan_min_pts,
-            "dbscan_clusters": int(db_labels.max() + 1),
-            "dbscan_noise": int((~non_noise).sum()),
-            "dbscan_ari_non_noise": dbscan_ari,
-        },
+        "cross_checks": cross_checks,
     }
 
     # ---- plot CSVs ----
@@ -659,7 +658,8 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     }
 
     out_dir = Path(config.output_dir)
-    _stage("write", out_dir.mkdir, parents=True, exist_ok=True)
-    _stage("write", write_files, {out_dir / name: text for name, text in files.items()})
+    with _stage("write"):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_files({out_dir / name: text for name, text in files.items()})
 
     return ReportBundle(out_dir, files, pca_report, cluster_report, boundary_report)

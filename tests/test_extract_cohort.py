@@ -95,6 +95,22 @@ def test_loo_csv_matches_retrain_oracle_when_types_turn_rare(tmp_path, capsys):
         two_pass_extract_cohort(transcripts, _config(loo=True, unk_threshold=2)))
 
 
+def test_analyze_writes_the_feature_csv_of_extract_loo(tmp_path, capsys):
+    # analyze in transcripts mode runs the extraction that extract runs, on
+    # a corpus where leaving a transcript out turns some of its types rare
+    make_wordy_corpus(tmp_path / "corpus")
+    extracted = tmp_path / "features.csv"
+    assert cli.main(["extract", str(tmp_path / "corpus"), "-o", str(extracted),
+                     "--loo", "--unk-threshold", "2"]) == 0
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[input]\nmode = transcripts\npath = {tmp_path / 'corpus'}\n"
+                   "[lm]\nunk_threshold = 2\nloo = true\n"
+                   "[clustering]\nseed = 1\nk_range = 2..3\n"
+                   f"[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert cli.main(["analyze", "--config", str(cfg)]) == 0
+    assert (tmp_path / "out" / "feature_matrix.csv").read_bytes() == extracted.read_bytes()
+
+
 def test_loo_trains_only_the_six_group_models(transcripts, monkeypatch):
     # the six models come from one walk per group: no ngram.train call,
     # and one read of each transcript's child sentences per job

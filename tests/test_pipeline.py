@@ -672,7 +672,7 @@ class TestCli:
         assert files == ["sli_1g.lm", "sli_2g.lm", "sli_3g.lm",
                          "td_1g.lm", "td_2g.lm", "td_3g.lm"]
         for p in out.glob("*.lm"):
-            load_model(p)
+            assert ngram.model_text(load_model(p)) == p.read_text(encoding="utf-8")
 
     def test_train_lm_failed_write_leaves_no_model(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "models"
@@ -1236,6 +1236,15 @@ def _non_integer_age(tmp_path):
     return argv, 2, f"error: stage 'load' failed: {csv_path}: row 1, column 'age_months': 'abc'"
 
 
+def _non_positive_age(tmp_path):
+    def edit(lines):
+        _set_cell(lines, 2, "age_months", "-5")
+        return lines
+    argv, csv_path = _analyze_csv(tmp_path, edit)
+    return argv, 2, (f"error: stage 'load' failed: {csv_path}: row 2, column 'age_months': "
+                     "non-positive age '-5'")
+
+
 def _blank_column(tmp_path):
     def edit(lines):
         for row in range(1, len(lines)):
@@ -1280,8 +1289,8 @@ def _wordless_transcript(tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    _missing_config, _empty_csv, _header_only_csv, _non_integer_age, _blank_column,
-    _mostly_duplicate_rows, _no_cha_files, _no_reports, _wordless_transcript,
+    _missing_config, _empty_csv, _header_only_csv, _non_integer_age, _non_positive_age,
+    _blank_column, _mostly_duplicate_rows, _no_cha_files, _no_reports, _wordless_transcript,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_documented_failure_exits_with_one_message(tmp_path, capsys, case):
     """Each documented bad input ends in its exit code and one message that
@@ -1289,3 +1298,41 @@ def test_documented_failure_exits_with_one_message(tmp_path, capsys, case):
     argv, code, message = case(tmp_path)
     assert cli.main(argv) == code
     assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("error, code", [(NumericError, 3), (DataError, 2), (OSError, 2)],
+                         ids=lambda value: getattr(value, "__name__", str(value)))
+@pytest.mark.parametrize("mode, module, callee, stage", [
+    ("csv", numerics, "impute_missing", "impute"),
+    ("csv", numerics, "standardize", "standardize"),
+    ("csv", numerics, "prune_correlated", "prune"),
+    ("csv", numerics, "pca_fit", "pca"),
+    ("csv", clustering, "silhouette_sweep", "sweep"),
+    ("csv", clustering, "ward_linkage", "cross_check"),
+    ("csv", pipeline, "_plane_agreement", "cross_check"),
+    ("csv", clustering, "boundary_cases", "boundary"),
+    ("csv", clustering, "detect_outliers", "outliers"),
+    ("csv", clustering, "cluster_profiles", "profiles"),
+    ("csv", clustering, "compare_features", "effects"),
+    ("csv", pipeline, "write_files", "write"),
+    ("transcripts", pipeline, "load_transcripts", "load"),
+    ("transcripts", pipeline, "extract_cohort", "extract"),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_every_stage_names_itself_when_it_fails(tmp_path, corpus_dir, capsys, monkeypatch,
+                                                mode, module, callee, stage, error, code):
+    """A documented error raised by a stage's first callee ends in one
+    message naming that stage: exit 3 for a numeric error, 2 otherwise."""
+    def failing(*args, **kwargs):
+        raise error("planted failure")
+
+    monkeypatch.setattr(module, callee, failing)
+    if mode == "csv":
+        argv, _ = _analyze_csv(tmp_path, lambda lines: lines)
+    else:
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[input]\nmode = transcripts\npath = {corpus_dir}\n"
+                       "[clustering]\nseed = 1\nk_range = 2..3\nn_init = 8\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+        argv = ["analyze", "--config", str(cfg)]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == f"error: stage '{stage}' failed: planted failure\n"
