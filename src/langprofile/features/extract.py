@@ -64,8 +64,8 @@ class GroupStats:
 
     @classmethod
     def from_rows(cls, rows: list[dict[str, float]], groups: list[str],
-                  features: tuple[str, ...] = ("mlu_words", "word_errors",
-                                               "r_2_i_verbs", "total_utts")):
+                  features: tuple[str, ...] = tuple(dict.fromkeys(
+                      feature for feature, _ in ZSCORE_BASES.values()))):
         """Build reference stats from per-child base features.
 
         ``groups`` parallels ``rows`` with "SLI"/"TD" labels (other labels

@@ -11,21 +11,22 @@ becomes ``<unk>``.  ``smoothing_k`` must be finite and at least 0 and
 
 Training counts integers.  :func:`_number` numbers a text's distinct
 tokens in sorted order, and :func:`_count` turns the numbered text of one
-group into its models of orders 1-3: the vocab is the types seen at least
+group into its tables of orders 1-3: the vocab is the types seen at least
 ``unk_threshold`` times, one array maps every number to its vocab id (or
 ``<unk>``'s), and each order's n-grams are cut from the mapped text
 (:func:`_cut`) and counted into the sorted int64 arrays that scoring reads
-(:func:`_index`).  A trained model's ``counts`` and ``context_totals``,
-the tables that the ``.lm`` format saves, are decoded from those arrays the
-first time something reads them (:func:`model_text`, ``==``); scoring, and
-so ``extract``, never does.
+(:func:`_index`).  A model's ``counts`` and ``context_totals``, the tables
+that the ``.lm`` format saves, are decoded from those arrays when the model
+is built: :func:`train` builds its one model, and :class:`GroupModels`
+builds its six when ``models`` is first read, which scoring, and so
+``extract``, never does.
 
 Scoring reads integers: one engine serves the single-model
 :func:`perplexity`, :func:`perplexity_features` and :class:`GroupModels`.
-Each model holds a :class:`_Table`, its symbols numbered and its contexts
-and n-grams keyed as sorted int64 arrays (:func:`_index`): training
-counts into it, and a model built from count dicts, as :func:`load_model`
-builds one, caches one built from them.  Text is mapped to those ids
+Each scores a :class:`_Table`, its symbols numbered and its contexts and
+n-grams keyed as sorted int64 arrays (:func:`_index`): training counts
+into one, and a model builds one from its count dicts the first time it
+is scored.  Text is mapped to those ids
 once per vocab and cut into windows by array arithmetic (:func:`_cut`);
 ``np.searchsorted`` reads each n-gram's count and context total
 (:func:`_lookup`), and :func:`_score`, the one copy of the add-k formula,
@@ -201,27 +202,6 @@ class NGramModel:
     context_totals: dict[tuple[str, ...], int]
     vocab: frozenset[str]
 
-    @classmethod
-    def _counted(cls, order: int, smoothing_k: float, unk_threshold: int, pad: bool,
-                 vocab: frozenset[str], table: _Table) -> NGramModel:
-        """The model that ``table`` indexes, as :func:`_count` trains it:
-        its ``counts`` and ``context_totals`` are left out, for
-        :meth:`__getattr__` to decode."""
-        model = object.__new__(cls)
-        model.__dict__.update(order=order, smoothing_k=float(smoothing_k),
-                              unk_threshold=int(unk_threshold), pad=bool(pad), vocab=vocab,
-                              _table=table)
-        return model
-
-    def __getattr__(self, name: str):
-        """Decode a counted model's ``counts`` and ``context_totals`` the
-        first time one is read; called only for a name the model lacks."""
-        if name not in ("counts", "context_totals") or "_table" not in self.__dict__:
-            raise AttributeError(name)
-        counts, totals = self._table.decode(self.order)
-        self.__dict__.update(counts=counts, context_totals=totals)
-        return self.__dict__[name]
-
     @functools.cached_property
     def vocab_size(self) -> int:
         return len(self.vocab)
@@ -272,11 +252,12 @@ def _number(rows) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
             np.array(per_row, np.int64))
 
 
-def _count(types: list[str], tokens: np.ndarray, lengths: np.ndarray, smoothing_k: float,
-           unk_threshold: int, pad: bool) -> tuple[np.ndarray, dict[int, NGramModel]]:
-    """The models of orders 1-3 trained on sentences ``lengths`` long
-    whose tokens, each named by its place in ``types`` (sorted), ``tokens``
-    holds end to end; and the vocab id of each of ``types``.
+def _count(types: list[str], tokens: np.ndarray, lengths: np.ndarray, unk_threshold: int,
+           pad: bool) -> tuple[np.ndarray, frozenset[str], dict[int, _Table]]:
+    """The vocab id of each of ``types`` (sorted), the vocab, and the
+    tables of orders 1-3, trained on sentences ``lengths`` long whose
+    tokens, each named by its place in ``types``, ``tokens`` holds end to
+    end.
 
     The vocab keeps the types seen at least ``unk_threshold`` times,
     numbered from 3 in sorted order as :class:`_Table` numbers them, and
@@ -289,9 +270,8 @@ def _count(types: list[str], tokens: np.ndarray, lengths: np.ndarray, smoothing_
     ids = dict(zip(symbols, range(len(symbols))))
     vocab = frozenset(kept_types + ([UNK, EOS] if pad else [UNK]))
     width = len(symbols) + 1  # the last id stands for no symbol, as in _Table
-    return to_vocab, {
-        order: NGramModel._counted(order, smoothing_k, unk_threshold, pad, vocab,
-                                   _Table(symbols, ids, _index(width, ctx, last)))
+    return to_vocab, vocab, {
+        order: _Table(symbols, ids, _index(width, ctx, last))
         for order, (ctx, last, _) in zip(ORDERS, _cut(to_vocab[tokens], lengths, pad, width))}
 
 
@@ -318,7 +298,9 @@ def train(transcripts, order: int, smoothing_k: float = 1.0,
     types, tokens, lengths, _ = _number([_child_sentences(transcripts)])
     if not len(lengths):
         raise EmptyCorpus("no child tokens to train on")
-    return _count(types, tokens, lengths, smoothing_k, unk_threshold, pad)[1][order]
+    _, vocab, tables = _count(types, tokens, lengths, unk_threshold, pad)
+    return NGramModel(order, float(smoothing_k), int(unk_threshold), bool(pad),
+                      *tables[order].decode(order), vocab)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -421,9 +403,12 @@ class GroupModels:
     Each transcript's child sentences are read once, here, and only their
     tokens' numbers are kept; every transcript is named by its index in
     ``transcripts``.  For each label, ``members`` holds the group's
-    indices, ``n_sents`` their sentence count and ``models`` its three
-    models; no per-member counts are kept.  A group with no transcripts,
-    or no child tokens, raises ``EmptyCorpus``: SLI is checked before TD.
+    indices, ``n_sents`` their sentence count, and ``_vocabs`` and
+    ``_tables`` its vocab and its three models' tables, which scoring
+    reads; no per-member counts are kept.  :attr:`models` builds the six
+    models from those tables when first read.  A group with no
+    transcripts, or no child tokens, raises ``EmptyCorpus``: SLI is
+    checked before TD.
 
     Every composite key below (a member and a type, a type and a
     sentence, a member and a sentence, a member and a context rank) stays
@@ -445,7 +430,8 @@ class GroupModels:
                             - ends[self._first_sent]).tolist()
         self.members: dict[str, list[int]] = {}
         self.n_sents: dict[str, int] = {}
-        self.models: dict[str, dict[int, NGramModel]] = {}
+        self._vocabs: dict[str, frozenset[str]] = {}
+        self._tables: dict[str, dict[int, _Table]] = {}
         self._codes: dict[str, np.ndarray] = {}  # each cohort token's id in each group's vocab
         for label in ("SLI", "TD"):
             idx = [i for i, t in enumerate(self.transcripts) if t.group.value == label]
@@ -458,10 +444,20 @@ class GroupModels:
             if not len(sents):
                 raise EmptyCorpus(f"no child tokens to train on in the {label} group")
             self.members[label] = idx
-            to_vocab, self.models[label] = _count(
+            to_vocab, self._vocabs[label], self._tables[label] = _count(
                 types, tokens[_ranges(self._starts[sents], self._lengths[sents])],
-                self._lengths[sents], smoothing_k, unk_threshold, pad)
+                self._lengths[sents], unk_threshold, pad)
             self._codes[label] = to_vocab[tokens]
+        self.smoothing_k, self.unk_threshold, self.pad = \
+            float(smoothing_k), int(unk_threshold), bool(pad)
+
+    @functools.cached_property
+    def models(self) -> dict[str, dict[int, NGramModel]]:
+        """The six models, built from their tables."""
+        return {label: {order: NGramModel(order, self.smoothing_k, self.unk_threshold, self.pad,
+                                          *table.decode(order), self._vocabs[label])
+                        for order, table in tables.items()}
+                for label, tables in self._tables.items()}
 
     @functools.cached_property
     def _holders(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -492,7 +488,7 @@ class GroupModels:
         lengths = self._lengths[sents]
         tokens = self._codes[label][_ranges(self._starts[sents], lengths)]
         if owners is not None and len(dropped) > 1:
-            key = np.repeat(owners, lengths) * self.models[label][1]._table.index.width + tokens
+            key = np.repeat(owners, lengths) * self._tables[label][1].index.width + tokens
             tokens = np.where(dropped[np.searchsorted(dropped, key)] == key, _UNK_ID, tokens)
         return tokens, lengths
 
@@ -518,8 +514,7 @@ class GroupModels:
         rare*: the rest's sentences that hold one move from the full
         vocab's mapping to the view's.  That work stays small, since such
         types are rare in the rest."""
-        first = self.models[label][1]
-        table = first._table
+        table = self._tables[label][1]
         width = table.index.width
         own = self._sentences(held)
         own_members = np.repeat(np.arange(len(held)), self._sents_per_row[held])
@@ -530,7 +525,7 @@ class GroupModels:
         own_counts = np.bincount(np.searchsorted(pairs, keys), minlength=len(pairs))
         # a vocab type's unigram count is its frequency in the group
         rest = _lookup(table.index, np.zeros(len(pairs), np.int64), pairs % width)[0] - own_counts
-        dropped = rest < first.unk_threshold
+        dropped = rest < self.unk_threshold
         rare = pairs[dropped & (rest > 0)]
         moved = moved_members = np.zeros(0, np.int64)
         if len(rare):
@@ -560,14 +555,13 @@ class GroupModels:
         keyed by the member: their own n-grams and those of their moved
         sentences under the full vocab count -1, the moved sentences'
         n-grams under the view count +1."""
-        indexes = [self.models[label][order]._table.index for order in ORDERS]
-        first = self.models[label][1]
+        indexes = [self._tables[label][order].index for order in ORDERS]
         width = indexes[0].width
         held = [r for r, i in enumerate(rows)
                 if held_out and self.transcripts[i].group.value == label]
         member = np.full(len(rows), -1)
         member[held] = np.arange(len(held))
-        vocab_sizes = np.full(len(rows), first.vocab_size)
+        vocab_sizes = np.full(len(rows), len(self._vocabs[label]))
         sents = self._sentences(rows)
         owners = np.repeat(member, self._sents_per_row[rows])
         deltas = repeat(None)
@@ -579,12 +573,12 @@ class GroupModels:
             d_signs = np.repeat([-1, -1, 1], [len(own), len(moved), len(moved)])
             d_tokens, d_lengths = self._text(label, np.concatenate((own, moved, moved)),
                                              np.where(d_signs > 0, d_members, -1), dropped)
-            deltas = _cut(d_tokens, d_lengths, first.pad, width)
+            deltas = _cut(d_tokens, d_lengths, self.pad, width)
             tokens, lengths = self._text(label, sents, owners, dropped)
         else:
             tokens, lengths = self._text(label, sents)
         for index, (ctx, last, per_sentence), delta in zip(
-                indexes, _cut(tokens, lengths, first.pad, width), deltas):
+                indexes, _cut(tokens, lengths, self.pad, width), deltas):
             counts, totals = _lookup(index, ctx, last)
             if delta is not None:
                 d_ctx, d_last, d_per_sentence = delta
@@ -622,7 +616,7 @@ class GroupModels:
         out: list = []
         for i in rows:
             t = self.transcripts[i]
-            error = held_out and t.group.value in self.models and self._held_out_error(i)
+            error = held_out and t.group.value in self.members and self._held_out_error(i)
             if not error and not self._sents_per_row[i]:
                 error = EmptyTranscript(f"transcript {t.id!r} has no child tokens")
             out.append(error or {})
@@ -632,10 +626,9 @@ class GroupModels:
             for prefix, label in (("s", "SLI"), ("d", "TD")):
                 for order, (ctx, last, counts, totals, spans, vocab_sizes, held) in zip(
                         ORDERS, self._views(label, scored, held_out)):
-                    model = self.models[label][order]
-                    table, name = model._table, f"{prefix}_{order}g_ppl"
+                    table, name = self._tables[label][order], f"{prefix}_{order}g_ppl"
                     results = _score(
-                        counts, totals, model.smoothing_k, vocab_sizes, spans,
+                        counts, totals, self.smoothing_k, vocab_sizes, spans,
                         lambda r: (f"transcript {self.transcripts[scored[r]].id!r}, {label} "
                                    f"order-{order} model ({'held out' if held[r] else 'full'})"),
                         lambda j: table.gram(order, int(ctx[j]), int(last[j])))

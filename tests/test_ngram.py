@@ -532,10 +532,11 @@ def assert_same_table(got, want):
 
 
 class TestCodedCountingEqualsCounterTrain:
-    """Training counts numbered tokens straight into each model's index;
-    the models, their saved text and their tables are those of counting
-    string n-grams into ``Counter`` tables, and a load of the saved text
-    rebuilds the same table from the decoded count dicts."""
+    """Training counts numbered tokens straight into each group's tables;
+    those tables, the models built from them, their saved text and the
+    tables they build are those of counting string n-grams into
+    ``Counter`` tables, and a load of the saved text rebuilds the same
+    table from the decoded count dicts."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(MEMBER, min_size=1, max_size=4), st.lists(MEMBER, min_size=1, max_size=4),
@@ -549,6 +550,7 @@ class TestCodedCountingEqualsCounterTrain:
         assume(any(map(any, sli)) and any(map(any, td)))
         lms = GroupModels([*groups["SLI"], *groups["TD"], *(chi(*text(m)) for m in unlabelled)],
                           0.5, unk_threshold, pad)
+        assert "models" not in vars(lms)  # built only when read
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.lm"
             for label, members in groups.items():
@@ -556,7 +558,7 @@ class TestCodedCountingEqualsCounterTrain:
                                      unk_threshold, pad)
                 for order in ngram.ORDERS:
                     got = lms.models[label][order]
-                    assert "counts" not in vars(got)  # decoded only when read
+                    assert_same_table(lms._tables[label][order], want[order]._table)
                     assert_same_table(got._table, want[order]._table)
                     assert got == want[order] == train(members, order, 0.5, unk_threshold, pad)
                     assert ngram.model_text(got) == ngram.model_text(want[order])
@@ -566,9 +568,9 @@ class TestCodedCountingEqualsCounterTrain:
     def test_scoring_decodes_no_count_dict(self, corpus_dir):
         lms = GroupModels(load_transcripts(corpus_dir), 0.5, 2)
         lms.outcomes()
+        assert "models" not in vars(lms)
         lms.outcomes(held_out=True)
-        assert not any("counts" in vars(model) or "context_totals" in vars(model)
-                       for group in lms.models.values() for model in group.values())
+        assert "models" not in vars(lms)
 
 
 class TestIntegerKeys:

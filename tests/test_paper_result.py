@@ -2,11 +2,17 @@
 
 The abstract makes three claims: two clusters emerge; one has high
 production and few SLI children, the other limited production and more
-SLI children; and boundary cases sit between the two.  Each test runs
-``analyze`` through ``cli.main`` in transcripts mode, with the default
+SLI children; and boundary cases exhibit intermediate traits.  Each test
+runs ``analyze`` through ``cli.main`` in transcripts mode, with the default
 config and ``unk_threshold = 2``, on a 300-transcript cohort from
 ``perfbench/gen.chat_corpus``, so the benchmark and this check share one
-CHAT generator, and checks all three.
+CHAT generator, and checks:
+
+* k = 2 is chosen;
+* the cluster with the higher ``child_TNW`` mean holds under 10% SLI
+  children, the other over 50%;
+* the boundary rows' SLI share lies between the two clusters' shares;
+* the boundary rows' mean PC1 score lies between the two clusters' means.
 
 Why 300 transcripts: at 150, only 8 boundary rows are flagged and their
 SLI share is 0.0, too few for the third claim.  At 300 there are 15.
@@ -48,3 +54,5 @@ def test_two_clusters_split_by_production_with_boundary_between(tmp_path, capsys
     sli_low = clusters["clusters"][1 - high]["y_ratio"]
     assert sli_high < 0.1 < 0.5 < sli_low
     assert sli_high < boundary["outcome_ratio"] < sli_low
+    pc1 = sorted(cluster["pc1_mean"] for cluster in clusters["clusters"])
+    assert pc1[0] < boundary["pc1_mean"] < pc1[1]

@@ -567,6 +567,30 @@ class TestCli:
         assert cli.main(["analyze", "--config", str(cfg)]) == 0
         assert "cluster_report.json" in capsys.readouterr().out
 
+    def test_explicit_dbscan_eps_is_used_as_given(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "f.csv"
+        write_synthetic_csv(csv_path, n=80)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[input]\nmode = csv\npath = {csv_path}\n"
+                       "[clustering]\nseed = 1\nk_range = 2..3\ndbscan_eps = 1.5\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        seen = []
+        dbscan = clustering.dbscan
+
+        def spy(distances, eps, min_pts):
+            seen.append(eps)
+            return dbscan(distances, eps, min_pts)
+
+        def auto_eps(*args):
+            raise AssertionError("_auto_eps called for an explicit dbscan_eps")
+
+        monkeypatch.setattr(clustering, "dbscan", spy)
+        monkeypatch.setattr(pipeline, "_auto_eps", auto_eps)
+        assert cli.main(["analyze", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "cluster_report.json").read_text(encoding="utf-8"))
+        assert report["cross_checks"]["dbscan_eps"] == 1.5
+        assert seen == [1.5]
+
     def test_dbscan_min_pts_above_row_count_exits_two(self, tmp_path, capsys):
         csv_path = tmp_path / "f.csv"
         write_synthetic_csv(csv_path, n=40)
@@ -1279,6 +1303,24 @@ def _no_reports(tmp_path):
     return ["report", str(tmp_path)], 2, f"data error: no *_report.json files in {tmp_path}"
 
 
+def _zero_chat_age(tmp_path):
+    corpus = tmp_path / "corpus"
+    make_corpus(corpus)
+    path = corpus / "z.cha"
+    # @ID on line 2: the message names the line that holds the age
+    path.write_text("\n".join(line for line in build_cha("z", "TD", "0;00", "male", [0], 0)
+                               .split("\n") if not line.startswith("@Participants")),
+                    encoding="utf-8")
+    return (["extract", str(corpus), "-o", str(tmp_path / "f.csv")], 2,
+            f"error: stage 'load' failed: {path}: line 2: non-positive age '0;00'")
+
+
+def _report_entry_is_a_directory(tmp_path):
+    (tmp_path / "a_report.json").mkdir()
+    return (["report", str(tmp_path)], 2,
+            f"i/o error: [Errno 21] Is a directory: {str(tmp_path / 'a_report.json')!r}")
+
+
 def _wordless_transcript(tmp_path):
     corpus = tmp_path / "corpus"
     make_corpus(corpus)
@@ -1291,6 +1333,7 @@ def _wordless_transcript(tmp_path):
 @pytest.mark.parametrize("case", [
     _missing_config, _empty_csv, _header_only_csv, _non_integer_age, _non_positive_age,
     _blank_column, _mostly_duplicate_rows, _no_cha_files, _no_reports, _wordless_transcript,
+    _zero_chat_age, _report_entry_is_a_directory,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_documented_failure_exits_with_one_message(tmp_path, capsys, case):
     """Each documented bad input ends in its exit code and one message that
