@@ -16,7 +16,7 @@ from functools import reduce
 from operator import add
 
 from ..chat import Terminator, Transcript
-from ..errors import DataError, EmptyTranscript, DivisionDomain, NoScorableUtterances, ZeroSd
+from ..errors import DataError, EmptyTranscript, DivisionDomain, ZeroSd
 from . import scoring
 from .schema import FEATURE_CATEGORY, FEATURE_NAMES
 
@@ -161,15 +161,15 @@ def zscore_features(base: dict[str, float], stats: GroupStats) -> dict[str, floa
 
 
 def base_features(t: Transcript, count_fusions: bool = False,
-                  tables: tuple[scoring.CompiledTable, ...] | None = None,
+                  scores: scoring.Scores | None = None,
                   syllable_counts: dict[str, int] | None = None
                   ) -> tuple[dict[str, float], set[str]]:
     """Every feature needing neither group statistics nor LMs, with its
-    flags; 27 of them are :func:`scoring.rule_counts`.  Pass ``tables``
-    from :func:`scoring.compile_tables` and one ``syllable_counts`` dict
-    (each lowercased word's syllables) for a whole cohort, so each
-    distinct token is tested and each distinct word counted once."""
-    dss, ipsyn, counts_table = tables or scoring.compile_tables()
+    flags; 27 of them are :func:`scoring.rule_counts`.  For a whole
+    cohort, pass ``t``'s row of :func:`scoring.score_cohort` as
+    ``scores`` and one ``syllable_counts`` dict (each lowercased word's
+    syllables), so the rules are scored in one pass and each distinct
+    word counted once."""
     if syllable_counts is None:
         syllable_counts = {}
     values = production_counts(t)
@@ -188,7 +188,9 @@ def base_features(t: Transcript, count_fusions: bool = False,
     total_morphemes = sum([tok.morphemes(count_fusions) for tok in mor_toks])
     if not mor_utts:
         flags.update(("mlu_morphemes", "total_morphemes", *_MARKERS))
-    counts = scoring.rule_counts(t, counts_table)
+    if scores is None:
+        scores, = scoring.score_cohort([t])
+    counts = dict(scores.counts)
     inflected = counts.pop("inflected_verbs")
     if inflected == 0:
         flags.add("r_2_i_verbs")
@@ -209,14 +211,9 @@ def base_features(t: Transcript, count_fusions: bool = False,
     values.update(fluency_and_errors(t))
     values["f_k"] = _fk_grade(values["child_TNW"], values["child_TNS"], values["total_syl"])
 
-    try:
-        values["dss"] = scoring.dss_score(t, dss)
-    except NoScorableUtterances:
-        values["dss"] = 0.0
-        flags.add("dss")
-    try:
-        values["ipsyn_total"] = scoring.ipsyn_total(t, ipsyn)
-    except NoScorableUtterances:
-        values["ipsyn_total"] = 0.0
-        flags.add("ipsyn_total")
+    for name, score in (("dss", scores.dss), ("ipsyn_total", scores.ipsyn)):
+        if score is None:  # no scorable utterance
+            score = 0.0
+            flags.add(name)
+        values[name] = score
     return values, flags

@@ -17,33 +17,43 @@ count tokens, windows or utterances.  Rule semantics:
 * ``structural`` rules test utterance shape: ``question``,
   ``wh_question``, ``aux_initial_question``, ``multiword``
 
-One engine scores all three tables.  :class:`CompiledTable` gives each
-distinct token predicate one bit and turns each rule into a bit, a tuple
-of bits (a sequence) or a structural name.  A token's mask, the OR of
-the bits of the predicates it matches, is computed once per distinct
-token and cached in the compiled table, so the cache lives as long as
-the table: ``pipeline.extract_cohort`` compiles the three tables once
-per job on one shared cache (:func:`compile_tables`), and a plain dict
-passed to :func:`dss_score` or :func:`ipsyn_total` is compiled for that
-call alone.  Nothing is cached at module level.  The cache also keeps
-the masks of the transcript it last read, so DSS, IPSyn and the counts
-of one transcript look its tokens up once.  A token rule then tests a
-bit of the utterance's masks, a sequence slides an AND of its bits over
-them, and token counts read the positions of each distinct mask.
+One engine scores all three tables, one array pass per cohort.
+:class:`CompiledTable` gives each distinct token predicate one bit and
+turns each rule into a bit, a tuple of bits (a sequence) or a structural
+name.  A token's mask, the OR of the bits of the predicates it matches,
+is computed once per distinct token and cached in the compiled table,
+so the cache lives as long as the table: ``pipeline.extract_cohort``
+compiles the three tables once per job on one shared cache
+(:func:`compile_tables`) and scores the whole cohort once
+(:func:`score_cohort`).  A plain dict passed to :func:`dss_score`,
+:func:`ipsyn_total` or :func:`rule_counts` is compiled for that call
+alone, and the call runs the same pass on a cohort of one.  Nothing is
+cached at module level.
+
+The pass (:class:`_Cohort`) lays the cohort's child mor tokens end to
+end in one ``uint64`` array of masks, with a 0 after each utterance.  A
+token rule is then an AND of that array with its bit, counted per
+transcript; a sequence ANDs shifted views of it; and the OR of each
+utterance's masks serves the utterance counts, DSS scorability and the
+DSS token rules.  Each structural shape is worked out once per
+utterance per cohort.  A table set with more than 64 distinct
+predicates fills a second 64-bit word per token.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import operator
 from importlib import resources
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import NamedTuple
 
-from ..chat import MorToken, Terminator, Transcript, Utterance
+import numpy as np
+
+from ..chat import MorToken, Terminator, Transcript
 from ..errors import DataError, NoScorableUtterances, read_text
+from ..ngram import _distinct
 
 _WH_LEMMAS = frozenset({"who", "whom", "whose", "what", "where",
                         "when", "why", "how", "which"})
@@ -53,6 +63,11 @@ _VERBAL_POS = frozenset({"v", "aux", "cop", "mod"})
 _AUX_INITIAL_POS = frozenset({"aux", "cop", "mod"})
 
 _STRUCTURAL_NAMES = ("question", "wh_question", "aux_initial_question", "multiword")
+
+# the token predicate that each question shape reads: a wh-word anywhere
+# in the utterance, or an auxiliary, copula or modal as its first token
+_STRUCTURAL_PREDICATES = {"wh_question": {"lemma_in": sorted(_WH_LEMMAS)},
+                          "aux_initial_question": {"pos_in": sorted(_AUX_INITIAL_POS)}}
 
 
 def _packaged(name: str) -> dict:
@@ -81,7 +96,8 @@ def load_table(path: str | Path, key: str) -> dict:
     ``points``, a non-negative integer ``cap``, one of the four
     ``structural`` names, a non-empty ``sequence`` of token predicates, a
     string ``pos``, lists of strings for the ``*_in`` keys, a boolean
-    ``inflected``) raises ``DataError`` naming the file and the key.
+    ``inflected``), or whose token predicate or DSS rule holds a key
+    outside those, raises ``DataError`` naming the file and the key.
     """
     try:
         table = json.loads(read_text(path))
@@ -93,7 +109,7 @@ def load_table(path: str | Path, key: str) -> dict:
             for j, rule in enumerate(_list_at(category, "rules",
                                               f"{path}: categories[{i}]")):
                 where = f"categories[{i}].rules[{j}]"
-                _check_predicate(rule, path, where)
+                _check_predicate(rule, path, where, _DSS_RULE_KEYS)
                 if "points" not in rule:
                     raise DataError(f"{path}: {where}: missing key 'points'")
                 _require(_is_int(rule["points"]), path, f"{where}.points", "an integer",
@@ -140,8 +156,17 @@ def _require(ok: bool, path, key: str, kind: str, value) -> None:
         raise DataError(f"{path}: {key!r} must be {kind}, got {value!r}")
 
 
-def _check_predicate(pred, path, key: str) -> None:
+# the keys a DSS rule may hold beside those of its token predicate
+_DSS_RULE_KEYS = ("points", "sequence", "structural", "name")
+
+
+def _check_predicate(pred, path, key: str, other_keys: tuple[str, ...] = ()) -> None:
+    """A token predicate at ``key``, which may also hold ``other_keys``: a
+    misspelt key would otherwise drop its condition from the rule."""
     _require(isinstance(pred, dict), path, key, "an object", pred)
+    for name in pred:
+        if name not in _PREDICATE_TYPES and name not in other_keys:
+            raise DataError(f"{path}: {key}: unknown key {name!r}")
     for name, (test, kind) in _PREDICATE_TYPES.items():
         if name in pred:
             _require(test(pred[name]), path, f"{key}.{name}", kind, pred[name])
@@ -193,20 +218,6 @@ def _token_matches(tok, pred: dict, contracted: bool = False) -> bool:
     return True
 
 
-def _structural_matches(u: Utterance, name: str) -> bool:
-    if name == "question":
-        return u.terminator is Terminator.QUESTION
-    if name == "wh_question":
-        return (u.terminator is Terminator.QUESTION and u.mor_tokens is not None
-                and any(t.lemma.lower() in _WH_LEMMAS for t in u.mor_tokens))
-    if name == "aux_initial_question":
-        return (u.terminator is Terminator.QUESTION and bool(u.mor_tokens)
-                and not u.mor_tokens[0].pos_classes.isdisjoint(_AUX_INITIAL_POS))
-    if name == "multiword":
-        return len(u.clean_tokens) >= 2
-    raise ValueError(f"unknown structural predicate {name!r}")
-
-
 def _predicate_key(pred: dict) -> tuple:
     """A token predicate's keys and values, in a fixed order: the same
     predicate written twice, or with its keys or list items reordered,
@@ -224,25 +235,6 @@ def _matching_bits(tok, contracted: bool, by_class: dict) -> int:
     return mask
 
 
-class _Masks(NamedTuple):
-    """One transcript's child utterances that carry mor tokens, and the
-    masks of their tokens."""
-
-    utterances: list[Utterance]
-    masks: list[list[int]]  # per utterance, one mask per token
-    present: list[int]      # per utterance, the OR of its masks
-    flat: list[int]         # every mask, with a 0 after each utterance
-    at: dict[int, list[int]]  # each mask's positions in ``flat``
-
-    def tokens_with(self, bit: int) -> int:
-        return sum([len(at) for mask, at in self.at.items() if mask & bit])
-
-    def windows(self, bits: tuple[int, ...]) -> int:
-        """:func:`_windows` over ``flat``, from the positions of the masks
-        with ``bits[0]``; the 0 after each utterance keeps every index in
-        range."""
-        return _windows(self.flat, bits,
-                        [i for mask, at in self.at.items() if mask & bits[0] for i in at])
 
 
 class _MaskCache(dict):
@@ -264,14 +256,12 @@ class _MaskCache(dict):
         self.by_class: dict[str | None, list[tuple[int, dict]]] = {}  # no lemma_in
         self.by_lemma: dict[str | None, list[tuple[int, dict]]] = {}  # with lemma_in
         self.shapes: dict[tuple, int] = {}  # (pos_tag, suffixes, fusions, apostrophe) -> bits
-        self._last: tuple = (None, None)  # (transcript, its _Masks)
 
     def bit(self, pred: dict) -> int:
         key = _predicate_key(pred)
         if key not in self.bits:
             self.clear()  # the masks cached so far lack the new bit
             self.shapes.clear()
-            self._last = (None, None)
             bit = self.bits[key] = 1 << len(self.bits)
             filed = self.by_lemma if "lemma_in" in pred else self.by_class
             for cls in [pred["pos"]] if "pos" in pred else pred.get("pos_in", [None]):
@@ -286,29 +276,6 @@ class _MaskCache(dict):
         mask = self[key] = self.shapes[shape] | _matching_bits(tok, contracted, self.by_lemma)
         return mask
 
-    def of(self, t: Transcript) -> _Masks:
-        """The masks of ``t``'s child utterances that carry mor tokens.
-        The last transcript's are kept, so the tables that share this
-        cache look its tokens up once."""
-        last, masks = self._last
-        if last is not t:
-            utts = [u for u in t.child_utterances if u.mor_tokens]
-            # a token past the end of its utterance's words has surface ""
-            per = [[self[tok, "'" in word] for tok, word
-                    in zip(u.mor_tokens, itertools.chain(u.clean_tokens, itertools.repeat("")))]
-                   for u in utts]
-            flat: list[int] = []
-            for m in per:
-                flat += m
-                flat.append(0)  # matches no predicate, so no sequence spans two utterances
-            at: dict[int, list[int]] = {}
-            for i, mask in enumerate(flat):
-                at.setdefault(mask, []).append(i)
-            masks = _Masks(utts, per, [functools.reduce(operator.or_, m) for m in per],
-                           flat, at)
-            self._last = (t, masks)
-        return masks
-
 
 class CompiledTable:
     """A DSS table (``key`` ``"categories"``), IPSyn table (``key``
@@ -318,8 +285,10 @@ class CompiledTable:
     Each rule becomes the bit of its token predicate, a tuple of bits (a
     ``sequence``) or a ``structural`` name.  A DSS category keeps only its
     rules worth more than 0 points, highest first, so its first hit is its
-    best.  Token masks are cached in ``masks``, given or made here, so
-    they live as long as this object: one job.
+    best; ``score_type`` is int64 when that holds every utterance's score
+    exactly, and Python objects otherwise.  Token masks are cached in
+    ``masks``, given or made here, so they live as long as this object:
+    one job.
     """
 
     def __init__(self, table: dict, key: str, masks: _MaskCache | None = None):
@@ -331,10 +300,15 @@ class CompiledTable:
                 for category in table["categories"]]
             self.sentence_point = bool(table.get("sentence_point"))
             self.verbal = self.masks.bit({"pos_in": sorted(_VERBAL_POS)})
+            top = sum(category[0][1] for category in self.categories if category) + 1
+            self.score_type = np.int64 if top < 2**63 and all(
+                type(points) is int for category in self.categories for _, points in category
+            ) else object
         elif key == "structures":
             self.structures = [self._rule(struct, struct.get("token"))
                                for struct in table["structures"]]
-            self.cap = int(table.get("cap", 2))
+            # no count reaches 2**62, so a larger cap is no cap, and fits int64
+            self.cap = min(int(table.get("cap", 2)), 2**62)
         else:
             self.tokens = [(name, self.masks.bit(pred))
                            for name, pred in table["tokens"].items()]
@@ -368,16 +342,198 @@ def _compiled(table: dict | CompiledTable | None, key: str, default) -> Compiled
     return CompiledTable(default() if table is None else table, key)
 
 
-def _windows(masks: list[int], bits: tuple[int, ...], starts: list[int] | None = None) -> int:
-    """How many runs of ``len(bits)`` consecutive tokens match the
-    sequence: a sliding AND of ``bits`` over the tokens' ``masks``, which
-    keeps the ``starts`` (default: all) whose j-th token has ``bits[j]``,
-    one j at a time."""
-    if starts is None:
-        starts = range(len(masks) - len(bits) + 1)
-    for j, bit in enumerate(bits):
-        starts = [i for i in starts if masks[i + j] & bit]
-    return len(starts)
+_MOR, _WORDS, _TERMINATOR, _WORD_ERRORS, _POSTCODES = map(operator.attrgetter, (
+    "mor_tokens", "clean_tokens", "terminator", "events.word_errors", "postcodes"))
+
+
+def _word(bit: int) -> tuple[int, np.uint64]:
+    """The row of a mask array that holds ``bit``, and ``bit`` within it."""
+    row = (bit.bit_length() - 1) >> 6
+    return row, np.uint64(bit >> (row << 6))
+
+
+class _Cohort:
+    """The child mor tokens of a cohort, scored in array passes.
+
+    ``masks`` holds each token's mask from the cache, the utterances end to
+    end with a 0 after each, so that no run of tokens spans two
+    utterances.  Row ``w`` holds bits ``64 w`` to ``64 w + 63``: a cache
+    with more than 64 predicates fills a second row.  Only the child
+    utterances with mor tokens take part.  ``start`` is each utterance's
+    first position, ``owner`` and ``utt_owner`` the transcript of each
+    position and of each utterance, and ``present`` the OR of each
+    utterance's masks.  Each distinct token object is looked up in the
+    cache once per apostrophe: equal mor items of one corpus share a
+    token object (``chat.parse_chat``'s ``mor_cache``)."""
+
+    def __init__(self, transcripts, cache: _MaskCache):
+        self._shape_bits = {name: cache.bit(pred) for name, pred in _STRUCTURAL_PREDICATES.items()}
+        self.n = len(transcripts)
+        per = [list(compress(t.child_utterances, map(_MOR, t.child_utterances)))
+               for t in transcripts]
+        self.utterances = utts = list(chain.from_iterable(per))
+        self.utt_owner = np.repeat(np.arange(self.n), list(map(len, per)))
+        lengths = np.fromiter(map(len, map(_MOR, utts)), np.intp, len(utts))
+        self.n_words = np.fromiter(map(len, map(_WORDS, utts)), np.intp, len(utts))
+        self.start = np.cumsum(lengths + 1) - lengths - 1
+        self.owner = np.repeat(self.utt_owner, lengths + 1)
+        tokens = list(chain.from_iterable(map(_MOR, utts)))
+        at = np.arange(len(tokens)) + np.repeat(np.arange(len(utts)), lengths)  # in masks
+        # each token's surface word: the word at its place in the utterance,
+        # or one without an apostrophe past the end of the words
+        words = list(chain.from_iterable(map(_WORDS, utts)))
+        apostrophe = np.fromiter(map(operator.contains, words, repeat("'")), bool, len(words))
+        place = at - np.repeat(self.start, lengths)
+        word = np.repeat(np.cumsum(self.n_words) - self.n_words, lengths) + place
+        contracted = np.append(apostrophe, False)[
+            np.where(place < np.repeat(self.n_words, lengths), word, len(words))]
+        # each distinct (token object, apostrophe) pair, looked up once
+        keys = np.fromiter(map(id, tokens), np.int64, len(tokens)) << 1 | contracted
+        distinct = _distinct(keys)
+        codes = np.searchsorted(distinct, keys)
+        first = np.empty(len(distinct), np.intp)
+        first[codes] = np.arange(len(keys))  # any occurrence: equal keys hold one token
+        masks = [cache[tokens[i], c] for i, c in zip(first.tolist(), contracted[first].tolist())]
+        rows = max(1, -(-len(cache.bits) // 64))
+        table = np.array([[mask >> shift & 0xFFFF_FFFF_FFFF_FFFF for mask in masks]
+                          for shift in range(0, 64 * rows, 64)], np.uint64).reshape(rows, -1)
+        self.masks = np.zeros((rows, len(self.owner)), np.uint64)
+        self.masks[:, at] = table[:, codes]
+        self.present = np.bitwise_or.reduceat(self.masks, self.start, axis=1) if utts \
+            else self.masks
+        self._structural: dict[str, np.ndarray] = {}
+
+    def hits(self, bit: int) -> np.ndarray:
+        """Whether each position's mask has ``bit``."""
+        row, value = _word(bit)
+        return (self.masks[row] & value) != 0
+
+    def windows(self, bits: tuple[int, ...]) -> np.ndarray:
+        """Whether a run of ``len(bits)`` tokens matching the sequence
+        starts at each position: an AND of shifted views of the masks."""
+        n = max(0, self.masks.shape[1] - len(bits) + 1)
+        hit = self.hits(bits[0])[:n]
+        for j, bit in enumerate(bits[1:], 1):
+            hit &= self.hits(bit)[j:j + n]
+        return hit
+
+    def utterance_hits(self, bit: int) -> np.ndarray:
+        """Whether each utterance has a token with ``bit``."""
+        row, value = _word(bit)
+        return (self.present[row] & value) != 0
+
+    def structural(self, name: str) -> np.ndarray:
+        """Whether each utterance has the shape ``name``, worked out once
+        per cohort."""
+        if name not in self._structural:
+            utts = self.utterances
+            if name == "multiword":
+                hit = self.n_words >= 2
+            elif name == "question":
+                hit = np.fromiter(map(operator.is_, map(_TERMINATOR, utts),
+                                      repeat(Terminator.QUESTION)), bool, len(utts))
+            elif name == "wh_question":
+                hit = self.structural("question") \
+                    & self.utterance_hits(self._shape_bits[name])
+            elif name == "aux_initial_question":
+                hit = self.structural("question") \
+                    & self.hits(self._shape_bits[name])[self.start]
+            else:
+                raise ValueError(f"unknown structural predicate {name!r}")
+            self._structural[name] = hit
+        return self._structural[name]
+
+    def _in_utterance(self, rule) -> np.ndarray:
+        """Whether each utterance holds a hit of the compiled ``rule``."""
+        if type(rule) is int:
+            return self.utterance_hits(rule)
+        if type(rule) is tuple:
+            runs = self.windows(rule)
+            hit = np.zeros(self.masks.shape[1], bool)
+            hit[:len(runs)] = runs
+            return np.logical_or.reduceat(hit, self.start) if len(self.start) else hit
+        return self.structural(rule)
+
+    def _per_transcript(self, hit: np.ndarray) -> np.ndarray:
+        """How many hits, at positions from the first on, each transcript holds."""
+        return np.bincount(self.owner[:len(hit)][hit], minlength=self.n)
+
+    def _occurrences(self, rule) -> np.ndarray:
+        """Each transcript's tokens, runs or utterances that match the
+        compiled ``rule``."""
+        if type(rule) is int:
+            return self._per_transcript(self.hits(rule))
+        if type(rule) is tuple:
+            return self._per_transcript(self.windows(rule))
+        return np.bincount(self.utt_owner[self.structural(rule)], minlength=self.n)
+
+    def dss(self, rules: CompiledTable) -> list[float | None]:
+        """Each transcript's :func:`dss_score`, ``None`` for no scorable
+        utterance.  A category's points go to each utterance with a hit of
+        the rule, lowest first, so the highest-point hit is written last.
+        Each transcript's scores are added left to right as float64, as a
+        loop adds them."""
+        utts = self.utterances
+        score = np.zeros(len(utts), rules.score_type)
+        for category in rules.categories:
+            best = np.zeros_like(score)
+            for rule, points in reversed(category):
+                best[self._in_utterance(rule)] = points
+            score += best
+        if rules.sentence_point:  # complete and error-free
+            score += ((np.fromiter(map(_WORD_ERRORS, utts), np.int64, len(utts)) == 0)
+                      & (np.fromiter(map(len, map(_POSTCODES, utts)), np.intp, len(utts)) == 0)
+                      & np.fromiter(map(operator.is_not, map(_TERMINATOR, utts),
+                                        repeat(Terminator.TRAIL_OFF)), bool, len(utts)))
+        scorable = self.utterance_hits(rules.verbal)
+        owner = self.utt_owner[scorable]
+        totals = np.bincount(owner, score[scorable].astype(float), self.n).tolist()
+        return [total / n if n else None
+                for total, n in zip(totals, np.bincount(owner, minlength=self.n).tolist())]
+
+    def ipsyn(self, rules: CompiledTable) -> list[float | None]:
+        """Each transcript's :func:`ipsyn_total`, ``None`` for no child
+        utterance with mor tokens."""
+        total = np.zeros(self.n, np.int64)
+        for rule in rules.structures:
+            total += np.minimum(self._occurrences(rule), rules.cap)
+        return [float(x) if n else None for x, n in
+                zip(total.tolist(), np.bincount(self.utt_owner, minlength=self.n).tolist())]
+
+    def counts(self, rules: CompiledTable) -> dict[str, np.ndarray]:
+        """Each count of the count table, per transcript."""
+        counts = {name: self._per_transcript(self.hits(bit)) for name, bit in rules.tokens}
+        for name, bits in rules.sequences:
+            counts[name] = self._per_transcript(self.windows(bits))
+        for name, bit in rules.utterances:
+            counts[name] = np.bincount(self.utt_owner[self.utterance_hits(bit)],
+                                       minlength=self.n)
+        return counts
+
+
+class Scores(NamedTuple):
+    """One transcript's :func:`rule_counts`, :func:`dss_score` and
+    :func:`ipsyn_total`; a score is ``None`` where its scorer raises
+    ``NoScorableUtterances``."""
+
+    counts: dict[str, int]
+    dss: float | None
+    ipsyn: float | None
+
+
+def score_cohort(transcripts, tables: tuple[CompiledTable, CompiledTable, CompiledTable]
+                 | None = None) -> list[Scores]:
+    """Each transcript's scores under ``tables`` (default: the shipped
+    ones), a DSS, an IPSyn and a count table compiled on one mask cache
+    (:func:`compile_tables`), from one array pass over the cohort."""
+    dss, ipsyn, counts_table = tables or compile_tables()
+    if ipsyn.masks is not dss.masks or counts_table.masks is not dss.masks:
+        raise ValueError("the three tables must share one mask cache")
+    cohort = _Cohort(transcripts, dss.masks)
+    counts = cohort.counts(counts_table)
+    rows = np.reshape(list(counts.values()), (len(counts), cohort.n)).T.tolist()
+    return [Scores(dict(zip(counts, row)), d, i)
+            for row, d, i in zip(rows, cohort.dss(dss), cohort.ipsyn(ipsyn))]
 
 
 def dss_score(t: Transcript, table: dict | CompiledTable | None = None) -> float:
@@ -390,30 +546,10 @@ def dss_score(t: Transcript, table: dict | CompiledTable | None = None) -> float
     (default: the shipped one) is compiled for this call.
     """
     rules = _compiled(table, "categories", default_dss_table)
-    m = rules.masks.of(t)
-    scorable = [(u, masks, present) for u, masks, present in zip(m.utterances, m.masks, m.present)
-                if present & rules.verbal]
-    if not scorable:
+    score, = _Cohort([t], rules.masks).dss(rules)
+    if score is None:
         raise NoScorableUtterances("no child utterance with a verbal mor element")
-    total = 0.0
-    for u, masks, present in scorable:
-        score = 0
-        for category in rules.categories:
-            for rule, points in category:
-                if type(rule) is int:
-                    hit = present & rule
-                elif type(rule) is tuple:
-                    hit = _windows(masks, rule)
-                else:
-                    hit = _structural_matches(u, rule)
-                if hit:
-                    score += points
-                    break
-        if rules.sentence_point and u.events.word_errors == 0 \
-                and not u.postcodes and u.terminator is not Terminator.TRAIL_OFF:
-            score += 1
-        total += score
-    return total / len(scorable)
+    return score
 
 
 def ipsyn_total(t: Transcript, table: dict | CompiledTable | None = None) -> float:
@@ -421,19 +557,10 @@ def ipsyn_total(t: Transcript, table: dict | CompiledTable | None = None) -> flo
     at ``cap`` (default 2), summed over the checklist.  A ``table`` that
     is a dict (default: the shipped one) is compiled for this call."""
     rules = _compiled(table, "structures", default_ipsyn_table)
-    m = rules.masks.of(t)
-    if not m.utterances:
+    total, = _Cohort([t], rules.masks).ipsyn(rules)
+    if total is None:
         raise NoScorableUtterances("no child utterance carries a mor tier")
-    total = 0
-    for rule in rules.structures:
-        if type(rule) is int:
-            occurrences = m.tokens_with(rule)
-        elif type(rule) is tuple:
-            occurrences = m.windows(rule)
-        else:
-            occurrences = sum(1 for u in m.utterances if _structural_matches(u, rule))
-        total += min(rules.cap, occurrences)
-    return float(total)
+    return total
 
 
 def rule_counts(t: Transcript, table: dict | CompiledTable | None = None) -> dict[str, int]:
@@ -444,10 +571,4 @@ def rule_counts(t: Transcript, table: dict | CompiledTable | None = None) -> dic
     the utterances with a matching token.  A dict is compiled for this
     call."""
     rules = _compiled(table, "counts", default_counts_table)
-    m = rules.masks.of(t)
-    counts = {name: m.tokens_with(bit) for name, bit in rules.tokens}
-    for name, bits in rules.sequences:
-        counts[name] = m.windows(bits)
-    for name, bit in rules.utterances:
-        counts[name] = sum(1 for present in m.present if present & bit)
-    return counts
+    return {name: n.item() for name, n in _Cohort([t], rules.masks).counts(rules).items()}

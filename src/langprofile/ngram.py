@@ -11,23 +11,25 @@ becomes ``<unk>``.  ``smoothing_k`` must be finite and at least 0 and
 
 Training counts integers.  :func:`_number` numbers a text's distinct
 tokens in sorted order, and :func:`_count` turns the numbered text of one
-group into its tables of orders 1-3: the vocab is the types seen at least
+group into its tables of orders 1-3 (of its one order, for :func:`train`):
+the vocab is the types seen at least
 ``unk_threshold`` times, one array maps every number to its vocab id (or
 ``<unk>``'s), and each order's n-grams are cut from the mapped text
 (:func:`_cut`) and counted into the sorted int64 arrays that scoring reads
 (:func:`_index`).  A model's ``counts`` and ``context_totals``, the tables
 that the ``.lm`` format saves, are decoded from those arrays when the model
-is built: :func:`train` builds its one model, and :class:`GroupModels`
-builds its six when ``models`` is first read, which scoring, and so
-``extract``, never does.
+is built, and the model keeps the table it was decoded from:
+:func:`train` builds its one model, and :class:`GroupModels` builds its
+six when ``models`` is first read, which scoring, and so ``extract``,
+never does.
 
 Scoring reads integers: one engine serves the single-model
 :func:`perplexity`, :func:`perplexity_features` and :class:`GroupModels`.
 Each scores a :class:`_Table`, its symbols numbered and its contexts and
 n-grams keyed as sorted int64 arrays (:func:`_index`): training counts
-into one, and a model builds one from its count dicts the first time it
-is scored.  Text is mapped to those ids
-once per vocab and cut into windows by array arithmetic (:func:`_cut`);
+into one and hands it to the model, and a loaded model builds one from
+its count dicts the first time it is scored.  Text is mapped to those
+ids once per vocab and cut into windows by array arithmetic (:func:`_cut`);
 ``np.searchsorted`` reads each n-gram's count and context total
 (:func:`_lookup`), and :func:`_score`, the one copy of the add-k formula,
 turns them into perplexities in one pass over each batch of transcripts
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain, compress, count, repeat
 from pathlib import Path
 
@@ -194,6 +196,10 @@ class _Table:
 
 @dataclass(frozen=True)
 class NGramModel:
+    """One model's settings, counts and vocab.  ``table``, the index that
+    training counted into, is kept for scoring; a model built without one,
+    such as a loaded model, indexes its counts the first time it is
+    scored.  ``table`` is no field, so it takes no part in ``==``."""
     order: int
     smoothing_k: float
     unk_threshold: int
@@ -201,6 +207,11 @@ class NGramModel:
     counts: dict[tuple[str, ...], int]
     context_totals: dict[tuple[str, ...], int]
     vocab: frozenset[str]
+    table: InitVar[_Table | None] = None
+
+    def __post_init__(self, table: _Table | None) -> None:
+        if table is not None:
+            self.__dict__["_table"] = table  # what the cached property would build
 
     @functools.cached_property
     def vocab_size(self) -> int:
@@ -253,9 +264,9 @@ def _number(rows) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _count(types: list[str], tokens: np.ndarray, lengths: np.ndarray, unk_threshold: int,
-           pad: bool) -> tuple[np.ndarray, frozenset[str], dict[int, _Table]]:
+           pad: bool, orders=ORDERS) -> tuple[np.ndarray, frozenset[str], dict[int, _Table]]:
     """The vocab id of each of ``types`` (sorted), the vocab, and the
-    tables of orders 1-3, trained on sentences ``lengths`` long whose
+    tables of ``orders``, trained on sentences ``lengths`` long whose
     tokens, each named by its place in ``types``, ``tokens`` holds end to
     end.
 
@@ -272,7 +283,8 @@ def _count(types: list[str], tokens: np.ndarray, lengths: np.ndarray, unk_thresh
     width = len(symbols) + 1  # the last id stands for no symbol, as in _Table
     return to_vocab, vocab, {
         order: _Table(symbols, ids, _index(width, ctx, last))
-        for order, (ctx, last, _) in zip(ORDERS, _cut(to_vocab[tokens], lengths, pad, width))}
+        for order, (ctx, last, _) in zip(orders, _cut(to_vocab[tokens], lengths, pad, width,
+                                                      orders))}
 
 
 def check_settings(smoothing_k: float = 1.0, unk_threshold: int = 1) -> None:
@@ -298,9 +310,9 @@ def train(transcripts, order: int, smoothing_k: float = 1.0,
     types, tokens, lengths, _ = _number([_child_sentences(transcripts)])
     if not len(lengths):
         raise EmptyCorpus("no child tokens to train on")
-    _, vocab, tables = _count(types, tokens, lengths, unk_threshold, pad)
+    _, vocab, tables = _count(types, tokens, lengths, unk_threshold, pad, (order,))
     return NGramModel(order, float(smoothing_k), int(unk_threshold), bool(pad),
-                      *tables[order].decode(order), vocab)
+                      *tables[order].decode(order), vocab, tables[order])
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -455,7 +467,7 @@ class GroupModels:
     def models(self) -> dict[str, dict[int, NGramModel]]:
         """The six models, built from their tables."""
         return {label: {order: NGramModel(order, self.smoothing_k, self.unk_threshold, self.pad,
-                                          *table.decode(order), self._vocabs[label])
+                                          *table.decode(order), self._vocabs[label], table)
                         for order, table in tables.items()}
                 for label, tables in self._tables.items()}
 

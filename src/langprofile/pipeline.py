@@ -371,7 +371,8 @@ def load_transcripts(directory: str | Path) -> list[chat.Transcript]:
 def extract_cohort(transcripts: list[chat.Transcript],
                    config: PipelineConfig) -> Cohort:
     """One pass: each transcript's base features, computed once with tables
-    read and compiled once on one mask cache, give the group statistics;
+    read and compiled once on one mask cache and the rules scored for the
+    whole cohort in one array pass, give the group statistics;
     each then gains its perplexities from ``ngram.GroupModels`` (the
     ``ngram`` module docstring describes that engine) and its z-scores.
     With ``loo``, a labelled transcript is scored against its own group's
@@ -382,8 +383,8 @@ def extract_cohort(transcripts: list[chat.Transcript],
         scoring.load_table(config.dss_table, "categories") if config.dss_table else None,
         scoring.load_table(config.ipsyn_table, "structures") if config.ipsyn_table else None)
     syllable_counts: dict[str, int] = {}  # one per job: each distinct word counted once
-    blocks = [fx.base_features(t, config.count_fusions, tables, syllable_counts)
-              for t in transcripts]
+    blocks = [fx.base_features(t, config.count_fusions, scores, syllable_counts)
+              for t, scores in zip(transcripts, scoring.score_cohort(transcripts, tables))]
     groups = [t.group.value for t in transcripts]
     stats = fx.GroupStats.from_rows([values for values, _ in blocks], groups)
     lms = ngram.GroupModels(transcripts, config.smoothing_k, config.unk_threshold)

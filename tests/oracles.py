@@ -56,6 +56,14 @@
   ``scoring.ipsyn_total`` tested bits of each distinct token's mask;
   ``is_scorable`` tests each token for a verbal class, before DSS read a
   bit of the utterance's masks.
+* ``walk_masks``, ``walk_dss_score``, ``walk_ipsyn_total`` and
+  ``walk_rule_counts`` are the per-transcript mask walk: one
+  transcript's masks kept as Python lists, a token rule summed over a
+  dict of masks, a sequence walked position by position and an
+  utterance rule looped over utterances, before ``scoring.score_cohort``
+  scored the whole cohort in ``uint64`` array passes;
+  ``structural_matches`` tests one utterance's shape, before
+  ``scoring._Cohort.structural`` worked out each shape once per cohort.
 * ``utterance_measures``, ``lexical_measures``, ``morpheme_markers`` and
   ``pos_patterns`` walk each transcript's child tokens once each, testing
   every token against every count by hand and calling ``syllables`` once
@@ -95,12 +103,15 @@
 """
 
 import csv
+import functools
 import io
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -709,7 +720,7 @@ def loop_dss_score(t, table: dict | None = None) -> float:
             best = 0
             for rule in category["rules"]:
                 if "structural" in rule:
-                    hit = scoring._structural_matches(u, rule["structural"])
+                    hit = structural_matches(u, rule["structural"])
                 elif "sequence" in rule:
                     hit = loop_sequence_count(u, rule["sequence"]) > 0
                 else:
@@ -737,7 +748,7 @@ def loop_ipsyn_total(t, table: dict | None = None) -> float:
         occurrences = 0
         for u in utts:
             if "structural" in struct:
-                occurrences += 1 if scoring._structural_matches(u, struct["structural"]) else 0
+                occurrences += 1 if structural_matches(u, struct["structural"]) else 0
             elif "sequence" in struct:
                 occurrences += loop_sequence_count(u, struct["sequence"])
             else:
@@ -745,6 +756,130 @@ def loop_ipsyn_total(t, table: dict | None = None) -> float:
                                    if _matches_at(u, i, struct["token"]))
         total += min(cap, occurrences)
     return float(total)
+
+
+def structural_matches(u: Utterance, name: str) -> bool:
+    if name == "question":
+        return u.terminator is Terminator.QUESTION
+    if name == "wh_question":
+        return (u.terminator is Terminator.QUESTION and u.mor_tokens is not None
+                and any(t.lemma.lower() in scoring._WH_LEMMAS for t in u.mor_tokens))
+    if name == "aux_initial_question":
+        return (u.terminator is Terminator.QUESTION and bool(u.mor_tokens)
+                and not u.mor_tokens[0].pos_classes.isdisjoint(scoring._AUX_INITIAL_POS))
+    if name == "multiword":
+        return len(u.clean_tokens) >= 2
+    raise ValueError(f"unknown structural predicate {name!r}")
+
+
+# -- the per-transcript mask walk that scoring._Cohort replaced ------------------
+
+class WalkMasks(NamedTuple):
+    """One transcript's child utterances that carry mor tokens, and the
+    masks of their tokens."""
+
+    utterances: list[Utterance]
+    masks: list[list[int]]  # per utterance, one mask per token
+    present: list[int]      # per utterance, the OR of its masks
+    flat: list[int]         # every mask, with a 0 after each utterance
+    at: dict[int, list[int]]  # each mask's positions in ``flat``
+
+    def tokens_with(self, bit: int) -> int:
+        return sum([len(at) for mask, at in self.at.items() if mask & bit])
+
+    def windows(self, bits: tuple[int, ...]) -> int:
+        """``walk_windows`` over ``flat``, from the positions of the masks
+        with ``bits[0]``; the 0 after each utterance keeps every index in
+        range."""
+        return walk_windows(self.flat, bits,
+                            [i for mask, at in self.at.items() if mask & bits[0] for i in at])
+
+
+def walk_masks(cache, t: Transcript) -> WalkMasks:
+    """The masks of ``t``'s child utterances that carry mor tokens, each
+    token looked up in the mask ``cache`` by value."""
+    utts = [u for u in t.child_utterances if u.mor_tokens]
+    # a token past the end of its utterance's words has surface ""
+    per = [[cache[tok, "'" in word] for tok, word
+            in zip(u.mor_tokens, itertools.chain(u.clean_tokens, itertools.repeat("")))]
+           for u in utts]
+    flat: list[int] = []
+    for m in per:
+        flat += m
+        flat.append(0)  # matches no predicate, so no sequence spans two utterances
+    at: dict[int, list[int]] = {}
+    for i, mask in enumerate(flat):
+        at.setdefault(mask, []).append(i)
+    return WalkMasks(utts, per, [functools.reduce(operator.or_, m) for m in per], flat, at)
+
+
+def walk_windows(masks: list[int], bits: tuple[int, ...], starts: list[int] | None = None) -> int:
+    """How many runs of ``len(bits)`` consecutive tokens match the
+    sequence: a sliding AND of ``bits`` over the tokens' ``masks``, which
+    keeps the ``starts`` (default: all) whose j-th token has ``bits[j]``,
+    one j at a time."""
+    if starts is None:
+        starts = range(len(masks) - len(bits) + 1)
+    for j, bit in enumerate(bits):
+        starts = [i for i in starts if masks[i + j] & bit]
+    return len(starts)
+
+
+def walk_dss_score(t: Transcript, rules: scoring.CompiledTable) -> float:
+    """``scoring.dss_score`` from a walk of ``t``'s masks, utterance by
+    utterance and rule by rule."""
+    m = walk_masks(rules.masks, t)
+    scorable = [(u, masks, present) for u, masks, present in zip(m.utterances, m.masks, m.present)
+                if present & rules.verbal]
+    if not scorable:
+        raise NoScorableUtterances("no child utterance with a verbal mor element")
+    total = 0.0
+    for u, masks, present in scorable:
+        score = 0
+        for category in rules.categories:
+            for rule, points in category:
+                if type(rule) is int:
+                    hit = present & rule
+                elif type(rule) is tuple:
+                    hit = walk_windows(masks, rule)
+                else:
+                    hit = structural_matches(u, rule)
+                if hit:
+                    score += points
+                    break
+        if rules.sentence_point and u.events.word_errors == 0 \
+                and not u.postcodes and u.terminator is not Terminator.TRAIL_OFF:
+            score += 1
+        total += score
+    return total / len(scorable)
+
+
+def walk_ipsyn_total(t: Transcript, rules: scoring.CompiledTable) -> float:
+    """``scoring.ipsyn_total`` from a walk of ``t``'s masks."""
+    m = walk_masks(rules.masks, t)
+    if not m.utterances:
+        raise NoScorableUtterances("no child utterance carries a mor tier")
+    total = 0
+    for rule in rules.structures:
+        if type(rule) is int:
+            occurrences = m.tokens_with(rule)
+        elif type(rule) is tuple:
+            occurrences = m.windows(rule)
+        else:
+            occurrences = sum(1 for u in m.utterances if structural_matches(u, rule))
+        total += min(rules.cap, occurrences)
+    return float(total)
+
+
+def walk_rule_counts(t: Transcript, rules: scoring.CompiledTable) -> dict[str, int]:
+    """``scoring.rule_counts`` from a walk of ``t``'s masks."""
+    m = walk_masks(rules.masks, t)
+    counts = {name: m.tokens_with(bit) for name, bit in rules.tokens}
+    for name, bits in rules.sequences:
+        counts[name] = m.windows(bits)
+    for name, bit in rules.utterances:
+        counts[name] = sum(1 for present in m.present if present & bit)
+    return counts
 
 
 def is_scorable(u) -> bool:

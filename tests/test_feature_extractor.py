@@ -19,7 +19,8 @@ from langprofile.features.extract import (
 from langprofile.features.schema import FEATURE_NAMES
 from tests.oracles import (MARKER_NAMES, flesch_kincaid, lexical_measures, loop_dss_score,
                            loop_ipsyn_total, morpheme_markers, pos_patterns,
-                           utterance_measures)
+                           utterance_measures, walk_dss_score, walk_ipsyn_total,
+                           walk_rule_counts)
 
 
 def mk(text: str):
@@ -335,9 +336,9 @@ _PREDICATES = st.fixed_dictionaries({}, optional={
 
 
 @st.composite
-def _rule_lists(draw) -> tuple[list[dict], list[dict]]:
-    """Random DSS rules and IPSyn structures over a small pool of
-    predicates, each drawn with its keys in either order."""
+def _rule_lists(draw) -> tuple[list[dict], list[dict], dict]:
+    """Random DSS rules, IPSyn structures and count table over a small
+    pool of predicates, each drawn with its keys in either order."""
     pool = draw(st.lists(_PREDICATES, min_size=1, max_size=4))
 
     def pred() -> dict:
@@ -356,7 +357,11 @@ def _rule_lists(draw) -> tuple[list[dict], list[dict]]:
                              for _ in range(draw(st.integers(0, 4)))]}
                   for _ in range(draw(st.integers(0, 3)))]
     structures = [shape("token") for _ in range(draw(st.integers(0, 5)))]
-    return categories, structures
+    counts = {"tokens": {f"t{i}": pred() for i in range(draw(st.integers(0, 3)))},
+              "sequences": {f"s{i}": [pred() for _ in range(draw(st.integers(1, 3)))]
+                            for i in range(draw(st.integers(0, 3)))},
+              "utterances": {f"u{i}": pred() for i in range(draw(st.integers(0, 2)))}}
+    return categories, structures, counts
 
 
 # every table holds these: one predicate in several rules and with its keys
@@ -403,7 +408,7 @@ class TestScoringEngine:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(transcripts=st.lists(_TRANSCRIPTS, min_size=1, max_size=3), rules=_rule_lists())
     def test_engine_equals_loop_oracle(self, cap, sentence_point, transcripts, rules):
-        categories, structures = rules
+        categories, structures, _ = rules
         dss = {"sentence_point": sentence_point, "categories": _COVER_CATEGORIES + categories}
         ipsyn = {"cap": cap, "structures": _COVER_STRUCTURES + structures}
         # one compiled table per kind serves every transcript, as in a job
@@ -471,11 +476,10 @@ class TestCountEngine:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(transcripts=st.lists(_count_transcripts(), min_size=1, max_size=3))
     def test_engine_equals_walk_oracles(self, count_fusions, transcripts):
-        # one job: the compiled tables and the syllable cache serve every transcript
-        tables = scoring.compile_tables()
+        # one job: one scoring pass and the syllable cache serve every transcript
         syllable_counts: dict[str, int] = {}
-        for t in transcripts:
-            values, flags = base_features(t, count_fusions, tables, syllable_counts)
+        for t, scores in zip(transcripts, scoring.score_cohort(transcripts)):
+            values, flags = base_features(t, count_fusions, scores, syllable_counts)
             expected: dict[str, float] = dict(pos_patterns(t))
             expected_flags: set[str] = set()
             for walk in (utterance_measures(t, count_fusions), lexical_measures(t),
@@ -490,6 +494,114 @@ class TestCountEngine:
         assert len(counts) == 27
         assert set(counts) - set(FEATURE_NAMES) == {"inflected_verbs"}
         assert counts["inflected_verbs"] == 2 and counts["verb_tokens"] == 2
+
+
+def _or_none(score, t, rules):
+    try:
+        return score(t, rules)
+    except NoScorableUtterances:
+        return None
+
+
+# 80 distinct predicates: compiled first, they push every later bit past 64
+_WIDE_TOKENS = {f"{cls}_{lemma}": {"pos": cls, "lemma_in": [lemma.lower()]}
+                for cls in _CLASSES for lemma in _LEMMAS}
+
+
+def _compile_on_one_cache(dss: dict, ipsyn: dict, counts: dict, wide: bool):
+    """The three tables compiled on one cache, the count table first, so
+    that with ``wide`` its 80 extra predicates fill the first mask word."""
+    cache = scoring._MaskCache()
+    if wide:
+        counts = {**counts, "tokens": {**_WIDE_TOKENS, **counts["tokens"]}}
+    compiled_counts = scoring.CompiledTable(counts, "counts", cache)
+    return (scoring.CompiledTable(dss, "categories", cache),
+            scoring.CompiledTable(ipsyn, "structures", cache), compiled_counts)
+
+
+def _assert_cohort_equals_walk(transcripts, tables):
+    rows = scoring.score_cohort(transcripts, tables)
+    assert len(rows) == len(transcripts)
+    for t, row in zip(transcripts, rows):
+        assert row.counts == walk_rule_counts(t, tables[2])
+        assert row.dss == _or_none(walk_dss_score, t, tables[0])
+        assert row.ipsyn == _or_none(walk_ipsyn_total, t, tables[1])
+
+
+class TestCohortEngine:
+    """The cohort's array passes against the per-transcript mask walk."""
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(transcripts=st.lists(_TRANSCRIPTS, min_size=1, max_size=4), rules=_rule_lists(),
+           cap=st.sampled_from([0, 1, 2, 50]), sentence_point=st.booleans())
+    def test_cohort_equals_walk_oracle(self, wide, transcripts, rules, cap, sentence_point):
+        categories, structures, counts = rules
+        tables = _compile_on_one_cache(
+            {"sentence_point": sentence_point, "categories": _COVER_CATEGORIES + categories},
+            {"cap": cap, "structures": _COVER_STRUCTURES + structures}, counts, wide)
+        assert (len(tables[0].masks.bits) > 64) == wide
+        _assert_cohort_equals_walk(transcripts, tables)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(transcripts=st.lists(_count_transcripts(), min_size=1, max_size=4))
+    def test_shipped_tables_equal_walk_oracle(self, wide, transcripts):
+        # contracted surfaces and mor tiers shorter than their utterance
+        tables = _compile_on_one_cache(scoring.default_dss_table(),
+                                       scoring.default_ipsyn_table(),
+                                       scoring.default_counts_table(), wide)
+        _assert_cohort_equals_walk(transcripts, tables)
+
+    def test_no_run_spans_two_utterances(self):
+        # "he" ends one utterance and "is" starts the next: no pro_aux there
+        t = mk("*CHI:\tI see he .\n%mor:\tpro|I v|see pro|he .\n"
+               "*CHI:\tis going .\n%mor:\taux|be part|go-PROG .\n"
+               "*CHI:\the is .\n%mor:\tpro|he aux|be .\n")
+        rules = scoring.compile_tables()
+        (row,) = scoring.score_cohort([t], rules)
+        assert row.counts["pro_aux"] == 1
+        assert row.counts == walk_rule_counts(t, rules[2])
+
+    def test_more_than_64_predicates_fill_a_second_word(self, corpus_dir):
+        # every rule has its own predicate; the last ones land in the second word
+        transcripts = pipeline.load_transcripts(corpus_dir)
+        lemmas = sorted({tok.lemma.lower() for t in transcripts
+                         for u in t.child_utterances for tok in u.mor_tokens or ()})
+        assert len(lemmas) >= 30
+        dss = {"sentence_point": True, "categories": [
+            {"rules": [{"points": 1 + i % 7, "lemma_in": [lemma]}
+                       for i, lemma in enumerate(lemmas[k::3])]} for k in range(3)]}
+        ipsyn = {"cap": 3, "structures": [{"token": {"pos": "v", "lemma_in": [lemma]}}
+                                          for lemma in lemmas]}
+        tables = scoring.compile_tables(dss, ipsyn)
+        assert len(tables[0].masks.bits) > 64
+        assert scoring._Cohort(transcripts, tables[0].masks).masks.shape[0] == 2
+        _assert_cohort_equals_walk(transcripts, tables)
+        for t, row in zip(transcripts, scoring.score_cohort(transcripts, tables)):
+            assert row.dss == _or_none(loop_dss_score, t, dss)
+            assert row.ipsyn == _or_none(loop_ipsyn_total, t, ipsyn)
+
+    def test_tables_on_different_caches_are_refused(self):
+        dss, ipsyn, _ = scoring.compile_tables()
+        with pytest.raises(ValueError, match="one mask cache"):
+            scoring.score_cohort([mk(TWO_UTTS)], (dss, ipsyn, scoring.CompiledTable(
+                scoring.default_counts_table(), "counts")))
+
+    def test_an_empty_cohort_scores_nothing(self):
+        assert scoring.score_cohort([]) == []
+        no_child = mk("*EXA:\twhat is it ?\n%mor:\tpro:wh|what cop|be pro|it ?\n")
+        (row,) = scoring.score_cohort([no_child])
+        assert row.dss is None and row.ipsyn is None
+        assert set(row.counts.values()) == {0}
+
+    def test_points_past_int64_score_as_python_ints(self):
+        # an utterance's score leaves int64: the scores are added as Python ints
+        dss = {"categories": [{"rules": [{"points": 2**62, "pos": "v"}]},
+                              {"rules": [{"points": 2**62 + 1, "pos": "pro"}]}]}
+        t = mk(TWO_UTTS)
+        assert scoring.CompiledTable(dss, "categories").score_type is object
+        assert scoring.dss_score(t, dss) == loop_dss_score(t, dss) == float(2**62 + 2**61)
 
 
 class TestZScores:

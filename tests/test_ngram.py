@@ -212,6 +212,31 @@ class TestPerplexityFeatures:
             perplexity_features(t, models["SLI"], models["TD"])
         assert calls == [[t.id] for t in transcripts]
 
+    def test_trained_model_scores_from_the_table_it_counted(self, corpus_dir, monkeypatch):
+        # train hands the model its counted table: the first perplexity
+        # indexes nothing anew, and equals the loop and a model rebuilt
+        # from the count dicts, which indexes them itself
+        transcripts = load_transcripts(corpus_dir)
+        indexed = []
+        index = ngram._index
+        monkeypatch.setattr(ngram, "_index", lambda *a, **k: indexed.append(1) or index(*a, **k))
+        for order in ngram.ORDERS:
+            model = train(transcripts, order, 0.5, 2)
+            rebuilt = ngram.NGramModel(model.order, model.smoothing_k, model.unk_threshold,
+                                       model.pad, model.counts, model.context_totals,
+                                       model.vocab)
+            assert rebuilt == model and repr(rebuilt) == repr(model)
+            indexed.clear()
+            for t in transcripts:
+                assert perplexity(model, t) == loop_perplexity(model, t)
+            assert indexed == []
+            for t in transcripts:
+                assert perplexity(rebuilt, t) == perplexity(model, t)
+            assert indexed == [1]
+            for got, want in zip(vars(model._table.index).values(),
+                                 vars(rebuilt._table.index).values()):
+                assert np.array_equal(got, want)
+
     def test_single_model_calls_equal_group_models_and_loop(self, corpus_dir):
         transcripts = load_transcripts(corpus_dir)
         models = ngram.train_group_models(transcripts, 0.5, 2)

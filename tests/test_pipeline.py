@@ -842,6 +842,18 @@ class TestCli:
                      {"categories": [{"rules": [{"points": 1, "pos": "cop",
                                                  "contracted": 1}]}]},
                      "categories[0].rules[0].contracted", id="dss-contracted-int"),
+        pytest.param("--dss-table",
+                     {"categories": [{"rules": [{"points": 5, "pos": "n", "lemma": ["cat"]}]}]},
+                     "lemma", id="dss-rule-unknown-key"),
+        pytest.param("--ipsyn-table",
+                     {"structures": [{"token": {"pos": "n", "lemma": ["cat"]}}]},
+                     "lemma", id="ipsyn-token-unknown-key"),
+        pytest.param("--ipsyn-table",
+                     {"structures": [{"sequence": [{"pos": "n"}, {"pos": "v", "points": 1}]}]},
+                     "points", id="ipsyn-sequence-item-unknown-key"),
+        pytest.param("--dss-table",
+                     {"categories": [{"rules": [{"points": 1, "sequence": [{"pos_of": "n"}]}]}]},
+                     "pos_of", id="dss-sequence-item-unknown-key"),
     ])
     def test_extract_table_missing_key_exits_two(self, corpus_dir, tmp_path, capsys,
                                                   flag, body, key):
@@ -1315,6 +1327,18 @@ def _zero_chat_age(tmp_path):
             f"error: stage 'load' failed: {path}: line 2: non-positive age '0;00'")
 
 
+def _misspelt_table_key(tmp_path):
+    # "lemma" for "lemma_in" would drop the lemma test and widen the rule
+    corpus = tmp_path / "corpus"
+    make_corpus(corpus)
+    table = tmp_path / "dss.json"
+    table.write_text(json.dumps({"categories": [{"rules": [
+        {"points": 5, "pos": "n", "lemma": ["cat"]}]}]}), encoding="utf-8")
+    return (["extract", str(corpus), "-o", str(tmp_path / "f.csv"), "--dss-table", str(table)],
+            2, f"error: stage 'extract' failed: {table}: categories[0].rules[0]: "
+               "unknown key 'lemma'")
+
+
 def _report_entry_is_a_directory(tmp_path):
     (tmp_path / "a_report.json").mkdir()
     return (["report", str(tmp_path)], 2,
@@ -1333,7 +1357,7 @@ def _wordless_transcript(tmp_path):
 @pytest.mark.parametrize("case", [
     _missing_config, _empty_csv, _header_only_csv, _non_integer_age, _non_positive_age,
     _blank_column, _mostly_duplicate_rows, _no_cha_files, _no_reports, _wordless_transcript,
-    _zero_chat_age, _report_entry_is_a_directory,
+    _zero_chat_age, _report_entry_is_a_directory, _misspelt_table_key,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_documented_failure_exits_with_one_message(tmp_path, capsys, case):
     """Each documented bad input ends in its exit code and one message that
