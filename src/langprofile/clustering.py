@@ -4,8 +4,12 @@ outlier detection, chance-corrected agreement metrics, and per-cluster
 effect statistics.
 
 The silhouette sweep and the Ward and DBSCAN cross-checks all read one
-precomputed ``_pairwise_distances(points)`` matrix and leave it unchanged;
-each rejects a matrix holding a NaN or inf.
+precomputed ``_pairwise_distances(points)`` matrix; each rejects a matrix
+holding a NaN or inf. They read it in row blocks of about 512 KB, so the
+matrix is the only n x n array they hold. Each leaves it unchanged, but
+for ``ward_linkage(..., overwrite=True)``, which squares the caller's
+matrix in place and leaves it holding no distances: a caller passes that
+only as the matrix's last reader.
 
 Determinism contract: every stochastic routine takes an explicit seed.
 k-means draws each restart from its own ``SeedSequence(seed).spawn``
@@ -42,12 +46,32 @@ def _as_points(points) -> np.ndarray:
     return X
 
 
+# bytes of float64 that one row block of an n x n pass reads
+_BLOCK_BYTES = 1 << 19
+
+
+def _blocks(count: int, width: int) -> list[slice]:
+    """``range(count)`` as slices of as many rows of ``width`` float64s as
+    fill ``_BLOCK_BYTES``, at least one row each."""
+    step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 def _pairwise_distances(X: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of X, from the Gram matrix.
+
+    The matrix is built in the buffer of ``X @ X.T``: each row block
+    becomes ``|x|^2 + |y|^2 - 2 x.y`` in place, with the operations of the
+    whole-array expression in its order, so it holds the same floats and
+    is the only n x n array made."""
     sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return np.sqrt(d2)
+    D = X @ X.T
+    D *= 2.0
+    for rows in _blocks(len(X), len(X)):
+        np.subtract(sq[rows, None] + sq[None, :], D[rows], out=D[rows])
+    np.maximum(D, 0.0, out=D)
+    np.fill_diagonal(D, 0.0)
+    return np.sqrt(D, out=D)
 
 
 def _as_distances(distances, n: int | None = None) -> np.ndarray:
@@ -280,8 +304,14 @@ def _silhouette_from_distances(D: np.ndarray, assignments: np.ndarray) -> float:
     if labels.size < 2:
         raise SingleCluster("silhouette needs at least 2 clusters")
     n = D.shape[0]
-    sums = np.stack([D[:, assignments == lab].sum(axis=1) for lab in labels], axis=1)
-    sizes = np.array([(assignments == lab).sum() for lab in labels])
+    members = [np.flatnonzero(assignments == lab) for lab in labels]
+    # each row's per-label sum, over row blocks: the floats of D[:, cols].sum(axis=1)
+    sums = np.empty((n, labels.size))
+    for rows in _blocks(n, n):
+        block = D[rows]
+        for j, cols in enumerate(members):
+            sums[rows, j] = block[:, cols].sum(axis=1)
+    sizes = np.array([cols.size for cols in members])
     rows = np.arange(n)
     own = np.searchsorted(labels, assignments)
     means = sums / sizes
@@ -330,7 +360,7 @@ def silhouette_sweep(points, distances, k_range, seed: int, n_init: int = 32
 
 # -- hierarchical (Ward) and DBSCAN cross-checks ------------------------------
 
-def ward_linkage(distances, k: int) -> np.ndarray:
+def ward_linkage(distances, k: int, *, overwrite: bool = False) -> np.ndarray:
     """Agglomerative Ward clustering, from a distance matrix, cut at k clusters.
 
     Lance-Williams recurrence on squared Euclidean distances. Each merge
@@ -349,12 +379,15 @@ def ward_linkage(distances, k: int) -> np.ndarray:
     i and j, into two preallocated n-vectors, with no gather of the live
     rows: a merged-away column and the diagonal hold inf, and the update
     keeps them inf. A merge records ``parent[j] = i``, and the clusters
-    are the roots of those links, found once at the end. Memory is the
-    squared n x n matrix plus O(n) vectors; time is O(n^2) when few rows
-    go stale per merge and O(n^3) at worst. The cache changes only how
-    the pair is found, not how any entry is computed, so the merges are
-    those of a flat ``argmin`` over the whole matrix at every step. A NaN
-    or inf distance raises ``DegenerateInput``.
+    are the roots of those links, found once at the end. Memory is a
+    squared copy of the n x n matrix plus O(n) vectors. With
+    ``overwrite``, like scipy's ``overwrite_a``, a float64 array
+    ``distances`` is squared in place instead, so no second n x n array is
+    made; it must be writable, and afterwards holds no distances. Time is
+    O(n^2) when few rows go stale per merge and O(n^3) at worst. The cache
+    changes only how the pair is found, not how any entry is computed, so
+    the merges are those of a flat ``argmin`` over the whole matrix at
+    every step. A NaN or inf distance raises ``DegenerateInput``.
 
     No Lance-Williams term exceeds n^2 max(D)^2, so the squares cannot
     overflow while 2 n^2 max(D)^2 is a finite float; a larger distance
@@ -368,7 +401,7 @@ def ward_linkage(distances, k: int) -> np.ndarray:
     if not math.isfinite(2.0 * n * n * top * top):
         raise DegenerateInput(f"largest distance {top!r} is too large for Ward with "
                               f"n={n}: 2 n^2 max(D)^2 overflows")
-    D = D ** 2
+    D = np.square(D, out=D if overwrite else None)
     np.fill_diagonal(D, np.inf)
     sizes = np.ones(n)
     parent = np.arange(n)  # a merged-away row links to the row it merged into
@@ -424,21 +457,26 @@ def ward_linkage(distances, k: int) -> np.ndarray:
 def dbscan(distances, eps: float, min_pts: int) -> np.ndarray:
     """Core/border/noise labeling from a distance matrix; noise rows get -1.
 
-    One boolean matrix ``near = D <= eps`` holds every neighbourhood (n^2
-    bools, 1.35 MB at 1,163 rows), and a point is core when its row holds
-    at least ``min_pts`` entries. Clusters are numbered in the order of
-    their first core point. Each grows one frontier at a time: the points
-    not yet labelled that some frontier point lists as near, and the core
-    points among them form the next frontier. A cluster is every point
-    still unlabelled that is density-reachable from its first core point,
-    so the labels are those of a point-by-point FIFO expansion."""
+    A point's neighbours are the entries of its row with ``D <= eps``, and
+    it is core when it has at least ``min_pts`` of them. Clusters are
+    numbered in the order of their first core point. Each grows one
+    frontier at a time: the points not yet labelled that some frontier
+    point lists as near, and the core points among them form the next
+    frontier. A cluster is every point still unlabelled that is
+    density-reachable from its first core point, so the labels are those
+    of a point-by-point FIFO expansion. The core counts and each
+    frontier's rows are compared with ``eps`` in row blocks of about
+    512 KB, so no n x n array is made; each row is compared twice at most,
+    once for its count and once in a frontier."""
     if eps <= 0 or min_pts < 1:
         raise DegenerateInput("need eps > 0 and min_pts >= 1")
     D = _as_distances(distances)
-    near = D <= eps
-    core = np.count_nonzero(near, axis=1) >= min_pts
-    labels = np.full(D.shape[0], -1, dtype=int)
-    free = np.ones(D.shape[0], dtype=bool)
+    n = D.shape[0]
+    core = np.empty(n, dtype=bool)
+    for rows in _blocks(n, n):
+        core[rows] = np.count_nonzero(D[rows] <= eps, axis=1) >= min_pts
+    labels = np.full(n, -1, dtype=int)
+    free = np.ones(n, dtype=bool)
     cluster = 0
     for i in np.flatnonzero(core):
         if not free[i]:
@@ -447,7 +485,10 @@ def dbscan(distances, eps: float, min_pts: int) -> np.ndarray:
         free[i] = False
         frontier = np.array([i])
         while frontier.size:
-            grown = near[frontier].any(axis=0) & free
+            grown = np.zeros(n, dtype=bool)
+            for part in _blocks(frontier.size, n):
+                grown |= (D[frontier[part]] <= eps).any(axis=0)
+            grown &= free
             labels[grown] = cluster
             free &= ~grown
             frontier = np.flatnonzero(grown & core)

@@ -97,7 +97,10 @@ def load_table(path: str | Path, key: str) -> dict:
     ``structural`` names, a non-empty ``sequence`` of token predicates, a
     string ``pos``, lists of strings for the ``*_in`` keys, a boolean
     ``inflected``), or whose token predicate or DSS rule holds a key
-    outside those, raises ``DataError`` naming the file and the key.
+    outside those, raises ``DataError`` naming the file and the key.  So
+    does a DSS table whose highest utterance score, each category's top
+    points plus the sentence point, is too large for a float: it names
+    the top rule of the category that takes the sum past that.
     """
     try:
         table = json.loads(read_text(path))
@@ -105,7 +108,9 @@ def load_table(path: str | Path, key: str) -> dict:
         raise DataError(f"{path}: not a JSON scoring table ({exc})") from None
     entries = _list_at(table, key, str(path))
     if key == "categories":
+        top = int(bool(table.get("sentence_point")))  # the highest utterance score
         for i, category in enumerate(entries):
+            best, best_at = 0, ""
             for j, rule in enumerate(_list_at(category, "rules",
                                               f"{path}: categories[{i}]")):
                 where = f"categories[{i}].rules[{j}]"
@@ -115,6 +120,15 @@ def load_table(path: str | Path, key: str) -> dict:
                 _require(_is_int(rule["points"]), path, f"{where}.points", "an integer",
                          rule["points"])
                 _check_shape(rule, path, where)
+                if rule["points"] > best:
+                    best, best_at = rule["points"], f"{where}.points"
+            top += best
+            try:
+                float(top)
+            except OverflowError:
+                raise DataError(f"{path}: {best_at!r} takes the highest utterance score, "
+                                "each category's top points plus the sentence point, "
+                                "past the largest float") from None
     else:
         for i, struct in enumerate(entries):
             if not isinstance(struct, dict) \

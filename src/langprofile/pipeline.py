@@ -3,10 +3,10 @@
 Stages: load (the .cha files of a directory, or a feature CSV) ->
 extract (transcripts only) -> impute -> standardize -> prune (correlated
 columns) -> pca -> sweep (one k-means fit per k; the chosen k keeps its
-sweep fit) -> cross_check (Ward and DBSCAN on the sweep's distance
-matrix, then k-means on the three planes of PCs 1-3 and how far they
-agree) -> boundary -> outliers -> profiles -> effects -> write (the
-report bundle).
+sweep fit) -> cross_check (DBSCAN, then Ward, on the sweep's distance
+matrix, which Ward squares in place as its last reader; then k-means on
+the three planes of PCs 1-3 and how far they agree) -> boundary ->
+outliers -> profiles -> effects -> write (the report bundle).
 
 Each stage is one ``with _stage(name):`` block around the calls it runs,
 and a block that computes report values builds the report fields itself.
@@ -446,9 +446,14 @@ def _stage(name: str):
 
 
 def _auto_eps(distances: np.ndarray, min_pts: int) -> float:
-    """Median distance to the min_pts-th neighbour (a point is its own 0th)."""
-    kth = min(min_pts, distances.shape[1] - 1)
-    return float(np.median(np.partition(distances, kth, axis=1)[:, kth]))
+    """Median distance to the min_pts-th neighbour (a point is its own 0th),
+    partitioned one row block at a time."""
+    n = distances.shape[1]
+    kth = min(min_pts, n - 1)
+    # copy each block's column: a view would keep the whole block alive
+    return float(np.median(np.concatenate(
+        [np.partition(distances[rows], kth, axis=1)[:, kth].copy()
+         for rows in clustering._blocks(distances.shape[0], n)])))
 
 
 def _dbscan_eps(config: PipelineConfig, distances: np.ndarray) -> float:
@@ -508,7 +513,7 @@ def write_files(files: dict[Path, str]) -> None:
 
 
 def run_pipeline(config: PipelineConfig) -> ReportBundle:
-    cohort, _ = load_cohort(config)
+    cohort = load_cohort(config)[0]  # the transcripts are not needed past extract
     n = cohort.matrix.n
     with _stage("load"):
         bad_k = [k for k in config.k_range if not 2 <= k <= n - 1]
@@ -551,10 +556,12 @@ def run_pipeline(config: PipelineConfig) -> ReportBundle:
     centroids = km.centroids[order]
 
     with _stage("cross_check"):
-        ward_labels = clustering.ward_linkage(distances, chosen_k)
         eps = _dbscan_eps(config, distances)
         db_labels = clustering.dbscan(distances, eps, config.dbscan_min_pts)
-        del distances  # its last reader is done: free it before the later stages allocate
+        # Ward, the last reader, squares the matrix in place; free it before
+        # the later stages allocate
+        ward_labels = clustering.ward_linkage(distances, chosen_k, overwrite=True)
+        del distances
         non_noise = db_labels >= 0
         cross_checks = {
             "ward_ari": clustering.ari(assignments, ward_labels),

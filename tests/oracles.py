@@ -7,9 +7,10 @@
   features once for the group statistics and again inside every full
   vector, re-read the packaged scoring tables for every transcript, and
   counted Flesch-Kincaid words, sentences and syllables a second time.
-* ``loop_silhouette_from_distances`` is the per-point silhouette loop
-  that ``clustering._silhouette_from_distances`` replaced with array
-  operations.
+* ``loop_silhouette_from_distances`` is the per-point silhouette loop,
+  over per-label sums of whole columns, that
+  ``clustering._silhouette_from_distances`` replaced with array
+  operations over row blocks.
 * ``pos_matches`` is the segment-aware POS prefix test that every POS
   check called once per tag and class, before ``MorToken.pos_classes``
   decided each tag's classes once.
@@ -25,7 +26,11 @@
   counts.
 * ``sorted_auto_eps`` builds its own distance matrix and sorts every row,
   before ``pipeline._auto_eps`` took the shared matrix and partitioned a
-  copy.
+  copy, then one row block at a time.
+* ``gram_pairwise_distances`` builds the distance matrix from the Gram
+  matrix in whole-array expressions, with n x n temporaries beside it,
+  before ``clustering._pairwise_distances`` built it row block by row
+  block in the buffer of ``X @ X.T``.
 * ``serial_kmeans`` runs each k-means restart's Lloyd loop (``lloyd``) on
   its own, one restart after another, before ``clustering.kmeans`` ran a
   block of restarts as one batch.
@@ -92,8 +97,9 @@
   stopped loading scipy.
 * ``fifo_dbscan`` lists each point's neighbours on its own and grows
   every cluster through a first-in, first-out queue of points, before
-  ``clustering.dbscan`` read one boolean neighbour matrix and grew each
-  cluster a frontier at a time.
+  ``clustering.dbscan`` grew each cluster a frontier at a time, first
+  from one boolean neighbour matrix and then from row blocks of the
+  distances.
 * ``lgamma_expected_mi`` calls ``math.lgamma`` nine times for every
   cell count, before ``clustering._expected_mi`` read a table of log
   factorials and added the five marginal terms once per pair of labels.
@@ -165,8 +171,16 @@ def loop_silhouette_from_distances(D: np.ndarray, assignments: np.ndarray) -> fl
     return total / n
 
 
+def gram_pairwise_distances(X: np.ndarray) -> np.ndarray:
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return np.sqrt(d2)
+
+
 def sorted_auto_eps(points, min_pts: int) -> float:
-    D = clustering._pairwise_distances(np.asarray(points, dtype=float))
+    D = gram_pairwise_distances(np.asarray(points, dtype=float))
     D.sort(axis=1)
     kth = D[:, min(min_pts, D.shape[1] - 1)]
     return float(np.median(kth))

@@ -36,6 +36,7 @@ from langprofile.synthetic import two_blobs
 from tests.oracles import (
     argmin_ward,
     fifo_dbscan,
+    gram_pairwise_distances,
     lgamma_expected_mi,
     lloyd,
     loop_silhouette_from_distances,
@@ -568,6 +569,65 @@ class TestSharedDistances:
         for min_pts in (1, 2, 5, n - 1, n, n + 3):
             assert _auto_eps(_pairwise_distances(X), min_pts) \
                 == sorted_auto_eps(X, min_pts)
+
+
+# rows per block in the tests that shrink the blocks
+BLOCK = 8
+# at the default 512 KB, one block of a 256 x 256 matrix holds all 256 rows
+DEFAULT_BLOCK = 256
+
+
+class TestRowBlocks:
+    """The readers that work in row blocks give the floats and labels of
+    their whole-matrix oracles: for n around the rows of one block, with
+    blocks shrunk to ``BLOCK`` rows and at the default block size."""
+
+    @staticmethod
+    def check(n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3)) * 4.0
+        X[::3] = np.round(X[::3])  # tied distances
+        X[1::7] = X[0]  # duplicate points
+        D = _pairwise_distances(X)
+        assert D.tobytes() == gram_pairwise_distances(X).tobytes()
+        if n >= 2:
+            for n_labels in (2, 5):
+                labels = np.arange(n) % n_labels
+                rng.shuffle(labels)
+                assert _silhouette_from_distances(D, labels) \
+                    == loop_silhouette_from_distances(D, labels)
+        for min_pts in sorted({1, 2, 5, max(1, n - 1), n}):
+            assert _auto_eps(D, min_pts) == sorted_auto_eps(X, min_pts)
+        positive = D[D > 0]
+        for eps in (float(np.median(positive)) if positive.size else 1.0, 1.0, 4.0):
+            for min_pts in sorted({1, 3, max(1, n // 2)}):
+                assert np.array_equal(dbscan(D, eps, min_pts), fifo_dbscan(D, eps, min_pts))
+        for k in sorted({1, 2, max(1, n // 3), n} & set(range(1, n + 1))):
+            squared = D.copy()
+            labels = ward_linkage(squared, k, overwrite=True)
+            assert np.array_equal(labels, argmin_ward(D, k)), k
+            assert n == 1 or not np.array_equal(squared, D)  # squared in place
+
+    @pytest.mark.parametrize("n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_small_blocks_equal_whole_matrix_oracles(self, n, monkeypatch):
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8 * n * BLOCK)
+        assert len(clustering._blocks(n, n)) == -(-n // BLOCK)
+        self.check(n)
+
+    @pytest.mark.parametrize("n, blocks", [(DEFAULT_BLOCK - 1, 1), (DEFAULT_BLOCK, 1),
+                                           (DEFAULT_BLOCK + 1, 2), (446, 4)])
+    def test_default_blocks_equal_whole_matrix_oracles(self, n, blocks):
+        # 446 rows: three blocks of 146 and one of 8
+        assert len(clustering._blocks(n, n)) == blocks
+        self.check(n)
+
+    def test_dbscan_frontiers_larger_than_a_block(self, monkeypatch):
+        # one blob: the first core point's frontier holds every other point
+        X = np.random.default_rng(2).normal(size=(3 * BLOCK + 5, 2)) * 0.1
+        D = _pairwise_distances(X)
+        monkeypatch.setattr(clustering, "_BLOCK_BYTES", 8 * len(X) * BLOCK)
+        assert np.array_equal(dbscan(D, 10.0, 3), np.zeros(len(X), dtype=int))
+        assert np.array_equal(dbscan(D, 0.05, 3), fifo_dbscan(D, 0.05, 3))
 
 
 class TestBoundary:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -542,6 +543,23 @@ class TestRunPipeline:
         monkeypatch.setattr(clustering, "_pairwise_distances", counting_distances)
         pipeline.run_pipeline(pipeline.load_config(cfg))
         assert shapes == [(150, 3)]
+
+    def test_holds_one_distance_matrix_at_a_time(self, tmp_path):
+        # the traced peak grows with n by about one float64 n x n matrix:
+        # no stage copies, squares or compares the distances beside it
+        peaks = {}
+        for n in (300, 600):
+            csv_path = tmp_path / f"f{n}.csv"
+            write_synthetic_csv(csv_path, n=n, seed=5)
+            config = pipeline.load_config(
+                write_config(tmp_path / f"c{n}.ini", csv_path, tmp_path / f"out{n}"))
+            tracemalloc.start()
+            try:
+                pipeline.run_pipeline(config)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[600] - peaks[300]) / (8 * (600 ** 2 - 300 ** 2)) <= 1.6
 
 
 class TestTranscriptsMode:
@@ -1339,6 +1357,20 @@ def _misspelt_table_key(tmp_path):
                "unknown key 'lemma'")
 
 
+def _dss_points_past_float(tmp_path):
+    # an integer as JSON and load_table allow, but no float can hold the score
+    corpus = tmp_path / "corpus"
+    make_corpus(corpus)
+    table = tmp_path / "dss.json"
+    table.write_text('{"categories": [{"rules": [{"points": 1, "pos": "n"}]}, '
+                     '{"rules": [{"points": 2, "pos": "v"}, '
+                     '{"points": 1' + "0" * 400 + ', "pos": "pro"}]}]}', encoding="utf-8")
+    return (["extract", str(corpus), "-o", str(tmp_path / "f.csv"), "--dss-table", str(table)],
+            2, f"error: stage 'extract' failed: {table}: 'categories[1].rules[1].points' takes "
+               "the highest utterance score, each category's top points plus the sentence "
+               "point, past the largest float")
+
+
 def _report_entry_is_a_directory(tmp_path):
     (tmp_path / "a_report.json").mkdir()
     return (["report", str(tmp_path)], 2,
@@ -1358,6 +1390,7 @@ def _wordless_transcript(tmp_path):
     _missing_config, _empty_csv, _header_only_csv, _non_integer_age, _non_positive_age,
     _blank_column, _mostly_duplicate_rows, _no_cha_files, _no_reports, _wordless_transcript,
     _zero_chat_age, _report_entry_is_a_directory, _misspelt_table_key,
+    _dss_points_past_float,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_documented_failure_exits_with_one_message(tmp_path, capsys, case):
     """Each documented bad input ends in its exit code and one message that
