@@ -71,6 +71,12 @@ _CHILD_ROLES = {"target_child", "child"}
 _EXAMINER_ROLES = {"examiner", "investigator", "interviewer", "clinician"}
 
 
+@functools.lru_cache(maxsize=1024)  # bounded: a corpus uses a few dozen tags
+def _pos_classes(tag: str) -> frozenset[str]:
+    parts = tag.split(":")
+    return frozenset(":".join(parts[:i]) for i in range(1, len(parts) + 1))
+
+
 @dataclass(frozen=True)
 class MorToken:
     """One token of a %mor tier: POS tag, lemma, affix markers."""
@@ -80,12 +86,12 @@ class MorToken:
     suffixes: tuple[str, ...] = ()
     fusions: tuple[str, ...] = ()
 
-    @functools.cached_property
+    @property
     def pos_classes(self) -> frozenset[str]:
         """Every POS class the tag belongs to, one per ``:``-segment prefix:
-        ``n:prop`` is in ``{"n", "n:prop"}``, and ``neg`` only in ``{"neg"}``."""
-        parts = self.pos_tag.split(":")
-        return frozenset(":".join(parts[:i]) for i in range(1, len(parts) + 1))
+        ``n:prop`` is in ``{"n", "n:prop"}``, and ``neg`` only in ``{"neg"}``.
+        Tokens of one tag share one set."""
+        return _pos_classes(self.pos_tag)
 
     def morphemes(self, count_fusions: bool = False) -> int:
         n = 1 + len(self.suffixes)
@@ -229,6 +235,8 @@ def parse_mor_token(tok: str) -> MorToken | None:
     pos, rest = tok.split("|", 1)
     if not pos or not rest:
         raise MalformedTier(f"unparseable mor token {tok!r}")
+    if "-" not in rest and "&" not in rest:  # no affix: the lemma is all of it
+        return MorToken(pos, rest)
     parts = _MOR_AFFIX.split(rest)
     lemma = parts[0]
     suffixes: list[str] = []
@@ -319,7 +327,9 @@ def parse_chat(text: str, transcript_id: str | None = None, *,
     (``None`` for punctuation), so equal items share one :class:`MorToken`;
     pass one dict for a whole corpus.  Without it, the call uses a fresh
     one.  A malformed item is never cached: it raises, and drops its tier
-    with a warning, at every occurrence.
+    with a warning, at every occurrence.  Each main tier's
+    :class:`Utterance` is built once, with its accepted ``%mor``, at the
+    next main tier or the end of the text.
     """
     if mor_cache is None:
         mor_cache = {}
@@ -347,6 +357,9 @@ def parse_chat(text: str, transcript_id: str | None = None, *,
     child_code = ""
     warnings: list[str] = []
     utterances: list[Utterance] = []
+    # the last main tier's Utterance fields (clean_tokens at [3], mor_tokens at [6]):
+    # its Utterance is built once, with its %mor, at the next main tier or the end
+    held: list | None = None
 
     try:
         for lineno, line in logical:
@@ -386,8 +399,9 @@ def parse_chat(text: str, transcript_id: str | None = None, *,
                 body, terminator, postcodes = _split_terminator(tokens)
                 clean, events = strip_annotations(body)
                 speaker = roles.get(code, _DEFAULT_ROLES.get(code, Speaker.OTHER))
-                utterances.append(Utterance(speaker, code, tuple(body), clean, terminator,
-                                            events, None, postcodes))
+                if held is not None:
+                    utterances.append(Utterance(*held))
+                held = [speaker, code, tuple(body), clean, terminator, events, None, postcodes]
                 continue
 
             if line.startswith("%"):
@@ -397,9 +411,9 @@ def parse_chat(text: str, transcript_id: str | None = None, *,
                 kind = m.group(1).lower()
                 if kind != "mor":
                     continue  # other dependent tiers are out of scope
-                if not utterances:
+                if held is None:
                     raise OrphanDependentTier("%mor tier before any utterance")
-                target = utterances[-1]
+                number = len(utterances) + 1
                 content = line[m.end():].strip()
                 try:
                     mor = []
@@ -410,25 +424,22 @@ def parse_chat(text: str, transcript_id: str | None = None, *,
                         if tok is not None:
                             mor.append(tok)
                 except MalformedTier as exc:
-                    warnings.append(f"utterance {len(utterances)}: mor tier dropped ({exc})")
+                    warnings.append(f"utterance {number}: mor tier dropped ({exc})")
                     continue
-                if len(mor) != len(target.clean_tokens):
-                    warnings.append(
-                        f"utterance {len(utterances)}: mor tier has {len(mor)} tokens, "
-                        f"utterance has {len(target.clean_tokens)}; mor dropped")
+                if len(mor) != len(held[3]):
+                    warnings.append(f"utterance {number}: mor tier has {len(mor)} tokens, "
+                                    f"utterance has {len(held[3])}; mor dropped")
                     continue
-                if target.mor_tokens is not None:
-                    warnings.append(f"utterance {len(utterances)}: duplicate mor tier replaced")
-                # positional arguments: dataclasses.replace costs twice as much
-                utterances[-1] = Utterance(target.speaker, target.speaker_code,
-                                           target.raw_tokens, target.clean_tokens,
-                                           target.terminator, target.events, tuple(mor),
-                                           target.postcodes)
+                if held[6] is not None:
+                    warnings.append(f"utterance {number}: duplicate mor tier replaced")
+                held[6] = tuple(mor)
                 continue
 
             raise MalformedTier(f"unclassifiable line: {line!r}")
     except ChatParseError as exc:
         raise type(exc)(f"line {lineno}: {exc}") from None
+    if held is not None:
+        utterances.append(Utterance(*held))
 
     if transcript_id:
         tid = transcript_id

@@ -240,15 +240,15 @@ def _predicate_key(pred: dict) -> tuple:
                         for name, value in pred.items() if name in _PREDICATE_TYPES))
 
 
-def _matching_bits(tok, contracted: bool, by_class: dict) -> int:
+def _matching_bits(tok, contracted: bool, filed: dict, lemma: str | None) -> int:
+    """The OR of the bits of the predicates filed under ``(class, lemma)``
+    for a class of ``tok`` (or ``None``) that ``tok`` matches."""
     mask = 0
     for cls in (None, *tok.pos_classes):
-        for bit, pred in by_class.get(cls, ()):
+        for bit, pred in filed.get((cls, lemma), ()):
             if _token_matches(tok, pred, contracted):
                 mask |= bit
     return mask
-
-
 
 
 class _MaskCache(dict):
@@ -257,18 +257,18 @@ class _MaskCache(dict):
     value and whether the aligned surface word carries an apostrophe, so
     equal tokens from different transcripts share an entry.
 
-    Each distinct predicate owns one bit and is filed under the POS
-    classes it requires (``None`` when it requires none), so a token is
-    tested only against the predicates its classes allow.  A predicate
-    without ``lemma_in`` reads only the token's shape (POS tag, affixes
-    and the apostrophe), so its bits are computed once per shape; tokens
-    differ mostly by lemma."""
+    Each distinct predicate owns one bit and is filed in ``filed`` under
+    each POS class it requires (``None`` when it requires none) and, with
+    ``lemma_in``, under each of its lemmas (``None`` without), so a token
+    is tested only against the predicates its classes and its lowercased
+    lemma allow.  A predicate without ``lemma_in`` reads only the token's
+    shape (POS tag, affixes and the apostrophe), so its bits are computed
+    once per shape; tokens differ mostly by lemma."""
 
     def __init__(self):
         super().__init__()
         self.bits: dict[tuple, int] = {}
-        self.by_class: dict[str | None, list[tuple[int, dict]]] = {}  # no lemma_in
-        self.by_lemma: dict[str | None, list[tuple[int, dict]]] = {}  # with lemma_in
+        self.filed: dict[tuple[str | None, str | None], list[tuple[int, dict]]] = {}
         self.shapes: dict[tuple, int] = {}  # (pos_tag, suffixes, fusions, apostrophe) -> bits
 
     def bit(self, pred: dict) -> int:
@@ -277,17 +277,18 @@ class _MaskCache(dict):
             self.clear()  # the masks cached so far lack the new bit
             self.shapes.clear()
             bit = self.bits[key] = 1 << len(self.bits)
-            filed = self.by_lemma if "lemma_in" in pred else self.by_class
             for cls in [pred["pos"]] if "pos" in pred else pred.get("pos_in", [None]):
-                filed.setdefault(cls, []).append((bit, pred))
+                for lemma in set(pred.get("lemma_in", [None])):
+                    self.filed.setdefault((cls, lemma), []).append((bit, pred))
         return self.bits[key]
 
     def __missing__(self, key: tuple[MorToken, bool]) -> int:
         tok, contracted = key
         shape = (tok.pos_tag, tok.suffixes, tok.fusions, contracted)
         if shape not in self.shapes:
-            self.shapes[shape] = _matching_bits(tok, contracted, self.by_class)
-        mask = self[key] = self.shapes[shape] | _matching_bits(tok, contracted, self.by_lemma)
+            self.shapes[shape] = _matching_bits(tok, contracted, self.filed, None)
+        mask = self[key] = self.shapes[shape] | _matching_bits(tok, contracted, self.filed,
+                                                               tok.lemma.lower())
         return mask
 
 

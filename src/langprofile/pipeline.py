@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import hashlib
 import io
 import json
 import math
@@ -168,6 +167,8 @@ class PipelineConfig:
 
     @property
     def config_hash(self) -> str:
+        import hashlib  # only reports need it: ``extract`` never loads OpenSSL
+
         return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
 
 
@@ -376,15 +377,19 @@ def extract_cohort(transcripts: list[chat.Transcript],
     each then gains its perplexities from ``ngram.GroupModels`` (the
     ``ngram`` module docstring describes that engine) and its z-scores.
     With ``loo``, a labelled transcript is scored against its own group's
-    models without it.  A transcript's scoring error is raised in
-    transcript order, before the next transcript's and before its own
-    z-scores."""
+    models without it.  A transcript's scoring error, DSS points that sum
+    past the largest float among them, is raised in transcript order,
+    before the next transcript's and before its own z-scores."""
     tables = scoring.compile_tables(
         scoring.load_table(config.dss_table, "categories") if config.dss_table else None,
         scoring.load_table(config.ipsyn_table, "structures") if config.ipsyn_table else None)
     syllable_counts: dict[str, int] = {}  # one per job: each distinct word counted once
-    blocks = [fx.base_features(t, config.count_fusions, scores, syllable_counts)
-              for t, scores in zip(transcripts, scoring.score_cohort(transcripts, tables))]
+    blocks = []
+    for t, scores in zip(transcripts, scoring.score_cohort(transcripts, tables)):
+        if scores.dss == math.inf:  # a custom table's points, summed past the largest float
+            raise DataError(f"{config.dss_table}: the DSS points of transcript {t.id!r} "
+                            "sum past the largest float")
+        blocks.append(fx.base_features(t, config.count_fusions, scores, syllable_counts))
     groups = [t.group.value for t in transcripts]
     stats = fx.GroupStats.from_rows([values for values, _ in blocks], groups)
     lms = ngram.GroupModels(transcripts, config.smoothing_k, config.unk_threshold)

@@ -79,6 +79,18 @@
 * ``scope_strip_annotations`` walks the scope stack for every tier,
   before ``chat.strip_annotations`` returned a tier without annotations
   as it is.
+* ``two_build_parse_chat`` builds each main tier's ``Utterance`` at the
+  tier and builds it again when a ``%mor`` tier is accepted for it, and
+  parses every ``%mor`` item through the affix regex
+  (``regex_parse_mor_token``), before ``chat.parse_chat`` held the
+  pending tier's fields and built its ``Utterance`` once, with its
+  ``%mor``, and ``chat.parse_mor_token`` returned an item with no ``-``
+  or ``&`` without the regex.
+* ``scan_mask`` tests a token against every predicate of a mask cache,
+  before ``scoring._MaskCache`` filed each predicate under its POS
+  classes and its lemmas and tested a token only against the predicates
+  filed under its classes and its lowercased lemma (in between, it
+  tested every ``lemma_in`` predicate filed under the token's classes).
 * ``dict_perplexity`` holds the two add-k loops, full and held-out, that
   scored n-grams one at a time from the count dicts, and
   ``dict_perplexity_features`` and ``dict_group_features`` the six
@@ -121,11 +133,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from langprofile import clustering, ngram
-from langprofile.chat import (RETRACE, REPEAT, WORD_ERROR, AnnotationEvents, MorToken,
-                              Terminator, Transcript, Utterance)
-from langprofile.errors import (DanglingMarker, DegenerateInput, EmptyCorpus, EmptyTranscript,
-                                NoScorableUtterances, SingleCluster, UnbalancedScope,
+from langprofile import chat, clustering, ngram
+from langprofile.chat import (RETRACE, REPEAT, WORD_ERROR, AnnotationEvents, Group, MorToken,
+                              Speaker, Terminator, Transcript, Utterance)
+from langprofile.errors import (ChatParseError, DanglingMarker, DegenerateInput, EmptyCorpus,
+                                EmptyTranscript, MalformedTier, NoScorableUtterances,
+                                OrphanDependentTier, SingleCluster, UnbalancedScope,
                                 ZeroProbability)
 from langprofile.features import extract as fx
 from langprofile.features import scoring
@@ -1123,6 +1136,137 @@ def scope_strip_annotations(raw_tokens) -> tuple[tuple[str, ...], AnnotationEven
     clean = tuple(w for grp in stack[0] for w in grp)
     events = AnnotationEvents(fillers, repetitions, retracings, word_errors)
     return clean, events
+
+
+def regex_parse_mor_token(tok: str) -> MorToken | None:
+    """``chat.parse_mor_token`` with every item split by the affix regex."""
+    if "|" not in tok:
+        if tok in chat._TERMINATOR_MAP or tok.startswith("+"):
+            return None
+        raise MalformedTier(f"unparseable mor token {tok!r}")
+    pos, rest = tok.split("|", 1)
+    if not pos or not rest:
+        raise MalformedTier(f"unparseable mor token {tok!r}")
+    parts = chat._MOR_AFFIX.split(rest)
+    lemma = parts[0]
+    suffixes: list[str] = []
+    fusions: list[str] = []
+    for marker, seg in zip(parts[1::2], parts[2::2]):
+        if not seg:
+            raise MalformedTier(f"empty affix in mor token {tok!r}")
+        (suffixes if marker == "-" else fusions).append(seg)
+    return MorToken(pos, lemma, tuple(suffixes), tuple(fusions))
+
+
+def two_build_parse_chat(text: str, transcript_id: str | None = None) -> Transcript:
+    """``chat.parse_chat`` that appends an ``Utterance`` per main tier and
+    rebuilds the last one when a ``%mor`` tier is accepted for it."""
+    logical: list[tuple[int, str]] = []
+    for lineno, raw_line in enumerate(text.split("\n"), start=1):
+        line = raw_line.rstrip("\r")
+        if not line.strip():
+            continue
+        if line.startswith("\t") or line.startswith("    "):
+            if not logical:
+                raise MalformedTier(f"line {lineno}: continuation line before any tier")
+            first, joined = logical[-1]
+            logical[-1] = (first, joined + " " + line.strip())
+        else:
+            logical.append((lineno, line))
+
+    roles: dict[str, Speaker] = {}
+    corpus = ""
+    group = Group.UNKNOWN
+    age_months: int | None = None
+    sex: str | None = None
+    pid = ""
+    child_code = ""
+    warnings: list[str] = []
+    utterances: list[Utterance] = []
+
+    try:
+        for lineno, line in logical:
+            if line.startswith("@"):
+                m = chat._HEADER.match(line)
+                if m is None:
+                    continue
+                key, value = m.group(1).strip(), m.group(2).strip()
+                if key == "Participants":
+                    for entry in value.split(","):
+                        bits = entry.split()
+                        if len(bits) >= 2:
+                            roles[bits[0]] = chat._classify_role(bits[-1])
+                elif key == "ID":
+                    fields = value.split("|")
+                    if len(fields) < 8:
+                        continue
+                    if chat._classify_role(fields[7]) is Speaker.CHILD:
+                        corpus = fields[1]
+                        child_code = fields[2]
+                        age_months = chat._parse_age(fields[3])
+                        sx = fields[4].strip().lower()
+                        sex = {"male": "M", "m": "M", "female": "F", "f": "F"}.get(sx)
+                        group = chat._classify_group(fields[5])
+                elif key == "PID":
+                    pid = value
+                continue
+
+            if line.startswith("*"):
+                m = chat._MAIN_TIER.match(line)
+                if m is None:
+                    raise MalformedTier(f"bad main tier line: {line!r}")
+                code = m.group(1)
+                body, terminator, postcodes = chat._split_terminator(line[m.end():].split())
+                clean, events = chat.strip_annotations(body)
+                speaker = roles.get(code, chat._DEFAULT_ROLES.get(code, Speaker.OTHER))
+                utterances.append(Utterance(speaker, code, tuple(body), clean, terminator,
+                                            events, None, postcodes))
+                continue
+
+            if line.startswith("%"):
+                m = chat._DEP_TIER.match(line)
+                if m is None:
+                    raise MalformedTier(f"bad dependent tier line: {line!r}")
+                if m.group(1).lower() != "mor":
+                    continue
+                if not utterances:
+                    raise OrphanDependentTier("%mor tier before any utterance")
+                target = utterances[-1]
+                try:
+                    mor = [tok for tok in map(regex_parse_mor_token, line[m.end():].split())
+                           if tok is not None]
+                except MalformedTier as exc:
+                    warnings.append(f"utterance {len(utterances)}: mor tier dropped ({exc})")
+                    continue
+                if len(mor) != len(target.clean_tokens):
+                    warnings.append(
+                        f"utterance {len(utterances)}: mor tier has {len(mor)} tokens, "
+                        f"utterance has {len(target.clean_tokens)}; mor dropped")
+                    continue
+                if target.mor_tokens is not None:
+                    warnings.append(f"utterance {len(utterances)}: duplicate mor tier replaced")
+                utterances[-1] = Utterance(target.speaker, target.speaker_code,
+                                           target.raw_tokens, target.clean_tokens,
+                                           target.terminator, target.events, tuple(mor),
+                                           target.postcodes)
+                continue
+
+            raise MalformedTier(f"unclassifiable line: {line!r}")
+    except ChatParseError as exc:
+        raise type(exc)(f"line {lineno}: {exc}") from None
+
+    tid = transcript_id or pid or f"{corpus}|{child_code}".strip("|") or "unknown"
+    return Transcript(tid, corpus, group, age_months, sex, tuple(utterances), tuple(warnings))
+
+
+def scan_mask(cache, tok: MorToken, contracted: bool) -> int:
+    """The OR of the bits of every predicate in ``cache`` that ``tok``
+    matches, each predicate rebuilt from its key and tested in full."""
+    mask = 0
+    for key, bit in cache.bits.items():
+        if scoring._token_matches(tok, dict(key), contracted):
+            mask |= bit
+    return mask
 
 
 def string_vocab(freq: Counter, unk_threshold: int, pad: bool) -> frozenset[str]:

@@ -18,13 +18,15 @@ from langprofile.chat import (
 )
 from langprofile.errors import (
     BadHeader,
+    ChatParseError,
     DanglingMarker,
     MalformedTier,
     OrphanDependentTier,
     UnbalancedScope,
 )
 from tests.conftest import make_corpus
-from tests.oracles import pos_matches, scope_strip_annotations
+from tests.oracles import (pos_matches, regex_parse_mor_token, scope_strip_annotations,
+                           two_build_parse_chat)
 
 _POS_TEXT = st.text(alphabet="ab:", max_size=6)
 
@@ -304,10 +306,95 @@ class TestMorToken:
 
     def test_same_tag_shares_one_class_set(self):
         a, b = parse_mor_token("n:prop|Ann"), parse_mor_token("n:prop|Bob-POSS")
-        assert a.pos_classes == b.pos_classes
+        assert a.pos_classes is b.pos_classes
+        assert MorToken("n:prop", "Cy").pos_classes is a.pos_classes
         assert a == MorToken("n:prop", "Ann")
         assert repr(a) == "MorToken(pos_tag='n:prop', lemma='Ann', suffixes=(), fusions=())"
         assert a.render() == "n:prop|Ann"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.text(alphabet="nv:|ab-&.+", max_size=10))
+    def test_equals_regex_parse(self, item):
+        # items with no affix skip the regex; both paths give equal tokens or errors
+        assert _outcome(parse_mor_token, item) == _outcome(regex_parse_mor_token, item)
+
+
+def _outcome(parse, *args):
+    """What ``parse`` returns, or the type and text of the parse error it raises."""
+    try:
+        return parse(*args)
+    except ChatParseError as exc:
+        return type(exc), str(exc)
+
+
+_HEADER_LINES = ("@Begin", "@End", "@UTF8", "@Comment:\tnote",
+                 "@Participants:\tCHI Child Target_Child, EXA Examiner Examiner, MOT Mother",
+                 "@Participants:\tKID Kid Child",
+                 "@ID:\teng|corp|CHI|5;02.|female|SLI||Target_Child|||",
+                 "@ID:\teng|corp|EXA|||||Examiner|||", "@ID:\teng|short", "@PID:\tp-1")
+_WORDS = ("the", "dog", "ran", "he's", "&-um", "[/]", "[*]", "<a", "b>", "[+ gram]", "[= x]")
+_MOR_ITEMS = ("n|dog", "v|run-PAST", "v|go&PAST", "pro|he", "aux|be&3S", "det:art|the",
+              "n|dog-PL&X", ".", "?", "+...")
+_BAD_MOR_ITEMS = ("ran", "|x", "n|", "n|dog-", "v|go&&PAST")
+
+
+@st.composite
+def _chat_texts(draw) -> str:
+    """CHAT text in which %mor tiers are aligned, misaligned, malformed or
+    repeated, may come before any main tier or after a header or another
+    dependent tier, and follow child, examiner and other speakers' tiers."""
+    lines: list[str] = []
+    words = None  # clean words of the last main tier, as far as the draw knows
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["header", "main", "main", "mor", "mor", "dependent",
+                                     "continuation", "blank"]))
+        if kind == "mor" and words is None and draw(st.integers(0, 7)):
+            kind = "main"  # a %mor before any main tier ends the parse: keep it rare
+        if kind == "header":
+            lines.append(draw(st.sampled_from(_HEADER_LINES)))
+        elif kind == "main":
+            tokens = draw(st.lists(st.sampled_from(_WORDS[:3]), max_size=4))
+            if draw(st.integers(0, 3)) == 0:
+                tokens += draw(st.lists(st.sampled_from(_WORDS), max_size=3))
+            words = len(tokens)
+            code = draw(st.sampled_from(["CHI", "CHI", "EXA", "INV", "MOT", "KID"]))
+            term = draw(st.sampled_from([".", "?", "!", "+...", ""]))
+            lines.append(f"*{code}:\t{' '.join(tokens)} {term}".rstrip())
+        elif kind == "mor":
+            count = max(0, (words or 0) + draw(st.sampled_from([0, 0, 0, 1, -1])))
+            items = draw(st.lists(st.sampled_from(_MOR_ITEMS[:7]), min_size=count,
+                                  max_size=count))
+            if draw(st.integers(0, 5)) == 0:
+                items.insert(draw(st.integers(0, len(items))),
+                             draw(st.sampled_from(_BAD_MOR_ITEMS)))
+            items.append(draw(st.sampled_from(_MOR_ITEMS[7:])))
+            lines.append(f"%{draw(st.sampled_from(['mor', 'MOR']))}:\t{' '.join(items)}")
+        elif kind == "dependent":
+            lines.append(draw(st.sampled_from(["%com:\tlaughs", "%gra:\t1|2|SUBJ"])))
+        elif kind == "continuation":
+            lines.append("\t" + " ".join(draw(st.lists(st.sampled_from(_WORDS[:3]),
+                                                        min_size=1, max_size=2))))
+        else:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+class TestParseAgainstTwoBuilds:
+    """``parse_chat`` builds each Utterance once; the two-build parse is
+    its reference."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_chat_texts())
+    def test_equals_two_build_parse(self, text):
+        assert _outcome(parse_chat, text) == _outcome(two_build_parse_chat, text)
+
+    @pytest.mark.parametrize("text", [
+        "%mor:\tn|dog .\n*CHI:\tdog .\n",
+        "*CHI:\tdog .\n@Comment:\tx\n%com:\ty\n%mor:\tn|dog .\n%mor:\tn|cat .\n",
+        "*CHI:\tdog .\n%mor:\tn|dog cat .\n%mor:\tran .\n*EXA:\tdog ?\n%mor:\tn|dog ?\n",
+    ])
+    def test_named_cases_equal_two_build_parse(self, text):
+        assert _outcome(parse_chat, text) == _outcome(two_build_parse_chat, text)
 
 
 def _mor_tokens(transcripts) -> list[MorToken]:

@@ -18,7 +18,7 @@ from langprofile.features.extract import (
 )
 from langprofile.features.schema import FEATURE_NAMES
 from tests.oracles import (MARKER_NAMES, flesch_kincaid, lexical_measures, loop_dss_score,
-                           loop_ipsyn_total, morpheme_markers, pos_patterns,
+                           loop_ipsyn_total, morpheme_markers, pos_patterns, scan_mask,
                            utterance_measures, walk_dss_score, walk_ipsyn_total,
                            walk_rule_counts)
 
@@ -494,6 +494,44 @@ class TestCountEngine:
         assert len(counts) == 27
         assert set(counts) - set(FEATURE_NAMES) == {"inflected_verbs"}
         assert counts["inflected_verbs"] == 2 and counts["verb_tokens"] == 2
+
+
+# lemma_in entries in mixed case: one that is not lowercase matches no token
+_MIXED_CASE_PREDICATES = st.fixed_dictionaries({}, optional={
+    "pos": st.sampled_from(_CLASSES),
+    "pos_in": st.lists(st.sampled_from(_CLASSES), max_size=3),
+    "lemma_in": st.lists(st.sampled_from(_LEMMAS + ("DOG", "Dog", "what", "WHAT", "who")),
+                         max_size=3),
+    "suffix_in": st.lists(st.sampled_from(_AFFIXES), max_size=2),
+    "inflected": st.booleans(),
+    "contracted": st.booleans(),
+})
+
+
+class TestMaskCache:
+    """Each token's cached mask against a test of every predicate."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tokens=st.lists(_MOR_TOKENS, min_size=1, max_size=12),
+           first=st.lists(_MIXED_CASE_PREDICATES, max_size=8),
+           later=st.lists(_MIXED_CASE_PREDICATES, min_size=1, max_size=4))
+    def test_mask_equals_scan_of_every_predicate(self, tokens, first, later):
+        cache = scoring._MaskCache()
+        for preds in (first, later):  # the later bits are added after masks are cached
+            for pred in preds:
+                cache.bit(pred)
+            for tok in tokens:
+                for contracted in (False, True):
+                    assert cache[tok, contracted] == scan_mask(cache, tok, contracted)
+
+    def test_shipped_tables_mask_every_corpus_token_as_the_scan(self, corpus_dir):
+        cache = scoring.compile_tables()[0].masks
+        tokens = {tok for t in pipeline.load_transcripts(corpus_dir)
+                  for u in t.utterances for tok in u.mor_tokens or ()}
+        assert len(tokens) >= 30
+        for tok in tokens:
+            for contracted in (False, True):
+                assert cache[tok, contracted] == scan_mask(cache, tok, contracted)
 
 
 def _or_none(score, t, rules):

@@ -952,22 +952,29 @@ class TestCli:
                                            "ch\\xffild.cha: file name is not UTF-8\n")
         assert not out.exists() or not any(out.iterdir())
 
-    def test_import_cli_loads_no_scipy(self, tmp_path):
-        """Importing the CLI and running ``analyze`` to its effect table
-        (Welch p-values included) leave scipy unimported."""
+    def test_import_cli_loads_no_scipy(self, tmp_path, corpus_dir):
+        """Importing the CLI and running ``extract`` leave hashlib and
+        OpenSSL's ``_hashlib`` unimported, which only the reports' config
+        hash needs; running ``analyze`` to its effect table (Welch p-values
+        included) then leaves scipy unimported."""
         csv_path = tmp_path / "f.csv"
         write_synthetic_csv(csv_path, n=40)
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "c.ini", csv_path, out)
         src = Path(langprofile.__file__).resolve().parents[1]
         code = ("import sys, langprofile.cli; "
+                f"rc = langprofile.cli.main(['extract', {str(corpus_dir)!r}, "
+                f"'-o', {str(tmp_path / 'e.csv')!r}]); "
+                "print(rc, sorted({'hashlib', '_hashlib'} & sys.modules.keys())); "
                 f"rc = langprofile.cli.main(['analyze', '--config', {str(cfg)!r}]); "
                 "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "0 []"
+        lines = done.stdout.splitlines()
+        assert lines[:2] == [f"wrote 8 rows to {tmp_path / 'e.csv'}", "0 []"]
+        assert lines[-1] == "0 []"
         effects = json.loads((out / "cluster_report.json").read_text())["effects"]
         assert effects and all(0.0 <= e["p_value"] <= 1.0 for e in effects)
 
@@ -1371,6 +1378,18 @@ def _dss_points_past_float(tmp_path):
                "point, past the largest float")
 
 
+def _dss_total_past_float(tmp_path):
+    # each utterance's score fits a float, but a transcript's sum of them does not
+    corpus = tmp_path / "corpus"
+    make_corpus(corpus)
+    table = tmp_path / "dss.json"
+    table.write_text('{"categories": [{"rules": [{"points": 1' + "0" * 308 + ', "pos": "n"}]}]}',
+                     encoding="utf-8")
+    return (["extract", str(corpus), "-o", str(tmp_path / "f.csv"), "--dss-table", str(table)],
+            2, f"error: stage 'extract' failed: {table}: the DSS points of transcript "
+               "'sli_00' sum past the largest float")
+
+
 def _report_entry_is_a_directory(tmp_path):
     (tmp_path / "a_report.json").mkdir()
     return (["report", str(tmp_path)], 2,
@@ -1390,7 +1409,7 @@ def _wordless_transcript(tmp_path):
     _missing_config, _empty_csv, _header_only_csv, _non_integer_age, _non_positive_age,
     _blank_column, _mostly_duplicate_rows, _no_cha_files, _no_reports, _wordless_transcript,
     _zero_chat_age, _report_entry_is_a_directory, _misspelt_table_key,
-    _dss_points_past_float,
+    _dss_points_past_float, _dss_total_past_float,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_documented_failure_exits_with_one_message(tmp_path, capsys, case):
     """Each documented bad input ends in its exit code and one message that
