@@ -8,6 +8,8 @@ Conventions that keep the algebra exactly self-consistent:
 * eigenvector sign fixed so the largest-magnitude entry is positive
 * left-to-right summation order (plain numpy reductions); results are
   bitwise stable for fixed inputs
+* each Jacobi round turns all its live pairs at once, with one gather
+  per side: the columns, the rows and the eigenvector rows
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from .errors import (
     AllConstant,
+    DegenerateInput,
     NoConvergence,
     NotSymmetric,
     TooFewComponents,
@@ -126,18 +129,24 @@ def eig_sym(S, tol: float = 1e-12, max_sweeps: int = 100
 
     Cyclic Jacobi rotations until the off-diagonal Frobenius norm falls
     below ``tol``.  Sign convention: the largest-magnitude entry of each
-    eigenvector is positive.
+    eigenvector is positive.  A round gathers the columns, then the rows,
+    of its live pairs stacked as ``[p..., q...]``; the eigenvectors are
+    kept as rows, so they turn with the rows, and returned transposed.
+    Raises ``DegenerateInput`` for a non-finite entry.
     """
     A = np.asarray(S, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetric("matrix is not square")
+    if not np.isfinite(A).all():
+        row, col = np.argwhere(~np.isfinite(A))[0]
+        raise DegenerateInput(f"matrix holds {A[row, col]} in row {row}, column {col}")
     if A.size and np.max(np.abs(A - A.T)) > 1e-10:
         raise NotSymmetric("matrix is not symmetric within 1e-10")
     n = A.shape[0]
     A = (A + A.T) / 2.0
-    V = np.eye(n)
     if n < 2:
-        return A.diagonal().copy(), V
+        return A.diagonal().copy(), np.eye(n)
+    Vt = np.eye(n)
 
     # elements below this cannot keep the off-norm above tol
     skip = 0.25 * tol / n
@@ -152,7 +161,8 @@ def eig_sym(S, tol: float = 1e-12, max_sweeps: int = 100
         ps = np.array(players[:m // 2])
         qs = np.array(players[m - 1:m // 2 - 1:-1])
         real = (ps < n) & (qs < n)
-        rounds.append((ps[real], qs[real]))
+        ps, qs = ps[real], qs[real]
+        rounds.append((ps, qs, _stacked(ps, qs, n)))
         players = [players[0], players[-1]] + players[1:-1]
 
     for _ in range(max_sweeps):
@@ -163,49 +173,62 @@ def eig_sym(S, tol: float = 1e-12, max_sweeps: int = 100
         off = math.sqrt(float(off_sq.sum()))
         if off <= tol:
             break
-        for ps, qs in rounds:
-            apq = A[ps, qs]
+        for ps, qs, (pq, P, PP, PQ) in rounds:
+            apq = A.take(pq)
             live = np.abs(apq) > skip
-            if not live.any():
+            k = np.count_nonzero(live)
+            if k == 0:
                 continue
-            p, q, apq = ps[live], qs[live], apq[live]
-            app = A[p, p]
-            aqq = A[q, q]
+            if k < ps.size:
+                apq = apq[live]
+                _, P, PP, PQ = _stacked(ps[live], qs[live], n)
+            d = A.take(PP)
+            app, aqq = d[:k], d[k:]
             tau = (aqq - app) / (2.0 * apq)
             t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
             c = 1.0 / np.hypot(1.0, t)
             s = t * c
-            # columns first (A J), then rows (J^T A J), then exact corners
-            cp = A[:, p]
-            cq = A[:, q]
-            new_p = cp * c - cq * s
-            new_q = cp * s + cq * c
-            A[:, p] = new_p
-            A[:, q] = new_q
-            rp = A[p, :]
-            rq = A[q, :]
-            A[p, :] = c[:, None] * rp - s[:, None] * rq
-            A[q, :] = s[:, None] * rp + c[:, None] * rq
-            A[p, p] = app - t * apq
-            A[q, q] = aqq + t * apq
-            A[p, q] = 0.0
-            A[q, p] = 0.0
-            vp = V[:, p]
-            vq = V[:, q]
-            V[:, p] = vp * c - vq * s
-            V[:, q] = vp * s + vq * c
+            # one multiplier for all three turns: [c|s] and [s|c], each
+            # value repeated along a row
+            M = np.repeat(np.concatenate((c, s, s, c)), n).reshape(2, 2 * k, n)
+            # columns first (A J), then rows (J^T A J), then exact corners;
+            # a gather of columns comes out F-ordered, so its transpose
+            # turns as rows too
+            A[:, P] = _turn(A[:, P].T, M, k).T
+            A[P] = _turn(A.take(P, axis=0), M, k)
+            ta = t * apq  # aqq - (-ta) rounds as aqq + ta
+            A.put(PP, d - np.concatenate((ta, -ta)))
+            A.put(PQ, 0.0)
+            Vt[P] = _turn(Vt.take(P, axis=0), M, k)
     else:
         raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
 
     w = A.diagonal().copy()
     order = np.argsort(-w, kind="stable")
     w = w[order]
-    V = V[:, order]
-    for j in range(n):
-        i = int(np.argmax(np.abs(V[:, j])))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
-    return w, V
+    Vt = Vt[order]
+    top = np.abs(Vt).argmax(axis=1)
+    flip = Vt[np.arange(n), top] < 0
+    Vt[flip] = -Vt[flip]
+    return w, Vt.T
+
+
+def _stacked(p, q, n):
+    """Flat indices into an n x n array of ``[p, q]``, and the stacked
+    pairs ``P = [p..., q...]`` with flat indices of ``[P, P]`` and of
+    ``[P, Q]`` for ``Q = [q..., p...]``."""
+    P = np.concatenate((p, q))
+    return p * n + q, P, P * (n + 1), P * n + np.concatenate((q, p))
+
+
+def _turn(R, M, k):
+    """Rows ``[p..., q...]`` of ``R`` turned in place by a round's rotations,
+    ``c*p - s*q`` and ``s*p + c*q``, with ``M`` holding ``[c|s]`` and
+    ``[s|c]``."""
+    X = R * M
+    np.subtract(X[0, :k], X[0, k:], out=R[:k])
+    np.add(X[1, :k], X[1, k:], out=R[k:])
+    return R
 
 
 # -- PCA --------------------------------------------------------------------
@@ -221,6 +244,8 @@ def pca_fit(m: FeatureMatrix) -> PcaModel:
     """Fit PCA on an already-standardized matrix; ``pca_project`` takes
     standardized rows with the same columns."""
     X = m.values
+    if X.shape[0] < 2:
+        raise DegenerateInput(f"PCA needs at least 2 rows, got {X.shape[0]}")
     cov = X.T @ X / (X.shape[0] - 1)
     w, V = eig_sym(cov)
     w = np.where((w < 0) & (w > -1e-10), 0.0, w)  # clip fp noise on PSD input

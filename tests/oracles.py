@@ -118,6 +118,11 @@
 * ``pairwise_prune_correlated`` tests each pair of columns on its own,
   before ``numerics.prune_correlated`` marked a retained column's later
   neighbours in one array step.
+* ``split_eig_sym`` turns each Jacobi round's ``p`` and ``q`` columns
+  and rows with separate gathers and scatters, and keeps the
+  eigenvectors as columns, before ``numerics.eig_sym`` turned the stacked
+  pairs ``[p..., q...]`` with one gather per side and kept the
+  eigenvectors as rows.
 """
 
 import csv
@@ -138,8 +143,8 @@ from langprofile.chat import (RETRACE, REPEAT, WORD_ERROR, AnnotationEvents, Gro
                               Speaker, Terminator, Transcript, Utterance)
 from langprofile.errors import (ChatParseError, DanglingMarker, DegenerateInput, EmptyCorpus,
                                 EmptyTranscript, MalformedTier, NoScorableUtterances,
-                                OrphanDependentTier, SingleCluster, UnbalancedScope,
-                                ZeroProbability)
+                                NoConvergence, NotSymmetric, OrphanDependentTier,
+                                SingleCluster, UnbalancedScope, ZeroProbability)
 from langprofile.features import extract as fx
 from langprofile.features import scoring
 from langprofile.features.schema import FEATURE_NAMES, csv_header
@@ -687,6 +692,79 @@ def pairwise_prune_correlated(m: FeatureMatrix, threshold: float = 0.95) -> tupl
             if not dropped[l] and abs(r[j, l]) > threshold:
                 dropped[l] = True
     return tuple(int(i) for i in np.flatnonzero(~dropped))
+
+
+def split_eig_sym(S, tol: float = 1e-12, max_sweeps: int = 100
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi with the same round-robin schedule, turning the ``p``
+    and ``q`` columns and rows of ``A`` and the columns of ``V`` one side
+    at a time."""
+    A = np.asarray(S, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise NotSymmetric("matrix is not square")
+    if A.size and np.max(np.abs(A - A.T)) > 1e-10:
+        raise NotSymmetric("matrix is not symmetric within 1e-10")
+    n = A.shape[0]
+    A = (A + A.T) / 2.0
+    V = np.eye(n)
+    if n < 2:
+        return A.diagonal().copy(), V
+    skip = 0.25 * tol / n
+    m = n + (n % 2)
+    players = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        ps = np.array(players[:m // 2])
+        qs = np.array(players[m - 1:m // 2 - 1:-1])
+        real = (ps < n) & (qs < n)
+        rounds.append((ps[real], qs[real]))
+        players = [players[0], players[-1]] + players[1:-1]
+    for _ in range(max_sweeps):
+        off_sq = A * A
+        np.fill_diagonal(off_sq, 0.0)
+        if math.sqrt(float(off_sq.sum())) <= tol:
+            break
+        for ps, qs in rounds:
+            apq = A[ps, qs]
+            live = np.abs(apq) > skip
+            if not live.any():
+                continue
+            p, q, apq = ps[live], qs[live], apq[live]
+            app = A[p, p]
+            aqq = A[q, q]
+            tau = (aqq - app) / (2.0 * apq)
+            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            cp = A[:, p]
+            cq = A[:, q]
+            new_p = cp * c - cq * s
+            new_q = cp * s + cq * c
+            A[:, p] = new_p
+            A[:, q] = new_q
+            rp = A[p, :]
+            rq = A[q, :]
+            A[p, :] = c[:, None] * rp - s[:, None] * rq
+            A[q, :] = s[:, None] * rp + c[:, None] * rq
+            A[p, p] = app - t * apq
+            A[q, q] = aqq + t * apq
+            A[p, q] = 0.0
+            A[q, p] = 0.0
+            vp = V[:, p]
+            vq = V[:, q]
+            V[:, p] = vp * c - vq * s
+            V[:, q] = vp * s + vq * c
+    else:
+        raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
+    w = A.diagonal().copy()
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    V = V[:, order]
+    for j in range(n):
+        i = int(np.argmax(np.abs(V[:, j])))
+        if V[i, j] < 0:
+            V[:, j] = -V[:, j]
+    return w, V
 
 
 def format_number(x: float) -> str:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from langprofile.errors import (
     AllConstant,
+    DegenerateInput,
+    NoConvergence,
     NotSymmetric,
     TooFewComponents,
     ZeroTotal,
@@ -23,7 +26,7 @@ from langprofile.numerics import (
     prune_correlated,
     standardize,
 )
-from tests.oracles import pairwise_prune_correlated
+from tests.oracles import pairwise_prune_correlated, split_eig_sym
 
 
 def fm(values, names=None):
@@ -170,6 +173,73 @@ class TestEigSym:
         with pytest.raises(NotSymmetric):
             eig_sym(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("S, named", [
+        ([[math.nan, 0.0], [0.0, 1.0]], "nan in row 0, column 0"),
+        ([[1.0, math.inf], [math.inf, 1.0]], "inf in row 0, column 1"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, math.nan], [0.0, math.nan, 1.0]],
+         "nan in row 1, column 2"),
+        ([[-math.inf]], "-inf in row 0, column 0"),
+        ([[1.0, math.inf], [0.0, 1.0]], "inf in row 0, column 1"),
+    ])
+    def test_non_finite_entry_is_named_before_any_sweep(self, S, named):
+        with pytest.raises(DegenerateInput, match=named):
+            eig_sym(S, max_sweeps=0)
+
+
+def _eig_outcome(eig, S, max_sweeps):
+    """What ``eig`` gives for ``S``: the message of its ``NoConvergence``,
+    or the bytes of ``w`` and ``V`` with ``V``'s strides and contiguity."""
+    try:
+        w, V = eig(S, max_sweeps=max_sweeps)
+    except NoConvergence as exc:
+        return str(exc)
+    return (w.tobytes(), V.tobytes(), V.strides, V.flags.f_contiguous,
+            V.flags.c_contiguous)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices of order 0-70 whose rounds are full, partial
+    (exact zeros, off-diagonals on either side of the skip threshold) or
+    empty, with ties, repeated eigenvalues or low rank."""
+    n = draw(st.integers(0, 70) | st.sampled_from((63, 64, 65, 70)))
+    kind = draw(st.sampled_from(("dense", "integer", "sparse", "near_skip", "repeated",
+                                 "diagonal", "rank_deficient")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3)
+    S = A + A.T
+    if kind == "integer":  # equal diagonals and exact zeros: tau of +-0
+        S = np.round(S)
+    elif kind == "sparse":  # few live pairs: most rounds are empty
+        S[np.triu(rng.random((n, n)) > 2.0 / max(n, 1), 1)] = 0.0
+        S = np.triu(S) + np.triu(S, 1).T
+    elif kind == "near_skip":
+        skip = 0.25 * 1e-12 / max(n, 1)
+        levels = np.array([0.0, 0.5 * skip, skip, 2.0 * skip, 1.0])
+        S = np.triu(S, 1) * rng.choice(levels, size=(n, n)) * rng.choice((-1.0, 1.0), (n, n))
+        S = S + S.T + np.diag(rng.normal(size=n))
+    elif kind == "repeated":
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        S = (Q * rng.choice((-1.0, 0.0, 2.0, 2.0, 5.0), size=n)) @ Q.T
+        S = (S + S.T) / 2.0
+    elif kind == "diagonal":
+        S = np.diag(rng.choice((0.0, 1.0, 1.0, rng.normal()), size=n))
+    elif kind == "rank_deficient":
+        B = rng.normal(size=(n, int(rng.integers(0, n // 2 + 1))))
+        S = B @ B.T
+    return S
+
+
+class TestEigSymOracle:
+    """``eig_sym`` against ``split_eig_sym``, the round it replaced: the
+    same bytes, the same layout of ``V`` and the same ``NoConvergence``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(symmetric_matrices(), st.sampled_from((1, 2, 3, 100)))
+    def test_equals_oracle(self, S, max_sweeps):
+        assert _eig_outcome(eig_sym, S, max_sweeps) == _eig_outcome(split_eig_sym, S,
+                                                                    max_sweeps)
+
 
 class TestPca:
     def _standard(self, n=100, p=20, seed=8):
@@ -203,6 +273,12 @@ class TestPca:
         model = pca_fit(m)
         scores = pca_project(model, m)
         assert np.max(np.abs(scores @ model.components.T - m.values)) < 1e-8
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_rows_raise(self, rows):
+        m = fm(np.ones((rows, 3)))
+        with pytest.raises(DegenerateInput, match=f"at least 2 rows, got {rows}"):
+            pca_fit(m)
 
     def test_score_means_near_zero(self):
         m = self._standard()
