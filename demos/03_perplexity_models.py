@@ -12,12 +12,12 @@ from pathlib import Path
 
 from langprofile import parse_chat
 from langprofile.ngram import (
+    GroupModels,
     load_model,
     perplexity,
     perplexity_features,
     save_model,
     train,
-    train_group_models,
 )
 
 
@@ -37,7 +37,7 @@ def main():
         chi("TD", "the frog sat on a rock", "she sees the little frogs",
             "the dog runs and he jumps", "he jumped over the rock"),
     ]
-    models = train_group_models(corpus, smoothing_k=1.0, unk_threshold=1)
+    models = GroupModels(corpus, smoothing_k=1.0, unk_threshold=1).models
 
     probe = chi("", "the dog was running", "he jumped over the log")
     feats = perplexity_features(probe, models["SLI"], models["TD"])

@@ -103,7 +103,7 @@ def _cmd_train_lm(args) -> int:
     with pipeline._stage("load"):
         transcripts = pipeline.load_transcripts(args.transcripts)
     with pipeline._stage("train"):
-        models = ngram.train_group_models(transcripts, args.smoothing_k, args.unk_threshold)
+        models = ngram.GroupModels(transcripts, args.smoothing_k, args.unk_threshold).models
     out = Path(args.output)
     files = {out / f"{prefix}_{order}g.lm": ngram.model_text(model)
              for label, prefix in (("SLI", "sli"), ("TD", "td"))

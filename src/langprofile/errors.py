@@ -80,10 +80,6 @@ class ZeroSd(NumericError):
     pass
 
 
-class NoScorableUtterances(DataError):
-    pass
-
-
 # -- language models ----------------------------------------------------
 
 class EmptyCorpus(DataError):

@@ -1,8 +1,10 @@
-"""Per-transcript computation of the 64-feature vector.
+"""The base features and z-scores of the 64-feature vector.
 
-All operations are pure functions of an immutable Transcript (plus group
-statistics and trained language models where needed) and are safe to run
-in parallel across children.  Features that cannot be computed faithfully
+``pipeline.extract_cohort`` builds each transcript's vector from
+:func:`base_features`, given the transcript's row of the cohort's
+``scoring.score_cohort``, then adds the six perplexities of
+``ngram.GroupModels`` and the z-scores against the cohort's
+:class:`GroupStats`.  Features that cannot be computed faithfully
 (missing mor tiers, degenerate denominators) fall back to documented
 estimates and are listed in ``FeatureVector.flags``.
 """
@@ -160,18 +162,13 @@ def zscore_features(base: dict[str, float], stats: GroupStats) -> dict[str, floa
     return out
 
 
-def base_features(t: Transcript, count_fusions: bool = False,
-                  scores: scoring.Scores | None = None,
-                  syllable_counts: dict[str, int] | None = None
-                  ) -> tuple[dict[str, float], set[str]]:
+def base_features(t: Transcript, count_fusions: bool, scores: scoring.Scores,
+                  syllable_counts: dict[str, int]) -> tuple[dict[str, float], set[str]]:
     """Every feature needing neither group statistics nor LMs, with its
-    flags; 27 of them are :func:`scoring.rule_counts`.  For a whole
-    cohort, pass ``t``'s row of :func:`scoring.score_cohort` as
-    ``scores`` and one ``syllable_counts`` dict (each lowercased word's
-    syllables), so the rules are scored in one pass and each distinct
-    word counted once."""
-    if syllable_counts is None:
-        syllable_counts = {}
+    flags.  ``scores`` is ``t``'s row of :func:`scoring.score_cohort`, 27
+    of whose counts are features, and ``syllable_counts`` each lowercased
+    word's syllables, shared by the cohort and filled here, so each
+    distinct word is counted once."""
     values = production_counts(t)
     kids = t.child_utterances
     words = Counter([w.lower() for u in kids for w in u.clean_tokens])
@@ -188,8 +185,6 @@ def base_features(t: Transcript, count_fusions: bool = False,
     total_morphemes = sum([tok.morphemes(count_fusions) for tok in mor_toks])
     if not mor_utts:
         flags.update(("mlu_morphemes", "total_morphemes", *_MARKERS))
-    if scores is None:
-        scores, = scoring.score_cohort([t])
     counts = dict(scores.counts)
     inflected = counts.pop("inflected_verbs")
     if inflected == 0:

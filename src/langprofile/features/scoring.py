@@ -25,10 +25,7 @@ is computed once per distinct token and cached in the compiled table,
 so the cache lives as long as the table: ``pipeline.extract_cohort``
 compiles the three tables once per job on one shared cache
 (:func:`compile_tables`) and scores the whole cohort once
-(:func:`score_cohort`).  A plain dict passed to :func:`dss_score`,
-:func:`ipsyn_total` or :func:`rule_counts` is compiled for that call
-alone, and the call runs the same pass on a cohort of one.  Nothing is
-cached at module level.
+(:func:`score_cohort`).  Nothing is cached at module level.
 
 The pass (:class:`_Cohort`) lays the cohort's child mor tokens end to
 end in one ``uint64`` array of masks, with a 0 after each utterance.  A
@@ -51,8 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..chat import MorToken, Terminator, Transcript
-from ..errors import DataError, NoScorableUtterances, read_text
+from ..chat import MorToken, Terminator
+from ..errors import DataError, read_text
 from ..ngram import _distinct
 
 _WH_LEMMAS = frozenset({"who", "whom", "whose", "what", "where",
@@ -302,12 +299,11 @@ class CompiledTable:
     rules worth more than 0 points, highest first, so its first hit is its
     best; ``score_type`` is int64 when that holds every utterance's score
     exactly, and Python objects otherwise.  Token masks are cached in
-    ``masks``, given or made here, so they live as long as this object:
-    one job.
+    ``masks``, so they live as long as this object: one job.
     """
 
-    def __init__(self, table: dict, key: str, masks: _MaskCache | None = None):
-        self.masks = _MaskCache() if masks is None else masks
+    def __init__(self, table: dict, key: str, masks: _MaskCache):
+        self.masks = masks
         if key == "categories":
             self.categories = [
                 sorted([(self._rule(rule, rule), rule["points"]) for rule in category["rules"]
@@ -349,12 +345,6 @@ def compile_tables(dss: dict | None = None, ipsyn: dict | None = None
     return (CompiledTable(default_dss_table() if dss is None else dss, "categories", masks),
             CompiledTable(default_ipsyn_table() if ipsyn is None else ipsyn, "structures", masks),
             CompiledTable(default_counts_table(), "counts", masks))
-
-
-def _compiled(table: dict | CompiledTable | None, key: str, default) -> CompiledTable:
-    if isinstance(table, CompiledTable):
-        return table
-    return CompiledTable(default() if table is None else table, key)
 
 
 _MOR, _WORDS, _TERMINATOR, _WORD_ERRORS, _POSTCODES = map(operator.attrgetter, (
@@ -483,11 +473,15 @@ class _Cohort:
         return np.bincount(self.utt_owner[self.structural(rule)], minlength=self.n)
 
     def dss(self, rules: CompiledTable) -> list[float | None]:
-        """Each transcript's :func:`dss_score`, ``None`` for no scorable
-        utterance.  A category's points go to each utterance with a hit of
-        the rule, lowest first, so the highest-point hit is written last.
-        Each transcript's scores are added left to right as float64, as a
-        loop adds them."""
+        """Each transcript's DSS score, the mean utterance score over its
+        scorable child utterances (those with a verbal mor element), or
+        ``None`` for none.  An utterance scores, in each category, the
+        points of its highest-point rule with a hit, plus the sentence
+        point, when the table gives one, if it is complete and error-free.
+        A category's points go to each utterance with a hit of the rule,
+        lowest first, so the highest-point hit is written last.  Each
+        transcript's scores are added left to right as float64, as a loop
+        adds them."""
         utts = self.utterances
         score = np.zeros(len(utts), rules.score_type)
         for category in rules.categories:
@@ -507,8 +501,9 @@ class _Cohort:
                 for total, n in zip(totals, np.bincount(owner, minlength=self.n).tolist())]
 
     def ipsyn(self, rules: CompiledTable) -> list[float | None]:
-        """Each transcript's :func:`ipsyn_total`, ``None`` for no child
-        utterance with mor tokens."""
+        """Each transcript's IPSyn checklist score, the sum over the
+        structures of each one's occurrences capped at ``cap``, or ``None``
+        for no child utterance with mor tokens."""
         total = np.zeros(self.n, np.int64)
         for rule in rules.structures:
             total += np.minimum(self._occurrences(rule), rules.cap)
@@ -516,7 +511,11 @@ class _Cohort:
                 zip(total.tolist(), np.bincount(self.utt_owner, minlength=self.n).tolist())]
 
     def counts(self, rules: CompiledTable) -> dict[str, np.ndarray]:
-        """Each count of the count table, per transcript."""
+        """Each count of the count table, per transcript: a ``tokens``
+        entry counts the tokens that match its predicate, a ``sequences``
+        entry the runs of tokens within one utterance that match its
+        predicates, and an ``utterances`` entry the utterances with a
+        matching token."""
         counts = {name: self._per_transcript(self.hits(bit)) for name, bit in rules.tokens}
         for name, bits in rules.sequences:
             counts[name] = self._per_transcript(self.windows(bits))
@@ -527,9 +526,9 @@ class _Cohort:
 
 
 class Scores(NamedTuple):
-    """One transcript's :func:`rule_counts`, :func:`dss_score` and
-    :func:`ipsyn_total`; a score is ``None`` where its scorer raises
-    ``NoScorableUtterances``."""
+    """One transcript's counts, DSS score and IPSyn score from
+    :func:`score_cohort`; a score is ``None`` where the transcript has no
+    utterance to score."""
 
     counts: dict[str, int]
     dss: float | None
@@ -537,11 +536,11 @@ class Scores(NamedTuple):
 
 
 def score_cohort(transcripts, tables: tuple[CompiledTable, CompiledTable, CompiledTable]
-                 | None = None) -> list[Scores]:
-    """Each transcript's scores under ``tables`` (default: the shipped
-    ones), a DSS, an IPSyn and a count table compiled on one mask cache
-    (:func:`compile_tables`), from one array pass over the cohort."""
-    dss, ipsyn, counts_table = tables or compile_tables()
+                 ) -> list[Scores]:
+    """Each transcript's scores under ``tables``, a DSS, an IPSyn and a
+    count table compiled on one mask cache (:func:`compile_tables`), from
+    one array pass over the cohort."""
+    dss, ipsyn, counts_table = tables
     if ipsyn.masks is not dss.masks or counts_table.masks is not dss.masks:
         raise ValueError("the three tables must share one mask cache")
     cohort = _Cohort(transcripts, dss.masks)
@@ -549,41 +548,3 @@ def score_cohort(transcripts, tables: tuple[CompiledTable, CompiledTable, Compil
     rows = np.reshape(list(counts.values()), (len(counts), cohort.n)).T.tolist()
     return [Scores(dict(zip(counts, row)), d, i)
             for row, d, i in zip(rows, cohort.dss(dss), cohort.ipsyn(ipsyn))]
-
-
-def dss_score(t: Transcript, table: dict | CompiledTable | None = None) -> float:
-    """Mean per-utterance score over scorable child utterances.
-
-    An utterance is scorable when its mor tier contains a verbal element.
-    Each category credits the highest-scoring matching rule once per
-    utterance; a sentence point is added for complete, error-free
-    utterances when the table enables it.  A ``table`` that is a dict
-    (default: the shipped one) is compiled for this call.
-    """
-    rules = _compiled(table, "categories", default_dss_table)
-    score, = _Cohort([t], rules.masks).dss(rules)
-    if score is None:
-        raise NoScorableUtterances("no child utterance with a verbal mor element")
-    return score
-
-
-def ipsyn_total(t: Transcript, table: dict | CompiledTable | None = None) -> float:
-    """Checklist score: per structure, one credit per occurrence capped
-    at ``cap`` (default 2), summed over the checklist.  A ``table`` that
-    is a dict (default: the shipped one) is compiled for this call."""
-    rules = _compiled(table, "structures", default_ipsyn_table)
-    total, = _Cohort([t], rules.masks).ipsyn(rules)
-    if total is None:
-        raise NoScorableUtterances("no child utterance carries a mor tier")
-    return total
-
-
-def rule_counts(t: Transcript, table: dict | CompiledTable | None = None) -> dict[str, int]:
-    """Every count of a count table (default: the shipped one) over the
-    child mor tokens of ``t``: a ``tokens`` entry counts the tokens that
-    match its predicate, a ``sequences`` entry the runs of tokens within
-    one utterance that match its predicates, and an ``utterances`` entry
-    the utterances with a matching token.  A dict is compiled for this
-    call."""
-    rules = _compiled(table, "counts", default_counts_table)
-    return {name: n.item() for name, n in _Cohort([t], rules.masks).counts(rules).items()}

@@ -408,7 +408,7 @@ def _score(counts: np.ndarray, totals: np.ndarray, k: float, vocab_sizes: np.nda
 
 
 class GroupModels:
-    """The six models (SLI/TD x orders 1-3) trained on the labelled
+    """The six padded models (SLI/TD x orders 1-3) trained on the labelled
     transcripts, each transcript's perplexity features against them, and
     each labelled transcript's held-out view of its own group's models.
 
@@ -427,8 +427,7 @@ class GroupModels:
     under 2**63 while the vocabs have fewer than 2**31 types and the
     cohort fewer than 2**31 transcripts and 2**31 sentences."""
 
-    def __init__(self, transcripts, smoothing_k: float = 1.0, unk_threshold: int = 1,
-                 pad: bool = True):
+    def __init__(self, transcripts, smoothing_k: float = 1.0, unk_threshold: int = 1):
         self.transcripts = list(transcripts)
         # the cohort's sentences end to end: each token's place among the
         # cohort's types, each sentence's length and first token, each
@@ -458,15 +457,14 @@ class GroupModels:
             self.members[label] = idx
             to_vocab, self._vocabs[label], self._tables[label] = _count(
                 types, tokens[_ranges(self._starts[sents], self._lengths[sents])],
-                self._lengths[sents], unk_threshold, pad)
+                self._lengths[sents], unk_threshold, True)
             self._codes[label] = to_vocab[tokens]
-        self.smoothing_k, self.unk_threshold, self.pad = \
-            float(smoothing_k), int(unk_threshold), bool(pad)
+        self.smoothing_k, self.unk_threshold = float(smoothing_k), int(unk_threshold)
 
     @functools.cached_property
     def models(self) -> dict[str, dict[int, NGramModel]]:
         """The six models, built from their tables."""
-        return {label: {order: NGramModel(order, self.smoothing_k, self.unk_threshold, self.pad,
+        return {label: {order: NGramModel(order, self.smoothing_k, self.unk_threshold, True,
                                           *table.decode(order), self._vocabs[label], table)
                         for order, table in tables.items()}
                 for label, tables in self._tables.items()}
@@ -585,12 +583,12 @@ class GroupModels:
             d_signs = np.repeat([-1, -1, 1], [len(own), len(moved), len(moved)])
             d_tokens, d_lengths = self._text(label, np.concatenate((own, moved, moved)),
                                              np.where(d_signs > 0, d_members, -1), dropped)
-            deltas = _cut(d_tokens, d_lengths, self.pad, width)
+            deltas = _cut(d_tokens, d_lengths, True, width)
             tokens, lengths = self._text(label, sents, owners, dropped)
         else:
             tokens, lengths = self._text(label, sents)
         for index, (ctx, last, per_sentence), delta in zip(
-                indexes, _cut(tokens, lengths, self.pad, width), deltas):
+                indexes, _cut(tokens, lengths, True, width), deltas):
             counts, totals = _lookup(index, ctx, last)
             if delta is not None:
                 d_ctx, d_last, d_per_sentence = delta
@@ -608,60 +606,50 @@ class GroupModels:
             yield (ctx, last, counts, totals, _spans(per_sentence, self._sents_per_row[rows]),
                    vocab_sizes, member >= 0)
 
-    def perplexity_features(self, i: int, held_out: bool = False) -> dict[str, float]:
-        """Transcript ``i``'s six features, as :func:`perplexity_features`
-        gives them.  With ``held_out``, a labelled transcript is scored
-        against its own group's models without it; a group it leaves with
-        no child tokens raises ``EmptyCorpus`` before anything is scored."""
-        features = self.outcomes([i], held_out)[0]
-        if not isinstance(features, dict):
-            raise features
-        return features
-
-    def outcomes(self, rows=None, held_out: bool = False) -> list:
-        """For each of transcripts ``rows`` (all by default), its
-        :meth:`perplexity_features`, or the error that call would raise.
-        Each model scores the rows in batches of consecutive transcripts,
-        one array pass per batch; a batch holds at most ``_BATCH_TOKENS``
-        tokens (or one longer transcript), which bounds its arrays."""
-        rows = list(range(len(self.transcripts)) if rows is None else rows)
+    def outcomes(self, held_out: bool = False) -> list:
+        """For each transcript, its six features as :func:`perplexity_features`
+        gives them, or the first error that scoring it meets.  With
+        ``held_out``, a labelled transcript is scored against its own
+        group's models without it; a group it leaves with no child tokens
+        is its error, before anything is scored.  Each model scores the
+        transcripts in batches of consecutive ones, one array pass per
+        batch; a batch holds at most ``_BATCH_TOKENS`` tokens (or one
+        longer transcript), which bounds its arrays."""
         out: list = []
-        for i in rows:
-            t = self.transcripts[i]
+        for i, t in enumerate(self.transcripts):
             error = held_out and t.group.value in self.members and self._held_out_error(i)
             if not error and not self._sents_per_row[i]:
                 error = EmptyTranscript(f"transcript {t.id!r} has no child tokens")
             out.append(error or {})
-        for batch in self._batches([r for r, features in enumerate(out)
-                                    if isinstance(features, dict)], rows):
-            scored = [rows[r] for r in batch]
+        for batch in self._batches([i for i, features in enumerate(out)
+                                    if isinstance(features, dict)]):
             for prefix, label in (("s", "SLI"), ("d", "TD")):
                 for order, (ctx, last, counts, totals, spans, vocab_sizes, held) in zip(
-                        ORDERS, self._views(label, scored, held_out)):
+                        ORDERS, self._views(label, batch, held_out)):
                     table, name = self._tables[label][order], f"{prefix}_{order}g_ppl"
                     results = _score(
                         counts, totals, self.smoothing_k, vocab_sizes, spans,
-                        lambda r: (f"transcript {self.transcripts[scored[r]].id!r}, {label} "
+                        lambda r: (f"transcript {self.transcripts[batch[r]].id!r}, {label} "
                                    f"order-{order} model ({'held out' if held[r] else 'full'})"),
                         lambda j: table.gram(order, int(ctx[j]), int(last[j])))
-                    for r, value in zip(batch, results):
-                        if isinstance(out[r], dict):  # the first failure stands
+                    for i, value in zip(batch, results):
+                        if isinstance(out[i], dict):  # the first failure stands
                             if isinstance(value, float):
-                                out[r][name] = value
+                                out[i][name] = value
                             else:
-                                out[r] = value
+                                out[i] = value
         return out
 
-    def _batches(self, at: list[int], rows: list[int]):
-        """``at``, places in ``rows``, cut into runs that hold at most
+    def _batches(self, rows: list[int]):
+        """Transcripts ``rows`` cut into runs that hold at most
         ``_BATCH_TOKENS`` tokens between them, a longer transcript alone."""
         batch, size = [], 0
-        for r in at:
-            tokens = self._row_tokens[rows[r]]
+        for i in rows:
+            tokens = self._row_tokens[i]
             if batch and size + tokens > _BATCH_TOKENS:
                 yield batch
                 batch, size = [], 0
-            batch.append(r)
+            batch.append(i)
             size += tokens
         if batch:
             yield batch
@@ -709,13 +697,6 @@ def perplexity_features(t: Transcript, sli_models: dict[int, NGramModel],
               for prefix, label, group in (("s", "SLI", sli_models), ("d", "TD", td_models))
               for order in ORDERS}
     return dict(zip(models, _score_one(t, _child_sentences([t]), models.values())))
-
-
-def train_group_models(transcripts, smoothing_k: float = 1.0,
-                       unk_threshold: int = 1, pad: bool = True
-                       ) -> dict[str, dict[int, NGramModel]]:
-    """Train the six models (SLI/TD x orders 1-3) from labeled transcripts."""
-    return GroupModels(transcripts, smoothing_k, unk_threshold, pad).models
 
 
 # -- on-disk format -------------------------------------------------------

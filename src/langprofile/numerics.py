@@ -165,7 +165,8 @@ def eig_sym(S, tol: float = 1e-12, max_sweeps: int = 100
         rounds.append((ps, qs, _stacked(ps, qs, n)))
         players = [players[0], players[-1]] + players[1:-1]
 
-    for _ in range(max_sweeps):
+    # the off-norm is checked before each sweep and after the last one
+    for sweep in range(max(max_sweeps, 0) + 1):
         # summing the off-diagonal entries directly avoids the
         # cancellation floor of a frobenius-minus-diagonal formula
         off_sq = A * A
@@ -173,6 +174,8 @@ def eig_sym(S, tol: float = 1e-12, max_sweeps: int = 100
         off = math.sqrt(float(off_sq.sum()))
         if off <= tol:
             break
+        if sweep >= max_sweeps:
+            raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
         for ps, qs, (pq, P, PP, PQ) in rounds:
             apq = A.take(pq)
             live = np.abs(apq) > skip
@@ -200,8 +203,6 @@ def eig_sym(S, tol: float = 1e-12, max_sweeps: int = 100
             A.put(PP, d - np.concatenate((ta, -ta)))
             A.put(PQ, 0.0)
             Vt[P] = _turn(Vt.take(P, axis=0), M, k)
-    else:
-        raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
 
     w = A.diagonal().copy()
     order = np.argsort(-w, kind="stable")

@@ -1,4 +1,5 @@
-"""Shared fixtures: deterministic synthetic CHAT corpora."""
+"""Shared fixtures: deterministic synthetic CHAT corpora, and the base
+features of one transcript scored as a cohort of one."""
 
 import random
 from collections import Counter
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from langprofile import ngram
+from langprofile.features import scoring
+from langprofile.features.extract import base_features
 
 # (text tokens, mor tokens or None) utterance templates; mor aligns with
 # the clean tokens, never with annotation material
@@ -116,6 +119,13 @@ def newly_rare_types(members, unk_threshold: int) -> set[str]:
     group = sum(freqs, Counter())
     return {w for f in freqs for w, c in f.items()
             if 0 < group[w] - c < unk_threshold <= group[w]}
+
+
+def one_transcript_features(t, count_fusions: bool = False):
+    """``base_features`` of ``t`` with the shipped tables, ``t`` scored as
+    a cohort of one."""
+    scores, = scoring.score_cohort([t], scoring.compile_tables())
+    return base_features(t, count_fusions, scores, {})
 
 
 @pytest.fixture()

@@ -57,10 +57,11 @@
   so it is the reference for ``f_k``.
 * ``loop_dss_score``, ``loop_ipsyn_total`` and ``loop_sequence_count``
   interpret a scoring table rule by rule, testing every token against
-  every predicate, before ``scoring.dss_score`` and
-  ``scoring.ipsyn_total`` tested bits of each distinct token's mask;
-  ``is_scorable`` tests each token for a verbal class, before DSS read a
-  bit of the utterance's masks.
+  every predicate, before the scoring engine tested bits of each
+  distinct token's mask; like ``scoring.score_cohort``, they give
+  ``None`` for a transcript with no utterance to score.
+  ``is_scorable`` tests each token for a verbal class, before DSS read
+  a bit of the utterance's masks.
 * ``walk_masks``, ``walk_dss_score``, ``walk_ipsyn_total`` and
   ``walk_rule_counts`` are the per-transcript mask walk: one
   transcript's masks kept as Python lists, a token rule summed over a
@@ -74,7 +75,7 @@
   every token against every count by hand and calling ``syllables`` once
   per word, before ``extract.base_features`` read the 27 counts of
   ``data/counts_table.json`` from the mask engine through
-  ``scoring.rule_counts`` and counted each distinct word's syllables
+  ``scoring.score_cohort`` and counted each distinct word's syllables
   once per job.
 * ``scope_strip_annotations`` walks the scope stack for every tier,
   before ``chat.strip_annotations`` returned a tier without annotations
@@ -142,8 +143,7 @@ from langprofile import chat, clustering, ngram
 from langprofile.chat import (RETRACE, REPEAT, WORD_ERROR, AnnotationEvents, Group, MorToken,
                               Speaker, Terminator, Transcript, Utterance)
 from langprofile.errors import (ChatParseError, DanglingMarker, DegenerateInput, EmptyCorpus,
-                                EmptyTranscript, MalformedTier, NoScorableUtterances,
-                                NoConvergence, NotSymmetric, OrphanDependentTier,
+                                EmptyTranscript, MalformedTier, NoConvergence, NotSymmetric, OrphanDependentTier,
                                 SingleCluster, UnbalancedScope, ZeroProbability)
 from langprofile.features import extract as fx
 from langprofile.features import scoring
@@ -490,7 +490,7 @@ def dict_perplexity_features(t, sents: list[list[str]], models: dict, held: dict
 
 def dict_group_features(lms: ngram.GroupModels, i: int, held_out: bool = False
                         ) -> dict[str, float]:
-    """Transcript ``i``'s six features as ``lms.perplexity_features``
+    """Transcript ``i``'s six features as ``lms.outcomes(held_out)[i]``
     gives them, from the dict loops."""
     t = lms.transcripts[i]
     own = t.group.value
@@ -531,16 +531,12 @@ def _extract_all(t, stats, lms, count_fusions=False, dss_table=None,
     values.update(fx.fluency_and_errors(t))
     values["f_k"] = flesch_kincaid(t)
 
-    try:
-        values["dss"] = scoring.dss_score(t, dss_table)
-    except NoScorableUtterances:
-        values["dss"] = 0.0
-        flags.add("dss")
-    try:
-        values["ipsyn_total"] = scoring.ipsyn_total(t, ipsyn_table)
-    except NoScorableUtterances:
-        values["ipsyn_total"] = 0.0
-        flags.add("ipsyn_total")
+    for name, score in (("dss", loop_dss_score(t, dss_table)),
+                        ("ipsyn_total", loop_ipsyn_total(t, ipsyn_table))):
+        if score is None:
+            score = 0.0
+            flags.add(name)
+        values[name] = score
 
     values.update(loop_perplexity_features(t, lms["SLI"], lms["TD"]))
     values.update(fx.zscore_features(values, stats))
@@ -567,8 +563,8 @@ def two_pass_extract_cohort(transcripts, config) -> Cohort:
         base_rows.append(row)
     groups = [t.group.value for t in transcripts]
     stats = fx.GroupStats.from_rows(base_rows, groups)
-    full_models = ngram.train_group_models(transcripts, config.smoothing_k,
-                                           config.unk_threshold)
+    full_models = ngram.GroupModels(transcripts, config.smoothing_k,
+                                    config.unk_threshold).models
 
     held_out = {label: retrain_loo_models([t for t in transcripts
                                            if t.group.value == label],
@@ -719,11 +715,13 @@ def split_eig_sym(S, tol: float = 1e-12, max_sweeps: int = 100
         real = (ps < n) & (qs < n)
         rounds.append((ps[real], qs[real]))
         players = [players[0], players[-1]] + players[1:-1]
-    for _ in range(max_sweeps):
+    for sweep in range(max(max_sweeps, 0) + 1):
         off_sq = A * A
         np.fill_diagonal(off_sq, 0.0)
         if math.sqrt(float(off_sq.sum())) <= tol:
             break
+        if sweep >= max_sweeps:
+            raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
         for ps, qs in rounds:
             apq = A[ps, qs]
             live = np.abs(apq) > skip
@@ -754,8 +752,6 @@ def split_eig_sym(S, tol: float = 1e-12, max_sweeps: int = 100
             vq = V[:, q]
             V[:, p] = vp * c - vq * s
             V[:, q] = vp * s + vq * c
-    else:
-        raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
     w = A.diagonal().copy()
     order = np.argsort(-w, kind="stable")
     w = w[order]
@@ -811,13 +807,14 @@ def loop_sequence_count(u, preds: list[dict]) -> int:
     return hits
 
 
-def loop_dss_score(t, table: dict | None = None) -> float:
-    """Mean per-utterance DSS score over scorable child utterances."""
+def loop_dss_score(t, table: dict | None = None) -> float | None:
+    """Mean per-utterance DSS score over scorable child utterances, or
+    ``None`` for none."""
     if table is None:
         table = scoring.default_dss_table()
     scorable = [u for u in t.child_utterances if is_scorable(u)]
     if not scorable:
-        raise NoScorableUtterances("no child utterance with a verbal mor element")
+        return None
     total = 0.0
     for u in scorable:
         score = 0
@@ -840,13 +837,14 @@ def loop_dss_score(t, table: dict | None = None) -> float:
     return total / len(scorable)
 
 
-def loop_ipsyn_total(t, table: dict | None = None) -> float:
-    """IPSyn checklist score: occurrences per structure capped at ``cap``."""
+def loop_ipsyn_total(t, table: dict | None = None) -> float | None:
+    """IPSyn checklist score: occurrences per structure capped at ``cap``;
+    ``None`` for no child utterance with mor tokens."""
     if table is None:
         table = scoring.default_ipsyn_table()
     utts = [u for u in t.child_utterances if u.mor_tokens]
     if not utts:
-        raise NoScorableUtterances("no child utterance carries a mor tier")
+        return None
     cap = int(table.get("cap", 2))
     total = 0
     for struct in table["structures"]:
@@ -930,14 +928,14 @@ def walk_windows(masks: list[int], bits: tuple[int, ...], starts: list[int] | No
     return len(starts)
 
 
-def walk_dss_score(t: Transcript, rules: scoring.CompiledTable) -> float:
-    """``scoring.dss_score`` from a walk of ``t``'s masks, utterance by
-    utterance and rule by rule."""
+def walk_dss_score(t: Transcript, rules: scoring.CompiledTable) -> float | None:
+    """``t``'s DSS score in ``scoring.score_cohort`` from a walk of ``t``'s
+    masks, utterance by utterance and rule by rule."""
     m = walk_masks(rules.masks, t)
     scorable = [(u, masks, present) for u, masks, present in zip(m.utterances, m.masks, m.present)
                 if present & rules.verbal]
     if not scorable:
-        raise NoScorableUtterances("no child utterance with a verbal mor element")
+        return None
     total = 0.0
     for u, masks, present in scorable:
         score = 0
@@ -959,11 +957,12 @@ def walk_dss_score(t: Transcript, rules: scoring.CompiledTable) -> float:
     return total / len(scorable)
 
 
-def walk_ipsyn_total(t: Transcript, rules: scoring.CompiledTable) -> float:
-    """``scoring.ipsyn_total`` from a walk of ``t``'s masks."""
+def walk_ipsyn_total(t: Transcript, rules: scoring.CompiledTable) -> float | None:
+    """``t``'s IPSyn score in ``scoring.score_cohort`` from a walk of ``t``'s
+    masks."""
     m = walk_masks(rules.masks, t)
     if not m.utterances:
-        raise NoScorableUtterances("no child utterance carries a mor tier")
+        return None
     total = 0
     for rule in rules.structures:
         if type(rule) is int:
@@ -977,7 +976,8 @@ def walk_ipsyn_total(t: Transcript, rules: scoring.CompiledTable) -> float:
 
 
 def walk_rule_counts(t: Transcript, rules: scoring.CompiledTable) -> dict[str, int]:
-    """``scoring.rule_counts`` from a walk of ``t``'s masks."""
+    """``t``'s counts in ``scoring.score_cohort`` from a walk of ``t``'s
+    masks."""
     m = walk_masks(rules.masks, t)
     counts = {name: m.tokens_with(bit) for name, bit in rules.tokens}
     for name, bits in rules.sequences:

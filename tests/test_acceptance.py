@@ -25,11 +25,7 @@ from langprofile.clustering import (
     welch_cohen,
 )
 from langprofile.chat import parse_chat
-from langprofile.features.extract import (
-    base_features,
-    fluency_and_errors,
-    production_counts,
-)
+from langprofile.features.extract import fluency_and_errors, production_counts
 from langprofile.ngram import perplexity, train
 from langprofile.numerics import (
     FeatureMatrix,
@@ -42,6 +38,7 @@ from langprofile.numerics import (
     standardize,
 )
 from langprofile.synthetic import two_blobs
+from tests.conftest import one_transcript_features
 from tests.test_clustering import brute_optimal_inertia, brute_silhouette
 from tests.test_pipeline import write_config, write_synthetic_csv
 
@@ -213,17 +210,17 @@ def test_feature_extraction_goldens():
         "*CHI:\the jumped .\n%mor:\tpro|he v|jump-PAST .\n")
     counts = production_counts(two)
     assert counts["child_TNW"] == 5 and counts["child_TNS"] == 2
-    measures, _ = base_features(two)
+    measures, _ = one_transcript_features(two)
     assert measures["mlu_words"] == 2.5
     assert measures["mlu_morphemes"] == 3.0
-    measures_fused, _ = base_features(two, count_fusions=True)
+    measures_fused, _ = one_transcript_features(two, count_fusions=True)
     assert measures_fused["mlu_morphemes"] == 3.5
-    lex, _ = base_features(parse_chat("*CHI:\ta b a c .\n"))
+    lex, _ = one_transcript_features(parse_chat("*CHI:\ta b a c .\n"))
     assert lex["freq_ttr"] == 0.75
-    fk = base_features(parse_chat("*CHI:\tthe dog ran .\n"))[0]["f_k"]
+    fk = one_transcript_features(parse_chat("*CHI:\tthe dog ran .\n"))[0]["f_k"]
     assert abs(fk - (-2.62)) < 1e-9
 
-    markers, _ = base_features(parse_chat(
+    markers, _ = one_transcript_features(parse_chat(
         "*CHI:\the is going .\n%mor:\tpro|he aux|be&3S part|go-PROG .\n"
         "*CHI:\tshe 's running .\n%mor:\tpro|she aux|be&3S part|run-PROG .\n"
         "*CHI:\tit is big .\n%mor:\tpro|it cop|be&3S adj|big .\n"
@@ -241,7 +238,7 @@ def test_feature_extraction_goldens():
     }
     assert {name: markers[name] for name in expected} == expected
 
-    patterns, _ = base_features(parse_chat(
+    patterns, _ = one_transcript_features(parse_chat(
         "*CHI:\tdog runs .\n%mor:\tn|dog v|run-3S .\n"
         "*CHI:\tdog is going .\n%mor:\tn|dog aux|be&3S part|go-PROG .\n"
         "*CHI:\tthe dogs bark .\n%mor:\tdet:art|the n|dog-PL v|bark .\n"

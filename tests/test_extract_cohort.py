@@ -62,13 +62,13 @@ def _count_calls(monkeypatch, module, name, counts):
 
 def test_each_extractor_and_table_runs_once(transcripts, monkeypatch):
     # one count pass per transcript, one rule-scoring pass and each table
-    # read once per job, no single-transcript scorer, and each distinct
-    # lowercased child word's syllables counted once per job
+    # read once per job, and each distinct lowercased child word's
+    # syllables counted once per job
     counts: dict[str, int] = {}
     for name in ("production_counts", "fluency_and_errors", "syllables"):
         _count_calls(monkeypatch, fx, name, counts)
-    for name in ("score_cohort", "dss_score", "ipsyn_total", "rule_counts",
-                 "default_dss_table", "default_ipsyn_table", "default_counts_table"):
+    for name in ("score_cohort", "default_dss_table", "default_ipsyn_table",
+                 "default_counts_table"):
         _count_calls(monkeypatch, scoring, name, counts)
 
     for calls in (1, 2):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from langprofile import pipeline
 from langprofile.chat import (AnnotationEvents, Group, MorToken, Speaker, Terminator,
                               Transcript, Utterance, parse_chat)
-from langprofile.errors import DivisionDomain, EmptyTranscript, NoScorableUtterances, ZeroSd
+from langprofile.errors import DivisionDomain, EmptyTranscript, ZeroSd
 from langprofile.features import scoring
 from langprofile.features.extract import (
     GroupStats,
@@ -17,6 +17,7 @@ from langprofile.features.extract import (
     zscore_features,
 )
 from langprofile.features.schema import FEATURE_NAMES
+from tests.conftest import one_transcript_features
 from tests.oracles import (MARKER_NAMES, flesch_kincaid, lexical_measures, loop_dss_score,
                            loop_ipsyn_total, morpheme_markers, pos_patterns, scan_mask,
                            utterance_measures, walk_dss_score, walk_ipsyn_total,
@@ -28,7 +29,15 @@ def mk(text: str):
 
 
 def features(text: str, count_fusions: bool = False) -> tuple[dict[str, float], set[str]]:
-    return base_features(mk(text), count_fusions)
+    return one_transcript_features(mk(text), count_fusions)
+
+
+def scores(t: Transcript, dss: dict | None = None, ipsyn: dict | None = None
+           ) -> scoring.Scores:
+    """The scores of ``t`` as a cohort of one, under ``dss`` and ``ipsyn``
+    (``None``: the shipped tables) compiled for it alone."""
+    row, = scoring.score_cohort([t], scoring.compile_tables(dss, ipsyn))
+    return row
 
 
 TWO_UTTS = (
@@ -273,28 +282,27 @@ class TestScoring:
         # + 1 (sentence) = 3; "he ran ." = 2 (pronoun) + 2 (verb) + 1 = 5
         text = ("*CHI:\tthe dogs ran .\n%mor:\tdet:art|the n|dog-PL v|run&PAST .\n"
                 "*CHI:\the ran .\n%mor:\tpro|he v|run&PAST .\n")
-        assert scoring.dss_score(mk(text)) == 4.0
+        assert scores(mk(text)).dss == 4.0
 
     def test_dss_golden_fixture(self):
         # hand tally per utterance against the shipped default table:
         # U1 = 2 + 7 + 1 = 10; U2 = 2 + 1 = 3; U3 = 1 + 1 + 4 + 6 + 1 = 13;
         # U4 = 2 + 2 + 3 + 1 = 8; U5 unscorable -> mean = 34 / 4
-        assert scoring.dss_score(mk(SCORING_FIXTURE)) == 8.5
+        assert scores(mk(SCORING_FIXTURE)).dss == 8.5
 
     def test_dss_no_scorable(self):
-        with pytest.raises(NoScorableUtterances):
-            scoring.dss_score(mk("*CHI:\tdoggie .\n%mor:\tn|doggie .\n"))
+        assert scores(mk("*CHI:\tdoggie .\n%mor:\tn|doggie .\n")).dss is None
 
     def test_ipsyn_cap(self):
         # three nouns but N1 credits at most 2
         text = "*CHI:\tdog cat ball .\n%mor:\tn|dog n|cat n|ball .\n"
         table = {"cap": 2, "structures": [{"name": "N1", "token": {"pos": "n"}}]}
-        assert scoring.ipsyn_total(mk(text), table) == 2.0
+        assert scores(mk(text), ipsyn=table).ipsyn == 2.0
 
     def test_ipsyn_golden_fixture(self):
         # hand tally against the shipped checklist: N 2+2+1+1, V 2+2+0+1+1,
         # Q 1+0, S 2+2+1 -> 18
-        assert scoring.ipsyn_total(mk(SCORING_FIXTURE)) == 18.0
+        assert scores(mk(SCORING_FIXTURE)).ipsyn == 18.0
 
 
 _TAGS = ("n", "n:prop", "v", "aux", "cop", "mod", "pro", "pro:wh", "det:art", "adj", "neg")
@@ -395,13 +403,6 @@ _COVER_STRUCTURES = [
 ]
 
 
-def _outcome(score, t, table):
-    try:
-        return score(t, table)
-    except NoScorableUtterances:
-        return "no scorable utterance"
-
-
 class TestScoringEngine:
     @pytest.mark.parametrize("cap", [0, 2, 50])
     @pytest.mark.parametrize("sentence_point", [False, True])
@@ -411,16 +412,17 @@ class TestScoringEngine:
         categories, structures, _ = rules
         dss = {"sentence_point": sentence_point, "categories": _COVER_CATEGORIES + categories}
         ipsyn = {"cap": cap, "structures": _COVER_STRUCTURES + structures}
-        # one compiled table per kind serves every transcript, as in a job
-        compiled_dss = scoring.CompiledTable(dss, "categories")
-        compiled_ipsyn = scoring.CompiledTable(ipsyn, "structures")
-        for t in transcripts:
-            expected = _outcome(loop_dss_score, t, dss)
-            assert _outcome(scoring.dss_score, t, compiled_dss) == expected
-            assert _outcome(scoring.dss_score, t, dss) == expected
-            expected = _outcome(loop_ipsyn_total, t, ipsyn)
-            assert _outcome(scoring.ipsyn_total, t, compiled_ipsyn) == expected
-            assert _outcome(scoring.ipsyn_total, t, ipsyn) == expected
+        # one compiled table set serves the cohort and each transcript
+        # alone, as in a job
+        tables = scoring.compile_tables(dss, ipsyn)
+        rows = scoring.score_cohort(transcripts, tables)
+        for t, row in zip(transcripts, rows):
+            expected = loop_dss_score(t, dss), loop_ipsyn_total(t, ipsyn)
+            assert (row.dss, row.ipsyn) == expected
+            (alone,) = scoring.score_cohort([t], tables)
+            assert (alone.dss, alone.ipsyn) == expected
+            fresh = scores(t, dss, ipsyn)
+            assert (fresh.dss, fresh.ipsyn) == expected
 
     @pytest.mark.parametrize("text", [
         SCORING_FIXTURE,
@@ -430,9 +432,8 @@ class TestScoringEngine:
     ])
     def test_default_tables_equal_loop_oracle(self, text):
         t = mk(text)
-        assert _outcome(scoring.dss_score, t, None) == _outcome(loop_dss_score, t, None)
-        assert _outcome(scoring.ipsyn_total, t, None) \
-            == _outcome(loop_ipsyn_total, t, None)
+        row = scores(t)
+        assert (row.dss, row.ipsyn) == (loop_dss_score(t, None), loop_ipsyn_total(t, None))
 
 
 # count-table cases: contracted surfaces, PL/3S/PAST as suffix and as
@@ -478,8 +479,9 @@ class TestCountEngine:
     def test_engine_equals_walk_oracles(self, count_fusions, transcripts):
         # one job: one scoring pass and the syllable cache serve every transcript
         syllable_counts: dict[str, int] = {}
-        for t, scores in zip(transcripts, scoring.score_cohort(transcripts)):
-            values, flags = base_features(t, count_fusions, scores, syllable_counts)
+        for t, row in zip(transcripts, scoring.score_cohort(transcripts,
+                                                             scoring.compile_tables())):
+            values, flags = base_features(t, count_fusions, row, syllable_counts)
             expected: dict[str, float] = dict(pos_patterns(t))
             expected_flags: set[str] = set()
             for walk in (utterance_measures(t, count_fusions), lexical_measures(t),
@@ -490,7 +492,7 @@ class TestCountEngine:
             assert flags - {"dss", "ipsyn_total"} == expected_flags
 
     def test_count_table_holds_the_27_counts(self):
-        counts = scoring.rule_counts(mk(TWO_UTTS))
+        counts = scores(mk(TWO_UTTS)).counts
         assert len(counts) == 27
         assert set(counts) - set(FEATURE_NAMES) == {"inflected_verbs"}
         assert counts["inflected_verbs"] == 2 and counts["verb_tokens"] == 2
@@ -534,13 +536,6 @@ class TestMaskCache:
                 assert cache[tok, contracted] == scan_mask(cache, tok, contracted)
 
 
-def _or_none(score, t, rules):
-    try:
-        return score(t, rules)
-    except NoScorableUtterances:
-        return None
-
-
 # 80 distinct predicates: compiled first, they push every later bit past 64
 _WIDE_TOKENS = {f"{cls}_{lemma}": {"pos": cls, "lemma_in": [lemma.lower()]}
                 for cls in _CLASSES for lemma in _LEMMAS}
@@ -562,8 +557,8 @@ def _assert_cohort_equals_walk(transcripts, tables):
     assert len(rows) == len(transcripts)
     for t, row in zip(transcripts, rows):
         assert row.counts == walk_rule_counts(t, tables[2])
-        assert row.dss == _or_none(walk_dss_score, t, tables[0])
-        assert row.ipsyn == _or_none(walk_ipsyn_total, t, tables[1])
+        assert row.dss == walk_dss_score(t, tables[0])
+        assert row.ipsyn == walk_ipsyn_total(t, tables[1])
 
 
 class TestCohortEngine:
@@ -617,19 +612,19 @@ class TestCohortEngine:
         assert scoring._Cohort(transcripts, tables[0].masks).masks.shape[0] == 2
         _assert_cohort_equals_walk(transcripts, tables)
         for t, row in zip(transcripts, scoring.score_cohort(transcripts, tables)):
-            assert row.dss == _or_none(loop_dss_score, t, dss)
-            assert row.ipsyn == _or_none(loop_ipsyn_total, t, ipsyn)
+            assert row.dss == loop_dss_score(t, dss)
+            assert row.ipsyn == loop_ipsyn_total(t, ipsyn)
 
     def test_tables_on_different_caches_are_refused(self):
         dss, ipsyn, _ = scoring.compile_tables()
         with pytest.raises(ValueError, match="one mask cache"):
             scoring.score_cohort([mk(TWO_UTTS)], (dss, ipsyn, scoring.CompiledTable(
-                scoring.default_counts_table(), "counts")))
+                scoring.default_counts_table(), "counts", scoring._MaskCache())))
 
     def test_an_empty_cohort_scores_nothing(self):
-        assert scoring.score_cohort([]) == []
+        assert scoring.score_cohort([], scoring.compile_tables()) == []
         no_child = mk("*EXA:\twhat is it ?\n%mor:\tpro:wh|what cop|be pro|it ?\n")
-        (row,) = scoring.score_cohort([no_child])
+        (row,) = scoring.score_cohort([no_child], scoring.compile_tables())
         assert row.dss is None and row.ipsyn is None
         assert set(row.counts.values()) == {0}
 
@@ -638,8 +633,9 @@ class TestCohortEngine:
         dss = {"categories": [{"rules": [{"points": 2**62, "pos": "v"}]},
                               {"rules": [{"points": 2**62 + 1, "pos": "pro"}]}]}
         t = mk(TWO_UTTS)
-        assert scoring.CompiledTable(dss, "categories").score_type is object
-        assert scoring.dss_score(t, dss) == loop_dss_score(t, dss) == float(2**62 + 2**61)
+        assert scoring.CompiledTable(dss, "categories", scoring._MaskCache()).score_type \
+            is object
+        assert scores(t, dss).dss == loop_dss_score(t, dss) == float(2**62 + 2**61)
 
 
 class TestZScores:

@@ -124,7 +124,7 @@ class TestPerplexityFeatures:
     def test_identical_corpora_symmetry(self):
         sli = chi_group("SLI", "the dog ran", "he fell")
         td = chi_group("TD", "the dog ran", "he fell")
-        models = ngram.train_group_models([sli, td])
+        models = GroupModels([sli, td]).models
         feats = perplexity_features(chi("the dog ran"), models["SLI"], models["TD"])
         for order in (1, 2, 3):
             assert feats[f"s_{order}g_ppl"] == feats[f"d_{order}g_ppl"]
@@ -135,34 +135,37 @@ class TestPerplexityFeatures:
         # the TD models and all-<unk> for the SLI models
         sli = chi_group("SLI", "zig zag zog", "zag zig", "zog zig zag")
         td = chi_group("TD", "the dog ran home", "the dog fell", "he ran home")
-        models = ngram.train_group_models([sli, td])
+        models = GroupModels([sli, td]).models
         feats = perplexity_features(chi("the dog ran home"),
                                     models["SLI"], models["TD"])
         for order in (1, 2, 3):
             assert feats[f"d_{order}g_ppl"] < feats[f"s_{order}g_ppl"]
 
-    @pytest.mark.parametrize("pad", [True, False])
     @pytest.mark.parametrize("unk_threshold", [1, 2, 3])
     @pytest.mark.parametrize("make", [make_corpus, make_wordy_corpus])
     def test_group_models_equal_train_and_save_the_same_bytes(self, tmp_path, make,
-                                                               unk_threshold, pad):
+                                                               unk_threshold):
+        # the group models are padded; train also runs unpadded
         make(tmp_path / "corpus")
         transcripts = load_transcripts(tmp_path / "corpus")
-        models = ngram.train_group_models(transcripts, 0.5, unk_threshold, pad)
+        models = GroupModels(transcripts, 0.5, unk_threshold).models
         for label, group in models.items():
             members = [t for t in transcripts if t.group.value == label]
             for order, model in group.items():
-                want = train(members, order, 0.5, unk_threshold, pad)
-                assert model == want == slice_train(members, order, 0.5, unk_threshold, pad)
-                save_model(model, tmp_path / "got.lm")
-                save_model(want, tmp_path / "want.lm")
-                assert (tmp_path / "got.lm").read_bytes() \
-                    == (tmp_path / "want.lm").read_bytes()
+                for pad in (True, False):
+                    want = train(members, order, 0.5, unk_threshold, pad)
+                    oracle = slice_train(members, order, 0.5, unk_threshold, pad)
+                    got = model if pad else oracle
+                    assert got == want == oracle
+                    save_model(got, tmp_path / "got.lm")
+                    save_model(want, tmp_path / "want.lm")
+                    assert (tmp_path / "got.lm").read_bytes() \
+                        == (tmp_path / "want.lm").read_bytes()
 
     def test_group_missing(self):
         td = chi_group("TD", "the dog ran")
         with pytest.raises(EmptyCorpus):
-            ngram.train_group_models([td])
+            GroupModels([td])
 
     def test_error_order(self):
         # a missing SLI group, then a bad setting, then an SLI group with no
@@ -179,30 +182,30 @@ class TestPerplexityFeatures:
         with pytest.raises(EmptyCorpus, match="no transcripts labeled TD"):
             GroupModels([sli])
 
-    @pytest.mark.parametrize("pad", [True, False])
     @pytest.mark.parametrize("unk_threshold", [1, 2, 3])
     @pytest.mark.parametrize("make", [make_corpus, make_wordy_corpus])
-    def test_equals_six_loop_perplexities(self, tmp_path, make, unk_threshold, pad):
+    def test_equals_six_loop_perplexities(self, tmp_path, make, unk_threshold):
         make(tmp_path / "corpus")
         transcripts = load_transcripts(tmp_path / "corpus")
-        lms = GroupModels(transcripts, 0.5, unk_threshold, pad)
+        lms = GroupModels(transcripts, 0.5, unk_threshold)
         full = lms.models
-        assert full == ngram.train_group_models(transcripts, 0.5, unk_threshold, pad)
+        assert full == GroupModels(transcripts, 0.5, unk_threshold).models
         held = {label: list(retrain_loo_models(
                     [t for t in transcripts if t.group.value == label],
-                    0.5, unk_threshold, pad)) for label in ("SLI", "TD")}
+                    0.5, unk_threshold)) for label in ("SLI", "TD")}
+        outcomes, held_outcomes = lms.outcomes(), lms.outcomes(held_out=True)
         for i, t in enumerate(transcripts):
             want = loop_perplexity_features(t, full["SLI"], full["TD"])
             assert perplexity_features(t, full["SLI"], full["TD"]) == want
-            assert lms.perplexity_features(i) == want
+            assert outcomes[i] == want
             models = {**full, t.group.value: held[t.group.value].pop(0)} \
                 if t.group.value in held else full
-            assert lms.perplexity_features(i, held_out=True) \
+            assert held_outcomes[i] \
                 == loop_perplexity_features(t, models["SLI"], models["TD"])
 
     def test_reads_the_child_sentences_once(self, corpus_dir, monkeypatch):
         transcripts = load_transcripts(corpus_dir)
-        models = ngram.train_group_models(transcripts, 0.5, 2)
+        models = GroupModels(transcripts, 0.5, 2).models
         calls = []
         read = ngram._child_sentences
         monkeypatch.setattr(
@@ -239,7 +242,7 @@ class TestPerplexityFeatures:
 
     def test_single_model_calls_equal_group_models_and_loop(self, corpus_dir):
         transcripts = load_transcripts(corpus_dir)
-        models = ngram.train_group_models(transcripts, 0.5, 2)
+        models = GroupModels(transcripts, 0.5, 2).models
         for label, group in models.items():
             members = [t for t in transcripts if t.group.value == label]
             for order, model in group.items():
@@ -383,6 +386,13 @@ def _outcome(score):
         return type(exc)
 
 
+def _raised(outcome):
+    """An entry of ``GroupModels.outcomes``: its features, or its error raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def _held_view(lms, i):
     """Labelled transcript ``i``'s held-out view of its own group's models,
     as ``GroupModels._views`` gives it to scoring: for each order, its
@@ -410,17 +420,17 @@ class TestLeaveOneOut:
     def assert_matches_oracles(self, transcripts):
         for smoothing_k in (0.5, 1.0, 0.0):
             for unk_threshold in (1, 2, 3):
-                for pad in (True, False):
-                    self.assert_views_match(transcripts, smoothing_k, unk_threshold, pad)
+                self.assert_views_match(transcripts, smoothing_k, unk_threshold)
 
-    def assert_views_match(self, transcripts, smoothing_k, unk_threshold, pad):
-        lms = GroupModels(transcripts, smoothing_k, unk_threshold, pad)
+    def assert_views_match(self, transcripts, smoothing_k, unk_threshold):
+        lms = GroupModels(transcripts, smoothing_k, unk_threshold)
         full = lms.models
+        outcomes = lms.outcomes(held_out=True)
         for label in lms.models:
             members = [t for t in transcripts if t.group.value == label]
             copies = _models_or_error(copy_leave_one_out(members, full[label]))
             retrains = _models_or_error(
-                retrain_loo_models(members, smoothing_k, unk_threshold, pad))
+                retrain_loo_models(members, smoothing_k, unk_threshold))
             assert len(copies) == len(retrains)
             for j, (copy, retrain) in enumerate(zip(copies, retrains)):
                 t = members[j]
@@ -428,7 +438,7 @@ class TestLeaveOneOut:
                 if isinstance(retrain, str):  # the rest holds no child tokens
                     assert isinstance(copy, str)
                     assert isinstance(lms._held_out_error(i), EmptyCorpus)
-                    assert _outcome(lambda: lms.perplexity_features(i, True)) is EmptyCorpus
+                    assert _outcome(lambda: _raised(outcomes[i])) is EmptyCorpus
                     break
                 view_grams, view_counts, view_totals, vocab_size = _held_view(lms, i)
                 sents = ngram._child_sentences([t])
@@ -436,7 +446,7 @@ class TestLeaveOneOut:
                     # every n-gram the view scores, in position order and
                     # mapped through the held-out vocab: none is dropped
                     grams = [g for s in sents
-                             for g in slice_ngrams(s, retrain[order].vocab, order, pad)]
+                             for g in slice_ngrams(s, retrain[order].vocab, order, True)]
                     assert view_grams[order - 1] == grams
                     for gram, count, total in zip(grams, view_counts[order - 1],
                                                   view_totals[order - 1]):
@@ -445,7 +455,7 @@ class TestLeaveOneOut:
                                 want.counts.get(gram, 0), want.context_totals.get(gram[:-1], 0),
                                 want.vocab_size), (order, gram)
                 models = {**full, label: retrain}
-                assert _outcome(lambda: lms.perplexity_features(i, held_out=True)) \
+                assert _outcome(lambda: _raised(outcomes[i])) \
                     == _outcome(lambda: loop_perplexity_features(t, models["SLI"],
                                                                  models["TD"]))
 
@@ -490,7 +500,7 @@ class TestLeaveOneOut:
         self.assert_matches_oracles(transcripts)
         with pytest.raises(EmptyCorpus, match="no child tokens to train on in the TD "
                                               "group without transcript"):
-            GroupModels(transcripts).perplexity_features(0, held_out=True)
+            _raised(GroupModels(transcripts).outcomes(held_out=True)[0])
         with pytest.raises(EmptyCorpus, match="no child tokens to train on"):
             next(retrain_loo_models(transcripts[:1]))
 
@@ -516,23 +526,19 @@ class TestCodedEngineEqualsDictLoops:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(MEMBER, min_size=1, max_size=4), st.lists(MEMBER, min_size=1, max_size=4),
-           st.lists(MEMBER, max_size=1), st.booleans(), st.sampled_from([0.0, 0.5, 1.0]),
-           st.integers(1, 3))
-    def test_on_pseudo_word_corpora(self, sli, td, unlabelled, pad, smoothing_k,
-                                    unk_threshold):
+           st.lists(MEMBER, max_size=1), st.sampled_from([0.0, 0.5, 1.0]), st.integers(1, 3))
+    def test_on_pseudo_word_corpora(self, sli, td, unlabelled, smoothing_k, unk_threshold):
         def text(member):
             return [" ".join(WORDS[w] for w in s) for s in member]
         transcripts = ([chi_group("SLI", *text(m)) for m in sli]
                        + [chi_group("TD", *text(m)) for m in td]
                        + [chi(*text(m)) for m in unlabelled])
         assume(any(map(any, sli)) and any(map(any, td)))
-        lms = GroupModels(transcripts, smoothing_k, unk_threshold, pad)
+        lms = GroupModels(transcripts, smoothing_k, unk_threshold)
         full = lms.models
         for held_out in (False, True):
             want = [_result(lambda: dict_group_features(lms, i, held_out))
                     for i in range(len(transcripts))]
-            assert [_result(lambda: lms.perplexity_features(i, held_out))
-                    for i in range(len(transcripts))] == want
             assert list(map(_as_result, lms.outcomes(held_out=held_out))) == want
             with mock.patch.object(ngram, "_BATCH_TOKENS", 7):  # a transcript or two a batch
                 assert list(map(_as_result, lms.outcomes(held_out=held_out))) == want
@@ -565,8 +571,8 @@ class TestCodedCountingEqualsCounterTrain:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(MEMBER, min_size=1, max_size=4), st.lists(MEMBER, min_size=1, max_size=4),
-           st.lists(MEMBER, max_size=1), st.booleans(), st.integers(1, 3), st.booleans())
-    def test_on_pseudo_word_corpora(self, sli, td, unlabelled, pad, unk_threshold, one_token):
+           st.lists(MEMBER, max_size=1), st.integers(1, 3), st.booleans())
+    def test_on_pseudo_word_corpora(self, sli, td, unlabelled, unk_threshold, one_token):
         def text(member):
             # one-token sentences leave orders 2-3 no n-grams without padding
             return [" ".join(WORDS[w] for w in (s[:1] if one_token else s)) for s in member]
@@ -574,21 +580,24 @@ class TestCodedCountingEqualsCounterTrain:
                   "TD": [chi_group("TD", *text(m)) for m in td]}
         assume(any(map(any, sli)) and any(map(any, td)))
         lms = GroupModels([*groups["SLI"], *groups["TD"], *(chi(*text(m)) for m in unlabelled)],
-                          0.5, unk_threshold, pad)
+                          0.5, unk_threshold)
         assert "models" not in vars(lms)  # built only when read
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.lm"
             for label, members in groups.items():
-                want = counter_train([ngram._child_sentences([t]) for t in members], 0.5,
-                                     unk_threshold, pad)
-                for order in ngram.ORDERS:
-                    got = lms.models[label][order]
-                    assert_same_table(lms._tables[label][order], want[order]._table)
-                    assert_same_table(got._table, want[order]._table)
-                    assert got == want[order] == train(members, order, 0.5, unk_threshold, pad)
-                    assert ngram.model_text(got) == ngram.model_text(want[order])
-                    save_model(got, path)
-                    assert_same_table(load_model(path)._table, got._table)
+                sents = [ngram._child_sentences([t]) for t in members]
+                for pad in (True, False):  # the group models pad; train also runs unpadded
+                    want = counter_train(sents, 0.5, unk_threshold, pad)
+                    for order in ngram.ORDERS:
+                        trained = train(members, order, 0.5, unk_threshold, pad)
+                        got = lms.models[label][order] if pad else trained
+                        if pad:
+                            assert_same_table(lms._tables[label][order], want[order]._table)
+                        assert_same_table(got._table, want[order]._table)
+                        assert got == want[order] == trained
+                        assert ngram.model_text(got) == ngram.model_text(want[order])
+                        save_model(got, path)
+                        assert_same_table(load_model(path)._table, got._table)
 
     def test_scoring_decodes_no_count_dict(self, corpus_dir):
         lms = GroupModels(load_transcripts(corpus_dir), 0.5, 2)
@@ -644,7 +653,7 @@ class TestErrorsNameTheTranscriptAndModel:
         path.write_text(path.read_text(encoding="utf-8").replace(
             "@End", "*CHI:\tzyzzyva .\n@End"), encoding="utf-8")
         transcripts = load_transcripts(corpus_dir)
-        full = ngram.train_group_models(transcripts, 0.0)
+        full = GroupModels(transcripts, 0.0).models
         held = {label: retrain_loo_models(
                     [t for t in transcripts if t.group.value == label], 0.0)
                 for label in ("SLI", "TD")} if loo else {}

@@ -140,6 +140,21 @@ class TestEigSym:
         w, V = eig_sym([[1.0, 0.5], [0.5, 1.0]])
         assert np.max(np.abs(w - np.array([1.5, 0.5]))) < 1e-10
 
+    @pytest.mark.parametrize("eig", [eig_sym, split_eig_sym])
+    def test_convergence_is_checked_after_the_last_sweep(self, eig):
+        # one rotation leaves the 2x2 case exactly diagonal
+        w, _ = eig([[1.0, 0.5], [0.5, 1.0]], max_sweeps=1)
+        assert w.tolist() == [1.5, 0.5]
+        w, V = eig(np.diag([2.0, 3.0, 1.0]), max_sweeps=0)
+        assert w.tolist() == [3.0, 2.0, 1.0]
+        assert V.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(NoConvergence, match="in 0 sweeps"):
+            eig([[1.0, 0.5], [0.5, 1.0]], max_sweeps=0)
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(6, 6))
+        with pytest.raises(NoConvergence, match="in 1 sweeps"):
+            eig(A + A.T, max_sweeps=1)
+
     def test_trace_identity(self):
         rng = np.random.default_rng(5)
         A = rng.normal(size=(5, 5))

@@ -726,7 +726,7 @@ class TestCli:
     def test_train_lm_writes_save_model_bytes(self, corpus_dir, tmp_path):
         out = tmp_path / "models"
         assert cli.main(["train-lm", str(corpus_dir), "-o", str(out)]) == 0
-        models = ngram.train_group_models(pipeline.load_transcripts(corpus_dir))
+        models = ngram.GroupModels(pipeline.load_transcripts(corpus_dir)).models
         for label, prefix in (("SLI", "sli"), ("TD", "td")):
             for order, model in models[label].items():
                 save_model(model, tmp_path / "want.lm")
