@@ -141,10 +141,11 @@ class TestPerplexityFeatures:
         for order in (1, 2, 3):
             assert feats[f"d_{order}g_ppl"] < feats[f"s_{order}g_ppl"]
 
+    @pytest.mark.parametrize("pad", [True, False])
     @pytest.mark.parametrize("unk_threshold", [1, 2, 3])
     @pytest.mark.parametrize("make", [make_corpus, make_wordy_corpus])
     def test_group_models_equal_train_and_save_the_same_bytes(self, tmp_path, make,
-                                                               unk_threshold):
+                                                               unk_threshold, pad):
         # the group models are padded; train also runs unpadded
         make(tmp_path / "corpus")
         transcripts = load_transcripts(tmp_path / "corpus")
@@ -152,15 +153,14 @@ class TestPerplexityFeatures:
         for label, group in models.items():
             members = [t for t in transcripts if t.group.value == label]
             for order, model in group.items():
-                for pad in (True, False):
-                    want = train(members, order, 0.5, unk_threshold, pad)
-                    oracle = slice_train(members, order, 0.5, unk_threshold, pad)
-                    got = model if pad else oracle
-                    assert got == want == oracle
-                    save_model(got, tmp_path / "got.lm")
-                    save_model(want, tmp_path / "want.lm")
-                    assert (tmp_path / "got.lm").read_bytes() \
-                        == (tmp_path / "want.lm").read_bytes()
+                want = train(members, order, 0.5, unk_threshold, pad)
+                oracle = slice_train(members, order, 0.5, unk_threshold, pad)
+                got = model if pad else oracle
+                assert got == want == oracle
+                save_model(got, tmp_path / "got.lm")
+                save_model(want, tmp_path / "want.lm")
+                assert (tmp_path / "got.lm").read_bytes() \
+                    == (tmp_path / "want.lm").read_bytes()
 
     def test_group_missing(self):
         td = chi_group("TD", "the dog ran")
@@ -182,26 +182,34 @@ class TestPerplexityFeatures:
         with pytest.raises(EmptyCorpus, match="no transcripts labeled TD"):
             GroupModels([sli])
 
+    @pytest.mark.parametrize("pad", [True, False])
     @pytest.mark.parametrize("unk_threshold", [1, 2, 3])
     @pytest.mark.parametrize("make", [make_corpus, make_wordy_corpus])
-    def test_equals_six_loop_perplexities(self, tmp_path, make, unk_threshold):
+    def test_equals_six_loop_perplexities(self, tmp_path, make, unk_threshold, pad):
+        # the group models are padded; perplexity_features also scores the
+        # unpadded models train builds
         make(tmp_path / "corpus")
         transcripts = load_transcripts(tmp_path / "corpus")
+        groups = {label: [t for t in transcripts if t.group.value == label]
+                  for label in ("SLI", "TD")}
         lms = GroupModels(transcripts, 0.5, unk_threshold)
-        full = lms.models
-        assert full == GroupModels(transcripts, 0.5, unk_threshold).models
-        held = {label: list(retrain_loo_models(
-                    [t for t in transcripts if t.group.value == label],
-                    0.5, unk_threshold)) for label in ("SLI", "TD")}
+        full = {label: {order: train(members, order, 0.5, unk_threshold, pad)
+                        for order in ngram.ORDERS} for label, members in groups.items()}
+        if pad:
+            assert lms.models == full
+        held = {label: list(retrain_loo_models(members, 0.5, unk_threshold, pad))
+                for label, members in groups.items()}
         outcomes, held_outcomes = lms.outcomes(), lms.outcomes(held_out=True)
         for i, t in enumerate(transcripts):
             want = loop_perplexity_features(t, full["SLI"], full["TD"])
             assert perplexity_features(t, full["SLI"], full["TD"]) == want
-            assert outcomes[i] == want
             models = {**full, t.group.value: held[t.group.value].pop(0)} \
                 if t.group.value in held else full
-            assert held_outcomes[i] \
-                == loop_perplexity_features(t, models["SLI"], models["TD"])
+            held_want = loop_perplexity_features(t, models["SLI"], models["TD"])
+            assert perplexity_features(t, models["SLI"], models["TD"]) == held_want
+            if pad:
+                assert outcomes[i] == want
+                assert held_outcomes[i] == held_want
 
     def test_reads_the_child_sentences_once(self, corpus_dir, monkeypatch):
         transcripts = load_transcripts(corpus_dir)
