@@ -15,10 +15,12 @@ Determinism contract: every stochastic routine takes an explicit seed.
 k-means draws each restart from its own ``SeedSequence(seed).spawn``
 child. It seeds a block of restarts together, then runs their Lloyd loops
 as one batch on (restart, cluster, point) arrays, reading X's columns
-from one column-major copy when d < 8. A silhouette sweep seeds each
-block once, at its largest k, and starts every k from the first k of
-those centres. Its results are ``==`` to running the restarts one at a
-time, k by k.
+from one column-major copy when d < 8. Each point goes to its nearest
+centroid, a tie to the lowest cluster index, found with value reductions
+over the points rather than an ``argmin`` over the cluster axis. A
+silhouette sweep seeds each block once, at its largest k, and starts
+every k from the first k of those centres. Its results are ``==`` to
+running the restarts one at a time, k by k.
 """
 
 from __future__ import annotations
@@ -106,22 +108,37 @@ class ClusterResult:
     n_init: int
 
 
-def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1), d2
+def _sq_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances (n, k) from each point to each centroid."""
+    return np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+
+
+def _nearest(d2: np.ndarray) -> np.ndarray:
+    """Each point's nearest centroid from finite squared distances ``d2``
+    (R, k, n): ``np.argmin(d2, axis=1)``, a tie going to the lowest index.
+
+    An arg-reduction over the middle axis copies d2 and scans its rows of
+    k one at a time; these value reductions run over the n points. Among
+    the clusters at the minimum, the lowest index j has the largest
+    weight k - j, in the smallest unsigned dtype that holds k."""
+    k = d2.shape[1]
+    weight = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
+    at_min = d2 == d2.min(axis=1)[:, None, :]
+    return np.subtract(k, (at_min * weight).max(axis=1), dtype=np.intp)
 
 
 def _batch_distances(X: np.ndarray, cols: np.ndarray, C: np.ndarray, d2: np.ndarray,
                      diff: np.ndarray) -> np.ndarray:
-    """``_assign``'s squared distances for every restart's centroids ``C``
+    """``_sq_distances`` for every restart's centroids ``C``
     (R, k, d) at once, written into and returned as ``d2`` (R, k, n), with
     ``diff`` as scratch.
 
-    Below 8 dimensions ``_assign``'s ``np.sum`` adds the terms one by one,
-    and so does this, from X's columns ``cols`` (d, n). From 8 on it adds
-    them pairwise, in an order that follows X's memory layout, so each
-    restart calls ``_assign`` on X itself. With k = 1 these are the
-    distances ``np.sum((X - c) ** 2, axis=1)`` to each restart's c."""
+    Below 8 dimensions ``_sq_distances``' ``np.sum`` adds the terms one by
+    one, and so does this, from X's columns ``cols`` (d, n). From 8 on it
+    adds them pairwise, in an order that follows X's memory layout, so
+    each restart calls ``_sq_distances`` on X itself. With k = 1 these
+    are the distances ``np.sum((X - c) ** 2, axis=1)`` to each restart's
+    c."""
     if X.shape[1] < 8:
         np.subtract(cols[0], C[:, :, 0, None], out=d2)
         np.square(d2, out=d2)
@@ -131,7 +148,7 @@ def _batch_distances(X: np.ndarray, cols: np.ndarray, C: np.ndarray, d2: np.ndar
             d2 += diff
     else:
         for r in range(len(C)):
-            d2[r] = _assign(X, C[r])[1].T
+            d2[r] = _sq_distances(X, C[r]).T
     return d2
 
 
@@ -172,10 +189,13 @@ def _lloyd_block(X: np.ndarray, C: np.ndarray, max_iter: int, d2_buf: np.ndarray
                  ) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Lloyd runs from the seeded centroids ``C`` (R, k, d), all at once.
 
-    A restart leaves the block when its assignment stops changing.
-    ``d2_buf`` and ``diff_buf`` are ``_batch_distances``' (R, k, n) buffers
-    for R restarts, and ``weights[j]`` repeats ``X[:, j]`` once per
-    restart, so ``weights[:, :n]`` holds X's columns.  Returns
+    Every assignment, the first and each later one, is ``_nearest`` of
+    the distances: each point's nearest centroid, a tie going to the
+    lowest cluster index, as ``np.argmin`` picks it. A restart leaves the
+    block when its assignment stops changing. ``d2_buf`` and ``diff_buf``
+    are ``_batch_distances``' (R, k, n) buffers for R restarts, and
+    ``weights[j]`` repeats ``X[:, j]`` once per restart, so
+    ``weights[:, :n]`` holds X's columns.  Returns
     ``(assignments, centroids, inertia)`` per restart, in order."""
     n, d = X.shape
     k = C.shape[1]
@@ -183,8 +203,8 @@ def _lloyd_block(X: np.ndarray, C: np.ndarray, max_iter: int, d2_buf: np.ndarray
     cols = weights[:, :n]
     runs: list = [None] * len(C)
     live = np.arange(len(C))  # block positions of the restarts still running
-    assign = np.argmin(_batch_distances(X, cols, C, d2_buf[:live.size],
-                                        diff_buf[:live.size]), axis=1)
+    assign = _nearest(_batch_distances(X, cols, C, d2_buf[:live.size],
+                                       diff_buf[:live.size]))
 
     def finish(i: int, d2: np.ndarray) -> None:
         runs[live[i]] = (assign[i].copy(), C[i].copy(),
@@ -210,7 +230,7 @@ def _lloyd_block(X: np.ndarray, C: np.ndarray, max_iter: int, d2_buf: np.ndarray
             empty = np.flatnonzero(~filled[i])
             order = np.argsort(-d2[i][assign[i], rows], kind="stable")
             C[i, empty] = X[order[:empty.size]]
-        new_assign = np.argmin(_batch_distances(X, cols, C, d2, diff_buf[:a]), axis=1)
+        new_assign = _nearest(_batch_distances(X, cols, C, d2, diff_buf[:a]))
         done = (new_assign == assign).all(axis=1)
         assign = new_assign
         if done.any():
@@ -289,7 +309,10 @@ def kmeans(points, k: int, seed: int, n_init: int = 32,
     each ufunc's inner loop runs over the n points. Every float equals a
     one-at-a-time run. For d < 8 the distances add their d terms one by
     one, as ``np.sum`` does, from one column-major copy of X; for d >= 8
-    each restart's distances come from ``np.sum`` over X itself. For
+    each restart's distances come from ``np.sum`` over X itself. Each
+    point goes to its nearest centroid, a tie to the lowest cluster index
+    as with ``np.argmin``, found from the distances' minimum over the
+    clusters and a weighted maximum over the clusters at it. For
     d >= 2 the centroids are per-cluster ``bincount`` sums, added in point
     order, over the counts; for d = 1 they are per-cluster means. A
     non-finite point, or points whose squares could overflow, raise
@@ -520,7 +543,7 @@ def boundary_cases(points, centroids, outcomes=None,
     C = _as_points(centroids)
     if C.shape[0] < 2:
         raise DegenerateInput("boundary analysis needs >= 2 centroids")
-    d = np.sqrt(_assign(X, C)[1])
+    d = np.sqrt(_sq_distances(X, C))
     d.sort(axis=1)
     deltas = np.abs(d[:, 1] - d[:, 0])
     threshold = float(np.percentile(deltas, percentile))
@@ -540,7 +563,8 @@ def detect_outliers(points, centroids) -> np.ndarray:
     """Rows farther than mean + 3 sd from their assigned centroid."""
     X = _as_points(points)
     C = _as_points(centroids)
-    assign, d2 = _assign(X, C)
+    d2 = _sq_distances(X, C)
+    assign = np.argmin(d2, axis=1)
     dist = np.sqrt(d2[np.arange(len(X)), assign])
     flagged = np.zeros(len(X), dtype=bool)
     for j in range(C.shape[0]):

@@ -37,6 +37,11 @@
 * ``plus_plus_init`` seeds one k-means restart, drawing each centre with
   ``Generator.choice``, before ``clustering._batch_init`` seeded a block
   of restarts together; ``lloyd`` seeds with it.
+* ``argmin_assign`` gives each point its nearest centroid by
+  ``np.argmin`` over its k squared distances, before
+  ``clustering._lloyd_block`` found a block of restarts' nearest
+  centroids with value reductions over the points
+  (``clustering._nearest``); ``lloyd`` assigns with it.
 * ``argmin_ward`` finds each Ward merge with a flat ``argmin`` over the
   whole matrix, O(n^3) in all, before ``clustering.ward_linkage`` read it
   from cached row minima.
@@ -221,12 +226,19 @@ def plus_plus_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
+def argmin_assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest centroid, the first on a tie, and the squared
+    distances (n, k) it was picked from."""
+    d2 = clustering._sq_distances(X, centroids)
+    return np.argmin(d2, axis=1), d2
+
+
 def lloyd(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 300,
           history: list | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """One k-means++ seeding and Lloyd run; ``history`` collects the
     inertia after each reassignment."""
     centroids = plus_plus_init(X, k, rng)
-    assign, d2 = clustering._assign(X, centroids)
+    assign, d2 = argmin_assign(X, centroids)
     for _ in range(max_iter):
         # recompute centroids; repair empties by reseeding to farthest points
         own = d2[np.arange(len(X)), assign]
@@ -240,7 +252,7 @@ def lloyd(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 300,
                 pick = next(int(i) for i in order if int(i) not in used)
                 used.add(pick)
                 centroids[j] = X[pick]
-        new_assign, d2 = clustering._assign(X, centroids)
+        new_assign, d2 = argmin_assign(X, centroids)
         if history is not None:
             history.append(float(d2[np.arange(len(X)), new_assign].sum()))
         if np.array_equal(new_assign, assign):

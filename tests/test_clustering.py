@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from langprofile import clustering
 from langprofile.clustering import (
@@ -173,6 +174,43 @@ class TestKMeans:
         assert np.array_equal(got.centroids, want.centroids)
         assert got.inertia == want.inertia
 
+    @pytest.mark.parametrize("k", [1, 2, 10, 255, 256, 257, 300])
+    @pytest.mark.parametrize("restarts", [1, 3, 8])
+    def test_nearest_equals_argmin_on_exact_ties(self, k, restarts):
+        # from k = 256 the weights no longer fit in uint8
+        rng = np.random.default_rng(k * 10 + restarts)
+        n = 40
+        d2 = np.round(rng.uniform(0, 4, size=(restarts, k, n)))  # few values: many ties
+        d2[:, :, :3] = 7.0  # rows of equal values
+        d2[:, :, 3] = 0.0
+        d2[:, -1, 4] = d2[:, 0, 4] = -1.0  # first and last cluster tie at the minimum
+        d2[0, k // 2, 5] = -2.0
+        got = clustering._nearest(d2)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.argmin(d2, axis=1))
+        assert (got[:, :5] == 0).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 256, 300])
+    def test_nearest_on_duplicate_centroids_equals_argmin(self, k):
+        rng = np.random.default_rng(k)
+        X = np.round(rng.normal(size=(300, 3)), 0)
+        C = np.stack([X[rng.integers(300, size=k)] for _ in range(2)])
+        C[:, k // 2:] = C[:, :1]  # the first centroid, again and again
+        d2, scratch = np.empty((2, 2, k, 300))
+        clustering._batch_distances(X, np.ascontiguousarray(X.T), C, d2, scratch)
+        assert np.array_equal(clustering._nearest(d2), np.argmin(d2, axis=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_nearest_equals_argmin_on_random_buffers(self, data):
+        shape = (data.draw(st.integers(1, 9)),
+                 data.draw(st.integers(1, 12) | st.sampled_from([255, 256, 300])),
+                 data.draw(st.integers(1, 30)))
+        values = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(allow_nan=False,
+                                                              allow_infinity=False)
+        d2 = data.draw(arrays(np.float64, shape, elements=values))
+        assert np.array_equal(clustering._nearest(d2), np.argmin(d2, axis=1))
+
     @pytest.mark.parametrize("case", range(40))
     def test_batched_seeding_equals_serial_oracle(self, case):
         rng = np.random.default_rng(case)
@@ -230,6 +268,17 @@ class TestKMeans:
         with pytest.raises(DegenerateInput, match=r"1e\+300 .* overflows"):
             kmeans(X, 2, seed=0)
         assert kmeans(X / 1e160, 2, seed=0).inertia > 0.0
+
+    def test_fits_past_255_clusters_equal_serial_oracle(self):
+        # one block seeded at k = 300 and run at 256 and 300, on few distinct points
+        rng = np.random.default_rng(8)
+        X = np.round(rng.normal(size=(320, 2)) * 8.0, 0)
+        fits = clustering._fits(X, (256, 300), 3, 2, 300)
+        for k, fit in fits.items():
+            want = serial_kmeans(X, k, 3, 2)
+            assert np.array_equal(fit.assignments, want.assignments)
+            assert np.array_equal(fit.centroids, want.centroids)
+            assert fit.inertia == want.inertia
 
     def test_empty_cluster_repair_equals_serial_oracle(self):
         # seven distinct points and k = 8: k-means++ seeds a duplicate
